@@ -82,7 +82,7 @@ def _cmd_analyze_local(args) -> int:
     f = problem.function_expr()
     x = _point_for(args, problem)
     cert = beta(f, x, zero_tol=args.tol)
-    verdict = classify_local_stability(f, x)
+    verdict = classify_local_stability(f, x, zero_tol=args.tol)
     modulus = eta_local(f, x, levels=args.levels,
                         samples_per_level=args.samples, seed=args.seed)
     envelope = make_envelope("analyze-local", problem.name, args.seed, {

@@ -3,7 +3,8 @@
 Every node represents a finite-valued convex function on R^m and knows how
 to produce, by structural recursion:
 
-- its exact value,
+- its exact value, at one point (``_value``) or at every row of a batch of
+  points (``_value_batch``),
 - its exact directional derivative f'(x, h) (one-sided, positively
   homogeneous in h),
 - its exact subdifferential as a ``SubdiffSet`` (polytope hull plus ball).
@@ -49,6 +50,20 @@ def _basis(i: int, m: int) -> np.ndarray:
     return e
 
 
+def _rows_times(X: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """X @ mat.T for points as rows and mat of shape (p, m) or (m,).
+
+    Accumulated over coordinates in order, so each row's result depends on
+    that row alone; BLAS kernels block rows and round a row differently
+    depending on the rest of the batch.
+    """
+    cols = X.T if mat.ndim == 1 else X.T[:, :, None]
+    out = cols[0] * mat.T[0]
+    for j in range(1, X.shape[1]):
+        out = out + cols[j] * mat.T[j]
+    return out
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float).copy()
     a.setflags(write=False)
@@ -62,6 +77,11 @@ class ConvexExpr:
     kind: str
 
     def _value(self, x: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _value_batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of X, shape (k, m) -> (k,); each row's value
+        depends on that row alone."""
         raise NotImplementedError
 
     def _dd(self, x: np.ndarray, h: np.ndarray) -> float:
@@ -118,6 +138,9 @@ class Const(ConvexExpr):
     def _value(self, x):
         return self.value
 
+    def _value_batch(self, X):
+        return np.full(X.shape[0], self.value)
+
     def _dd(self, x, h):
         return 0.0
 
@@ -141,6 +164,9 @@ class Affine(ConvexExpr):
     def _value(self, x):
         return float(self.a @ x + self.b)
 
+    def _value_batch(self, X):
+        return _rows_times(X, self.a) + self.b
+
     def _dd(self, x, h):
         return float(self.a @ h)
 
@@ -161,6 +187,9 @@ class EuclidNorm(ConvexExpr):
 
     def _value(self, x):
         return float(np.linalg.norm(x))
+
+    def _value_batch(self, X):
+        return np.linalg.norm(X, axis=1)
 
     def _dd(self, x, h):
         nx = np.linalg.norm(x)
@@ -194,6 +223,9 @@ class AbsCoord(ConvexExpr):
 
     def _value(self, x):
         return float(abs(x[self.index]))
+
+    def _value_batch(self, X):
+        return np.abs(X[:, self.index])
 
     def _dd(self, x, h):
         xi = x[self.index]
@@ -237,6 +269,9 @@ class Exp1D(ConvexExpr):
     def _value(self, x):
         return math.exp(x[self.index]) + self.shift
 
+    def _value_batch(self, X):
+        return np.exp(X[:, self.index]) + self.shift
+
     def _dd(self, x, h):
         return math.exp(x[self.index]) * float(h[self.index])
 
@@ -261,6 +296,9 @@ class PosPartSquare(ConvexExpr):
 
     def _value(self, x):
         return float(max(x[self.index], 0.0) ** 2)
+
+    def _value_batch(self, X):
+        return np.maximum(X[:, self.index], 0.0) ** 2
 
     def _dd(self, x, h):
         return 2.0 * max(float(x[self.index]), 0.0) * float(h[self.index])
@@ -302,6 +340,9 @@ class Max(ConvexExpr):
     def _value(self, x):
         return max(c._value(x) for c in self.children)
 
+    def _value_batch(self, X):
+        return np.maximum.reduce([c._value_batch(X) for c in self.children])
+
     def _dd(self, x, h):
         active, _ = self._active(x)
         return max(c._dd(x, h) for c in active)
@@ -335,6 +376,12 @@ class Sum(ConvexExpr):
 
     def _value(self, x):
         return float(sum(w * e._value(x) for w, e in self.terms))
+
+    def _value_batch(self, X):
+        out = np.zeros(X.shape[0])
+        for w, e in self.terms:
+            out += w * e._value_batch(X)
+        return out
 
     def _dd(self, x, h):
         return float(sum(w * e._dd(x, h) for w, e in self.terms))
@@ -373,6 +420,9 @@ class ComposeAffine(ConvexExpr):
 
     def _value(self, x):
         return self.inner._value(self._push(x))
+
+    def _value_batch(self, X):
+        return self.inner._value_batch(_rows_times(X, self.matrix) + self.offset)
 
     def _dd(self, x, h):
         return self.inner._dd(self._push(x), self.matrix @ h)

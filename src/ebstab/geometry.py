@@ -350,10 +350,6 @@ def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
     return SubdiffSet(w * s.generators, w * s.ball_radius)
 
 
-def translate_set(s: SubdiffSet, v: np.ndarray) -> SubdiffSet:
-    return SubdiffSet(s.generators + np.asarray(v, dtype=float), s.ball_radius)
-
-
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
     """Minkowski sum; generator counts multiply, so hulls are pruned when
     they get large."""

@@ -127,8 +127,6 @@ class BoundarySample:
     """Points on the zero level set, each found by segment bisection."""
 
     points: np.ndarray
-    segments: list
-    iterations: list
     value_tol: float
 
     def payload(self) -> dict:
@@ -169,32 +167,53 @@ def find_slater_point(f: ConvexExpr, box, n: int = 1024, seed: int = 0) -> np.nd
     """Scan the box for the most strictly feasible point (f < 0)."""
     lo, hi = _as_box(box, f.dim)
     pts = box_points(lo, hi, n, seed)
-    vals = np.array([f._value(p) for p in pts])
+    vals = f._value_batch(pts)
     best = int(np.argmin(vals))
     if vals[best] >= 0.0:
         raise NoSlaterPoint("no point with f < 0 found in the search box")
     return pts[best]
 
 
-def _bisect_to_boundary(f: ConvexExpr, pos_pt: np.ndarray, neg_pt: np.ndarray,
-                        max_iter: int = 100, rel_width: float = 1e-15):
-    """Zero crossing on the segment from an infeasible to a feasible point.
+def _strictly_feasible(f: ConvexExpr, slater) -> np.ndarray:
+    s = as_point(slater, f.dim)
+    if f._value(s) >= 0.0:
+        raise NoSlaterPoint("declared slater point is not strictly feasible")
+    return s
 
-    Returns (point, iterations); the point has |f| within bisection
-    resolution and sits on the feasible side.
+
+def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
+                        rel_width: float = 1e-15):
+    """Zero crossings on k segments, each from an infeasible point (row of
+    pos_pts) to a feasible one (row of neg_pts), bisected in lock-step.
+
+    Row i runs at most max_iter[i] steps (a scalar applies to every row)
+    and stops early once its bracket is no wider than rel_width times one
+    plus its initial length.  Returns (points, steps): each point has |f|
+    within bisection resolution and sits on the feasible side; steps is
+    the total number of midpoint evaluations.
     """
-    lo, hi = np.asarray(pos_pt, float), np.asarray(neg_pt, float)
-    span = float(np.linalg.norm(hi - lo))
-    it = 0
-    for it in range(1, max_iter + 1):
+    lo = np.asarray(pos_pts, dtype=float)
+    hi = np.asarray(neg_pts, dtype=float)
+    left = np.broadcast_to(np.asarray(max_iter, dtype=int), lo.shape[:1]).copy()
+    tol = rel_width * (1.0 + np.linalg.norm(hi - lo, axis=1))
+    out = hi.copy()
+    rows = np.flatnonzero(left > 0)
+    lo, hi, tol, left = lo[rows], hi[rows], tol[rows], left[rows]
+    steps = 0
+    while rows.size:
         mid = 0.5 * (lo + hi)
-        if f._value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if np.linalg.norm(hi - lo) <= rel_width * (1.0 + span):
-            break
-    return hi, it
+        up = (f._value_batch(mid) > 0.0)[:, None]
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        left -= 1
+        steps += rows.size
+        done = (left == 0) | (np.linalg.norm(hi - lo, axis=1) <= tol)
+        if done.any():
+            out[rows[done]] = hi[done]
+            keep = ~done
+            rows, lo, hi, tol, left = (
+                rows[keep], lo[keep], hi[keep], tol[keep], left[keep])
+    return out, steps
 
 
 def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
@@ -205,27 +224,60 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
     feasible point; subgradient-projection steps (Polyak) pull toward the
     nearest part of the solution set, with a tangential polish that stops
     once successive estimates agree to 1e-8.  Always an overestimate by
-    construction.
+    construction.  The slater point is validated when given, else found by
+    scanning the box.  This is the one-point case of ``_distances``, which
+    runs the same algorithm for many points with their bisections batched
+    in lock-step; the answer for a point does not depend on the others.
     """
     x = as_point(x, f.dim)
-    fx = f._value(x)
-    if fx <= 0.0:
+    if f._value(x) <= 0.0:
         return 0.0
     if slater is not None:
-        s = as_point(slater, f.dim)
-        if f._value(s) >= 0.0:
-            raise NoSlaterPoint("declared slater point is not strictly feasible")
+        s = _strictly_feasible(f, slater)
     else:
         if box is None:
             box = (np.full(f.dim, -10.0), np.full(f.dim, 10.0))
         s = find_slater_point(f, box, seed=seed)
+    return float(_distances(f, x[None], s)[0])
 
+
+def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """distance_to_solution_set for every row of X, with strictly feasible
+    anchor s.  Each row runs as a ``_distance_steps`` generator; every
+    round sends all pending bisection requests through one lock-step
+    ``_bisect_to_boundary`` call."""
+    out = np.zeros(X.shape[0])
+    waiting = []
+
+    def advance(i, run, sent):
+        try:
+            waiting.append((i, run, run.send(sent)))
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i, x in enumerate(X):
+        advance(i, _distance_steps(f, x, s), None)
+    while waiting:
+        batch, waiting = waiting, []
+        pos, neg, max_iter = zip(*(request for _, _, request in batch))
+        points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
+        for (i, run, _), point in zip(batch, points):
+            advance(i, run, point)
+    return out
+
+
+def _distance_steps(f: ConvexExpr, x: np.ndarray, s: np.ndarray):
+    """The distance algorithm for one point as a generator: each bisection
+    is yielded as (infeasible point, feasible point, max_iter) and its
+    boundary point is sent back; the distance is the return value."""
+    if f._value(x) <= 0.0:
+        return 0.0
     y = _pull_to_solution_set(f, x)
     if f._value(y) <= FEAS_TOL:
-        anchor = y if f._value(y) <= 0.0 else _bisect_to_boundary(f, y, s)[0]
-        best_pt, _ = _bisect_to_boundary(f, x, anchor)
+        anchor = y if f._value(y) <= 0.0 else (yield y, s, 100)
+        best_pt = yield x, anchor, 100
     else:
-        best_pt, _ = _bisect_to_boundary(f, x, s)
+        best_pt = yield x, s, 100
     best = float(np.linalg.norm(x - best_pt))
 
     if f.dim == 1 or _projection_certified(f, x, best_pt):
@@ -256,7 +308,7 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
                     budget -= 1
                     cand = best_pt + sign * step * t_dir
                     if f._value(cand) > 0.0:
-                        cand, _ = _bisect_to_boundary(f, cand, inner, max_iter=40)
+                        cand = yield cand, inner, 40
                     d = float(np.linalg.norm(x - cand))
                     if d < best - 1e-12:
                         best, best_pt = d, cand
@@ -359,27 +411,17 @@ def boundary_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoundarySample
     between sampled infeasible and strictly feasible points."""
     lo, hi = _as_box(box, f.dim)
     pool = box_points(lo, hi, max(4 * n, 256), seed)
-    vals = np.array([f._value(p) for p in pool])
+    vals = f._value_batch(pool)
     feas = pool[vals < 0.0]
     infeas = pool[vals > 0.0]
     if feas.shape[0] == 0 or infeas.shape[0] == 0:
         raise NoSignChangeInBox(
             "box must contain both a point with f < 0 and one with f > 0"
         )
-    points, segments, iters = [], [], []
-    for i in range(n):
-        a = infeas[i % infeas.shape[0]]
-        b = feas[(3 + 7 * i) % feas.shape[0]]
-        p, it = _bisect_to_boundary(f, a, b)
-        points.append(p)
-        segments.append((a, b))
-        iters.append(it)
-    return BoundarySample(
-        points=np.array(points),
-        segments=segments,
-        iterations=iters,
-        value_tol=BOUNDARY_VALUE_TOL,
-    )
+    i = np.arange(n)
+    points, _ = _bisect_to_boundary(f, infeas[i % infeas.shape[0]],
+                                    feas[(3 + 7 * i) % feas.shape[0]], 100)
+    return BoundarySample(points=points, value_tol=BOUNDARY_VALUE_TOL)
 
 
 def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
@@ -450,8 +492,9 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     points, with the empirical sup of d(x, S)/f(x) over the same samples."""
     lo, hi = _as_box(box, f.dim)
     pts = box_points(lo, hi, n, seed)
-    vals = np.array([f._value(p) for p in pts])
-    infeas = pts[vals > 0.0]
+    vals = f._value_batch(pts)
+    infeasible = vals > 0.0
+    infeas, infeas_vals = pts[infeasible], vals[infeasible]
     notes = f"estimates are relative to the sampled box"
     if infeas.shape[0] == 0:
         return ModulusReport(
@@ -473,15 +516,12 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
             slater = pts[vals < 0.0][int(np.argmin(feas_vals))]
     ratio = None
     if slater is not None:
-        sub = infeas
+        s = _strictly_feasible(f, slater)
+        sub, sub_vals = infeas, infeas_vals
         if ratio_samples is not None and infeas.shape[0] > ratio_samples:
             idx = np.linspace(0, infeas.shape[0] - 1, ratio_samples).astype(int)
-            sub = infeas[idx]
-        ratios = [
-            distance_to_solution_set(f, p, slater=slater) / f._value(p)
-            for p in sub
-        ]
-        ratio = float(max(ratios))
+            sub, sub_vals = infeas[idx], sub_vals[idx]
+        ratio = float(np.max(_distances(f, sub, s) / sub_vals))
         if eta > 0.0 and ratio > 1.0001 / eta:
             # the ratio evidence itself bounds eta from above; reconcile
             eta = 1.0 / ratio
@@ -531,19 +571,19 @@ def qc_witness_search(f: ConvexExpr, tau: float, box, n: int, seed: int = 0,
         raise ValueError("tau must be positive")
     lo, hi = _as_box(box, f.dim)
     boundary = boundary_sample(f, box, max(16, n // 8), seed + 1)
+    boundary_vals = f._value_batch(boundary.points)
     pts = box_points(lo, hi, n, seed)
+    vals = f._value_batch(pts)
+    feasible = vals < 0.0
     witnesses = []
-    for z in pts:
-        fz = f._value(z)
-        if fz >= 0.0:
-            continue
+    for z, fz in zip(pts[feasible], vals[feasible]):
         diffs = boundary.points - z
         dists = np.linalg.norm(diffs, axis=1)
         j = int(np.argmin(dists))
         if dists[j] < 1e-12:
             continue
         xb = boundary.points[j]
-        ratio = (fz - f._value(xb)) / float(dists[j])
+        ratio = (fz - boundary_vals[j]) / float(dists[j])
         if abs(ratio) >= flag_threshold * tau:
             continue
         bz = beta(f, z).beta
@@ -554,23 +594,24 @@ def qc_witness_search(f: ConvexExpr, tau: float, box, n: int, seed: int = 0,
     return witnesses
 
 
-def classify_local_stability(f: ConvexExpr, xbar) -> StabilityVerdict:
+def classify_local_stability(f: ConvexExpr, xbar,
+                             zero_tol: float = ZERO_TOL) -> StabilityVerdict:
     """Local error-bound stability at a boundary point: stable exactly when
-    beta is nonzero; instability comes with the explicit destabilizing
-    direction h0 (unit, with f'(xbar, h0) = 0)."""
+    beta is nonzero at tolerance zero_tol; instability comes with the
+    explicit destabilizing direction h0 (unit, with f'(xbar, h0) = 0)."""
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
         raise PreconditionError(
             f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}"
         )
-    cert = beta(f, xbar)
+    cert = beta(f, xbar, zero_tol=zero_tol)
     if not cert.is_zero:
         return StabilityVerdict(
             scope="local",
             verdict="stable",
             beta_inf=abs(cert.beta),
             reference_point=xbar,
-            notes=f"beta = {cert.beta:.12g} is nonzero at tolerance {ZERO_TOL:g}",
+            notes=f"beta = {cert.beta:.12g} is nonzero at tolerance {zero_tol:g}",
         )
     return StabilityVerdict(
         scope="local",

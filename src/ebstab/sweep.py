@@ -8,7 +8,6 @@ subdifferential translates by eps * u.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class SweepResult:
     problem: str
     seed: int
     rows: list = field(default_factory=list)
-    created: str = ""   # wall clock; shown in human output, never in json
 
     def payload(self) -> dict:
         return {
@@ -80,8 +78,7 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
             raise ValueError("perturbation directions must satisfy ||u|| <= 1")
 
     beta_before = beta(f, xbar).beta
-    result = SweepResult(problem=problem.name, seed=seed,
-                         created=time.strftime("%Y-%m-%dT%H:%M:%S"))
+    result = SweepResult(problem=problem.name, seed=seed)
     for eps in sorted(float(e) for e in eps_list):
         for u in directions:
             if problem.family is not None:

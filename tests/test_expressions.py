@@ -231,6 +231,25 @@ def test_batch_dd_matches_scalar(rng):
             assert directional_derivative(f, x, row) == pytest.approx(want, abs=1e-12)
 
 
+def test_batch_value_matches_scalar():
+    # the scalar oracle's BLAS dot products fuse multiply-adds and exp
+    # scales a last-bit difference in its argument by |argument|, so the
+    # two oracles agree to rounding at the scale of f, not bitwise
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        f = random_expr(rng, m, depth=3)
+        xs = rng.normal(size=(32, m)) * 1.5
+        batch = f._value_batch(xs)
+        want = np.array([f._value(x) for x in xs])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.all(np.abs(batch - want) <= 1e-14 * scale)
+        # a row's value does not depend on the other rows of the batch
+        for i in rng.permutation(32)[:4]:
+            assert f._value_batch(xs[i:i + 1])[0] == batch[i]
+        assert np.array_equal(f._value_batch(xs[::3]), batch[::3])
+
+
 def test_immutability_and_equality():
     f1 = Max([AbsCoord(0, 2), AbsCoord(1, 2)])
     f2 = Max([AbsCoord(0, 2), AbsCoord(1, 2)])

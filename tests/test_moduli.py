@@ -17,6 +17,8 @@ from ebstab.expressions import (
     evaluate,
 )
 from ebstab.moduli import (
+    _bisect_to_boundary,
+    _distances,
     boundary_sample,
     check_condition_3_9,
     classify_global_stability,
@@ -28,6 +30,8 @@ from ebstab.moduli import (
     qc_witness_search,
 )
 from ebstab.sphere import linear_perturbation
+
+from conftest import random_expr
 
 EXP = Exp1D(0, -1.0, 1)
 
@@ -72,6 +76,68 @@ def test_distance_requires_slater():
     f = Sum([(1.0, PosPartSquare(0, 1)), (1.0, Const(1.0, 1))])
     with pytest.raises(NoSlaterPoint):
         distance_to_solution_set(f, [2.0], box=(np.array([-5.0]), np.array([5.0])))
+
+
+def _scalar_bisect(value, pos_pt, neg_pt, max_iter, rel_width=1e-15):
+    """One segment at a time: the bisection that the lock-step version
+    replaced, with the value oracle as a parameter."""
+    lo, hi = np.asarray(pos_pt, float), np.asarray(neg_pt, float)
+    span = float(np.linalg.norm(hi - lo))
+    it = 0
+    for it in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        if value(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if np.linalg.norm(hi - lo) <= rel_width * (1.0 + span):
+            break
+    return hi, it
+
+
+def _slater_problem(rng, m, n):
+    """A random convex f with f(s) = -1, s, and the infeasible rows among
+    n points scattered around s."""
+    g = random_expr(rng, m)
+    s = rng.normal(size=m)
+    f = Sum([(1.0, g), (1.0, Const(-g._value(s) - 1.0, m))])
+    xs = s + 3.0 * rng.normal(size=(n, m))
+    return f, s, xs[f._value_batch(xs) > 0.0]
+
+
+def test_lockstep_bisection_matches_scalar_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+        f, s, pos = _slater_problem(rng, m, 24)
+        k = pos.shape[0]
+        near = s + 0.3 * rng.normal(size=(k, m))
+        neg = np.where((f._value_batch(near) <= 0.0)[:, None], near, s)
+        max_iter = rng.choice([0, 1, 7, 40, 100], size=k)
+        points, steps = _bisect_to_boundary(f, pos, neg, max_iter)
+        assert type(steps) is int
+        assert np.all(f._value_batch(points) <= 0.0)
+        total = 0
+        for row, a, b, n in zip(points, pos, neg, max_iter):
+            # same arithmetic row for row, given the same value oracle
+            want, it = _scalar_bisect(lambda p: f._value_batch(p[None])[0],
+                                      a, b, int(n))
+            assert np.array_equal(row, want)
+            total += it
+            # the scalar oracle differs from the batched one in the last bits
+            want, _ = _scalar_bisect(f._value, a, b, int(n))
+            assert np.linalg.norm(row - want) <= 1e-9 * (1.0 + np.linalg.norm(b - a))
+        assert steps == total
+
+
+def test_distances_match_per_point_distance():
+    rng = np.random.default_rng(32)
+    for _ in range(12):
+        m = int(rng.integers(1, 4))
+        f, s, xs = _slater_problem(rng, m, 8)
+        xs = np.vstack([xs, s])     # a feasible row has distance 0
+        want = [distance_to_solution_set(f, x, slater=s) for x in xs]
+        assert _distances(f, xs, s).tolist() == want
 
 
 def test_find_slater_point_exp():
@@ -191,8 +257,7 @@ def test_condition_3_9_pospartsquare_fails():
     from ebstab.moduli import BoundarySample
 
     f = PosPartSquare(0, 1)
-    bs = BoundarySample(points=np.array([[0.0]]), segments=[], iterations=[],
-                        value_tol=1e-9)
+    bs = BoundarySample(points=np.array([[0.0]]), value_tol=1e-9)
     res = check_condition_3_9(f, 0.5, bs)
     assert not res.holds
     assert res.inf_abs_beta <= 1e-9

@@ -102,6 +102,19 @@ def test_cli_analyze_local_json(exp_file, capsys):
     assert payload["results"]["stability"]["verdict"] == "stable"
 
 
+def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
+    # beta = -1e-7 is zero at --tol 1e-6: the verdict must agree with the
+    # on-boundary beta certificate in the same report
+    path = tmp_path / "tilt.eb"
+    path.write_text("dim 1\nexpr (sum 1 (pospart2 0) 1 (affine [1e-7] 0.0))\n",
+                    encoding="utf-8")
+    assert main(["analyze-local", str(path), "--at", "0", "--tol", "1e-6",
+                 "--format", "json", "--samples", "16", "--levels", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["origin"] == "on-boundary"
+    assert results["stability"]["verdict"] == "unstable"
+
+
 def test_cli_analyze_local_uses_file_point(exp_file, capsys):
     assert main(["analyze-local", exp_file, "--format", "json",
                  "--samples", "16", "--levels", "2"]) == 0
