@@ -158,11 +158,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub, samples_default: int = 256):
+def _add_common(sub, samples: int | None = None, levels: bool = False,
+                tol: bool = False):
+    """--seed and --format, plus those of --samples (with the given
+    default), --levels and --tol that the subcommand reads."""
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=samples_default)
-    sub.add_argument("--levels", type=int, default=8)
-    sub.add_argument("--tol", type=float, default=1e-9)
+    if samples is not None:
+        sub.add_argument("--samples", type=int, default=samples)
+    if levels:
+        sub.add_argument("--levels", type=int, default=8)
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--format", choices=("human", "json", "csv"),
                      default="human")
 
@@ -179,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "modulus at a boundary point")
     p.add_argument("file")
     p.add_argument("--at", help="reference point, e.g. '0,0'")
-    _add_common(p)
+    _add_common(p, samples=256, levels=True, tol=True)
     p.set_defaults(func=_cmd_analyze_local)
 
     p = subs.add_parser("analyze-global", help="global modulus and "
@@ -187,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--tau", type=float)
     p.add_argument("--box", help="per-axis ranges, e.g. '-3..3,-3..3'")
-    _add_common(p, samples_default=512)
+    _add_common(p, samples=512)
     p.set_defaults(func=_cmd_analyze_global)
 
     p = subs.add_parser("perturb", help="sweep eps-linear perturbations")
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="eps values, e.g. '0.1,0.01'")
     p.add_argument("--dir", required=True, help="direction u with ||u|| <= 1")
     p.add_argument("--box")
-    _add_common(p, samples_default=128)
+    _add_common(p, samples=128, levels=True)
     p.set_defaults(func=_cmd_perturb)
 
     p = subs.add_parser("reproduce", help="run a built-in scenario")

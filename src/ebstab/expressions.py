@@ -7,7 +7,9 @@ to produce, by structural recursion:
   points (``_value_batch``),
 - its exact directional derivative f'(x, h) (one-sided, positively
   homogeneous in h),
-- its exact subdifferential as a ``SubdiffSet`` (polytope hull plus ball).
+- its exact subdifferential as a ``SubdiffSet`` (polytope hull plus ball),
+- its gradient at every row of a batch (``_grad_batch``), with the rows
+  where it may fail to be differentiable marked as kinks.
 
 The grammar is deliberately small: affine pieces, coordinate absolute
 values, the Euclidean norm, a single exponential atom, a squared positive
@@ -32,6 +34,7 @@ from .geometry import (
 )
 
 _ACTIVE_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -64,6 +67,11 @@ def _rows_times(X: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sq(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of X, each from its row alone."""
+    return _rows_times(X * X, np.ones(X.shape[1]))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float).copy()
     a.setflags(write=False)
@@ -91,6 +99,18 @@ class ConvexExpr:
         raise NotImplementedError
 
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
+        raise NotImplementedError
+
+    def _grad_batch(self, X: np.ndarray, err=0.0):
+        """Gradients at the rows of X, shape (k, m) -> (G, kink).
+
+        G[i] is the unique subgradient at row i; kink[i] marks rows where
+        ``_subdiff`` might return anything other than one generator with a
+        zero ball, and G[i] is meaningless there.  err (a scalar or an
+        array shaped like X) bounds how far each entry of X may sit from
+        the point the scalar oracle sees; rows that close to a kink count
+        as kinks.  Each row's result depends on that row alone.
+        """
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -150,6 +170,9 @@ class Const(ConvexExpr):
     def _subdiff(self, x):
         return SubdiffSet(np.zeros((1, self.dim)), 0.0)
 
+    def _grad_batch(self, X, err=0.0):
+        return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
+
 
 class Affine(ConvexExpr):
     """<a, x> + b."""
@@ -175,6 +198,9 @@ class Affine(ConvexExpr):
 
     def _subdiff(self, x):
         return SubdiffSet(self.a[None, :], 0.0)
+
+    def _grad_batch(self, X, err=0.0):
+        return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
 
 
 class EuclidNorm(ConvexExpr):
@@ -208,6 +234,12 @@ class EuclidNorm(ConvexExpr):
         if nx == 0.0:
             return SubdiffSet(np.zeros((1, self.dim)), 1.0)
         return SubdiffSet((x / nx)[None, :], 0.0)
+
+    def _grad_batch(self, X, err=0.0):
+        # the scalar norm reads 0 at the origin and where squaring underflows
+        sq = _row_sq(X)
+        kink = (sq < np.finfo(float).tiny) | np.all(np.abs(X) <= err, axis=1)
+        return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
 
 
 class AbsCoord(ConvexExpr):
@@ -253,6 +285,12 @@ class AbsCoord(ConvexExpr):
             return SubdiffSet(-e[None, :], 0.0)
         return SubdiffSet(np.vstack([-e, e]), 0.0)
 
+    def _grad_batch(self, X, err=0.0):
+        xi = X[:, self.index]
+        G = np.zeros(X.shape)
+        G[:, self.index] = np.sign(xi)
+        return G, np.abs(xi) <= np.broadcast_to(err, X.shape)[:, self.index]
+
 
 class Exp1D(ConvexExpr):
     """exp(x_i) + shift; the only transcendental atom."""
@@ -282,6 +320,11 @@ class Exp1D(ConvexExpr):
         g = math.exp(x[self.index]) * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
 
+    def _grad_batch(self, X, err=0.0):
+        G = np.zeros(X.shape)
+        G[:, self.index] = np.exp(X[:, self.index])
+        return G, np.zeros(X.shape[0], dtype=bool)
+
 
 class PosPartSquare(ConvexExpr):
     """(max(x_i, 0))^2: smooth, with vanishing gradient on the kink set."""
@@ -309,6 +352,11 @@ class PosPartSquare(ConvexExpr):
     def _subdiff(self, x):
         g = 2.0 * max(float(x[self.index]), 0.0) * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
+
+    def _grad_batch(self, X, err=0.0):
+        G = np.zeros(X.shape)
+        G[:, self.index] = 2.0 * np.maximum(X[:, self.index], 0.0)
+        return G, np.zeros(X.shape[0], dtype=bool)
 
 
 class Max(ConvexExpr):
@@ -355,6 +403,20 @@ class Max(ConvexExpr):
         active, _ = self._active(x)
         return merge_active_subdiffs([c._subdiff(x) for c in active])
 
+    def _grad_batch(self, X, err=0.0):
+        vals = np.array([c._value_batch(X) for c in self.children])
+        grads, kinks = zip(*(c._grad_batch(X, err) for c in self.children))
+        rows = np.arange(X.shape[0])
+        top = np.argmax(vals, axis=0)
+        G, kink = np.array(grads)[top, rows], np.array(kinks)[top, rows]
+        if len(self.children) > 1:
+            # twice the active tolerance absorbs the last-bit differences
+            # between batched and scalar child values
+            best = vals[top, rows]
+            second = np.partition(vals, -2, axis=0)[-2]
+            kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
+        return G, kink
+
 
 class Sum(ConvexExpr):
     """Nonnegative combination sum_j w_j * f_j (weights >= 0 keep convexity)."""
@@ -398,6 +460,15 @@ class Sum(ConvexExpr):
             acc = add_sets(acc, scale_set(e._subdiff(x), w))
         return acc
 
+    def _grad_batch(self, X, err=0.0):
+        G = np.zeros(X.shape)
+        kink = np.zeros(X.shape[0], dtype=bool)
+        for w, e in self.terms:
+            g, k = e._grad_batch(X, err)
+            G += w * g
+            kink |= k
+        return G, kink
+
 
 class ComposeAffine(ConvexExpr):
     """inner(A x + c) for inner convex on R^p, A of shape (p, m)."""
@@ -432,6 +503,18 @@ class ComposeAffine(ConvexExpr):
 
     def _subdiff(self, x):
         return adjoint_image_set(self.inner._subdiff(self._push(x)), self.matrix)
+
+    def _grad_batch(self, X, err=0.0):
+        a_abs = np.abs(self.matrix)
+        err = np.broadcast_to(err, X.shape)
+        Y = _rows_times(X, self.matrix) + self.offset
+        # _push rounds a point within err of the row by at most (m + 1)
+        # ulps of sum_j |A_ij x_j| + |c_i|, and so does Y: twice that bound,
+        # doubled again for margin, plus the image of err itself
+        size = _rows_times(np.abs(X) + err, a_abs) + np.abs(self.offset)
+        err_y = 4.0 * (self.dim + 1) * _EPS * size + _rows_times(err, a_abs)
+        G, kink = self.inner._grad_batch(Y, err_y)
+        return _rows_times(G, self.matrix.T), kink
 
 
 # ---------------------------------------------------------------------------

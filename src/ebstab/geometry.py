@@ -22,6 +22,7 @@ from .sampling import unit_directions
 _DEDUPE_TOL = 1e-12
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
+MIN_NORM_TOL = 1e-10       # Wolfe tolerance; a shorter min-norm point is the origin
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
 _ENUM_CAP = 200_000        # max facet subsets enumerated before sampling fallback
 
@@ -131,7 +132,8 @@ def _affine_min_norm(p: np.ndarray):
     return lam, lam @ p
 
 
-def _wolfe_min_norm(g: np.ndarray, tol: float = 1e-10, max_iter: int = 500):
+def _wolfe_min_norm(g: np.ndarray, tol: float = MIN_NORM_TOL,
+                    max_iter: int = 500):
     """Wolfe's minimum-norm-point scheme over conv(rows of g).
 
     Active-set iteration over generator subsets (the corral); each step
@@ -181,7 +183,8 @@ def _wolfe_min_norm(g: np.ndarray, tol: float = 1e-10, max_iter: int = 500):
     return x, residual, iterations
 
 
-def min_norm_point(s: SubdiffSet, tol: float = 1e-10, max_iter: int = 500) -> MinNormResult:
+def min_norm_point(s: SubdiffSet, tol: float = MIN_NORM_TOL,
+                   max_iter: int = 500) -> MinNormResult:
     """Nearest point of conv(G) to the origin, and distance to the full set.
 
     Raises MinNormNonConvergence when the certificate residual stays above
@@ -307,16 +310,14 @@ def _inradius_at_origin(g: np.ndarray):
 
 def min_support_direction(s: SubdiffSet):
     """(sigma, h) with sigma = min over unit h of support(s, h) and h the
-    minimizing direction.  sigma is the signed boundary distance."""
-    g = dedupe_rows(np.asarray(s.generators, dtype=float))
-    res = _wolfe_min_norm(g)
-    x = res[0]
-    hull_dist = float(np.linalg.norm(x))
-    if hull_dist > _HULL_ZERO:
-        h = -x / hull_dist
-        sigma_hull = -hull_dist
+    minimizing direction.  sigma is the signed boundary distance.  Raises
+    MinNormNonConvergence where min_norm_point does."""
+    mn = min_norm_point(s)
+    if mn.hull_dist > _HULL_ZERO:
+        h = -mn.point / mn.hull_dist
+        sigma_hull = -mn.hull_dist
     else:
-        sigma_hull, h = _inradius_at_origin(g)
+        sigma_hull, h = _inradius_at_origin(s.generators)
     return sigma_hull + s.ball_radius, h
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSignChangeInBox, NoSlaterPoint, PreconditionError
-from .expressions import ConvexExpr, as_point, subdifferential
-from .geometry import min_norm_point
+from .expressions import ConvexExpr, _row_sq, as_point, subdifferential
+from .geometry import MIN_NORM_TOL, min_norm_point
 from .sampling import ball_points, box_points
 from .sphere import ZERO_TOL, beta
 
@@ -428,11 +428,37 @@ def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
     return min_norm_point(f._subdiff(x)).dist
 
 
+def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
+    """_subdiff_dist for every row of P, each row independent of the rest.
+
+    Where f is differentiable its subdifferential is the gradient alone,
+    whose distance from the origin is its norm (zero at or below
+    min_norm_point's tolerance, as Wolfe reports it).  Rows the gradient
+    oracle marks as kinks, rows with a non-finite gradient and rows whose
+    norm sits at that tolerance take the scalar path, with its exact
+    geometry and its errors.
+    """
+    G, kink = f._grad_batch(P)
+    gg = _row_sq(G)
+    tol2 = MIN_NORM_TOL ** 2
+    out = np.where(gg <= tol2, 0.0, np.sqrt(gg))
+    scalar = kink | ~np.isfinite(gg) | (np.abs(gg - tol2) <= 1e-12 * tol2)
+    for i in np.flatnonzero(scalar):
+        out[i] = _subdiff_dist(f, P[i])
+    return out
+
+
 def eta_local(f: ConvexExpr, xbar, levels: int = 8,
               samples_per_level: int = 256, seed: int = 0,
               delta0: float = 1.0) -> ModulusReport:
     """liminf estimate of d(0, subdifferential) over infeasible points
-    approaching xbar, via geometrically shrinking sampling balls."""
+    approaching xbar, via geometrically shrinking sampling balls.
+
+    Each level screens its samples with one batched value call and takes
+    all their distances in one batched gradient pass; only samples on a
+    kink of f (where it may not be differentiable) build a subdifferential
+    and run Wolfe's minimum-norm scheme.
+    """
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
         raise PreconditionError(
@@ -445,10 +471,9 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
         for k in range(levels):
             radius = delta0 * 2.0 ** (-k)
             pts = ball_points(xbar, radius, sample_count, seed_base + k)
-            dists = [
-                _subdiff_dist(f, p) for p in pts if f._value(p) > 0.0
-            ]
-            recs.append((radius, min(dists) if dists else None))
+            infeas = pts[f._value_batch(pts) > 0.0]
+            recs.append((radius, float(np.min(_subdiff_dists(f, infeas)))
+                         if infeas.shape[0] else None))
         return recs
 
     recorded = run(samples_per_level, seed)
@@ -507,8 +532,7 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
             seed=seed,
             notes=notes + "; no infeasible samples (vacuous bound)",
         )
-    dists = np.array([_subdiff_dist(f, p) for p in infeas])
-    eta = float(np.min(dists))
+    eta = float(np.min(_subdiff_dists(f, infeas)))
 
     if slater is None:
         feas_vals = vals[vals < 0.0]

@@ -87,7 +87,9 @@ class FiniteFamily(IndexedFamily):
 class IntervalFamily(IndexedFamily):
     """Members indexed by a closed parameter interval, instantiated from a
     rule continuous in the parameter; sup computations use a uniform grid
-    plus local refinement.  Instantiations are cached per parameter."""
+    plus local refinement.  Grid members are cached; the off-grid members
+    the refinement visits are built afresh, so the cache never holds more
+    than grid_count members."""
 
     def __init__(self, lo: float, hi: float, grid_count: int, rule,
                  param_lipschitz: float | None = None,
@@ -103,6 +105,7 @@ class IntervalFamily(IndexedFamily):
         self.param_lipschitz = param_lipschitz
         self.template_text = template_text
         self._cache: dict = {}
+        self._grid_keys = frozenset(map(float, self.grid_indices()))
         probe = self.member(self.lo)
         self.dim = probe.dim
 
@@ -111,9 +114,12 @@ class IntervalFamily(IndexedFamily):
 
     def member(self, i) -> ConvexExpr:
         key = float(i)
-        if key not in self._cache:
-            self._cache[key] = self.rule(key)
-        return self._cache[key]
+        member = self._cache.get(key)
+        if member is None:
+            member = self.rule(key)
+            if key in self._grid_keys:
+                self._cache[key] = member
+        return member
 
 
 def _refined_argmax(family: IntervalFamily, x) -> float:
@@ -134,15 +140,20 @@ def _refined_argmax(family: IntervalFamily, x) -> float:
     return 0.5 * (a + b)
 
 
+def _sup(family: IndexedFamily, x):
+    """(sup, t_star): max over the index set of f_i(x) and, for interval
+    families, the refined argmax t_star (None for finite families)."""
+    grid_max = max(family.member(i)._value(x) for i in family.grid_indices())
+    if isinstance(family, FiniteFamily):
+        return grid_max, None
+    t_star = _refined_argmax(family, x)
+    return max(grid_max, family.member(t_star)._value(x)), t_star
+
+
 def sup_value(family: IndexedFamily, x) -> float:
     """max over the index set of f_i(x); interval families refine the grid
     maximum by a local 1-D search on the parameter."""
-    x = as_point(x, family.dim)
-    grid_max = max(family.member(i)._value(x) for i in family.grid_indices())
-    if isinstance(family, FiniteFamily):
-        return grid_max
-    t_star = _refined_argmax(family, x)
-    return max(grid_max, family.member(t_star)._value(x))
+    return _sup(family, as_point(x, family.dim))[0]
 
 
 def active_set(family: IndexedFamily, x, eps_act: float | None = None) -> ActiveSet:
@@ -152,7 +163,7 @@ def active_set(family: IndexedFamily, x, eps_act: float | None = None) -> Active
     level one because interval grids contribute refinement error.
     """
     x = as_point(x, family.dim)
-    sup = sup_value(family, x)
+    sup, t_star = _sup(family, x)
     if eps_act is None:
         eps_act = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
     if eps_act <= 0:
@@ -161,8 +172,7 @@ def active_set(family: IndexedFamily, x, eps_act: float | None = None) -> Active
         i for i in family.grid_indices()
         if family.member(i)._value(x) >= sup - eps_act
     ]
-    if isinstance(family, IntervalFamily):
-        t_star = _refined_argmax(family, x)
+    if t_star is not None:
         if family.member(t_star)._value(x) >= sup - eps_act and not any(
             abs(t_star - t) <= 1e-12 for t in idx
         ):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ebstab.cli import main
+from ebstab.cli import build_parser, main
 from ebstab.errors import MinNormNonConvergence
 from ebstab.moduli import ModulusReport, QCWitness, StabilityVerdict
 from ebstab.problems import parse_problem
@@ -205,3 +205,26 @@ def test_cli_json_byte_determinism(exp_file, ball_file, capsys):
     ]
     for args in commands:
         assert run(args) == run(args)
+
+
+def test_cli_subcommands_accept_exactly_their_flags(exp_file, capsys):
+    subs = build_parser()._subparsers._group_actions[0].choices
+    flags = {
+        name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.items()
+    }
+    assert flags == {
+        "analyze-local": {"--at", "--seed", "--samples", "--levels", "--tol",
+                          "--format"},
+        "analyze-global": {"--tau", "--box", "--seed", "--samples", "--format"},
+        "perturb": {"--at", "--eps", "--dir", "--box", "--seed", "--samples",
+                    "--levels", "--format"},
+        "reproduce": {"--seed", "--format"},
+        "report": {"--in", "--format"},
+    }
+    # a flag the subcommand would ignore is a usage error, not a no-op
+    with pytest.raises(SystemExit):
+        main(["reproduce", "REM8", "--tol", "1e-3"])
+    with pytest.raises(SystemExit):
+        main(["analyze-global", exp_file, "--levels", "3"])
+    capsys.readouterr()

@@ -278,3 +278,14 @@ def test_interval_member_cache_reused():
     a = fam.member(0.5)
     b = fam.member(0.5)
     assert a is b
+
+
+def test_interval_member_cache_bounded():
+    # the argmax refinement visits fresh off-grid parameters on every call;
+    # only the grid members may stay cached
+    fam = make_interval_family()
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        active_set(fam, rng.normal(size=2))
+    assert len(fam._cache) <= fam.grid_count
+    assert all(fam.member(t) is fam.member(t) for t in fam.grid_indices())
