@@ -67,9 +67,14 @@ def _rows_times(X: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of X and Y, each from its rows alone."""
+    return _rows_times(X * Y, np.ones(X.shape[1]))
+
+
 def _row_sq(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms of the rows of X, each from its row alone."""
-    return _rows_times(X * X, np.ones(X.shape[1]))
+    return _row_dot(X, X)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSignChangeInBox, NoSlaterPoint, PreconditionError
-from .expressions import ConvexExpr, _row_sq, as_point, subdifferential
-from .geometry import MIN_NORM_TOL, min_norm_point
+from .expressions import ConvexExpr, _row_dot, _row_sq, as_point, subdifferential
+from .geometry import MIN_NORM_TOL, dedupe_rows, min_norm_point
 from .sampling import ball_points, box_points
-from .sphere import ZERO_TOL, beta
+from .sphere import ZERO_TOL, BetaCertificate, beta
 
 FEAS_TOL = 1e-10
 BOUNDARY_VALUE_TOL = 1e-9
@@ -32,7 +32,9 @@ class ModulusReport:
     eta_estimate may be +inf (vacuous: no infeasible sample seen), in which
     case tau_estimate is 0; tau_estimate may be +inf when eta collapses to
     zero.  empirical_ratio is the sampled sup of d(x, S) / f(x) over
-    infeasible points (global reports only).
+    infeasible points (global reports only).  sample_count is the number
+    of points behind the reported estimates: after a local resample, that
+    of the second run.
     """
 
     kind: str                      # "local" or "global"
@@ -220,14 +222,16 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
                              seed: int = 0) -> float:
     """Upper-bounding estimate of d(x, {f <= 0}).
 
-    Bisection along the segment to a strictly feasible anchor gives a first
-    feasible point; subgradient-projection steps (Polyak) pull toward the
-    nearest part of the solution set, with a tangential polish that stops
-    once successive estimates agree to 1e-8.  Always an overestimate by
-    construction.  The slater point is validated when given, else found by
-    scanning the box.  This is the one-point case of ``_distances``, which
-    runs the same algorithm for many points with their bisections batched
-    in lock-step; the answer for a point does not depend on the others.
+    Subgradient-projection steps (Polyak, or a two-plane Newton step where
+    two pieces zigzag) pull x toward the nearest part of the solution set;
+    bisection from x toward that point, or toward a strictly feasible
+    anchor, gives a boundary point z.  When x - z lies in the normal cone
+    at z, an exact cone test, z is the projection and the distance is
+    final; otherwise a tangential polish improves z until successive
+    estimates agree to 1e-8.  Always an overestimate by construction.  The
+    slater point is validated when given, else found by scanning the box.
+    This is the one-point case of ``_distances``; the answer for a point
+    does not depend on the other points of a batch.
     """
     x = as_point(x, f.dim)
     if f._value(x) <= 0.0:
@@ -243,49 +247,64 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
 
 def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
     """distance_to_solution_set for every row of X, with strictly feasible
-    anchor s.  Each row runs as a ``_distance_steps`` generator; every
-    round sends all pending bisection requests through one lock-step
-    ``_bisect_to_boundary`` call."""
+    anchor s, as stages over all infeasible rows at once:
+
+    1. value screen: feasible rows have distance 0;
+    2. lock-step pull toward the solution set (``_pull_to_solution_set``);
+    3. rows pulled to 0 < f <= FEAS_TOL bisect to the boundary from there,
+       which gives them a feasible anchor; rows left outside use s;
+    4. one lock-step bisection from each row to its anchor gives z;
+    5. rows where x - z passes the normal-cone test at z are done
+       (``_certified``);
+    6. only the rest run the tangential polish (``_polish_steps``), whose
+       infeasible probes of a round share one lock-step bisection.
+
+    Each row's result depends on that row alone.
+    """
     out = np.zeros(X.shape[0])
-    waiting = []
+    rows = np.flatnonzero(f._value_batch(X) > 0.0)
+    if not rows.size:
+        return out
+    x = X[rows]
+    y = _pull_to_solution_set(f, x)
+    fy = f._value_batch(y)
+    near = fy <= FEAS_TOL
+    anchor = np.where(near[:, None], y, s)
+    lift = np.flatnonzero(near & (fy > 0.0))
+    if lift.size:
+        anchor[lift], _ = _bisect_to_boundary(
+            f, y[lift], np.broadcast_to(s, (lift.size, f.dim)), 100)
+    z, _ = _bisect_to_boundary(f, x, anchor, 100)
+    best = np.sqrt(_row_sq(x - z))
+    if f.dim > 1:
+        waiting = []
 
-    def advance(i, run, sent):
-        try:
-            waiting.append((i, run, run.send(sent)))
-        except StopIteration as stop:
-            out[i] = stop.value
+        def advance(i, run, sent):
+            try:
+                waiting.append((i, run, run.send(sent)))
+            except StopIteration as stop:
+                best[i] = stop.value
 
-    for i, x in enumerate(X):
-        advance(i, _distance_steps(f, x, s), None)
-    while waiting:
-        batch, waiting = waiting, []
-        pos, neg, max_iter = zip(*(request for _, _, request in batch))
-        points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
-        for (i, run, _), point in zip(batch, points):
-            advance(i, run, point)
+        for i in np.flatnonzero(~_certified(f, x, z)):
+            advance(i, _polish_steps(f, x[i], z[i], best[i], s), None)
+        while waiting:
+            batch, waiting = waiting, []
+            pos, neg, max_iter = zip(*(request for _, _, request in batch))
+            points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
+            for (i, run, _), point in zip(batch, points):
+                advance(i, run, point)
+    out[rows] = best
     return out
 
 
-def _distance_steps(f: ConvexExpr, x: np.ndarray, s: np.ndarray):
-    """The distance algorithm for one point as a generator: each bisection
-    is yielded as (infeasible point, feasible point, max_iter) and its
-    boundary point is sent back; the distance is the return value."""
-    if f._value(x) <= 0.0:
-        return 0.0
-    y = _pull_to_solution_set(f, x)
-    if f._value(y) <= FEAS_TOL:
-        anchor = y if f._value(y) <= 0.0 else (yield y, s, 100)
-        best_pt = yield x, anchor, 100
-    else:
-        best_pt = yield x, s, 100
-    best = float(np.linalg.norm(x - best_pt))
-
-    if f.dim == 1 or _projection_certified(f, x, best_pt):
-        return best
-
-    # tangential polish around the best boundary point; infeasible probes
-    # are pulled back through a strictly feasible point close to the current
-    # boundary point so the search stays local
+def _polish_steps(f: ConvexExpr, x: np.ndarray, best_pt: np.ndarray,
+                  best: float, s: np.ndarray):
+    """Tangential polish of the boundary point best_pt (at distance best
+    from x) as a generator: each bisection of an infeasible probe is
+    yielded as (infeasible point, feasible point, max_iter) and its
+    boundary point is sent back; the distance is the return value.
+    Infeasible probes are pulled back through a strictly feasible point
+    close to the current boundary point so the search stays local."""
     prev = math.inf
     for _ in range(12):
         if prev - best < 1e-8:
@@ -320,63 +339,105 @@ def _distance_steps(f: ConvexExpr, x: np.ndarray, s: np.ndarray):
     return best
 
 
-def _pull_to_solution_set(f: ConvexExpr, x: np.ndarray) -> np.ndarray:
-    """Drive f below FEAS_TOL by subgradient-projection steps.
+def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
+    """Drive f below FEAS_TOL at every row of X by subgradient-projection
+    steps, all rows in lock-step; each row stops on its own.
 
     Plain Polyak steps zigzag slowly between two nearly-antipodal active
-    pieces, so when two distinct linearizations are available the step
-    solves both cut constraints at once (a two-plane Newton step), falling
-    back to the Polyak step unless that halves the violation.
+    pieces, so when a row has two distinct linearizations (this step's and
+    the last one's) it solves both cut constraints at once (a two-plane
+    Newton step), falling back to the Polyak step unless that halves the
+    violation.  Each round takes one batched value call, one batched
+    minimum-norm subgradient and one value call on the Newton candidates.
     """
-    y = x.copy()
-    prev = None
+    Y = np.array(X, dtype=float)
+    k = Y.shape[0]
+    g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
+    f0 = np.zeros(k)
+    has_prev = np.zeros(k, dtype=bool)
+    rows = np.arange(k)
     for _ in range(400):
-        fy = f._value(y)
-        if fy <= FEAS_TOL:
+        fy = f._value_batch(Y[rows])
+        go = fy > FEAS_TOL
+        rows, fy = rows[go], fy[go]
+        if not rows.size:
             break
-        g = min_norm_point(subdifferential(f, y)).point
-        gg = float(g @ g)
-        if gg < 1e-28:
+        y = Y[rows]
+        g, scalar = _gradient_screen(f, y)
+        for i in scalar:
+            g[i] = min_norm_point(f._subdiff(y[i])).point
+        gg = _row_sq(g)
+        go = gg >= 1e-28
+        rows, fy, y, g, gg = rows[go], fy[go], y[go], g[go], gg[go]
+        if not rows.size:
             break
-        stepped = False
-        if prev is not None:
-            g0, y0, f0 = prev
-            a_mat = np.vstack([g0, g])
-            gram = a_mat @ a_mat.T
-            det = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
-            if det > 1e-12 * max(1e-30, gram[0, 0] * gram[1, 1]):
-                resid = np.array([f0 + float(g0 @ (y - y0)), fy])
-                delta = a_mat.T @ np.linalg.solve(gram, resid)
-                cand = y - delta
-                if f._value(cand) < 0.5 * fy:
-                    prev = (g, y.copy(), fy)
-                    y = cand
-                    stepped = True
-        if not stepped:
-            prev = (g, y.copy(), fy)
-            y = y - (fy / gg) * g
-    return y
+        a0, a00, a01 = g0[rows], _row_sq(g0[rows]), _row_dot(g0[rows], g)
+        det = a00 * gg - a01 * a01
+        newton = has_prev[rows] & (det > 1e-12 * np.maximum(1e-30, a00 * gg))
+        step = (fy / gg)[:, None] * g
+        if newton.any():
+            n = np.flatnonzero(newton)
+            # the 2x2 system gram @ c = (f0 + <g0, y - y0>, f(y)) for the
+            # coefficients c of the step along (g0, g)
+            r0 = f0[rows[n]] + _row_dot(a0[n], y[n] - y0[rows[n]])
+            r1 = fy[n]
+            c0 = (gg[n] * r0 - a01[n] * r1) / det[n]
+            c1 = (a00[n] * r1 - a01[n] * r0) / det[n]
+            delta = c0[:, None] * a0[n] + c1[:, None] * g[n]
+            ok = f._value_batch(y[n] - delta) < 0.5 * fy[n]
+            step[n[ok]] = delta[ok]
+        g0[rows], y0[rows], f0[rows] = g, y, fy
+        has_prev[rows] = True
+        Y[rows] = y - step
+    return Y
 
 
-def _nnls_residual(gens: np.ndarray, target: np.ndarray, iters: int = 200) -> float:
-    """Residual of min over lam >= 0 of ||gens.T lam - target||, by projected
-    gradient; tests membership of target in the cone of the generators."""
-    gram = gens @ gens.T
-    lip = float(np.max(np.sum(np.abs(gram), axis=1)))
-    if lip <= 0.0:
-        return float(np.linalg.norm(target))
-    rhs = gens @ target
-    lam = np.zeros(gens.shape[0])
-    for _ in range(iters):
-        grad = gram @ lam - rhs
-        lam = np.maximum(0.0, lam - grad / lip)
-    return float(np.linalg.norm(gens.T @ lam - target))
+def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> float:
+    """Residual of min over lam >= 0 of ||gens.T lam - target||, the distance
+    from target to the cone spanned by the rows of gens.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): free the generator with the largest positive gradient
+    component, solve least squares on the free set, and step back along
+    the segment to the last feasible point whenever a free coefficient
+    turns nonpositive.  Finite, so exact up to rounding; the outer loop is
+    capped at 3k rounds so that rounding cannot make it cycle.
+    """
+    a = gens.T
+    k = gens.shape[0]
+    lam = np.zeros(k)
+    free = np.zeros(k, dtype=bool)
+    fp = np.finfo(float)
+    # rounding noise in the gradient w, which is zero on the free set
+    tol = (10.0 * max(a.shape) * fp.eps * max(1.0, float(np.max(np.abs(a))))
+           * max(1.0, float(np.linalg.norm(target))))
+    for _ in range(3 * k):
+        w = a.T @ (target - a @ lam)
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            break
+        free[j] = True
+        while True:
+            z = np.zeros(k)
+            z[free] = np.linalg.lstsq(a[:, free], target, rcond=None)[0]
+            if np.all(z[free] > 0.0):
+                lam = z
+                break
+            neg = np.flatnonzero(free & (z <= 0.0))
+            ratios = lam[neg] / np.maximum(lam[neg] - z[neg], fp.tiny)
+            hit = int(np.argmin(ratios))
+            lam = lam + ratios[hit] * (z - lam)
+            lam[neg[hit]] = 0.0
+            free &= lam > 0.0
+            lam[~free] = 0.0
+    return float(np.linalg.norm(a @ lam - target))
 
 
 def _projection_certified(f: ConvexExpr, x: np.ndarray, z: np.ndarray) -> bool:
     """True when z provably is the projection of x onto the solution set:
     the ray from z back to x lies in the normal cone at z, which is the
-    cone spanned by the subdifferential there."""
+    cone spanned by the subdifferential there (an exact NNLS cone test)."""
     ray = x - z
     span = float(np.linalg.norm(ray))
     if span < 1e-15:
@@ -384,8 +445,6 @@ def _projection_certified(f: ConvexExpr, x: np.ndarray, z: np.ndarray) -> bool:
     s = subdifferential(f, z)
     if s.ball_radius != 0.0:
         return False
-    from .geometry import dedupe_rows
-
     gens = dedupe_rows(s.generators)
     unit = ray / span
     if gens.shape[0] == 1:
@@ -393,6 +452,22 @@ def _projection_certified(f: ConvexExpr, x: np.ndarray, z: np.ndarray) -> bool:
         gn = float(np.linalg.norm(g))
         return gn > 1e-15 and float(unit @ g) / gn >= 1.0 - 1e-10
     return _nnls_residual(gens, unit) <= 1e-8
+
+
+def _certified(f: ConvexExpr, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """_projection_certified for every row pair of X and Z.  Where f is
+    differentiable at z the normal cone is the ray of the gradient, so the
+    test is a cosine; only kink rows build a subdifferential."""
+    ray = X - Z
+    span = np.sqrt(_row_sq(ray))
+    G, kink = f._grad_batch(Z)
+    gn = np.sqrt(_row_sq(G))
+    unit = ray / np.where(span > 0.0, span, 1.0)[:, None]
+    cos = _row_dot(unit, G) / np.where(gn > 1e-15, gn, 1.0)
+    out = (span < 1e-15) | ((gn > 1e-15) & (cos >= 1.0 - 1e-10))
+    for i in np.flatnonzero((kink | ~np.isfinite(gn)) & (span >= 1e-15)):
+        out[i] = _projection_certified(f, X[i], Z[i])
+    return out
 
 
 def _tangent_basis(unit_ray: np.ndarray) -> list:
@@ -428,22 +503,30 @@ def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
     return min_norm_point(f._subdiff(x)).dist
 
 
-def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
-    """_subdiff_dist for every row of P, each row independent of the rest.
+def _gradient_screen(f: ConvexExpr, P: np.ndarray):
+    """The minimum-norm subgradient at every row of P where f is
+    differentiable, and the rows that need the scalar path.
 
-    Where f is differentiable its subdifferential is the gradient alone,
-    whose distance from the origin is its norm (zero at or below
-    min_norm_point's tolerance, as Wolfe reports it).  Rows the gradient
-    oracle marks as kinks, rows with a non-finite gradient and rows whose
-    norm sits at that tolerance take the scalar path, with its exact
-    geometry and its errors.
+    There the subdifferential is the gradient alone, its own minimum-norm
+    point (the origin at or below min_norm_point's tolerance, as Wolfe
+    reports it).  Rows the gradient oracle marks as kinks, rows with a
+    non-finite gradient and rows whose norm sits at that tolerance are
+    returned by index for the scalar subdifferential and Wolfe, with their
+    exact geometry and their errors.  Each row depends on that row alone.
     """
     G, kink = f._grad_batch(P)
     gg = _row_sq(G)
     tol2 = MIN_NORM_TOL ** 2
-    out = np.where(gg <= tol2, 0.0, np.sqrt(gg))
     scalar = kink | ~np.isfinite(gg) | (np.abs(gg - tol2) <= 1e-12 * tol2)
-    for i in np.flatnonzero(scalar):
+    return np.where((gg <= tol2)[:, None], 0.0, G), np.flatnonzero(scalar)
+
+
+def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
+    """_subdiff_dist for every row of P, each row independent of the rest:
+    the gradient norm where ``_gradient_screen`` can give it."""
+    G, scalar = _gradient_screen(f, P)
+    out = np.sqrt(_row_sq(G))
+    for i in scalar:
         out[i] = _subdiff_dist(f, P[i])
     return out
 
@@ -476,7 +559,8 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
                          if infeas.shape[0] else None))
         return recs
 
-    recorded = run(samples_per_level, seed)
+    per_level = samples_per_level
+    recorded = run(per_level, seed)
     notes = "estimates are relative to sampled shrinking balls"
     # liminf semantics: finer nested levels should not sit above coarser ones
     finite = [(r, d) for r, d in recorded if d is not None]
@@ -484,7 +568,8 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
         coarse_min = min(d for _, d in finite)
         fine = finite[-1][1]
         if fine > coarse_min + 1e-9:
-            recorded = run(2 * samples_per_level, seed + 1000)
+            per_level = 2 * samples_per_level
+            recorded = run(per_level, seed + 1000)
             finite = [(r, d) for r, d in recorded if d is not None]
             notes += "; resampled after non-monotone shrink"
 
@@ -502,7 +587,7 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
         kind="local",
         eta_estimate=eta,
         tau_estimate=tau,
-        sample_count=levels * samples_per_level,
+        sample_count=levels * per_level,
         reference_point=xbar,
         shrink_levels=recorded,
         vacuous=vacuous,
@@ -618,17 +703,25 @@ def qc_witness_search(f: ConvexExpr, tau: float, box, n: int, seed: int = 0,
     return witnesses
 
 
-def classify_local_stability(f: ConvexExpr, xbar,
-                             zero_tol: float = ZERO_TOL) -> StabilityVerdict:
+def classify_local_stability(f: ConvexExpr, xbar, zero_tol: float = ZERO_TOL,
+                             cert: BetaCertificate | None = None
+                             ) -> StabilityVerdict:
     """Local error-bound stability at a boundary point: stable exactly when
     beta is nonzero at tolerance zero_tol; instability comes with the
-    explicit destabilizing direction h0 (unit, with f'(xbar, h0) = 0)."""
+    explicit destabilizing direction h0 (unit, with f'(xbar, h0) = 0).
+
+    A caller that already holds the beta certificate at xbar passes it as
+    cert, and the verdict is built from it (at its own tolerance) instead
+    of computing beta again.
+    """
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
         raise PreconditionError(
             f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}"
         )
-    cert = beta(f, xbar, zero_tol=zero_tol)
+    if cert is None:
+        cert = beta(f, xbar, zero_tol=zero_tol)
+    zero_tol = cert.origin_location.tolerance
     if not cert.is_zero:
         return StabilityVerdict(
             scope="local",

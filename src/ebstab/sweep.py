@@ -86,19 +86,19 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
                 g = materialize_sup(fam_g)
             else:
                 g = linear_perturbation(f, u, eps, xbar)
-            beta_after = beta(g, xbar).beta
+            cert = beta(g, xbar)
             local = eta_local(g, xbar, levels=levels,
                               samples_per_level=samples_per_level, seed=seed)
             tau_global = None
             if box is not None:
                 tau_global = eta_global(g, box, global_samples,
                                         seed=seed).tau_estimate
-            verdict = classify_local_stability(g, xbar).verdict
+            verdict = classify_local_stability(g, xbar, cert=cert).verdict
             result.rows.append(SweepRow(
                 epsilon=eps,
                 u_star=u,
                 beta_before=beta_before,
-                beta_after=beta_after,
+                beta_after=cert.beta,
                 tau_local=local.tau_estimate,
                 tau_global=tau_global,
                 verdict=verdict,

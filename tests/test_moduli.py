@@ -374,3 +374,14 @@ def test_monotone_shrink_recorded():
     if finite[-1] > min(finite) + 1e-9:
         assert "resampled" in rep.notes
     assert rep.eta_estimate == pytest.approx(1.0, abs=0.02)
+
+
+def test_eta_local_sample_count_after_resample():
+    # at seed 1001 the first run is non-monotone; the reported levels come
+    # from the second run, with twice the samples per level
+    rep = eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=1001)
+    assert "resampled" in rep.notes
+    assert len(rep.shrink_levels) == 8
+    assert rep.sample_count == 8 * 512
+    rep = eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=2)
+    assert "resampled" not in rep.notes and rep.sample_count == 8 * 256

@@ -115,6 +115,30 @@ def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     assert results["stability"]["verdict"] == "unstable"
 
 
+def test_cli_analyze_local_computes_beta_once(tmp_path, monkeypatch, capsys):
+    # ||x||_1 at the origin of R^4: the verdict reuses the report's beta
+    # certificate, so the interior-beta facet enumeration runs once
+    from ebstab import geometry
+
+    path = tmp_path / "l1norm4.eb"
+    path.write_text("dim 4\nexpr (sum 1 (abs 0) 1 (abs 1) 1 (abs 2) 1 (abs 3))\n"
+                    "point [0.0, 0.0, 0.0, 0.0]\n", encoding="utf-8")
+    calls = []
+    inradius = geometry._inradius_at_origin
+
+    def counted(g):
+        calls.append(g.shape)
+        return inradius(g)
+
+    monkeypatch.setattr(geometry, "_inradius_at_origin", counted)
+    assert main(["analyze-local", str(path), "--format", "json",
+                 "--samples", "16", "--levels", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == pytest.approx(1.0)
+    assert results["stability"]["verdict"] == "stable"
+    assert len(calls) == 1
+
+
 def test_cli_analyze_local_uses_file_point(exp_file, capsys):
     assert main(["analyze-local", exp_file, "--format", "json",
                  "--samples", "16", "--levels", "2"]) == 0
