@@ -8,6 +8,7 @@ from .errors import (
     MinNormNonConvergence,
     NoSignChangeInBox,
     NoSlaterPoint,
+    NumericalOverflow,
     ParseError,
     PreconditionError,
     UndeterminedInradius,

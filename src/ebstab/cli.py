@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze-local, analyze-global, perturb, reproduce, report.
-Exit codes: 0 success, 2 scenario-check failure, 3 parse error,
-4 numerical non-convergence.  All randomized paths take --seed (default 0);
-nothing draws entropy from the environment.
+Exit codes: 0 success, 1 any other package error, 2 scenario-check
+failure, 3 parse error, 4 numerical non-convergence, 5 numerical overflow.
+All randomized paths take --seed (default 0); nothing draws entropy from
+the environment.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     EbstabError,
     MinNormNonConvergence,
+    NumericalOverflow,
     ParseError,
     UndeterminedInradius,
 )
@@ -231,6 +233,9 @@ def main(argv=None) -> int:
     except (MinNormNonConvergence, UndeterminedInradius) as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return 4
+    except NumericalOverflow as exc:
+        sys.stderr.write(f"numerical overflow: {exc}\n")
+        return 5
     except EbstabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

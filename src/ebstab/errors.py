@@ -53,6 +53,10 @@ class UndeterminedInradius(EbstabError):
         )
 
 
+class NumericalOverflow(EbstabError):
+    """A value left the range of a double (e.g. exp of a large argument)."""
+
+
 class NoSlaterPoint(EbstabError):
     """No strictly feasible point was supplied or found in the search box."""
 

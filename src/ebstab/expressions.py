@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvexityViolation, DimensionMismatch
+from .errors import ConvexityViolation, DimensionMismatch, NumericalOverflow
 from .geometry import (
     SubdiffSet,
     add_sets,
@@ -309,20 +309,27 @@ class Exp1D(ConvexExpr):
         self.shift = float(shift)
         self.dim = int(dim)
 
+    def _exp(self, x) -> float:
+        try:
+            return math.exp(x[self.index])
+        except OverflowError:
+            raise NumericalOverflow(
+                f"exp({float(x[self.index]):.6g}) overflows a double") from None
+
     def _value(self, x):
-        return math.exp(x[self.index]) + self.shift
+        return self._exp(x) + self.shift
 
     def _value_batch(self, X):
         return np.exp(X[:, self.index]) + self.shift
 
     def _dd(self, x, h):
-        return math.exp(x[self.index]) * float(h[self.index])
+        return self._exp(x) * float(h[self.index])
 
     def _dd_batch(self, x, hs):
-        return math.exp(x[self.index]) * hs[:, self.index]
+        return self._exp(x) * hs[:, self.index]
 
     def _subdiff(self, x):
-        g = math.exp(x[self.index]) * _basis(self.index, self.dim)
+        g = self._exp(x) * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
 
     def _grad_batch(self, X, err=0.0):

@@ -247,25 +247,34 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
 
 def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
     """distance_to_solution_set for every row of X, with strictly feasible
-    anchor s, as stages over all infeasible rows at once:
+    anchor s: ``_bounds`` on every row, then ``_refine`` on every
+    infeasible row.  Each row's result depends on that row alone."""
+    out = np.zeros(X.shape[0])
+    rows, x, z, ub = _bounds(f, X, s)
+    if rows.size:
+        out[rows] = _refine(f, x, z, ub, s)
+    return out
+
+
+def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
+    """Upper bounds on the distances of the rows of X to the solution set,
+    as stages over all infeasible rows at once:
 
     1. value screen: feasible rows have distance 0;
     2. lock-step pull toward the solution set (``_pull_to_solution_set``);
     3. rows pulled to 0 < f <= FEAS_TOL bisect to the boundary from there,
        which gives them a feasible anchor; rows left outside use s;
-    4. one lock-step bisection from each row to its anchor gives z;
-    5. rows where x - z passes the normal-cone test at z are done
-       (``_certified``);
-    6. only the rest run the tangential polish (``_polish_steps``), whose
-       infeasible probes of a round share one lock-step bisection.
+    4. one lock-step bisection from each row to its anchor gives a
+       boundary point z.
 
-    Each row's result depends on that row alone.
+    Returns (rows, x, z, ub): the infeasible rows of X by index, their
+    points, their boundary points and ub = ||x - z||.  ``_refine`` only
+    ever lowers ub.
     """
-    out = np.zeros(X.shape[0])
     rows = np.flatnonzero(f._value_batch(X) > 0.0)
-    if not rows.size:
-        return out
     x = X[rows]
+    if not rows.size:
+        return rows, x, x, np.zeros(0)
     y = _pull_to_solution_set(f, x)
     fy = f._value_batch(y)
     near = fy <= FEAS_TOL
@@ -275,26 +284,64 @@ def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
         anchor[lift], _ = _bisect_to_boundary(
             f, y[lift], np.broadcast_to(s, (lift.size, f.dim)), 100)
     z, _ = _bisect_to_boundary(f, x, anchor, 100)
-    best = np.sqrt(_row_sq(x - z))
-    if f.dim > 1:
-        waiting = []
+    return rows, x, z, np.sqrt(_row_sq(x - z))
 
-        def advance(i, run, sent):
-            try:
-                waiting.append((i, run, run.send(sent)))
-            except StopIteration as stop:
-                best[i] = stop.value
 
-        for i in np.flatnonzero(~_certified(f, x, z)):
-            advance(i, _polish_steps(f, x[i], z[i], best[i], s), None)
-        while waiting:
-            batch, waiting = waiting, []
-            pos, neg, max_iter = zip(*(request for _, _, request in batch))
-            points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
-            for (i, run, _), point in zip(batch, points):
-                advance(i, run, point)
-    out[rows] = best
-    return out
+def _refine(f: ConvexExpr, x: np.ndarray, z: np.ndarray, ub: np.ndarray,
+            s: np.ndarray) -> np.ndarray:
+    """The distances of the rows of x from their ``_bounds`` output:
+
+    5. rows where x - z passes the normal-cone test at z keep ub
+       (``_certified``);
+    6. only the rest run the tangential polish (``_polish_steps``), whose
+       infeasible probes of a round share one lock-step bisection.
+
+    Never above ub.  Each row's result depends on that row alone.
+    """
+    best = ub.copy()
+    if f.dim == 1:
+        return best
+    waiting = []
+
+    def advance(i, run, sent):
+        try:
+            waiting.append((i, run, run.send(sent)))
+        except StopIteration as stop:
+            best[i] = stop.value
+
+    for i in np.flatnonzero(~_certified(f, x, z)):
+        advance(i, _polish_steps(f, x[i], z[i], best[i], s), None)
+    while waiting:
+        batch, waiting = waiting, []
+        pos, neg, max_iter = zip(*(request for _, _, request in batch))
+        points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
+        for (i, run, _), point in zip(batch, points):
+            advance(i, run, point)
+    return best
+
+
+def _max_ratio(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
+               s: np.ndarray) -> float:
+    """max over rows of ``_distances(f, X, s) / vals`` for infeasible rows
+    X with values vals, bounding every row and refining only the rows that
+    can still set the maximum.
+
+    The row with the largest bound ratio ub / vals is refined first, which
+    gives a ratio R that the maximum reaches; then, in one batch, every
+    other row whose bound ratio exceeds R.  A skipped row's distance is at
+    most its ub, so its ratio is at most R, and the maximum is exactly that
+    of the full computation.
+    """
+    _, x, z, ub = _bounds(f, X, s)
+    bound = ub / vals
+    top = int(np.argmax(bound))
+    dist = ub.copy()
+    dist[top] = _refine(f, x[top:top + 1], z[top:top + 1], ub[top:top + 1], s)[0]
+    more = np.flatnonzero(bound > dist[top] / vals[top])
+    more = more[more != top]
+    if more.size:
+        dist[more] = _refine(f, x[more], z[more], ub[more], s)
+    return float(np.max(dist / vals))
 
 
 def _polish_steps(f: ConvexExpr, x: np.ndarray, best_pt: np.ndarray,
@@ -597,9 +644,15 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
 
 
 def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
-               slater=None, ratio_samples: int | None = None) -> ModulusReport:
+               slater=None) -> ModulusReport:
     """Box-truncated estimate of inf d(0, subdifferential) over infeasible
-    points, with the empirical sup of d(x, S)/f(x) over the same samples."""
+    points, with the empirical sup of d(x, S)/f(x) over the same samples.
+
+    The sup is bound-then-refine (``_max_ratio``): every infeasible sample
+    gets an upper bound on its distance from one batched pass, and only
+    the samples whose bound could still set the sup are certified and
+    polished.  The sup equals the maximum over fully refined distances.
+    """
     lo, hi = _as_box(box, f.dim)
     pts = box_points(lo, hi, n, seed)
     vals = f._value_batch(pts)
@@ -626,11 +679,7 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     ratio = None
     if slater is not None:
         s = _strictly_feasible(f, slater)
-        sub, sub_vals = infeas, infeas_vals
-        if ratio_samples is not None and infeas.shape[0] > ratio_samples:
-            idx = np.linspace(0, infeas.shape[0] - 1, ratio_samples).astype(int)
-            sub, sub_vals = infeas[idx], sub_vals[idx]
-        ratio = float(np.max(_distances(f, sub, s) / sub_vals))
+        ratio = _max_ratio(f, infeas, infeas_vals, s)
         if eta > 0.0 and ratio > 1.0001 / eta:
             # the ratio evidence itself bounds eta from above; reconcile
             eta = 1.0 / ratio

@@ -23,7 +23,12 @@ from .expressions import (
     directional_derivatives,
     subdifferential,
 )
-from .geometry import OriginLocation, OriginTag, min_support_direction
+from .geometry import (
+    OriginLocation,
+    OriginTag,
+    _refine_direction_min,
+    min_support_direction,
+)
 from .sampling import unit_directions
 
 ZERO_TOL = 1e-9
@@ -124,26 +129,9 @@ def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0,
     hs = unit_directions(f.dim, n, seed)
     vals = directional_derivatives(f, x, hs)
     best = int(np.argmin(vals))
-    h, val = hs[best].copy(), float(vals[best])
-    delta = 0.1
-    for _ in range(refine_steps):
-        improved = False
-        for i in range(f.dim):
-            for sign in (1.0, -1.0):
-                cand = h.copy()
-                cand[i] += sign * delta
-                nrm = np.linalg.norm(cand)
-                if nrm == 0.0:
-                    continue
-                cand /= nrm
-                v = directional_derivative(f, x, cand)
-                if v < val - 1e-15:
-                    h, val = cand, v
-                    improved = True
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-12:
-                break
+    _, val = _refine_direction_min(
+        lambda h: directional_derivative(f, x, h), hs[best], float(vals[best]),
+        refine_steps)
     return val
 
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from ebstab.errors import NumericalOverflow
 from ebstab.expressions import AbsCoord, Const, Max, Sum, _row_dot, subdifferential
 from ebstab.geometry import dedupe_rows, min_norm_point
 from ebstab.moduli import (
@@ -371,3 +372,15 @@ def test_distances_lockstep_kink_problem():
     got = _distances(f, xs, np.zeros(2))
     assert got == pytest.approx([math.sqrt(2.0), 2.0 * math.sqrt(2.0), 1.0, 0.0],
                                 abs=1e-9)
+
+
+def test_distances_exp_overflow_is_typed():
+    # problem 57 of a seed-7 sweep, 2-D: the pull carries x = (0.51, 3.79)
+    # to about (-15421, 331), and exp then overflows at a polish probe
+    rng = np.random.default_rng(7)
+    for _ in range(57):
+        m = int(rng.integers(1, 4))
+        f, s, xs = _slater_problem(rng, m, 10)
+    assert m == 2 and xs[4] == pytest.approx([0.514, 3.790], abs=1e-3)
+    with pytest.raises(NumericalOverflow):
+        _distances(f, xs[4:5], s)

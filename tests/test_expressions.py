@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ebstab.errors import ConvexityViolation, DimensionMismatch, UnsupportedSubdifferential
+from ebstab.errors import (
+    ConvexityViolation,
+    DimensionMismatch,
+    NumericalOverflow,
+    UnsupportedSubdifferential,
+)
 from ebstab.expressions import (
     AbsCoord,
     Affine,
@@ -66,6 +71,18 @@ def test_dd_exp_far_negative():
     for k in (1, 5, 10, 20):
         got = directional_derivative(f, [-float(k)], [-1.0])
         assert got == pytest.approx(-math.exp(-k), abs=1e-15)
+
+
+def test_exp_overflow_is_typed():
+    f = Exp1D(0, -1.0, 1)
+    with pytest.raises(NumericalOverflow):
+        evaluate(f, [1000.0])
+    with pytest.raises(NumericalOverflow):
+        directional_derivative(f, [1000.0], [1.0])
+    with pytest.raises(NumericalOverflow):
+        directional_derivatives(f, [1000.0], np.ones((2, 1)))
+    with pytest.raises(NumericalOverflow):
+        subdifferential(f, [1000.0])
 
 
 def test_quotient_scan_exp():

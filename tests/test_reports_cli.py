@@ -204,6 +204,11 @@ def test_cli_nonconvergence_exit_code(monkeypatch, exp_file, capsys):
     assert main(["analyze-local", exp_file, "--at", "0"]) == 4
 
 
+def test_cli_overflow_exit_code(exp_file, capsys):
+    assert main(["analyze-local", exp_file, "--at", "1000"]) == 5
+    assert "numerical overflow" in capsys.readouterr().err
+
+
 def test_cli_report_reformat(tmp_path, exp_file, capsys):
     assert main(["analyze-local", exp_file, "--at", "0", "--format", "json",
                  "--samples", "16", "--levels", "2"]) == 0
