@@ -319,8 +319,17 @@ class Exp1D(ConvexExpr):
     def _value(self, x):
         return self._exp(x) + self.shift
 
+    def _exp_batch(self, X):
+        x = X[:, self.index]
+        try:
+            with np.errstate(over="raise"):
+                return np.exp(x)
+        except FloatingPointError:
+            raise NumericalOverflow(
+                f"exp({float(np.max(x)):.6g}) overflows a double") from None
+
     def _value_batch(self, X):
-        return np.exp(X[:, self.index]) + self.shift
+        return self._exp_batch(X) + self.shift
 
     def _dd(self, x, h):
         return self._exp(x) * float(h[self.index])
@@ -334,7 +343,7 @@ class Exp1D(ConvexExpr):
 
     def _grad_batch(self, X, err=0.0):
         G = np.zeros(X.shape)
-        G[:, self.index] = np.exp(X[:, self.index])
+        G[:, self.index] = self._exp_batch(X)
         return G, np.zeros(X.shape[0], dtype=bool)
 
 

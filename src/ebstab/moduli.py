@@ -126,7 +126,8 @@ class StabilityVerdict:
 
 @dataclass
 class BoundarySample:
-    """Points on the zero level set, each found by segment bisection."""
+    """Points on the zero level set, each found by a boundary search on a
+    segment (``_bisect_to_boundary``)."""
 
     points: np.ndarray
     value_tol: float
@@ -185,36 +186,101 @@ def _strictly_feasible(f: ConvexExpr, slater) -> np.ndarray:
 
 def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
                         rel_width: float = 1e-15):
-    """Zero crossings on k segments, each from an infeasible point (row of
-    pos_pts) to a feasible one (row of neg_pts), bisected in lock-step.
+    """Zero crossings on k segments, each from an infeasible point a (row
+    of pos_pts) to a feasible one b (row of neg_pts), found in lock-step
+    by a convex bracketing search.  The name is kept from the bisection it
+    replaced, because the contract is the same and the bench tracer times
+    the search under that name.
 
-    Row i runs at most max_iter[i] steps (a scalar applies to every row)
-    and stops early once its bracket is no wider than rel_width times one
-    plus its initial length.  Returns (points, steps): each point has |f|
-    within bisection resolution and sits on the feasible side; steps is
-    the total number of midpoint evaluations.
+    On a segment, phi(t) = f(a + t (b - a)) is convex, so its feasible
+    part is an interval [r, 1] and the chord through the bracket ends
+    (tl, th), phi(tl) > 0 >= phi(th), lies above phi: the chord root is on
+    the feasible side.  The secant through the last two infeasible ends
+    lies below phi beyond them, so its root is on the infeasible side.
+    Each round evaluates, in one batched value call, five points per row:
+    the chord root, the secant root (the midpoint until the infeasible
+    end has moved once), a closing probe half the goal width inside
+    each of those two, and the midpoint (Dekker and Brent's safeguard).
+    The new bracket is built from each candidate's computed sign, never
+    from what convexity predicts, and the midpoint at least halves it.
+    An affine piece closes in one round.
+
+    The ends are evaluated once, in one batch.  Row i runs at most
+    max_iter[i] rounds (a scalar applies to every row) and stops once
+    its bracket is no wider than rel_width times one plus its initial
+    length.  Returns (points, steps): each point is the bracket's
+    evaluated feasible end, so its bracket is never wider than that of
+    bisection with as many steps; steps is the total number of point
+    evaluations, the ends included.  A row whose start is feasible returns
+    the start, and a row whose end is infeasible returns the end,
+    unsearched.
     """
-    lo = np.asarray(pos_pts, dtype=float)
-    hi = np.asarray(neg_pts, dtype=float)
-    left = np.broadcast_to(np.asarray(max_iter, dtype=int), lo.shape[:1]).copy()
-    tol = rel_width * (1.0 + np.linalg.norm(hi - lo, axis=1))
-    out = hi.copy()
+    a = np.asarray(pos_pts, dtype=float)
+    b = np.asarray(neg_pts, dtype=float)
+    left = np.broadcast_to(np.asarray(max_iter, dtype=int), a.shape[:1]).copy()
+    span = np.linalg.norm(b - a, axis=1)
+    tol = rel_width * (1.0 + span)
+    out = b.copy()
     rows = np.flatnonzero(left > 0)
-    lo, hi, tol, left = lo[rows], hi[rows], tol[rows], left[rows]
-    steps = 0
+    if not rows.size:
+        return out, 0
+    a, b, span, tol, left = a[rows], b[rows], span[rows], tol[rows], left[rows]
+    k = rows.size
+    ends = f._value_batch(np.concatenate([a, b]))
+    fl, fh = ends[:k], ends[k:]
+    steps = 2 * k
+    start = fl <= 0.0
+    out[rows[start]] = a[start]
+    keep = (fl > 0.0) & (fh <= 0.0) & (span > tol)
+    rows, a, b, span, tol, left, fl, fh = (
+        rows[keep], a[keep], b[keep], span[keep], tol[keep], left[keep],
+        fl[keep], fh[keep])
+    d = b - a
+    width = tol / span                     # the goal width, in units of t
+    tl, th = np.zeros(rows.size), np.ones(rows.size)
+    ph = b
+    t0, f0 = tl.copy(), fl.copy()          # the infeasible end before tl
     while rows.size:
-        mid = 0.5 * (lo + hi)
-        up = (f._value_batch(mid) > 0.0)[:, None]
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+        n = np.arange(rows.size)
+        mid = 0.5 * (tl + th)
+        chord = tl + (th - tl) * (fl / (fl - fh))
+        drop = f0 - fl
+        bent = drop > 0.0
+        secant = tl + (tl - t0) * fl / np.where(bent, drop, 1.0)
+        secant = np.where(bent & (secant < th), secant, mid)
+        T = np.clip(np.stack([chord, secant, chord - 0.5 * width,
+                              secant + 0.5 * width, mid], axis=1),
+                    tl[:, None], th[:, None])
+        P = a[:, None, :] + T[:, :, None] * d[:, None, :]
+        V = f._value_batch(P.reshape(-1, a.shape[1])).reshape(T.shape)
+        steps += V.size
+        # the feasible end: the first feasible candidate, if below th
+        feas = np.where(V <= 0.0, T, np.inf)
+        j = np.argmin(feas, axis=1)
+        up = feas[n, j] < th
+        th = np.where(up, feas[n, j], th)
+        fh = np.where(up, V[n, j], fh)
+        ph = np.where(up[:, None], P[n, j], ph)
+        # the infeasible end: the last infeasible candidate below th; the
+        # end it replaces carries the next secant (a candidate between them
+        # may sit too close to the new end for a stable slope)
+        infeas = np.where((V > 0.0) & (T < th[:, None]), T, -np.inf)
+        j = np.argmax(infeas, axis=1)
+        up = infeas[n, j] > tl
+        t0 = np.where(up, tl, t0)
+        f0 = np.where(up, fl, f0)
+        tl = np.where(up, infeas[n, j], tl)
+        fl = np.where(up, V[n, j], fl)
         left -= 1
-        steps += rows.size
-        done = (left == 0) | (np.linalg.norm(hi - lo, axis=1) <= tol)
+        done = (left == 0) | (th - tl <= width)
         if done.any():
-            out[rows[done]] = hi[done]
+            out[rows[done]] = ph[done]
             keep = ~done
-            rows, lo, hi, tol, left = (
-                rows[keep], lo[keep], hi[keep], tol[keep], left[keep])
+            rows, a, d, width, left = (
+                rows[keep], a[keep], d[keep], width[keep], left[keep])
+            tl, th, fl, fh, ph, t0, f0 = (
+                tl[keep], th[keep], fl[keep], fh[keep], ph[keep],
+                t0[keep], f0[keep])
     return out, steps
 
 
@@ -224,12 +290,14 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
 
     Subgradient-projection steps (Polyak, or a two-plane Newton step where
     two pieces zigzag) pull x toward the nearest part of the solution set;
-    bisection from x toward that point, or toward a strictly feasible
-    anchor, gives a boundary point z.  When x - z lies in the normal cone
-    at z, an exact cone test, z is the projection and the distance is
-    final; otherwise a tangential polish improves z until successive
-    estimates agree to 1e-8.  Always an overestimate by construction.  The
-    slater point is validated when given, else found by scanning the box.
+    a convex bracketing search (``_bisect_to_boundary``: chord, secant and
+    midpoint candidates in each round) from x toward that point, or toward
+    a strictly feasible anchor, gives a boundary point z on the feasible
+    side.  When x - z lies in the normal cone at z, an exact cone test, z
+    is the projection and the distance is final; otherwise a tangential
+    polish improves z until successive estimates agree to 1e-8.  Always an
+    overestimate by construction.  The slater point is validated when
+    given, else found by scanning the box.
     This is the one-point case of ``_distances``; the answer for a point
     does not depend on the other points of a batch.
     """
@@ -262,9 +330,10 @@ def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
 
     1. value screen: feasible rows have distance 0;
     2. lock-step pull toward the solution set (``_pull_to_solution_set``);
-    3. rows pulled to 0 < f <= FEAS_TOL bisect to the boundary from there,
-       which gives them a feasible anchor; rows left outside use s;
-    4. one lock-step bisection from each row to its anchor gives a
+    3. rows pulled to 0 < f <= FEAS_TOL search to the boundary from
+       there, which gives them a feasible anchor; rows left outside use s;
+    4. one lock-step boundary search (``_bisect_to_boundary``, a convex
+       bracketing search) from each row to its anchor gives a feasible
        boundary point z.
 
     Returns (rows, x, z, ub): the infeasible rows of X by index, their
@@ -294,7 +363,7 @@ def _refine(f: ConvexExpr, x: np.ndarray, z: np.ndarray, ub: np.ndarray,
     5. rows where x - z passes the normal-cone test at z keep ub
        (``_certified``);
     6. only the rest run the tangential polish (``_polish_steps``), whose
-       infeasible probes of a round share one lock-step bisection.
+       infeasible probes of a round share one lock-step boundary search.
 
     Never above ub.  Each row's result depends on that row alone.
     """
@@ -347,8 +416,8 @@ def _max_ratio(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
 def _polish_steps(f: ConvexExpr, x: np.ndarray, best_pt: np.ndarray,
                   best: float, s: np.ndarray):
     """Tangential polish of the boundary point best_pt (at distance best
-    from x) as a generator: each bisection of an infeasible probe is
-    yielded as (infeasible point, feasible point, max_iter) and its
+    from x) as a generator: each boundary search from an infeasible probe
+    is yielded as (infeasible point, feasible point, max_iter) and its
     boundary point is sent back; the distance is the return value.
     Infeasible probes are pulled back through a strictly feasible point
     close to the current boundary point so the search stays local."""
@@ -529,8 +598,8 @@ def _tangent_basis(unit_ray: np.ndarray) -> list:
 
 
 def boundary_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoundarySample:
-    """n points on the boundary of the solution set via segment bisection
-    between sampled infeasible and strictly feasible points."""
+    """n points on the boundary of the solution set via a boundary search
+    on segments between sampled infeasible and strictly feasible points."""
     lo, hi = _as_box(box, f.dim)
     pool = box_points(lo, hi, max(4 * n, 256), seed)
     vals = f._value_batch(pool)

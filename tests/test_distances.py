@@ -1,7 +1,7 @@
 """Staged solution-set distances and the exact cone test behind them.
 
 ``_distances`` runs value screen, lock-step pull, anchor and boundary
-bisection, a batched projection certificate and a per-row polish over all
+search, a batched projection certificate and a per-row polish over all
 rows at once.  Its rows must not depend on the rest of the batch.  The
 one-point-at-a-time algorithm it replaced is kept below as a reference,
 run with two sets of arithmetic: the stages' own per-row oracles, where
@@ -209,8 +209,8 @@ class PointOracles:
 class RowOracles(PointOracles):
     """The same algorithm with the stages' per-row arithmetic, applied to
     one point at a time: one-row batched values and gradients, the
-    closed-form 2x2 solve, one-row lock-step bisection, the exact cone
-    test."""
+    closed-form 2x2 solve, one-row lock-step boundary search, the exact
+    cone test."""
 
     def value(self, f, p):
         return f._value_batch(p[None])[0]

@@ -85,6 +85,17 @@ def test_exp_overflow_is_typed():
         subdifferential(f, [1000.0])
 
 
+def test_exp_batch_overflow_is_typed():
+    # the batched oracles raise where the scalar ones do, never return inf
+    f = Exp1D(0, -1.0, 1)
+    X = np.array([[1.0], [1000.0]])
+    with pytest.raises(NumericalOverflow):
+        f._value_batch(X)
+    with pytest.raises(NumericalOverflow):
+        f._grad_batch(X)
+    assert f._value_batch(X[:1])[0] == pytest.approx(math.e - 1.0)
+
+
 def test_quotient_scan_exp():
     f = Exp1D(0, -1.0, 1)
     q = dd_quotient_scan(f, [0.0], [1.0], [1.0, 0.1, 0.01])

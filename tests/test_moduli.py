@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebstab.errors import NoSignChangeInBox, NoSlaterPoint, PreconditionError
+from ebstab.errors import (
+    NoSignChangeInBox,
+    NoSlaterPoint,
+    NumericalOverflow,
+    PreconditionError,
+)
 from ebstab.expressions import (
     AbsCoord,
     Affine,
@@ -105,29 +112,92 @@ def _slater_problem(rng, m, n):
     return f, s, xs[f._value_batch(xs) > 0.0]
 
 
+class _Counted:
+    """f with a tally of the points its batched value oracle evaluates."""
+
+    def __init__(self, f):
+        self.f, self.evaluated = f, 0
+
+    def _value_batch(self, X):
+        self.evaluated += X.shape[0]
+        return self.f._value_batch(X)
+
+
+def _search_against_bisection(f, pos, neg, max_iter):
+    """Run the lock-step search on the segments pos -> neg and check each
+    row against the scalar bisection: the point is feasible, and both
+    points lie on the feasible side of one root, each within its bracket,
+    so they differ by at most bisection's final width.  Returns steps and
+    bisection's step count summed over the rows."""
+    counted = _Counted(f)
+    points, steps = _bisect_to_boundary(counted, pos, neg, max_iter)
+    assert type(steps) is int and steps == counted.evaluated
+    assert np.all(f._value_batch(points) <= 0.0)
+    value = lambda p: f._value_batch(p[None])[0]
+    bisected = 0
+    for row, a, b, n in zip(points, pos, neg,
+                            np.broadcast_to(max_iter, len(pos))):
+        want, it = _scalar_bisect(value, a, b, int(n))
+        bisected += it
+        span = np.linalg.norm(b - a)
+        assert (np.linalg.norm(row - want)
+                <= span * 2.0 ** -int(n) + 1e-12 * (1.0 + span))
+        # the scalar oracle differs from the batched one in the last bits
+        want, _ = _scalar_bisect(f._value, a, b, int(n))
+        assert (np.linalg.norm(row - want)
+                <= span * 2.0 ** -int(n) + 1e-9 * (1.0 + span))
+    return steps, bisected
+
+
+def _segments(rng, f, s, pos):
+    """Feasible ends for the infeasible rows pos: near s where feasible,
+    else s itself."""
+    near = s + 0.3 * rng.normal(size=pos.shape)
+    return np.where((f._value_batch(near) <= 0.0)[:, None], near, s)
+
+
 def test_lockstep_bisection_matches_scalar_reference():
     rng = np.random.default_rng(31)
     for _ in range(60):
         m = int(rng.integers(1, 4))
         f, s, pos = _slater_problem(rng, m, 24)
-        k = pos.shape[0]
-        near = s + 0.3 * rng.normal(size=(k, m))
-        neg = np.where((f._value_batch(near) <= 0.0)[:, None], near, s)
-        max_iter = rng.choice([0, 1, 7, 40, 100], size=k)
-        points, steps = _bisect_to_boundary(f, pos, neg, max_iter)
-        assert type(steps) is int
-        assert np.all(f._value_batch(points) <= 0.0)
-        total = 0
-        for row, a, b, n in zip(points, pos, neg, max_iter):
-            # same arithmetic row for row, given the same value oracle
-            want, it = _scalar_bisect(lambda p: f._value_batch(p[None])[0],
-                                      a, b, int(n))
-            assert np.array_equal(row, want)
-            total += it
-            # the scalar oracle differs from the batched one in the last bits
-            want, _ = _scalar_bisect(f._value, a, b, int(n))
-            assert np.linalg.norm(row - want) <= 1e-9 * (1.0 + np.linalg.norm(b - a))
-        assert steps == total
+        neg = _segments(rng, f, s, pos)
+        max_iter = rng.choice([0, 1, 7, 40, 100], size=pos.shape[0])
+        _search_against_bisection(f, pos, neg, max_iter)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       max_iter=st.sampled_from([1, 3, 7, 40, 100]))
+def test_convex_search_property(seed, m, max_iter):
+    # one row at a time, so that steps = 2 end values + 5 per round
+    rng = np.random.default_rng(seed)
+    f, s, pos = _slater_problem(rng, m, 6)
+    neg = _segments(rng, f, s, pos)
+    for a, b in zip(pos, neg):
+        steps, bisected = _search_against_bisection(f, a[None], b[None],
+                                                    max_iter)
+        rounds, rest = divmod(steps - 2, 5)
+        assert rest == 0 and rounds <= min(max_iter, bisected)
+
+
+def test_search_flat_root():
+    # (x+)^2 has a root of zero slope: the chord from a zero end makes no
+    # progress and the secant closes in linearly, so the midpoint carries
+    # the search
+    f = PosPartSquare(0, 1)
+    pos = np.array([[1.0], [3.0], [0.5], [2.0]])
+    neg = np.array([[-1.0], [-0.2], [0.0], [-7.0]])
+    for max_iter in (1, 3, 7, 40, 100):
+        _search_against_bisection(f, pos, neg, max_iter)
+
+
+def test_search_overflowing_end_is_typed():
+    # exp(1000) overflows: the end values raise instead of feeding inf to
+    # the chord, where inf / inf would give a NaN point
+    f = Exp1D(0, -1.0, 1)
+    with pytest.raises(NumericalOverflow):
+        _bisect_to_boundary(f, [[1000.0]], [[-1.0]], 100)
 
 
 def test_distances_match_per_point_distance():
