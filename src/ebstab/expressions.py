@@ -87,7 +87,6 @@ class ConvexExpr:
     """Base class; subclasses are immutable and safe to share."""
 
     dim: int
-    kind: str
 
     def _value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -118,47 +117,39 @@ class ConvexExpr:
         """
         raise NotImplementedError
 
+    def _text(self) -> str:
+        """Canonical text in the problem-file grammar, numbers via repr so
+        that parsing it back gives the same node."""
+        raise NotImplementedError
+
     def __eq__(self, other):
-        return isinstance(other, ConvexExpr) and _expr_fields(self) == _expr_fields(other)
+        return (isinstance(other, ConvexExpr)
+                and (self.dim, self._text()) == (other.dim, other._text()))
 
     def __hash__(self):
-        return hash(repr(_expr_fields(self)))
+        return hash((self.dim, self._text()))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _expr_fields(e: "ConvexExpr"):
-    if isinstance(e, Const):
-        return ("const", e.dim, e.value)
-    if isinstance(e, Affine):
-        return ("affine", e.dim, tuple(e.a.tolist()), e.b)
-    if isinstance(e, EuclidNorm):
-        return ("norm", e.dim)
-    if isinstance(e, AbsCoord):
-        return ("abs", e.dim, e.index)
-    if isinstance(e, Exp1D):
-        return ("exp1d", e.dim, e.index, e.shift)
-    if isinstance(e, PosPartSquare):
-        return ("pospart2", e.dim, e.index)
-    if isinstance(e, Max):
-        return ("max", e.dim, tuple(_expr_fields(c) for c in e.children))
-    if isinstance(e, Sum):
-        return ("sum", e.dim, tuple((w, _expr_fields(c)) for w, c in e.terms))
-    if isinstance(e, ComposeAffine):
-        return ("compose", e.dim, tuple(map(tuple, e.matrix.tolist())),
-                tuple(e.offset.tolist()), _expr_fields(e.inner))
-    raise TypeError(f"unknown node {type(e)!r}")
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def _fmt_vec(v) -> str:
+    return "[" + ", ".join(_fmt(x) for x in np.atleast_1d(v)) + "]"
 
 
 class Const(ConvexExpr):
     """Constant function c on R^m."""
 
-    kind = "const"
-
     def __init__(self, value: float, dim: int):
         self.value = float(value)
         self.dim = int(dim)
+
+    def _text(self):
+        return f"(const {_fmt(self.value)})"
 
     def _value(self, x):
         return self.value
@@ -182,12 +173,13 @@ class Const(ConvexExpr):
 class Affine(ConvexExpr):
     """<a, x> + b."""
 
-    kind = "affine"
-
     def __init__(self, a, b: float):
         self.a = _readonly(np.atleast_1d(a))
         self.b = float(b)
         self.dim = self.a.shape[0]
+
+    def _text(self):
+        return f"(affine {_fmt_vec(self.a)} {_fmt(self.b)})"
 
     def _value(self, x):
         return float(self.a @ x + self.b)
@@ -211,10 +203,11 @@ class Affine(ConvexExpr):
 class EuclidNorm(ConvexExpr):
     """||x||, kinked at the origin where the subdifferential is the unit ball."""
 
-    kind = "norm"
-
     def __init__(self, dim: int):
         self.dim = int(dim)
+
+    def _text(self):
+        return "(norm)"
 
     def _value(self, x):
         return float(np.linalg.norm(x))
@@ -250,13 +243,14 @@ class EuclidNorm(ConvexExpr):
 class AbsCoord(ConvexExpr):
     """|x_i|."""
 
-    kind = "abs"
-
     def __init__(self, index: int, dim: int):
         if not 0 <= index < dim:
             raise ValueError(f"coordinate {index} out of range for dim {dim}")
         self.index = int(index)
         self.dim = int(dim)
+
+    def _text(self):
+        return f"(abs {self.index})"
 
     def _value(self, x):
         return float(abs(x[self.index]))
@@ -300,14 +294,15 @@ class AbsCoord(ConvexExpr):
 class Exp1D(ConvexExpr):
     """exp(x_i) + shift; the only transcendental atom."""
 
-    kind = "exp1d"
-
     def __init__(self, index: int, shift: float, dim: int = 1):
         if not 0 <= index < dim:
             raise ValueError(f"coordinate {index} out of range for dim {dim}")
         self.index = int(index)
         self.shift = float(shift)
         self.dim = int(dim)
+
+    def _text(self):
+        return f"(exp1d {self.index} {_fmt(self.shift)})"
 
     def _exp(self, x) -> float:
         try:
@@ -350,13 +345,14 @@ class Exp1D(ConvexExpr):
 class PosPartSquare(ConvexExpr):
     """(max(x_i, 0))^2: smooth, with vanishing gradient on the kink set."""
 
-    kind = "pospart2"
-
     def __init__(self, index: int, dim: int = 1):
         if not 0 <= index < dim:
             raise ValueError(f"coordinate {index} out of range for dim {dim}")
         self.index = int(index)
         self.dim = int(dim)
+
+    def _text(self):
+        return f"(pospart2 {self.index})"
 
     def _value(self, x):
         return float(max(x[self.index], 0.0) ** 2)
@@ -388,8 +384,6 @@ class Max(ConvexExpr):
     so that exact ties are not float-fragile.
     """
 
-    kind = "max"
-
     def __init__(self, children):
         children = tuple(children)
         if not children:
@@ -399,6 +393,9 @@ class Max(ConvexExpr):
             raise DimensionMismatch(children[0].dim, children[-1].dim, "max child")
         self.children = children
         self.dim = children[0].dim
+
+    def _text(self):
+        return "(max " + " ".join(c._text() for c in self.children) + ")"
 
     def _active(self, x):
         vals = [c._value(x) for c in self.children]
@@ -442,8 +439,6 @@ class Max(ConvexExpr):
 class Sum(ConvexExpr):
     """Nonnegative combination sum_j w_j * f_j (weights >= 0 keep convexity)."""
 
-    kind = "sum"
-
     def __init__(self, terms):
         terms = tuple((float(w), e) for w, e in terms)
         for w, _ in terms:
@@ -456,6 +451,10 @@ class Sum(ConvexExpr):
             raise ValueError("sum node needs at least one term")
         self.terms = terms
         self.dim = terms[0][1].dim
+
+    def _text(self):
+        parts = " ".join(f"{_fmt(w)} {e._text()}" for w, e in self.terms)
+        return f"(sum {parts})"
 
     def _value(self, x):
         return float(sum(w * e._value(x) for w, e in self.terms))
@@ -494,8 +493,6 @@ class Sum(ConvexExpr):
 class ComposeAffine(ConvexExpr):
     """inner(A x + c) for inner convex on R^p, A of shape (p, m)."""
 
-    kind = "compose"
-
     def __init__(self, inner: ConvexExpr, matrix, offset):
         self.matrix = _readonly(np.atleast_2d(matrix))
         self.offset = _readonly(np.atleast_1d(offset))
@@ -506,6 +503,10 @@ class ComposeAffine(ConvexExpr):
             raise DimensionMismatch(p, self.offset.shape[0], "compose offset")
         self.inner = inner
         self.dim = m
+
+    def _text(self):
+        mat = "[" + ", ".join(_fmt_vec(row) for row in self.matrix) + "]"
+        return f"(compose {mat} {_fmt_vec(self.offset)} {self.inner._text()})"
 
     def _push(self, x):
         return self.matrix @ x + self.offset

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSignChangeInBox, NoSlaterPoint, PreconditionError
-from .expressions import ConvexExpr, _row_dot, _row_sq, as_point, subdifferential
+from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
 from .geometry import MIN_NORM_TOL, dedupe_rows, min_norm_point
 from .sampling import ball_points, box_points
 from .sphere import ZERO_TOL, BetaCertificate, beta
 
 FEAS_TOL = 1e-10
 BOUNDARY_VALUE_TOL = 1e-9
+BRACKET_RTOL = 1e-9      # a distance bracket closes at ub - lb <= this * ub
+BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
 
 
 @dataclass
@@ -31,8 +33,8 @@ class ModulusReport:
 
     eta_estimate may be +inf (vacuous: no infeasible sample seen), in which
     case tau_estimate is 0; tau_estimate may be +inf when eta collapses to
-    zero.  empirical_ratio is the sampled sup of d(x, S) / f(x) over
-    infeasible points (global reports only).  sample_count is the number
+    zero.  empirical_ratio is a certified lower bound on the sup of
+    d(x, S) / f(x) over the infeasible samples (global reports only).  sample_count is the number
     of points behind the reported estimates: after a local resample, that
     of the second run.
     """
@@ -286,18 +288,17 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
 
 def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
                              seed: int = 0) -> float:
-    """Upper-bounding estimate of d(x, {f <= 0}).
+    """d(x, {f <= 0}), exact to BRACKET_RTOL relative where its distance
+    bracket closes, and an upper bound where it is left open.
 
     Subgradient-projection steps (Polyak, or a two-plane Newton step where
     two pieces zigzag) pull x toward the nearest part of the solution set;
-    a convex bracketing search (``_bisect_to_boundary``: chord, secant and
-    midpoint candidates in each round) from x toward that point, or toward
-    a strictly feasible anchor, gives a boundary point z on the feasible
-    side.  When x - z lies in the normal cone at z, an exact cone test, z
-    is the projection and the distance is final; otherwise a tangential
-    polish improves z until successive estimates agree to 1e-8.  Always an
-    overestimate by construction.  The slater point is validated when
-    given, else found by scanning the box.
+    a convex bracketing search (``_bisect_to_boundary``) from x toward
+    that point, or toward a strictly feasible anchor, gives a boundary
+    point and with it an upper bound (``_bounds``).  Kelley's cutting
+    planes then bracket the distance from both sides (``_refine``), and
+    the upper end of the bracket is returned.  The slater point is
+    validated when given, else found by scanning the box.
     This is the one-point case of ``_distances``; the answer for a point
     does not depend on the other points of a batch.
     """
@@ -316,11 +317,12 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
 def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
     """distance_to_solution_set for every row of X, with strictly feasible
     anchor s: ``_bounds`` on every row, then ``_refine`` on every
-    infeasible row.  Each row's result depends on that row alone."""
+    infeasible row, whose upper bound is returned.  Each row's result
+    depends on that row alone."""
     out = np.zeros(X.shape[0])
     rows, x, z, ub = _bounds(f, X, s)
     if rows.size:
-        out[rows] = _refine(f, x, z, ub, s)
+        out[rows] = _refine(f, x, z, ub, s)[1]
     return out
 
 
@@ -337,8 +339,8 @@ def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
        boundary point z.
 
     Returns (rows, x, z, ub): the infeasible rows of X by index, their
-    points, their boundary points and ub = ||x - z||.  ``_refine`` only
-    ever lowers ub.
+    points, their boundary points and ub = ||x - z||, the start of
+    ``_refine``'s brackets.
     """
     rows = np.flatnonzero(f._value_batch(X) > 0.0)
     x = X[rows]
@@ -357,102 +359,136 @@ def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
 
 
 def _refine(f: ConvexExpr, x: np.ndarray, z: np.ndarray, ub: np.ndarray,
-            s: np.ndarray) -> np.ndarray:
-    """The distances of the rows of x from their ``_bounds`` output:
+            s: np.ndarray):
+    """Brackets lb <= d(x, S) <= ub for the rows of x, from their
+    ``_bounds`` output, by Kelley's cutting planes (Kelley 1960) in
+    lock-step over the rows.
 
-    5. rows where x - z passes the normal-cone test at z keep ub
-       (``_certified``);
-    6. only the rest run the tangential polish (``_polish_steps``), whose
-       infeasible probes of a round share one lock-step boundary search.
-
-    Never above ub.  Each row's result depends on that row alone.
+    Every subgradient g of f at a point q gives the cut
+    f(q) + <g, u - q> <= 0, which holds on all of S = {f <= 0}.  A row
+    starts with the cuts at x and at z, and each round (``_cut_round``)
+    projects x onto the row's cuts, which bounds d(x, S) from below, and
+    searches from an infeasible projection toward s to a feasible point,
+    which bounds it from above.  A row stops once ub - lb <= BRACKET_RTOL
+    * ub (closed), or after BRACKET_ROUNDS rounds (left open).  lb only
+    rises, ub only falls, and each row's bracket depends on that row
+    alone.  Returns (lb, ub).
     """
-    best = ub.copy()
-    if f.dim == 1:
-        return best
-    waiting = []
-
-    def advance(i, run, sent):
-        try:
-            waiting.append((i, run, run.send(sent)))
-        except StopIteration as stop:
-            best[i] = stop.value
-
-    for i in np.flatnonzero(~_certified(f, x, z)):
-        advance(i, _polish_steps(f, x[i], z[i], best[i], s), None)
-    while waiting:
-        batch, waiting = waiting, []
-        pos, neg, max_iter = zip(*(request for _, _, request in batch))
-        points, _ = _bisect_to_boundary(f, pos, neg, max_iter)
-        for (i, run, _), point in zip(batch, points):
-            advance(i, run, point)
-    return best
+    lb, ub = np.zeros(ub.size), ub.copy()
+    cuts = [[] for _ in ub]
+    live = np.arange(ub.size)
+    _add_cuts(f, x, cuts, live, np.concatenate([x, z]))
+    for _ in range(BRACKET_ROUNDS):
+        if not live.size:
+            break
+        live = _cut_round(f, x, s, cuts, lb, ub, live)
+    return lb, ub
 
 
 def _max_ratio(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
-               s: np.ndarray) -> float:
-    """max over rows of ``_distances(f, X, s) / vals`` for infeasible rows
-    X with values vals, bounding every row and refining only the rows that
-    can still set the maximum.
+               s: np.ndarray):
+    """(ratio, open): the largest lb / vals over the infeasible rows X
+    with values vals, where lb is each row's ``_refine`` lower bound, and
+    the number of rows whose bracket was left open while it could still
+    set that ratio.
 
-    The row with the largest bound ratio ub / vals is refined first, which
-    gives a ratio R that the maximum reaches; then, in one batch, every
-    other row whose bound ratio exceeds R.  A skipped row's distance is at
-    most its ub, so its ratio is at most R, and the maximum is exactly that
-    of the full computation.
+    The rows share one pruned cutting-plane loop: with R the largest
+    lb / vals so far, a row leaves once its bracket closes or once its
+    ub / vals <= R.  The row with the largest bound ratio runs first, on
+    its own, so that R is high before the others start.  Because lb only
+    rises and ub only falls, a row that leaves early can never exceed R,
+    and the ratio equals exactly the largest lb / vals of a full
+    ``_refine`` pass over every row.
     """
     _, x, z, ub = _bounds(f, X, s)
-    bound = ub / vals
-    top = int(np.argmax(bound))
-    dist = ub.copy()
-    dist[top] = _refine(f, x[top:top + 1], z[top:top + 1], ub[top:top + 1], s)[0]
-    more = np.flatnonzero(bound > dist[top] / vals[top])
-    more = more[more != top]
-    if more.size:
-        dist[more] = _refine(f, x[more], z[more], ub[more], s)
-    return float(np.max(dist / vals))
+    lb = np.zeros(ub.size)
+    cuts = [[] for _ in ub]
+    top = int(np.argmax(ub / vals))
+    left = 0
+    for live in (np.array([top]), np.delete(np.arange(ub.size), top)):
+        live = live[ub[live] / vals[live] > np.max(lb / vals)]
+        _add_cuts(f, x, cuts, live, np.concatenate([x[live], z[live]]))
+        for _ in range(BRACKET_ROUNDS):
+            if not live.size:
+                break
+            live = _cut_round(f, x, s, cuts, lb, ub, live)
+            live = live[ub[live] / vals[live] > np.max(lb / vals)]
+        left += live.size
+    return float(np.max(lb / vals)), left
 
 
-def _polish_steps(f: ConvexExpr, x: np.ndarray, best_pt: np.ndarray,
-                  best: float, s: np.ndarray):
-    """Tangential polish of the boundary point best_pt (at distance best
-    from x) as a generator: each boundary search from an infeasible probe
-    is yielded as (infeasible point, feasible point, max_iter) and its
-    boundary point is sent back; the distance is the return value.
-    Infeasible probes are pulled back through a strictly feasible point
-    close to the current boundary point so the search stays local."""
-    prev = math.inf
-    for _ in range(12):
-        if prev - best < 1e-8:
-            break
-        prev = best
-        ray = best_pt - x
-        span = np.linalg.norm(ray)
-        if span < 1e-15:
-            break
-        inner = best_pt + 1e-2 * (s - best_pt)
-        if f._value(inner) >= 0.0:
-            inner = s
-        basis = _tangent_basis(ray / span)
-        step = 0.25 * span
-        budget = 40
-        while step > 1e-6 * (1.0 + span) and budget > 0:
-            improved = False
-            for t_dir in basis:
-                for sign in (1.0, -1.0):
-                    budget -= 1
-                    cand = best_pt + sign * step * t_dir
-                    if f._value(cand) > 0.0:
-                        cand = yield cand, inner, 40
-                    d = float(np.linalg.norm(x - cand))
-                    if d < best - 1e-12:
-                        best, best_pt = d, cand
-                        improved = True
-            if not improved:
-                step *= 0.5
-        if _projection_certified(f, x, best_pt):
-            break
-    return best
+def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
+               lb: np.ndarray, ub: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """One cutting-plane round for the rows live of x, updating lb, ub and
+    cuts in place; returns the rows whose bracket is still open.
+
+    Each row projects x onto its cuts (``_project``), so lb rises to the
+    projection's distance.  Rows whose bracket closes leave before the
+    projections p are evaluated, in one batch; a feasible p closes the
+    bracket, and the rest search toward s in one boundary search to a
+    feasible q, which lowers ub, and gain the cuts at p and q.  lb never
+    passes ub, so the bracket stays ordered under rounding.
+    """
+    V = np.array([_project(cuts[i], ub[i]) for i in live])
+    lb[live] = np.maximum(lb[live], np.minimum(np.sqrt(_row_sq(V)), ub[live]))
+    go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
+    live = live[go]
+    P = x[live] + V[go]
+    feasible = f._value_batch(P) <= 0.0
+    ub[live[feasible]] = lb[live[feasible]]
+    live, P = live[~feasible], P[~feasible]
+    Q, _ = _bisect_to_boundary(f, P, np.broadcast_to(s, P.shape), 100)
+    ub[live] = np.maximum(np.minimum(ub[live], np.sqrt(_row_sq(x[live] - Q))),
+                          lb[live])
+    go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
+    live = live[go]
+    _add_cuts(f, x, cuts, live, np.concatenate([P[go], Q[go]]))
+    return live
+
+
+def _add_cuts(f: ConvexExpr, x: np.ndarray, cuts: list, rows: np.ndarray,
+              Q: np.ndarray) -> None:
+    """Append to cuts[i], for each i in rows, the cuts at two points: the
+    matching rows of the first and the second half of Q.
+
+    A cut at q with subgradient g is stored against x = x[i] as the row
+    (-g, e) / ||g||, e = f(q) + <g, x - q>, so that it reads
+    e + <g, v> <= 0 for the offset v = u - x of a point u of S.  The
+    gradients come from one batched call; where f may not be
+    differentiable at q (a kink, or a non-finite gradient), every
+    generator of the subdifferential there gives a cut.  A zero
+    subgradient gives none.
+    """
+    G, kink = f._grad_batch(Q)
+    fq = f._value_batch(Q)
+    scalar = kink | ~np.isfinite(_row_sq(G))
+    for j, i in enumerate(np.concatenate([rows, rows])):
+        g = dedupe_rows(f._subdiff(Q[j]).generators) if scalar[j] else G[j:j + 1]
+        gn = np.sqrt(_row_sq(g))
+        g, gn = g[gn > 0.0], gn[gn > 0.0]
+        e = fq[j] + _row_dot(g, np.broadcast_to(x[i] - Q[j], g.shape))
+        cuts[i].append(np.column_stack([-g, e]) / gn[:, None])
+
+
+def _project(cuts: list, scale: float) -> np.ndarray:
+    """The offset v of the point nearest x of the polyhedron
+    {e + <g, v> <= 0 for each cut (-g, e)}, the cuts given as a list of
+    arrays of rows.
+
+    A least-distance program, reduced to one NNLS (Lawson and Hanson,
+    Solving Least Squares Problems, 1974, 23.27): with r the residual of
+    min over lam >= 0 of ||E lam - e_{m+1}||, E's columns the cuts,
+    v = -r[:m] / r[m].  Offsets are measured in units of scale, an upper
+    bound on the distance, so that r[m] <= -1/2; a cut that x satisfies
+    by a margin beyond twice that cannot bind and is dropped.
+    """
+    a = np.vstack(cuts)
+    a[:, -1] /= scale
+    a = a[a[:, -1] >= -2.0]
+    target = np.zeros(a.shape[1])
+    target[-1] = 1.0
+    r = _nnls_residual(a, target)
+    return -scale * r[:-1] / r[-1]
 
 
 def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
@@ -508,9 +544,10 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> float:
-    """Residual of min over lam >= 0 of ||gens.T lam - target||, the distance
-    from target to the cone spanned by the rows of gens.
+def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Residual vector gens.T lam - target at the minimum over lam >= 0 of
+    its norm, which is the distance from target to the cone spanned by the
+    rows of gens.
 
     Lawson and Hanson's active-set method (Solving Least Squares Problems,
     1974, ch. 23): free the generator with the largest positive gradient
@@ -547,54 +584,7 @@ def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> float:
             lam[neg[hit]] = 0.0
             free &= lam > 0.0
             lam[~free] = 0.0
-    return float(np.linalg.norm(a @ lam - target))
-
-
-def _projection_certified(f: ConvexExpr, x: np.ndarray, z: np.ndarray) -> bool:
-    """True when z provably is the projection of x onto the solution set:
-    the ray from z back to x lies in the normal cone at z, which is the
-    cone spanned by the subdifferential there (an exact NNLS cone test)."""
-    ray = x - z
-    span = float(np.linalg.norm(ray))
-    if span < 1e-15:
-        return True
-    s = subdifferential(f, z)
-    if s.ball_radius != 0.0:
-        return False
-    gens = dedupe_rows(s.generators)
-    unit = ray / span
-    if gens.shape[0] == 1:
-        g = gens[0]
-        gn = float(np.linalg.norm(g))
-        return gn > 1e-15 and float(unit @ g) / gn >= 1.0 - 1e-10
-    return _nnls_residual(gens, unit) <= 1e-8
-
-
-def _certified(f: ConvexExpr, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """_projection_certified for every row pair of X and Z.  Where f is
-    differentiable at z the normal cone is the ray of the gradient, so the
-    test is a cosine; only kink rows build a subdifferential."""
-    ray = X - Z
-    span = np.sqrt(_row_sq(ray))
-    G, kink = f._grad_batch(Z)
-    gn = np.sqrt(_row_sq(G))
-    unit = ray / np.where(span > 0.0, span, 1.0)[:, None]
-    cos = _row_dot(unit, G) / np.where(gn > 1e-15, gn, 1.0)
-    out = (span < 1e-15) | ((gn > 1e-15) & (cos >= 1.0 - 1e-10))
-    for i in np.flatnonzero((kink | ~np.isfinite(gn)) & (span >= 1e-15)):
-        out[i] = _projection_certified(f, X[i], Z[i])
-    return out
-
-
-def _tangent_basis(unit_ray: np.ndarray) -> list:
-    """Orthonormal basis of the hyperplane orthogonal to unit_ray."""
-    m = unit_ray.shape[0]
-    if m == 1:
-        return []
-    mat = np.eye(m) - np.outer(unit_ray, unit_ray)
-    q, r = np.linalg.qr(mat)
-    cols = [q[:, i] for i in range(m) if abs(r[i, i]) > 1e-10]
-    return cols[: m - 1]
+    return a @ lam - target
 
 
 def boundary_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoundarySample:
@@ -717,10 +707,12 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     """Box-truncated estimate of inf d(0, subdifferential) over infeasible
     points, with the empirical sup of d(x, S)/f(x) over the same samples.
 
-    The sup is bound-then-refine (``_max_ratio``): every infeasible sample
-    gets an upper bound on its distance from one batched pass, and only
-    the samples whose bound could still set the sup are certified and
-    polished.  The sup equals the maximum over fully refined distances.
+    The empirical ratio is a certified lower bound on that sup
+    (``_max_ratio``): every infeasible sample gets an upper bound on its
+    distance from one batched pass, and only the samples whose bound could
+    still set the sup refine their distance brackets.  It is the largest
+    lower bound over fully refined brackets, so it may tighten eta; the
+    notes count the brackets left open that could still have set it.
     """
     lo, hi = _as_box(box, f.dim)
     pts = box_points(lo, hi, n, seed)
@@ -748,7 +740,9 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     ratio = None
     if slater is not None:
         s = _strictly_feasible(f, slater)
-        ratio = _max_ratio(f, infeas, infeas_vals, s)
+        ratio, left = _max_ratio(f, infeas, infeas_vals, s)
+        if left:
+            notes += f"; {left} distance brackets left open"
         if eta > 0.0 and ratio > 1.0001 / eta:
             # the ratio evidence itself bounds eta from above; reconcile
             eta = 1.0 / ratio

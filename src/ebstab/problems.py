@@ -36,6 +36,8 @@ from .expressions import (
     Max,
     PosPartSquare,
     Sum,
+    _fmt,
+    _fmt_vec,
 )
 from .systems import FiniteFamily, IndexedFamily, IntervalFamily, materialize_sup
 
@@ -410,38 +412,11 @@ def _validate_problem(p: ProblemFile) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization (numbers via repr for exact round-trips).
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(x) for x in np.atleast_1d(v)) + "]"
-
+# Canonical serialization (numbers via repr for exact round-trips); each
+# node writes its own text.
 
 def serialize_expr(e: ConvexExpr) -> str:
-    if isinstance(e, Const):
-        return f"(const {_fmt(e.value)})"
-    if isinstance(e, Affine):
-        return f"(affine {_fmt_vec(e.a)} {_fmt(e.b)})"
-    if isinstance(e, EuclidNorm):
-        return "(norm)"
-    if isinstance(e, AbsCoord):
-        return f"(abs {e.index})"
-    if isinstance(e, Exp1D):
-        return f"(exp1d {e.index} {_fmt(e.shift)})"
-    if isinstance(e, PosPartSquare):
-        return f"(pospart2 {e.index})"
-    if isinstance(e, Max):
-        return "(max " + " ".join(serialize_expr(c) for c in e.children) + ")"
-    if isinstance(e, Sum):
-        parts = " ".join(f"{_fmt(w)} {serialize_expr(c)}" for w, c in e.terms)
-        return f"(sum {parts})"
-    if isinstance(e, ComposeAffine):
-        mat = "[" + ", ".join(_fmt_vec(row) for row in e.matrix) + "]"
-        return f"(compose {mat} {_fmt_vec(e.offset)} {serialize_expr(e.inner)})"
-    raise TypeError(f"cannot serialize {type(e)!r}")
+    return e._text()
 
 
 def serialize_problem(p: ProblemFile) -> str:

@@ -70,10 +70,14 @@ def box_points(lo: np.ndarray, hi: np.ndarray, n: int, seed: int = 0) -> np.ndar
 
 
 def ball_points(center: np.ndarray, radius: float, n: int, seed: int = 0) -> np.ndarray:
-    """n quasi-uniform points in the closed ball around center."""
+    """n quasi-uniform points in the closed ball around center.
+
+    The radius takes the Kronecker coordinate just past the ones the
+    directions use, so that no two share a step."""
     center = np.asarray(center, dtype=float)
     m = center.shape[0]
     dirs = unit_directions(m, n, seed)
-    u = low_discrepancy(1, n, seed + 1)[:, 0]
+    pairs = 2 * ((m + 1) // 2)     # unit_directions reads no more than these
+    u = low_discrepancy(pairs + 1, n, seed)[:, pairs]
     radii = radius * u ** (1.0 / m)
     return center[None, :] + radii[:, None] * dirs

@@ -4,13 +4,14 @@ Expressions are generated convex-by-construction within the library's
 exactly-representable subset (ball-carrying atoms never appear where a
 pointwise max or a generic affine pre-composition would need an inexact
 hull).  Everything is driven by seeded generators; no test draws entropy
-from the environment.
+from the environment, and hypothesis runs derandomized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ebstab.expressions import (
     AbsCoord,
@@ -23,6 +24,12 @@ from ebstab.expressions import (
     Sum,
 )
 from ebstab.geometry import SubdiffSet
+
+# every property runs the same examples on every run and machine, with no
+# example database and no per-example deadline
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def random_atom(rng, dim, allow_ball=True):

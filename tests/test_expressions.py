@@ -287,3 +287,21 @@ def test_immutability_and_equality():
     a = Affine([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         a.a[0] = 5.0
+
+
+def test_equal_nodes_hash_equal():
+    # equality and hashing read the same canonical text, so a set never
+    # keeps two equal nodes; 0.0 and -0.0 print differently, so their
+    # constants are different nodes
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m = int(rng.integers(1, 4))
+        seed = int(rng.integers(1 << 30))
+        f = random_expr(np.random.default_rng(seed), m)
+        g = random_expr(np.random.default_rng(seed), m)
+        h = random_expr(rng, m)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert (f == h) == (hash(f) == hash(h))
+    a, b = Const(0.0, 1), Const(-0.0, 1)
+    assert (a == b) == (hash(a) == hash(b))
+    assert len({a, b}) == (1 if a == b else 2)

@@ -211,7 +211,7 @@ def test_rows_independent_of_batch():
         assert np.array_equal(_subdiff_dists(f, P[::3]), got[::3])
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
        depth=st.integers(0, 3))
 def test_subdiff_dists_property(seed, m, depth):

@@ -1,27 +1,30 @@
 """The empirical ratio of ``eta_global``: bound every row, refine only the
 rows that can set the maximum.
 
-``_max_ratio`` must return exactly the maximum of ``_distances / vals``,
-whatever the order of the rows, and on a problem whose ratio is set by a
-few corner rays it must certify and polish only a few rows.
+``_max_ratio`` must return exactly the largest lower bound lb / vals of a
+full ``_refine`` pass, whatever the order of the rows, and on a problem
+whose ratio is set by a few corner rays it must project only a few rows
+onto their cuts.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ebstab import moduli
+from ebstab import moduli, scenarios
 from ebstab.errors import EbstabError
-from ebstab.expressions import AbsCoord, Const, Max, Sum
-from ebstab.moduli import _distances, _max_ratio, eta_global
+from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
+from ebstab.moduli import _bounds, _max_ratio, _refine, eta_global
 from ebstab.sampling import box_points
+from ebstab.scenarios import reproduce
 
 from conftest import random_expr
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
 def test_max_ratio_is_the_full_maximum(seed, m):
     rng = np.random.default_rng(seed)
@@ -33,32 +36,74 @@ def test_max_ratio_is_the_full_maximum(seed, m):
     X, vals = X[vals > 0.0], vals[vals > 0.0]
     assume(X.shape[0] > 0)
     try:
-        want = float(np.max(_distances(f, X, s) / vals))
+        _, x, z, ub = _bounds(f, X, s)
+        want = float(np.max(_refine(f, x, z, ub, s)[0] / vals))
     except EbstabError:
         # the full pass fails on some row; the ratio may skip that row
         assume(False)
-    assert _max_ratio(f, X, vals, s) == want
+    assert _max_ratio(f, X, vals, s)[0] == want
     perm = rng.permutation(X.shape[0])
-    assert _max_ratio(f, X[perm], vals[perm], s) == want
+    assert _max_ratio(f, X[perm], vals[perm], s)[0] == want
 
 
 def test_max_ratio_refines_few_rows_on_sup_norm_ball(monkeypatch):
     # on the unit sup-norm ball every row beyond a corner projects to that
-    # corner, a kink, so the full pass runs the kink certificate on about
-    # half of the infeasible rows; only rays near a diagonal come close to
-    # the largest ratio, sqrt(2)
+    # corner, a kink, so about half of the infeasible rows have a ratio
+    # above 1; only rays near a diagonal come close to the largest ratio,
+    # sqrt(2), and the rows whose bound cannot beat it never project
     f = Sum([(1.0, Max([AbsCoord(0, 2), AbsCoord(1, 2)])), (1.0, Const(-1.0, 2))])
     box = (np.full(2, -3.0), np.full(2, 3.0))
     calls = []
-    certify = moduli._projection_certified
+    project = moduli._project
 
     def counted(*args):
         calls.append(args)
-        return certify(*args)
+        return project(*args)
 
-    monkeypatch.setattr(moduli, "_projection_certified", counted)
+    monkeypatch.setattr(moduli, "_project", counted)
     report = eta_global(f, box, 512, seed=0)
     infeasible = int(np.sum(f._value_batch(box_points(*box, 512, 0)) > 0.0))
     assert infeasible > 400
     assert len(calls) < 0.05 * infeasible
     assert math.sqrt(2.0) - 0.05 < report.empirical_ratio <= math.sqrt(2.0) + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hoffman_ratio_matches_exact_polyhedral_distances(seed, monkeypatch):
+    # every polyhedral system of the HOFFMAN scenario: the empirical ratio
+    # is the largest exact distance ratio over the same infeasible samples
+    systems = []
+
+    def recorded(f, box, n, seed=0, slater=None):
+        report = eta_global(f, box, n, seed=seed, slater=slater)
+        if isinstance(f, Max):
+            systems.append((f, box, n, seed, report))
+        return report
+
+    monkeypatch.setattr(scenarios, "eta_global", recorded)
+    reproduce("HOFFMAN", seed)
+    assert len(systems) == 10
+    for f, box, n, sample_seed, report in systems:
+        mats = np.array([c.a for c in f.children])
+        rhs = -np.array([c.b for c in f.children])
+        pts = box_points(*box, n, sample_seed)
+        vals = f._value_batch(pts)
+        infeasible = vals > 0.0
+        exact = scenarios._polyhedron_distances(pts[infeasible], mats, rhs)
+        want = float(np.max(exact / vals[infeasible]))
+        assert report.empirical_ratio == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly3_box_tau_below_exact_modulus(seed):
+    # max(|x1|, |x2|, |x3|) + ||x|| / 2 - 1: the infimum slope is set at
+    # the triple tie, where the subdifferential's nearest point to the
+    # origin has norm 1/2 + 1/sqrt(3); the ratio evidence may tighten eta
+    # only up to that exact modulus
+    f = Sum([(1.0, Max([AbsCoord(i, 3) for i in range(3)])),
+             (0.5, EuclidNorm(3)), (1.0, Const(-1.0, 3))])
+    box = (np.full(3, -2.0), np.full(3, 2.0))
+    report = eta_global(f, box, 512, seed=seed)
+    tau_star = 1.0 / (0.5 + 1.0 / math.sqrt(3.0))
+    assert report.tau_estimate <= tau_star * (1.0 + 1e-9)
+    assert report.empirical_ratio <= tau_star * (1.0 + 1e-9)

@@ -166,7 +166,7 @@ def test_lockstep_bisection_matches_scalar_reference():
         _search_against_bisection(f, pos, neg, max_iter)
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
        max_iter=st.sampled_from([1, 3, 7, 40, 100]))
 def test_convex_search_property(seed, m, max_iter):
