@@ -42,14 +42,16 @@ class MinNormNonConvergence(EbstabError):
 
 
 class UndeterminedInradius(EbstabError):
-    """Sampled inradius bracket too wide to certify; carries the bracket."""
+    """The interior inradius of a full-dimensional hull would need more
+    facet subsets than the enumeration cap allows; carries both counts.
+    No sampled estimate stands in for the exact value."""
 
-    def __init__(self, lower: float, upper: float, tol: float):
-        self.lower = lower
-        self.upper = upper
-        self.tol = tol
+    def __init__(self, subsets: int, cap: int):
+        self.subsets = subsets
+        self.cap = cap
         super().__init__(
-            f"inradius bracket [{lower:.6g}, {upper:.6g}] wider than tol {tol:g}"
+            f"interior inradius needs {subsets} facet subsets, above the "
+            f"enumeration cap {cap}"
         )
 
 

@@ -1,26 +1,29 @@
 """Convex-by-construction expression trees with exact first-order oracles.
 
-Every node represents a finite-valued convex function on R^m and knows how
-to produce, by structural recursion:
+Every node represents a finite-valued convex function on R^m and defines
+four oracles, each by structural recursion over its children:
 
-- its exact value, at one point (``_value``) or at every row of a batch of
-  points (``_value_batch``),
-- its exact directional derivative f'(x, h) (one-sided, positively
-  homogeneous in h),
-- its exact subdifferential as a ``SubdiffSet`` (polytope hull plus ball),
-- its gradient at every row of a batch (``_grad_batch``), with the rows
+- ``_value_batch``: its exact value at every row of a batch of points;
+- ``_dd_batch``: its exact directional derivative f'(x, h) (one-sided,
+  positively homogeneous in h) at one point, for every row h of a batch
+  of directions;
+- ``_subdiff``: its exact subdifferential as a ``SubdiffSet`` (polytope
+  hull plus ball);
+- ``_grad_batch``: its gradient at every row of a batch, with the rows
   where it may fail to be differentiable marked as kinks.
+
+The point oracles ``_value`` and ``_dd`` are defined once, on the base
+class, as one-row views of the batched ones, so a value or a derivative
+has a single arithmetic whichever way it is asked for.
 
 The grammar is deliberately small: affine pieces, coordinate absolute
 values, the Euclidean norm, a single exponential atom, a squared positive
 part, pointwise maxima, nonnegative sums, and pre-composition with an
 affine map.  These atoms are enough to build every worked example the
-stability analysis needs while keeping all three oracles exact.
+stability analysis needs while keeping every oracle exact.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -88,19 +91,22 @@ class ConvexExpr:
 
     dim: int
 
-    def _value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of X, shape (k, m) -> (k,); each row's value
         depends on that row alone."""
         raise NotImplementedError
 
-    def _dd(self, x: np.ndarray, h: np.ndarray) -> float:
-        raise NotImplementedError
+    def _value(self, x: np.ndarray) -> float:
+        """The value at one point: a one-row view of ``_value_batch``."""
+        return float(self._value_batch(x[None])[0])
 
     def _dd_batch(self, x: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """f'(x, h) for the rows h of hs, shape (k, m) -> (k,)."""
         raise NotImplementedError
+
+    def _dd(self, x: np.ndarray, h: np.ndarray) -> float:
+        """f'(x, h) for one direction: a one-row view of ``_dd_batch``."""
+        return float(self._dd_batch(x, h[None])[0])
 
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
         raise NotImplementedError
@@ -112,7 +118,7 @@ class ConvexExpr:
         ``_subdiff`` might return anything other than one generator with a
         zero ball, and G[i] is meaningless there.  err (a scalar or an
         array shaped like X) bounds how far each entry of X may sit from
-        the point the scalar oracle sees; rows that close to a kink count
+        the point ``_subdiff`` sees; rows that close to a kink count
         as kinks.  Each row's result depends on that row alone.
         """
         raise NotImplementedError
@@ -151,14 +157,8 @@ class Const(ConvexExpr):
     def _text(self):
         return f"(const {_fmt(self.value)})"
 
-    def _value(self, x):
-        return self.value
-
     def _value_batch(self, X):
         return np.full(X.shape[0], self.value)
-
-    def _dd(self, x, h):
-        return 0.0
 
     def _dd_batch(self, x, hs):
         return np.zeros(hs.shape[0])
@@ -181,14 +181,8 @@ class Affine(ConvexExpr):
     def _text(self):
         return f"(affine {_fmt_vec(self.a)} {_fmt(self.b)})"
 
-    def _value(self, x):
-        return float(self.a @ x + self.b)
-
     def _value_batch(self, X):
         return _rows_times(X, self.a) + self.b
-
-    def _dd(self, x, h):
-        return float(self.a @ h)
 
     def _dd_batch(self, x, hs):
         return hs @ self.a
@@ -209,17 +203,8 @@ class EuclidNorm(ConvexExpr):
     def _text(self):
         return "(norm)"
 
-    def _value(self, x):
-        return float(np.linalg.norm(x))
-
     def _value_batch(self, X):
         return np.linalg.norm(X, axis=1)
-
-    def _dd(self, x, h):
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return float(np.linalg.norm(h))
-        return float((x @ h) / nx)
 
     def _dd_batch(self, x, hs):
         nx = np.linalg.norm(x)
@@ -234,7 +219,7 @@ class EuclidNorm(ConvexExpr):
         return SubdiffSet((x / nx)[None, :], 0.0)
 
     def _grad_batch(self, X, err=0.0):
-        # the scalar norm reads 0 at the origin and where squaring underflows
+        # _subdiff's norm reads 0 at the origin and where squaring underflows
         sq = _row_sq(X)
         kink = (sq < np.finfo(float).tiny) | np.all(np.abs(X) <= err, axis=1)
         return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
@@ -252,19 +237,8 @@ class AbsCoord(ConvexExpr):
     def _text(self):
         return f"(abs {self.index})"
 
-    def _value(self, x):
-        return float(abs(x[self.index]))
-
     def _value_batch(self, X):
         return np.abs(X[:, self.index])
-
-    def _dd(self, x, h):
-        xi = x[self.index]
-        if xi > 0.0:
-            return float(h[self.index])
-        if xi < 0.0:
-            return float(-h[self.index])
-        return float(abs(h[self.index]))
 
     def _dd_batch(self, x, hs):
         xi = x[self.index]
@@ -304,16 +278,6 @@ class Exp1D(ConvexExpr):
     def _text(self):
         return f"(exp1d {self.index} {_fmt(self.shift)})"
 
-    def _exp(self, x) -> float:
-        try:
-            return math.exp(x[self.index])
-        except OverflowError:
-            raise NumericalOverflow(
-                f"exp({float(x[self.index]):.6g}) overflows a double") from None
-
-    def _value(self, x):
-        return self._exp(x) + self.shift
-
     def _exp_batch(self, X):
         x = X[:, self.index]
         try:
@@ -326,14 +290,11 @@ class Exp1D(ConvexExpr):
     def _value_batch(self, X):
         return self._exp_batch(X) + self.shift
 
-    def _dd(self, x, h):
-        return self._exp(x) * float(h[self.index])
-
     def _dd_batch(self, x, hs):
-        return self._exp(x) * hs[:, self.index]
+        return self._exp_batch(x[None])[0] * hs[:, self.index]
 
     def _subdiff(self, x):
-        g = self._exp(x) * _basis(self.index, self.dim)
+        g = self._exp_batch(x[None])[0] * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
 
     def _grad_batch(self, X, err=0.0):
@@ -354,14 +315,8 @@ class PosPartSquare(ConvexExpr):
     def _text(self):
         return f"(pospart2 {self.index})"
 
-    def _value(self, x):
-        return float(max(x[self.index], 0.0) ** 2)
-
     def _value_batch(self, X):
         return np.maximum(X[:, self.index], 0.0) ** 2
-
-    def _dd(self, x, h):
-        return 2.0 * max(float(x[self.index]), 0.0) * float(h[self.index])
 
     def _dd_batch(self, x, hs):
         return 2.0 * max(float(x[self.index]), 0.0) * hs[:, self.index]
@@ -403,15 +358,8 @@ class Max(ConvexExpr):
         eps = _ACTIVE_TOL * (1.0 + abs(top))
         return [c for c, v in zip(self.children, vals) if v >= top - eps], top
 
-    def _value(self, x):
-        return max(c._value(x) for c in self.children)
-
     def _value_batch(self, X):
         return np.maximum.reduce([c._value_batch(X) for c in self.children])
-
-    def _dd(self, x, h):
-        active, _ = self._active(x)
-        return max(c._dd(x, h) for c in active)
 
     def _dd_batch(self, x, hs):
         active, _ = self._active(x)
@@ -429,7 +377,8 @@ class Max(ConvexExpr):
         G, kink = np.array(grads)[top, rows], np.array(kinks)[top, rows]
         if len(self.children) > 1:
             # twice the active tolerance absorbs the last-bit differences
-            # between batched and scalar child values
+            # between these child values and the ones _active reads at the
+            # point _subdiff sees
             best = vals[top, rows]
             second = np.partition(vals, -2, axis=0)[-2]
             kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
@@ -456,17 +405,11 @@ class Sum(ConvexExpr):
         parts = " ".join(f"{_fmt(w)} {e._text()}" for w, e in self.terms)
         return f"(sum {parts})"
 
-    def _value(self, x):
-        return float(sum(w * e._value(x) for w, e in self.terms))
-
     def _value_batch(self, X):
         out = np.zeros(X.shape[0])
         for w, e in self.terms:
             out += w * e._value_batch(X)
         return out
-
-    def _dd(self, x, h):
-        return float(sum(w * e._dd(x, h) for w, e in self.terms))
 
     def _dd_batch(self, x, hs):
         out = np.zeros(hs.shape[0])
@@ -511,14 +454,8 @@ class ComposeAffine(ConvexExpr):
     def _push(self, x):
         return self.matrix @ x + self.offset
 
-    def _value(self, x):
-        return self.inner._value(self._push(x))
-
     def _value_batch(self, X):
         return self.inner._value_batch(_rows_times(X, self.matrix) + self.offset)
-
-    def _dd(self, x, h):
-        return self.inner._dd(self._push(x), self.matrix @ h)
 
     def _dd_batch(self, x, hs):
         return self.inner._dd_batch(self._push(x), hs @ self.matrix.T)

@@ -17,14 +17,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import MinNormNonConvergence, UndeterminedInradius
-from .sampling import unit_directions
 
 _DEDUPE_TOL = 1e-12
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
 MIN_NORM_TOL = 1e-10       # Wolfe tolerance; a shorter min-norm point is the origin
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
-_ENUM_CAP = 200_000        # max facet subsets enumerated before sampling fallback
+_ENUM_CAP = 200_000        # max facet subsets enumerated; above it, undetermined
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,27 +235,6 @@ def _hull_facets(g: np.ndarray, tol: float = _FACET_TOL):
     return facets
 
 
-def _inradius_sampled(g: np.ndarray, n_samples: int = 4096, tol: float = 1e-6):
-    """Bracketed sampled minimization of the hull support over the sphere.
-
-    Returns (value, direction) only when the bracket certifies the value to
-    within tol; otherwise raises UndeterminedInradius.  Used above the
-    enumeration cap (high dimension or many generators).
-    """
-    k, m = g.shape
-    hs = unit_directions(m, n_samples, seed=0)
-    vals = np.max(g @ hs.T, axis=0)
-    best = int(np.argmin(vals))
-    h, val = hs[best], float(vals[best])
-    h, val = _refine_direction_min(lambda d: float(np.max(g @ d)), h, val)
-    lip = float(np.max(np.linalg.norm(g, axis=1)))
-    mesh = 4.0 * n_samples ** (-1.0 / max(1, m - 1))
-    lower = val - lip * mesh
-    if val - lower > tol:
-        raise UndeterminedInradius(lower, val, tol)
-    return val, h
-
-
 def _refine_direction_min(fun, h, val, steps: int = 100):
     """Pattern search on the unit sphere: try +/- coordinate nudges,
     halving the step when nothing improves."""
@@ -287,8 +265,9 @@ def _inradius_at_origin(g: np.ndarray):
     """min over unit h of max_gen <gen, h>, valid when the origin lies on or
     inside conv(g) (value ~0 also for origin marginally outside).
 
-    Returns (value, achieving direction).  Exact via facet enumeration when
-    the subset count is tractable; sampled with brackets otherwise.
+    Returns (value, achieving direction), exact via facet enumeration.
+    Raises UndeterminedInradius when the full-dimensional hull has more
+    m-subsets of generators than _ENUM_CAP.
     """
     g = dedupe_rows(g)
     k, m = g.shape
@@ -300,12 +279,11 @@ def _inradius_at_origin(g: np.ndarray):
         # along any orthogonal direction
         h = vt[rank]
         return 0.0, h / np.linalg.norm(h)
-    if math.comb(k, m) <= _ENUM_CAP:
-        facets = _hull_facets(g)
-        if facets:
-            n, d = min(facets, key=lambda f: f[1])
-            return float(d), n
-    return _inradius_sampled(g)
+    subsets = math.comb(k, m)
+    if subsets > _ENUM_CAP:
+        raise UndeterminedInradius(subsets, _ENUM_CAP)
+    n, d = min(_hull_facets(g), key=lambda f: f[1])
+    return float(d), n
 
 
 def min_support_direction(s: SubdiffSet):

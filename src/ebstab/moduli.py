@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSignChangeInBox, NoSlaterPoint, PreconditionError
+from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
+                     PreconditionError)
 from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
 from .geometry import MIN_NORM_TOL, dedupe_rows, min_norm_point
 from .sampling import ball_points, box_points
@@ -499,7 +500,8 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
     pieces, so when a row has two distinct linearizations (this step's and
     the last one's) it solves both cut constraints at once (a two-plane
     Newton step), falling back to the Polyak step unless that halves the
-    violation.  Each round takes one batched value call, one batched
+    violation.  A Newton candidate where f overflows a double is rejected
+    too.  Each round takes one batched value call, one batched
     minimum-norm subgradient and one value call on the Newton candidates.
     """
     Y = np.array(X, dtype=float)
@@ -536,12 +538,22 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
             c0 = (gg[n] * r0 - a01[n] * r1) / det[n]
             c1 = (a00[n] * r1 - a01[n] * r0) / det[n]
             delta = c0[:, None] * a0[n] + c1[:, None] * g[n]
-            ok = f._value_batch(y[n] - delta) < 0.5 * fy[n]
+            ok = _values_or_inf(f, y[n] - delta) < 0.5 * fy[n]
             step[n[ok]] = delta[ok]
         g0[rows], y0[rows], f0[rows] = g, y, fy
         has_prev[rows] = True
         Y[rows] = y - step
     return Y
+
+
+def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
+    """f at the rows of X, inf at each row where f overflows a double."""
+    try:
+        return f._value_batch(X)
+    except NumericalOverflow:
+        if X.shape[0] == 1:
+            return np.array([math.inf])
+        return np.concatenate([_values_or_inf(f, x[None]) for x in X])
 
 
 def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> np.ndarray:

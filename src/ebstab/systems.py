@@ -92,7 +92,6 @@ class IntervalFamily(IndexedFamily):
     than grid_count members."""
 
     def __init__(self, lo: float, hi: float, grid_count: int, rule,
-                 param_lipschitz: float | None = None,
                  template_text: str | None = None):
         if grid_count < 2:
             raise ValueError("grid_count must be at least 2")
@@ -102,7 +101,6 @@ class IntervalFamily(IndexedFamily):
         self.hi = float(hi)
         self.grid_count = int(grid_count)
         self.rule = rule
-        self.param_lipschitz = param_lipschitz
         self.template_text = template_text
         self._cache: dict = {}
         self._grid_keys = frozenset(map(float, self.grid_indices()))
@@ -232,7 +230,6 @@ def perturb_system(family: IndexedFamily, u, eps: float, xbar) -> IndexedFamily:
         out = IntervalFamily(
             family.lo, family.hi, family.grid_count,
             lambda t: with_linear_term(rule(t), a, b),
-            param_lipschitz=family.param_lipschitz,
         )
     else:
         raise TypeError(f"unknown family type {type(family)!r}")

@@ -9,6 +9,8 @@ from the environment, and hypothesis runs derandomized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +19,7 @@ from ebstab.expressions import (
     AbsCoord,
     Affine,
     ComposeAffine,
+    Const,
     EuclidNorm,
     Exp1D,
     Max,
@@ -83,6 +86,34 @@ def random_expr(rng, dim, depth=2, allow_ball=True):
     offset = rng.uniform(-1, 1, size=dim)
     inner = random_expr(rng, dim, depth - 1, allow_ball)
     return ComposeAffine(inner, mat, offset)
+
+
+def reference_value(f, x) -> float:
+    """f(x) by a plain-Python recursion over the nine node types, with
+    every sum taken by math.fsum: an evaluator that shares no arithmetic
+    with the library's batched value oracle."""
+    x = [float(v) for v in x]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Affine):
+        return math.fsum([a * v for a, v in zip(f.a, x)] + [f.b])
+    if isinstance(f, EuclidNorm):
+        return math.sqrt(math.fsum(v * v for v in x))
+    if isinstance(f, AbsCoord):
+        return abs(x[f.index])
+    if isinstance(f, Exp1D):
+        return math.exp(x[f.index]) + f.shift
+    if isinstance(f, PosPartSquare):
+        return max(x[f.index], 0.0) ** 2
+    if isinstance(f, Max):
+        return max(reference_value(c, x) for c in f.children)
+    if isinstance(f, Sum):
+        return math.fsum(w * reference_value(e, x) for w, e in f.terms)
+    if isinstance(f, ComposeAffine):
+        y = [math.fsum([a * v for a, v in zip(row, x)] + [c])
+             for row, c in zip(f.matrix, f.offset)]
+        return reference_value(f.inner, y)
+    raise TypeError(f"no reference for {type(f).__name__}")
 
 
 def random_point(rng, dim, scale=1.5):

@@ -32,7 +32,7 @@ from ebstab.moduli import (
     _refine,
 )
 
-from conftest import random_expr
+from conftest import random_expr, reference_value
 
 
 # -- exact cone test --------------------------------------------------------
@@ -138,11 +138,13 @@ def _reference_certified(f, x, z):
 
 class PointOracles:
     """The per-point distance algorithm's arithmetic as it stood before the
-    stages: scalar values, Wolfe subgradients, a LAPACK 2x2 solve, scalar
-    bisection and the projected-gradient cone test."""
+    stages: point values (from the conftest reference evaluator, which
+    shares no arithmetic with the batched oracle), Wolfe subgradients, a
+    LAPACK 2x2 solve, scalar bisection and the projected-gradient cone
+    test."""
 
     def value(self, f, p):
-        return f._value(p)
+        return reference_value(f, p)
 
     def subgradient(self, f, y):
         return min_norm_point(subdifferential(f, y)).point
@@ -302,15 +304,23 @@ def test_distances_lockstep_kink_problem():
 def test_distances_exp_overflow_is_typed():
     # problem 46 of a seed-7 sweep, 2-D, with row 4 moved ten times farther
     # from s: f is finite there, but a two-plane Newton candidate of the
-    # pull lands where exp overflows
+    # pull lands where exp overflows; that candidate is rejected, so the
+    # row still gets a closed, finite bracket
     rng = np.random.default_rng(7)
     for _ in range(46):
         m = int(rng.integers(1, 4))
         f, s, xs = _slater_problem(rng, m, 10)
     x = s + 10.0 * (xs[4] - s)
     assert m == 2 and x == pytest.approx([-3.430, 16.203], abs=1e-3)
+    rows, x1, z, ub = _bounds(f, x[None], s)
+    lb, ub = _refine(f, x1, z, ub, s)
+    assert rows.size == 1 and np.all(np.isfinite(ub))
+    assert ub[0] - lb[0] <= BRACKET_RTOL * ub[0]
+    assert ub[0] == pytest.approx(14.69883911, abs=1e-8)
+    assert _distances(f, x[None], s)[0] == ub[0]
+    # where f itself overflows, the error stays typed
     with pytest.raises(NumericalOverflow):
-        _distances(f, x[None], s)
+        _distances(f, np.array([[-3.43, 800.0]]), s)
 
 
 def _brute_force_distance(f, x, radius, rng, n=20000):

@@ -16,6 +16,7 @@ from ebstab.expressions import (
     Affine,
     ComposeAffine,
     Const,
+    ConvexExpr,
     EuclidNorm,
     Exp1D,
     Max,
@@ -28,7 +29,7 @@ from ebstab.expressions import (
 )
 from ebstab.geometry import support
 
-from conftest import random_expr, random_point, random_unit
+from conftest import random_expr, random_point, random_unit, reference_value
 
 
 def test_eval_exp_shift_at_zero():
@@ -260,22 +261,43 @@ def test_batch_dd_matches_scalar(rng):
 
 
 def test_batch_value_matches_scalar():
-    # the scalar oracle's BLAS dot products fuse multiply-adds and exp
-    # scales a last-bit difference in its argument by |argument|, so the
-    # two oracles agree to rounding at the scale of f, not bitwise
+    # the batched oracle against the conftest reference, which sums exactly
+    # (math.fsum) and shares no arithmetic with it; exp scales a last-bit
+    # difference in its argument by |argument|, so the two agree to
+    # rounding at the scale of f, not bitwise
     rng = np.random.default_rng(15)
     for _ in range(200):
         m = int(rng.integers(1, 5))
         f = random_expr(rng, m, depth=3)
         xs = rng.normal(size=(32, m)) * 1.5
         batch = f._value_batch(xs)
-        want = np.array([f._value(x) for x in xs])
+        want = np.array([reference_value(f, x) for x in xs])
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.all(np.abs(batch - want) <= 1e-14 * scale)
         # a row's value does not depend on the other rows of the batch
         for i in rng.permutation(32)[:4]:
             assert f._value_batch(xs[i:i + 1])[0] == batch[i]
+            assert f._value(xs[i]) == batch[i]
         assert np.array_equal(f._value_batch(xs[::3]), batch[::3])
+
+
+def test_nodes_define_only_the_batched_oracles():
+    # every node type computes a value or a derivative one way only: the
+    # point oracles _value and _dd are the base class's one-row views
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    nodes = list(subclasses(ConvexExpr))
+    assert len(nodes) >= 9
+    for cls in nodes:
+        for name in ("_value", "_dd"):
+            assert name not in vars(cls), f"{cls.__name__} defines {name}"
+        for name in ("_value_batch", "_dd_batch", "_subdiff", "_grad_batch",
+                     "_text"):
+            assert name in vars(cls), f"{cls.__name__} lacks {name}"
+    assert not hasattr(Exp1D, "_exp")
 
 
 def test_immutability_and_equality():

@@ -237,7 +237,6 @@ def make_interval_family(grid_count=9):
     return IntervalFamily(
         0.0, 1.0, grid_count,
         lambda t: Affine([t, 1.0 - t], -1.0),
-        param_lipschitz=8.0,
     )
 
 
@@ -260,9 +259,10 @@ def test_interval_refinement_bound():
     coarse = make_interval_family(grid_count=8)
     fine = make_interval_family(grid_count=16)
     spacing = 1.0 / 7
+    lipschitz = 8.0     # bounds |d f_t(x) / dt| = |x1 - x2| at both points
     for x in ([2.0, 0.5], [0.1, -0.4]):
         diff = abs(sup_value(coarse, x) - sup_value(fine, x))
-        assert diff <= coarse.param_lipschitz * spacing
+        assert diff <= lipschitz * spacing
 
 
 def test_interval_system_subdifferential():
