@@ -23,7 +23,7 @@ from .errors import (
     UndeterminedInradius,
 )
 from .moduli import classify_global_stability, classify_local_stability, eta_global, eta_local
-from .problems import parse_problem
+from .problems import parse_box, parse_problem
 from .reports import emit_report, make_envelope
 from .scenarios import SCENARIO_NAMES, reproduce
 from .sphere import beta
@@ -36,22 +36,6 @@ def _parse_vec(text: str) -> np.ndarray:
         return np.array([float(p) for p in body.replace(",", " ").split()])
     except ValueError:
         raise ParseError(f"bad vector '{text}'") from None
-
-
-def _parse_box(text: str):
-    los, his = [], []
-    for part in text.replace(",", " ").split():
-        if ".." not in part:
-            raise ParseError(f"box axis must be lo..hi, got '{part}'")
-        lo_s, hi_s = part.split("..", 1)
-        try:
-            los.append(float(lo_s))
-            his.append(float(hi_s))
-        except ValueError:
-            raise ParseError(f"bad box range '{part}'") from None
-    if not los:
-        raise ParseError("empty box argument")
-    return np.array(los), np.array(his)
 
 
 def _load_problem(path: str):
@@ -72,11 +56,10 @@ def _point_for(args, problem) -> np.ndarray:
 
 
 def _box_for(args, problem):
-    if getattr(args, "box", None) is not None:
-        return _parse_box(args.box)
-    if problem.box is not None:
-        return problem.box
-    raise ParseError("no box: pass --box or declare 'box' in the problem file")
+    """--box, else the problem file's box, else None."""
+    if args.box is not None:
+        return parse_box(args.box)
+    return problem.box
 
 
 def _cmd_analyze_local(args) -> int:
@@ -103,6 +86,8 @@ def _cmd_analyze_global(args) -> int:
     if tau is None:
         raise ParseError("no tau: pass --tau or declare 'tau' in the file")
     box = _box_for(args, problem)
+    if box is None:
+        raise ParseError("no box: pass --box or declare 'box' in the file")
     modulus = eta_global(f, box, args.samples, seed=args.seed,
                          slater=problem.slater)
     verdict = classify_global_stability(f, tau, box, args.samples,
@@ -120,14 +105,9 @@ def _cmd_perturb(args) -> int:
     x = _point_for(args, problem)
     direction = _parse_vec(args.dir)
     eps_list = [float(p) for p in args.eps.replace(",", " ").split()]
-    box = None
-    if args.box is not None:
-        box = _parse_box(args.box)
-    elif problem.box is not None:
-        box = problem.box
     result = run_perturbation_sweep(
-        problem, x, [direction], eps_list, box=box, seed=args.seed,
-        levels=args.levels, samples_per_level=args.samples,
+        problem, x, [direction], eps_list, box=_box_for(args, problem),
+        seed=args.seed, levels=args.levels, samples_per_level=args.samples,
     )
     envelope = make_envelope("perturb", problem.name, args.seed, result)
     sys.stdout.write(emit_report(envelope, args.format))

@@ -26,6 +26,7 @@ FEAS_TOL = 1e-10
 BOUNDARY_VALUE_TOL = 1e-9
 BRACKET_RTOL = 1e-9      # a distance bracket closes at ub - lb <= this * ub
 BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
+QC_BLOCK = 32            # feasible samples per nearest-boundary block
 
 
 @dataclass
@@ -731,7 +732,7 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     vals = f._value_batch(pts)
     infeasible = vals > 0.0
     infeas, infeas_vals = pts[infeasible], vals[infeasible]
-    notes = f"estimates are relative to the sampled box"
+    notes = "estimates are relative to the sampled box"
     if infeas.shape[0] == 0:
         return ModulusReport(
             kind="global",
@@ -776,53 +777,63 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
 
 def check_condition_3_9(f: ConvexExpr, tau: float,
                         boundary: BoundarySample) -> Condition39Result:
-    """Infimum of |beta| over sampled boundary points against the threshold."""
+    """Infimum of |beta| over sampled boundary points against the threshold.
+
+    beta = -d(0, df(p)) wherever 0 is not in df(p), as at every zero of a
+    convex f with a Slater point, so one batched ``_subdiff_dists`` call
+    gives |beta|; only points at distance <= ZERO_TOL, where 0 may lie in
+    df(p) (beta zero, or an interior inradius), take the scalar ``beta``.
+    worst_point is the first point that attains the infimum.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if boundary.points.shape[0] == 0:
         raise ValueError("boundary sample must be nonempty")
-    worst_val = math.inf
-    worst_pt = boundary.points[0]
-    for p in boundary.points:
-        b = abs(beta(f, p).beta)
-        if b < worst_val:
-            worst_val, worst_pt = b, p
+    abs_beta = _subdiff_dists(f, boundary.points)
+    for i in np.flatnonzero(abs_beta <= ZERO_TOL):
+        abs_beta[i] = abs(beta(f, boundary.points[i]).beta)
+    worst = int(np.argmin(abs_beta))
     return Condition39Result(
-        holds=worst_val > tau,
-        inf_abs_beta=worst_val,
-        worst_point=worst_pt,
+        holds=bool(abs_beta[worst] > tau),
+        inf_abs_beta=float(abs_beta[worst]),
+        worst_point=boundary.points[worst],
         tau=tau,
     )
 
 
-def qc_witness_search(f: ConvexExpr, tau: float, box, n: int, seed: int = 0,
+def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
+                      box, n: int, seed: int = 0,
                       flag_threshold: float = 0.1) -> list[QCWitness]:
     """Hunt for qualification-condition violations: strictly feasible points
-    whose relative slope to the nearest sampled boundary point vanishes
-    while |beta| stays below tau."""
+    whose relative slope to the nearest point of the given boundary sample
+    vanishes while |beta| stays below tau.
+
+    Of n points drawn from the box, the feasible ones find their nearest
+    boundary point QC_BLOCK rows at a time, so memory grows with the block,
+    not with the product of the sample sizes; only those whose slope passes
+    the flag_threshold * tau filter compute beta.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     lo, hi = _as_box(box, f.dim)
-    boundary = boundary_sample(f, box, max(16, n // 8), seed + 1)
-    boundary_vals = f._value_batch(boundary.points)
+    B = boundary.points
+    boundary_vals = f._value_batch(B)
     pts = box_points(lo, hi, n, seed)
     vals = f._value_batch(pts)
-    feasible = vals < 0.0
+    Z, fz = pts[vals < 0.0], vals[vals < 0.0]
+    near = np.zeros(Z.shape[0], dtype=int)
+    for k in range(0, Z.shape[0], QC_BLOCK):
+        near[k:k + QC_BLOCK] = np.argmin(
+            np.linalg.norm(Z[k:k + QC_BLOCK, None] - B, axis=2), axis=1)
+    dist = np.linalg.norm(Z - B[near], axis=1)
+    apart = dist >= 1e-12
+    ratio = (fz - boundary_vals[near]) / np.where(apart, dist, 1.0)
     witnesses = []
-    for z, fz in zip(pts[feasible], vals[feasible]):
-        diffs = boundary.points - z
-        dists = np.linalg.norm(diffs, axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] < 1e-12:
-            continue
-        xb = boundary.points[j]
-        ratio = (fz - boundary_vals[j]) / float(dists[j])
-        if abs(ratio) >= flag_threshold * tau:
-            continue
-        bz = beta(f, z).beta
+    for i in np.flatnonzero(apart & (np.abs(ratio) < flag_threshold * tau)):
+        bz = beta(f, Z[i]).beta
         if abs(bz) <= tau:
-            witnesses.append(QCWitness(z=z, x=xb, ratio=float(ratio),
-                                       beta_z=float(bz)))
+            witnesses.append(QCWitness(z=Z[i], x=B[near[i]],
+                                       ratio=float(ratio[i]), beta_z=float(bz)))
     witnesses.sort(key=lambda w: abs(w.ratio))
     return witnesses
 
@@ -872,39 +883,30 @@ def classify_global_stability(f: ConvexExpr, tau: float, box, n: int,
                               margin: float = 0.05) -> StabilityVerdict:
     """Global stability verdict over a sampling box.
 
-    Stable requires the boundary infimum of |beta| to clear tau with margin
-    and the witness search to come back empty; a witness or an infimum
-    below tau with margin is unstable; the band in between is undetermined.
+    One boundary sample of max(16, n // 8) points serves condition (3.9)
+    and the witness search.  Stable requires the boundary infimum of |beta|
+    to clear tau with margin and the witness search to come back empty; a
+    witness or an infimum below tau with margin is unstable; the band in
+    between is undetermined.
     """
     lo, hi = _as_box(box, f.dim)
     boundary = boundary_sample(f, box, max(16, n // 8), seed)
     cond = check_condition_3_9(f, tau, boundary)
-    witnesses = qc_witness_search(f, tau, box, n, seed)
-    notes = (
-        f"verdict is relative to the sampled box; boundary inf |beta| = "
-        f"{cond.inf_abs_beta:.6g} vs tau = {tau:g}"
-    )
+    witnesses = qc_witness_search(f, tau, boundary, box, n, seed)
+    inf_beta, extra = cond.inf_abs_beta, {}
     if witnesses:
-        return StabilityVerdict(
-            scope="global", verdict="unstable", beta_inf=cond.inf_abs_beta,
-            qc_witnesses=witnesses, tau=tau, box=(lo, hi),
-            notes=notes + "; qualification condition fails at the witnesses",
-        )
-    if cond.inf_abs_beta <= tau * (1.0 - margin):
-        wcert = beta(f, cond.worst_point)
-        return StabilityVerdict(
-            scope="global", verdict="unstable", beta_inf=cond.inf_abs_beta,
-            perturbation_direction=np.asarray(wcert.witness),
-            tau=tau, box=(lo, hi),
-            notes=notes + "; boundary point with |beta| below tau",
-        )
-    if cond.inf_abs_beta > tau * (1.0 + margin):
-        return StabilityVerdict(
-            scope="global", verdict="stable", beta_inf=cond.inf_abs_beta,
-            tau=tau, box=(lo, hi), notes=notes,
-        )
+        verdict, why = "unstable", "; qualification condition fails at the witnesses"
+        extra["qc_witnesses"] = witnesses
+    elif inf_beta <= tau * (1.0 - margin):
+        verdict, why = "unstable", "; boundary point with |beta| below tau"
+        extra["perturbation_direction"] = np.asarray(
+            beta(f, cond.worst_point).witness)
+    elif inf_beta > tau * (1.0 + margin):
+        verdict, why = "stable", ""
+    else:
+        verdict, why = "undetermined", f"; within the {margin:.0%} decision margin"
     return StabilityVerdict(
-        scope="global", verdict="undetermined", beta_inf=cond.inf_abs_beta,
-        tau=tau, box=(lo, hi),
-        notes=notes + f"; within the {margin:.0%} decision margin",
-    )
+        scope="global", verdict=verdict, beta_inf=inf_beta, tau=tau,
+        box=(lo, hi), notes=(f"verdict is relative to the sampled box; boundary "
+                             f"inf |beta| = {inf_beta:.6g} vs tau = {tau:g}{why}"),
+        **extra)

@@ -321,20 +321,8 @@ def parse_problem(text: str) -> ProblemFile:
         elif key == "point":
             point = _parse_vector(ts, False)(None)
         elif key == "box":
-            los, his = [], []
-            while not ts.done():
-                tok = ts.pop()
-                if ".." not in tok.text:
-                    raise ParseError(f"box axis must be lo..hi, got '{tok.text}'",
-                                     tok.line, tok.col)
-                lo_s, hi_s = tok.text.split("..", 1)
-                try:
-                    los.append(float(lo_s))
-                    his.append(float(hi_s))
-                except ValueError:
-                    raise ParseError(f"bad box range '{tok.text}'",
-                                     tok.line, tok.col) from None
-            box = (np.array(los), np.array(his))
+            box = parse_box(ts.tokens[ts.pos:], line_no)
+            ts.pos = len(ts.tokens)
         elif key == "tau":
             tau = _scalar_rule(ts.pop(), False)(None)
             if tau <= 0:
@@ -355,6 +343,32 @@ def parse_problem(text: str) -> ProblemFile:
                           slater=slater, point=point, box=box, tau=tau)
     _validate_problem(problem)
     return problem
+
+
+def parse_box(tokens, line_no: int = 0) -> tuple:
+    """The box (lo, hi) from lo..hi ranges, one per axis, separated by
+    spaces or commas.  tokens are the rest of a problem file's box line,
+    or a --box argument as one string; errors carry the line and column of
+    the bad range in a file, and no location for an argument (line 0)."""
+    if isinstance(tokens, str):
+        tokens = _tokenize(tokens, 0)
+    los, his = [], []
+    for tok in tokens:
+        if tok.text == ",":
+            continue
+        if ".." not in tok.text:
+            raise ParseError(f"box axis must be lo..hi, got '{tok.text}'",
+                             tok.line, tok.col)
+        lo_s, hi_s = tok.text.split("..", 1)
+        try:
+            los.append(float(lo_s))
+            his.append(float(hi_s))
+        except ValueError:
+            raise ParseError(f"bad box range '{tok.text}'",
+                             tok.line, tok.col) from None
+    if not los:
+        raise ParseError("empty box argument", line_no, 1)
+    return np.array(los), np.array(his)
 
 
 def _parse_family(ts: _Stream, dim: int, line_no: int) -> IndexedFamily:

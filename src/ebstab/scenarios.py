@@ -24,6 +24,7 @@ from .expressions import (
     evaluate,
 )
 from .moduli import (
+    boundary_sample,
     classify_local_stability,
     distance_to_solution_set,
     eta_global,
@@ -110,8 +111,9 @@ def _rem8(report: ScenarioReport, seed: int) -> None:
             f"perturbed ratio at x={x_far:g} (eps={eps}) >= 1/(2 eps)",
             ratio >= bound, ratio, bound,
         )
-    witnesses = qc_witness_search(f, 0.5, (np.array([-50.0]), np.array([2.0])),
-                                  n=400, seed=seed)
+    box = (np.array([-50.0]), np.array([2.0]))
+    witnesses = qc_witness_search(f, 0.5, boundary_sample(f, box, 50, seed + 1),
+                                  box, n=400, seed=seed)
     report.add("qualification-condition witnesses over [-50, 2]",
                len(witnesses) >= 1, len(witnesses), ">= 1")
 

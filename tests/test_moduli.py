@@ -17,6 +17,7 @@ from ebstab.expressions import (
     AbsCoord,
     Affine,
     Const,
+    EuclidNorm,
     Exp1D,
     Max,
     PosPartSquare,
@@ -24,6 +25,9 @@ from ebstab.expressions import (
     evaluate,
 )
 from ebstab.moduli import (
+    QC_BLOCK,
+    BoundarySample,
+    QCWitness,
     _bisect_to_boundary,
     _distances,
     boundary_sample,
@@ -36,7 +40,8 @@ from ebstab.moduli import (
     find_slater_point,
     qc_witness_search,
 )
-from ebstab.sphere import linear_perturbation
+from ebstab.sampling import box_points
+from ebstab.sphere import beta, linear_perturbation
 
 from conftest import random_expr
 
@@ -324,8 +329,6 @@ def test_condition_3_9_exp():
 def test_condition_3_9_pospartsquare_fails():
     # the feasible region of (x+)^2 has empty interior, so the boundary
     # sample {0} is supplied directly
-    from ebstab.moduli import BoundarySample
-
     f = PosPartSquare(0, 1)
     bs = BoundarySample(points=np.array([[0.0]]), value_tol=1e-9)
     res = check_condition_3_9(f, 0.5, bs)
@@ -342,9 +345,41 @@ def test_condition_3_9_affine(rng):
     assert res.inf_abs_beta == pytest.approx(float(np.linalg.norm(a)), abs=1e-9)
 
 
+EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
+BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+@settings(max_examples=30)
+def test_condition_3_9_matches_scalar_beta(seed, m):
+    # with a Slater point the origin lies outside df at every zero of f,
+    # so the batched distances give |beta| at every boundary point
+    rng = np.random.default_rng(seed)
+    f, s, _ = _slater_problem(rng, m, 0)
+    box = (s - 4.0, s + 4.0)
+    try:
+        bs = boundary_sample(f, box, 24, seed=1)
+    except NoSignChangeInBox:
+        return
+    want = np.array([abs(beta(f, p).beta) for p in bs.points])
+    res = check_condition_3_9(f, 0.5, bs)
+    assert res.inf_abs_beta == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+    k = int(np.flatnonzero(np.all(bs.points == res.worst_point, axis=1))[0])
+    assert want[k] == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+
+
+def test_condition_3_9_interior_point_takes_scalar_beta():
+    # ||x|| at the origin: df is the unit ball, whose distance to the
+    # origin is 0 while beta is its inradius, +1
+    bs = BoundarySample(points=np.zeros((1, 2)), value_tol=1e-9)
+    res = check_condition_3_9(EuclidNorm(2), 0.5, bs)
+    assert res.inf_abs_beta == 1.0
+    assert res.holds
+
+
 def test_qc_witness_exp_tail():
-    witnesses = qc_witness_search(EXP, 0.5, (np.array([-50.0]), np.array([2.0])),
-                                  400, seed=0)
+    witnesses = qc_witness_search(EXP, 0.5, boundary_sample(EXP, EXP_TAIL, 50, 1),
+                                  EXP_TAIL, 400, seed=0)
     assert len(witnesses) >= 1
     w = witnesses[0]
     assert abs(w.ratio) < 0.05
@@ -356,14 +391,82 @@ def test_qc_witness_affine_none(rng):
     a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
     tau = float(np.linalg.norm(a)) / 2
-    assert qc_witness_search(f, tau, (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
+    assert qc_witness_search(f, tau, boundary_sample(f, BOX2, 37, 1), BOX2,
                              300, seed=0) == []
 
 
 def test_qc_witness_linf_ball_none():
-    assert qc_witness_search(linf_ball_fn(), 0.5,
-                             (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
+    f = linf_ball_fn()
+    assert qc_witness_search(f, 0.5, boundary_sample(f, BOX2, 37, 1), BOX2,
                              300, seed=0) == []
+
+
+def _qc_reference(f, tau, boundary, box, n, seed, flag_threshold=0.1):
+    """The witness search one feasible sample at a time: each finds its
+    nearest boundary point by a full scan and, if its slope passes the
+    filter, computes beta."""
+    boundary_vals = f._value_batch(boundary.points)
+    pts = box_points(box[0], box[1], n, seed)
+    vals = f._value_batch(pts)
+    feasible = vals < 0.0
+    witnesses = []
+    for z, fz in zip(pts[feasible], vals[feasible]):
+        dists = np.linalg.norm(boundary.points - z, axis=1)
+        j = int(np.argmin(dists))
+        if dists[j] < 1e-12:
+            continue
+        ratio = (fz - boundary_vals[j]) / float(dists[j])
+        if abs(ratio) >= flag_threshold * tau:
+            continue
+        bz = beta(f, z).beta
+        if abs(bz) <= tau:
+            witnesses.append(QCWitness(z=z, x=boundary.points[j],
+                                       ratio=float(ratio), beta_z=float(bz)))
+    witnesses.sort(key=lambda w: abs(w.ratio))
+    return witnesses
+
+
+def _same_witnesses(f, tau, boundary, box, n, seed, flag_threshold=0.1):
+    got = qc_witness_search(f, tau, boundary, box, n, seed, flag_threshold)
+    want = _qc_reference(f, tau, boundary, box, n, seed, flag_threshold)
+    assert [w.payload() for w in got] == [w.payload() for w in want]
+    return got
+
+
+def test_qc_search_matches_reference_on_exp_tail():
+    # over 300 feasible samples, so the nearest-point scan takes many blocks
+    assert (box_points(*EXP_TAIL, 400, 0) < 0.0).sum() > QC_BLOCK
+    witnesses = _same_witnesses(EXP, 0.5, boundary_sample(EXP, EXP_TAIL, 50, 1),
+                                EXP_TAIL, 400, 0)
+    assert len(witnesses) >= 1
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       n=st.sampled_from([40, 700]), tau=st.floats(0.05, 3.0))
+@settings(max_examples=25)
+def test_qc_search_matches_reference_on_random_boxes(seed, m, n, tau):
+    rng = np.random.default_rng(seed)
+    f, s, _ = _slater_problem(rng, m, 0)
+    box = (s - rng.uniform(0.5, 4.0, size=m), s + rng.uniform(0.5, 4.0, size=m))
+    try:
+        boundary = boundary_sample(f, box, int(rng.integers(1, 60)), 1)
+    except NoSignChangeInBox:
+        return
+    _same_witnesses(f, tau, boundary, box, n, seed % 1000, flag_threshold=0.5)
+
+
+def test_global_verdict_draws_one_boundary_sample(monkeypatch):
+    import ebstab.moduli as moduli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return boundary_sample(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "boundary_sample", counted)
+    classify_global_stability(EXP, 0.5, EXP_TAIL, 400, seed=0)
+    assert len(calls) == 1
 
 
 def test_local_stability_exp_stable():
@@ -390,8 +493,7 @@ def test_local_stability_precondition():
 
 
 def test_global_stability_exp_unstable_with_witnesses():
-    v = classify_global_stability(EXP, 0.5, (np.array([-50.0]), np.array([2.0])),
-                                  400, seed=0)
+    v = classify_global_stability(EXP, 0.5, EXP_TAIL, 400, seed=0)
     assert v.verdict == "unstable"
     assert len(v.qc_witnesses) >= 1
 

@@ -67,6 +67,25 @@ def test_parse_dimension_mismatch_rejected():
         parse_problem("dim 2\nexpr (affine [1.0] 0.0)\n")
 
 
+@pytest.mark.parametrize("line, col, message", [
+    ("box -3..3 oops", 11, "box axis must be lo..hi, got 'oops'"),
+    ("box -3..x, -3..3", 5, "bad box range '-3..x'"),
+    ("box", 1, "empty box argument"),
+])
+def test_parse_malformed_box_has_location(line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(f"dim 2\nexpr (norm)\n{line}\n")
+    assert (exc.value.line, exc.value.col) == (3, col)
+    assert str(exc.value) == f"line 3, col {col}: {message}"
+
+
+def test_parse_box_commas_optional():
+    a = parse_problem("dim 2\nexpr (norm)\nbox -3..3, -2..1\n").box
+    b = parse_problem("dim 2\nexpr (norm)\nbox -3..3 -2..1\n").box
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert a[1].tolist() == [3.0, 1.0]
+
+
 def test_parse_missing_dim_rejected():
     with pytest.raises(ParseError):
         parse_problem("expr (norm)\n")

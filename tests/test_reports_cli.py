@@ -192,6 +192,15 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze-local", str(bad), "--at", "0,0"]) == 3
 
 
+@pytest.mark.parametrize("box", ["-3..3,oops", "-3..x -3..3", ","])
+def test_cli_malformed_box_exit_code(ball_file, box, capsys):
+    for command in (["analyze-global", ball_file],
+                    ["perturb", ball_file, "--eps", "0.1", "--dir", "0,1"]):
+        assert main([*command, f"--box={box}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "line" not in err
+
+
 def test_cli_missing_file_exit_code(capsys):
     assert main(["analyze-local", "/nonexistent/x.eb", "--at", "0"]) == 3
 
