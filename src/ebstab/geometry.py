@@ -4,7 +4,9 @@ A subdifferential is represented exactly as ``conv(G) + r * B``: the convex
 hull of finitely many generator vectors, fattened by a Euclidean ball of
 radius ``r``.  All operations here (support function, minimum-norm point,
 origin classification, signed distance from the origin to the set boundary)
-are exact up to floating point for this representation.
+are exact up to floating point for this representation.  One active-set
+solver, Lawson and Hanson's NNLS, finds every minimum-norm point here and
+the cutting-plane projections of ``moduli``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .errors import MinNormNonConvergence, UndeterminedInradius
 _DEDUPE_TOL = 1e-12
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
-MIN_NORM_TOL = 1e-10       # Wolfe tolerance; a shorter min-norm point is the origin
+MIN_NORM_TOL = 1e-10       # absolute: a shorter min-norm point is the origin
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
 _ENUM_CAP = 200_000        # max facet subsets enumerated; above it, undetermined
+REFINE_STEPS = 100         # pattern-search rounds of _refine_direction_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +106,14 @@ def support_batch(s: SubdiffSet, hs: np.ndarray) -> np.ndarray:
     return vals + s.ball_radius * np.linalg.norm(hs, axis=1)
 
 
-def dedupe_rows(g: np.ndarray, tol: float = _DEDUPE_TOL) -> np.ndarray:
-    """Drop rows that coincide with an earlier row up to tol (keeps order)."""
+def dedupe_rows(g: np.ndarray) -> np.ndarray:
+    """Drop rows that coincide with an earlier row up to _DEDUPE_TOL (keeps
+    order)."""
     keep = []
     for i in range(g.shape[0]):
         dup = False
         for j in keep:
-            if np.max(np.abs(g[i] - g[j])) <= tol:
+            if np.max(np.abs(g[i] - g[j])) <= _DEDUPE_TOL:
                 dup = True
                 break
         if not dup:
@@ -117,98 +121,111 @@ def dedupe_rows(g: np.ndarray, tol: float = _DEDUPE_TOL) -> np.ndarray:
     return g[keep]
 
 
-def _affine_min_norm(p: np.ndarray):
-    """Minimize ||lam @ p|| subject to sum(lam) = 1 (lam unconstrained)."""
-    c = p.shape[0]
-    kkt = np.zeros((c + 1, c + 1))
-    kkt[:c, :c] = p @ p.T
-    kkt[:c, c] = 1.0
-    kkt[c, :c] = 1.0
-    rhs = np.zeros(c + 1)
-    rhs[c] = 1.0
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    lam = sol[:c]
-    return lam, lam @ p
+def _nnls_residual(gens: np.ndarray, target: np.ndarray):
+    """(r, rounds): the residual r = gens.T lam - target at the minimum over
+    lam >= 0 of its norm, which is the distance from target to the cone
+    spanned by the rows of gens, and the rounds taken.
 
-
-def _wolfe_min_norm(g: np.ndarray, tol: float = MIN_NORM_TOL,
-                    max_iter: int = 500):
-    """Wolfe's minimum-norm-point scheme over conv(rows of g).
-
-    Active-set iteration over generator subsets (the corral); each step
-    solves the affine minimum-norm subproblem on the corral and line-searches
-    back into the simplex.  Terminates on the optimality certificate
-    <x, g - x> >= -tol for all generators, or on reaching the origin.
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): free the generator with the largest positive gradient
+    component, solve least squares on the free set, and step back along
+    the segment to the last feasible point whenever a free coefficient
+    turns nonpositive.  Finite, so exact up to rounding; the outer loop is
+    capped at 3k rounds so that rounding cannot make it cycle, and rounds
+    reaches 3k only when the cap cut it short.
     """
-    k = g.shape[0]
-    norms2 = np.einsum("ij,ij->i", g, g)
-    start = int(np.argmin(norms2))
-    corral = [start]
-    lam = np.array([1.0])
-    x = g[start].astype(float).copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        xx = float(x @ x)
-        if xx <= tol * tol:
-            x = np.zeros_like(x)
+    a = gens.T
+    k = gens.shape[0]
+    lam = np.zeros(k)
+    free = np.zeros(k, dtype=bool)
+    fp = np.finfo(float)
+    # rounding noise in the gradient w, which is zero on the free set
+    tol = (10.0 * max(a.shape) * fp.eps * max(1.0, float(np.max(np.abs(a))))
+           * max(1.0, float(np.linalg.norm(target))))
+    for rounds in range(3 * k):
+        w = a.T @ (target - a @ lam)
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
             break
-        dots = g @ x
-        j = int(np.argmin(dots))
-        if xx - dots[j] <= tol * max(1.0, xx):
-            break
-        if j in corral:
-            break  # numerical stall at optimum
-        corral.append(j)
-        lam = np.append(lam, 0.0)
+        free[j] = True
         while True:
-            mu, y = _affine_min_norm(g[corral])
-            if np.all(mu >= -1e-12):
-                lam, x = mu, y
+            z = np.zeros(k)
+            z[free] = np.linalg.lstsq(a[:, free], target, rcond=None)[0]
+            if np.all(z[free] > 0.0):
+                lam = z
                 break
-            drop = mu < -1e-12
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(drop, lam / (lam - mu), np.inf)
-            theta = float(min(1.0, np.min(ratios)))
-            lam = lam + theta * (mu - lam)
-            x = x + theta * (y - x)
-            keep = lam > 1e-12
-            if not np.any(keep):
-                keep[int(np.argmax(lam))] = True
-            corral = [c for c, kp in zip(corral, keep) if kp]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-    xx = float(x @ x)
-    residual = max(0.0, xx - float(np.min(g @ x)))
-    return x, residual, iterations
+            neg = np.flatnonzero(free & (z <= 0.0))
+            ratios = lam[neg] / np.maximum(lam[neg] - z[neg], fp.tiny)
+            hit = int(np.argmin(ratios))
+            lam = lam + ratios[hit] * (z - lam)
+            lam[neg[hit]] = 0.0
+            free &= lam > 0.0
+            lam[~free] = 0.0
+    else:
+        rounds = 3 * k
+    return a @ lam - target, rounds
 
 
-def min_norm_point(s: SubdiffSet, tol: float = MIN_NORM_TOL,
-                   max_iter: int = 500) -> MinNormResult:
+def _min_norm(g: np.ndarray):
+    """(x, g, scale, rounds) for the deduplicated rows of g divided by
+    scale, a power of two above every row norm, so that the reduction
+    neither overflows nor rounds: x times scale is the minimum-norm point
+    of conv(rows of g), the origin when it is no longer than MIN_NORM_TOL,
+    and rounds counts NNLS rounds, 0 for a single generator.
+
+    Two or more generators take one NNLS: minimize
+    ||G^T lam||^2 + (sum(lam) - 1)^2 over lam >= 0; the point is
+    G^T lam / sum(lam).  With lam = t mu, mu in the simplex, and
+    q = ||G^T mu||^2, the minimum over t is at t = 1 / (1 + q), with value
+    q t, increasing in q, so mu is the minimum-norm weight.  Rows of norm
+    at most 1 keep t >= 1/2, where 1 + r[m] = t is exact.
+    """
+    g = dedupe_rows(g)
+    k, m = g.shape
+    # 2^e > max |g| sqrt(m), without forming a product that may overflow
+    mant, e = math.frexp(float(np.max(np.abs(g))))
+    scale = 2.0 ** min(e + math.frexp(mant * math.sqrt(m))[1], 1023)
+    g = g / scale
+    if k == 1:
+        x, rounds = g[0], 0
+    else:
+        target = np.zeros(m + 1)
+        target[m] = 1.0
+        r, rounds = _nnls_residual(np.column_stack([g, np.ones(k)]), target)
+        x = r[:m] / (1.0 + r[m])
+    if float(x @ x) * scale * scale <= MIN_NORM_TOL * MIN_NORM_TOL:
+        x = np.zeros(m)
+    return x, g, scale, rounds
+
+
+def min_norm_point(s: SubdiffSet) -> MinNormResult:
     """Nearest point of conv(G) to the origin, and distance to the full set.
 
-    Raises MinNormNonConvergence when the certificate residual stays above
-    tolerance after the iteration cap.
+    Raises MinNormNonConvergence when the NNLS hits its round cap with the
+    certificate residual above tolerance.
     """
-    g = dedupe_rows(np.asarray(s.generators, dtype=float))
-    x, residual, iterations = _wolfe_min_norm(g, tol=tol, max_iter=max_iter)
+    x, g, scale, rounds = _min_norm(np.asarray(s.generators, dtype=float))
     xx = float(x @ x)
-    if residual > 100.0 * tol * max(1.0, xx) and iterations >= max_iter:
-        raise MinNormNonConvergence(x, residual, iterations)
-    hull_dist = math.sqrt(xx)
+    residual = max(0.0, xx - float(np.min(g @ x))) * scale * scale
+    hull_dist = math.sqrt(xx) * scale
+    point = x * scale
+    if rounds == 3 * g.shape[0] and residual > 100.0 * MIN_NORM_TOL * max(
+            1.0, hull_dist * hull_dist):
+        raise MinNormNonConvergence(point, residual, rounds)
     dist = max(hull_dist - s.ball_radius, 0.0)
-    return MinNormResult(point=x, hull_dist=hull_dist, dist=dist,
-                         residual=residual, iterations=iterations)
+    return MinNormResult(point=point, hull_dist=hull_dist, dist=dist,
+                         residual=residual, iterations=rounds)
 
 
 def hull_distance(point: np.ndarray, g: np.ndarray) -> float:
     """Distance from an arbitrary point to conv(rows of g)."""
-    point = np.asarray(point, dtype=float)
-    shifted = np.asarray(g, dtype=float) - point
-    x, _, _ = _wolfe_min_norm(dedupe_rows(shifted))
-    return float(np.linalg.norm(x))
+    shifted = np.asarray(g, dtype=float) - np.asarray(point, dtype=float)
+    x, _, scale, _ = _min_norm(shifted)
+    return math.sqrt(float(x @ x)) * scale
 
 
-def _hull_facets(g: np.ndarray, tol: float = _FACET_TOL):
+def _hull_facets(g: np.ndarray):
     """Supporting facets (unit normal n, offset d with <n, gen> <= d) of a
     full-dimensional conv(g).  Enumerates hyperplanes through m-subsets."""
     k, m = g.shape
@@ -228,19 +245,19 @@ def _hull_facets(g: np.ndarray, tol: float = _FACET_TOL):
         d = float(n @ p[0])
         vals = g @ n
         scale = max(1.0, float(np.abs(vals).max()))
-        if np.all(vals <= d + tol * scale):
+        if np.all(vals <= d + _FACET_TOL * scale):
             facets.append((n, d))
-        elif np.all(vals >= d - tol * scale):
+        elif np.all(vals >= d - _FACET_TOL * scale):
             facets.append((-n, -d))
     return facets
 
 
-def _refine_direction_min(fun, h, val, steps: int = 100):
-    """Pattern search on the unit sphere: try +/- coordinate nudges,
-    halving the step when nothing improves."""
+def _refine_direction_min(fun, h, val):
+    """Pattern search on the unit sphere for REFINE_STEPS rounds: try +/-
+    coordinate nudges, halving the step when nothing improves."""
     m = h.shape[0]
     delta = 0.1
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         improved = False
         for i in range(m):
             for sign in (1.0, -1.0):

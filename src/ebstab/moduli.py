@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
                      PreconditionError)
 from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
-from .geometry import MIN_NORM_TOL, dedupe_rows, min_norm_point
+from .geometry import MIN_NORM_TOL, _nnls_residual, dedupe_rows, min_norm_point
 from .sampling import ball_points, box_points
 from .sphere import ZERO_TOL, BetaCertificate, beta
 
@@ -27,6 +27,10 @@ BOUNDARY_VALUE_TOL = 1e-9
 BRACKET_RTOL = 1e-9      # a distance bracket closes at ub - lb <= this * ub
 BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
 QC_BLOCK = 32            # feasible samples per nearest-boundary block
+SEARCH_RTOL = 1e-15      # boundary search stops at this * (1 + segment length)
+SLATER_SAMPLES = 1024    # box points scanned for a Slater point
+LOCAL_RADIUS = 1.0       # radius of eta_local's first (largest) ball
+DECISION_MARGIN = 0.05   # relative band around tau with no global verdict
 
 
 @dataclass
@@ -170,10 +174,11 @@ def _as_box(box, dim: int):
     return lo, hi
 
 
-def find_slater_point(f: ConvexExpr, box, n: int = 1024, seed: int = 0) -> np.ndarray:
-    """Scan the box for the most strictly feasible point (f < 0)."""
+def find_slater_point(f: ConvexExpr, box, seed: int = 0) -> np.ndarray:
+    """Scan SLATER_SAMPLES box points for the most strictly feasible one
+    (f < 0)."""
     lo, hi = _as_box(box, f.dim)
-    pts = box_points(lo, hi, n, seed)
+    pts = box_points(lo, hi, SLATER_SAMPLES, seed)
     vals = f._value_batch(pts)
     best = int(np.argmin(vals))
     if vals[best] >= 0.0:
@@ -188,8 +193,7 @@ def _strictly_feasible(f: ConvexExpr, slater) -> np.ndarray:
     return s
 
 
-def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
-                        rel_width: float = 1e-15):
+def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     """Zero crossings on k segments, each from an infeasible point a (row
     of pos_pts) to a feasible one b (row of neg_pts), found in lock-step
     by a convex bracketing search.  The name is kept from the bisection it
@@ -211,7 +215,7 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
 
     The ends are evaluated once, in one batch.  Row i runs at most
     max_iter[i] rounds (a scalar applies to every row) and stops once
-    its bracket is no wider than rel_width times one plus its initial
+    its bracket is no wider than SEARCH_RTOL times one plus its initial
     length.  Returns (points, steps): each point is the bracket's
     evaluated feasible end, so its bracket is never wider than that of
     bisection with as many steps; steps is the total number of point
@@ -223,7 +227,7 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter,
     b = np.asarray(neg_pts, dtype=float)
     left = np.broadcast_to(np.asarray(max_iter, dtype=int), a.shape[:1]).copy()
     span = np.linalg.norm(b - a, axis=1)
-    tol = rel_width * (1.0 + span)
+    tol = SEARCH_RTOL * (1.0 + span)
     out = b.copy()
     rows = np.flatnonzero(left > 0)
     if not rows.size:
@@ -489,7 +493,7 @@ def _project(cuts: list, scale: float) -> np.ndarray:
     a = a[a[:, -1] >= -2.0]
     target = np.zeros(a.shape[1])
     target[-1] = 1.0
-    r = _nnls_residual(a, target)
+    r, _ = _nnls_residual(a, target)
     return -scale * r[:-1] / r[-1]
 
 
@@ -557,49 +561,6 @@ def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
         return np.concatenate([_values_or_inf(f, x[None]) for x in X])
 
 
-def _nnls_residual(gens: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Residual vector gens.T lam - target at the minimum over lam >= 0 of
-    its norm, which is the distance from target to the cone spanned by the
-    rows of gens.
-
-    Lawson and Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23): free the generator with the largest positive gradient
-    component, solve least squares on the free set, and step back along
-    the segment to the last feasible point whenever a free coefficient
-    turns nonpositive.  Finite, so exact up to rounding; the outer loop is
-    capped at 3k rounds so that rounding cannot make it cycle.
-    """
-    a = gens.T
-    k = gens.shape[0]
-    lam = np.zeros(k)
-    free = np.zeros(k, dtype=bool)
-    fp = np.finfo(float)
-    # rounding noise in the gradient w, which is zero on the free set
-    tol = (10.0 * max(a.shape) * fp.eps * max(1.0, float(np.max(np.abs(a))))
-           * max(1.0, float(np.linalg.norm(target))))
-    for _ in range(3 * k):
-        w = a.T @ (target - a @ lam)
-        w[free] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            break
-        free[j] = True
-        while True:
-            z = np.zeros(k)
-            z[free] = np.linalg.lstsq(a[:, free], target, rcond=None)[0]
-            if np.all(z[free] > 0.0):
-                lam = z
-                break
-            neg = np.flatnonzero(free & (z <= 0.0))
-            ratios = lam[neg] / np.maximum(lam[neg] - z[neg], fp.tiny)
-            hit = int(np.argmin(ratios))
-            lam = lam + ratios[hit] * (z - lam)
-            lam[neg[hit]] = 0.0
-            free &= lam > 0.0
-            lam[~free] = 0.0
-    return a @ lam - target
-
-
 def boundary_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoundarySample:
     """n points on the boundary of the solution set via a boundary search
     on segments between sampled infeasible and strictly feasible points."""
@@ -627,10 +588,10 @@ def _gradient_screen(f: ConvexExpr, P: np.ndarray):
     differentiable, and the rows that need the scalar path.
 
     There the subdifferential is the gradient alone, its own minimum-norm
-    point (the origin at or below min_norm_point's tolerance, as Wolfe
-    reports it).  Rows the gradient oracle marks as kinks, rows with a
-    non-finite gradient and rows whose norm sits at that tolerance are
-    returned by index for the scalar subdifferential and Wolfe, with their
+    point (the origin at or below MIN_NORM_TOL, as min_norm_point reports
+    it).  Rows the gradient oracle marks as kinks, rows with a non-finite
+    gradient and rows whose norm sits at that tolerance are returned by
+    index for the scalar subdifferential and min_norm_point, with their
     exact geometry and their errors.  Each row depends on that row alone.
     """
     G, kink = f._grad_batch(P)
@@ -651,15 +612,15 @@ def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
 
 
 def eta_local(f: ConvexExpr, xbar, levels: int = 8,
-              samples_per_level: int = 256, seed: int = 0,
-              delta0: float = 1.0) -> ModulusReport:
+              samples_per_level: int = 256, seed: int = 0) -> ModulusReport:
     """liminf estimate of d(0, subdifferential) over infeasible points
-    approaching xbar, via geometrically shrinking sampling balls.
+    approaching xbar, via sampling balls of radius LOCAL_RADIUS halved at
+    each level.
 
     Each level screens its samples with one batched value call and takes
     all their distances in one batched gradient pass; only samples on a
     kink of f (where it may not be differentiable) build a subdifferential
-    and run Wolfe's minimum-norm scheme.
+    and take its minimum-norm point.
     """
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
@@ -671,7 +632,7 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
     def run(sample_count, seed_base):
         recs = []
         for k in range(levels):
-            radius = delta0 * 2.0 ** (-k)
+            radius = LOCAL_RADIUS * 2.0 ** (-k)
             pts = ball_points(xbar, radius, sample_count, seed_base + k)
             infeas = pts[f._value_batch(pts) > 0.0]
             recs.append((radius, float(np.min(_subdiff_dists(f, infeas)))
@@ -838,16 +799,16 @@ def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
     return witnesses
 
 
-def classify_local_stability(f: ConvexExpr, xbar, zero_tol: float = ZERO_TOL,
+def classify_local_stability(f: ConvexExpr, xbar,
                              cert: BetaCertificate | None = None
                              ) -> StabilityVerdict:
     """Local error-bound stability at a boundary point: stable exactly when
-    beta is nonzero at tolerance zero_tol; instability comes with the
-    explicit destabilizing direction h0 (unit, with f'(xbar, h0) = 0).
+    beta is nonzero at the certificate's tolerance; instability comes with
+    the explicit destabilizing direction h0 (unit, with f'(xbar, h0) = 0).
 
     A caller that already holds the beta certificate at xbar passes it as
     cert, and the verdict is built from it (at its own tolerance) instead
-    of computing beta again.
+    of computing beta again at ZERO_TOL.
     """
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
@@ -855,7 +816,7 @@ def classify_local_stability(f: ConvexExpr, xbar, zero_tol: float = ZERO_TOL,
             f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}"
         )
     if cert is None:
-        cert = beta(f, xbar, zero_tol=zero_tol)
+        cert = beta(f, xbar)
     zero_tol = cert.origin_location.tolerance
     if not cert.is_zero:
         return StabilityVerdict(
@@ -879,15 +840,14 @@ def classify_local_stability(f: ConvexExpr, xbar, zero_tol: float = ZERO_TOL,
 
 
 def classify_global_stability(f: ConvexExpr, tau: float, box, n: int,
-                              seed: int = 0,
-                              margin: float = 0.05) -> StabilityVerdict:
+                              seed: int = 0) -> StabilityVerdict:
     """Global stability verdict over a sampling box.
 
     One boundary sample of max(16, n // 8) points serves condition (3.9)
     and the witness search.  Stable requires the boundary infimum of |beta|
-    to clear tau with margin and the witness search to come back empty; a
-    witness or an infimum below tau with margin is unstable; the band in
-    between is undetermined.
+    to clear tau by DECISION_MARGIN and the witness search to come back
+    empty; a witness or an infimum below tau by that margin is unstable;
+    the band in between is undetermined.
     """
     lo, hi = _as_box(box, f.dim)
     boundary = boundary_sample(f, box, max(16, n // 8), seed)
@@ -897,14 +857,15 @@ def classify_global_stability(f: ConvexExpr, tau: float, box, n: int,
     if witnesses:
         verdict, why = "unstable", "; qualification condition fails at the witnesses"
         extra["qc_witnesses"] = witnesses
-    elif inf_beta <= tau * (1.0 - margin):
+    elif inf_beta <= tau * (1.0 - DECISION_MARGIN):
         verdict, why = "unstable", "; boundary point with |beta| below tau"
         extra["perturbation_direction"] = np.asarray(
             beta(f, cond.worst_point).witness)
-    elif inf_beta > tau * (1.0 + margin):
+    elif inf_beta > tau * (1.0 + DECISION_MARGIN):
         verdict, why = "stable", ""
     else:
-        verdict, why = "undetermined", f"; within the {margin:.0%} decision margin"
+        verdict = "undetermined"
+        why = f"; within the {DECISION_MARGIN:.0%} decision margin"
     return StabilityVerdict(
         scope="global", verdict=verdict, beta_inf=inf_beta, tau=tau,
         box=(lo, hi), notes=(f"verdict is relative to the sampled box; boundary "

@@ -128,6 +128,29 @@ def _rem10(report: ScenarioReport, seed: int) -> None:
                    abs(b - want) <= 1e-9, b, want)
 
 
+def _tilt_checks(report: ScenarioReport, families, side: str) -> None:
+    """The per-eps checks of REM12A and REM12B, for base, tilted =
+    families(eps): the tilted family breaks the active-set inclusion on
+    side, its solution set is the singleton origin, and its modulus is at
+    least 1/eps."""
+    for eps in (0.1, 0.01):
+        base, tilted = families(eps)
+        hc = check_active_set_hypotheses(base, tilted, [0.0, 0.0])
+        report.add(
+            f"active-set hypothesis violated (eps={eps})",
+            (not hc.ok) and hc.violated_side == side, hc.violated_side, side,
+        )
+        g = materialize_sup(tilted)
+        bg = beta(g, [0.0, 0.0]).beta
+        report.add(f"perturbed solution set is the singleton origin (eps={eps})",
+                   bg > 0.0, bg, "> 0")
+        delta = eps / 2.0
+        modulus_lb = delta / evaluate(g, [0.0, delta])
+        bound = (1.0 / eps) * (1.0 - 1e-9)
+        report.add(f"modulus lower bound >= 1/eps (eps={eps})",
+                   modulus_lb >= bound, modulus_lb, 1.0 / eps)
+
+
 def _rem12a_families(eps: float):
     base = FiniteFamily([AbsCoord(0, 2), AbsCoord(1, 2)])
     tilted = FiniteFamily([
@@ -146,24 +169,7 @@ def _rem12a(report: ScenarioReport, seed: int) -> None:
     want = math.sqrt(2.0) / 2.0
     report.add("beta at origin equals sqrt(2)/2",
                abs(b0 - want) <= 1e-12, b0, want)
-    for eps in (0.1, 0.01):
-        _, tilted = _rem12a_families(eps)
-        hc = check_active_set_hypotheses(base, tilted, [0.0, 0.0])
-        report.add(
-            f"active-set hypothesis violated (eps={eps})",
-            (not hc.ok) and hc.violated_side == "I_f not subset I_g",
-            hc.violated_side, "I_f not subset I_g",
-        )
-        g = materialize_sup(tilted)
-        bg = beta(g, [0.0, 0.0]).beta
-        report.add(f"perturbed solution set is the singleton origin (eps={eps})",
-                   bg > 0.0, bg, "> 0")
-        delta = eps / 2.0
-        z = [0.0, delta]
-        modulus_lb = delta / evaluate(g, z)
-        bound = (1.0 / eps) * (1.0 - 1e-9)
-        report.add(f"modulus lower bound >= 1/eps (eps={eps})",
-                   modulus_lb >= bound, modulus_lb, 1.0 / eps)
+    _tilt_checks(report, _rem12a_families, "I_f not subset I_g")
 
 
 def _rem12b_families(eps: float):
@@ -183,24 +189,7 @@ def _rem12b(report: ScenarioReport, seed: int) -> None:
     base, _ = _rem12b_families(0.1)
     b0 = beta(materialize_sup(base), [0.0, 0.0]).beta
     report.add("beta at origin equals -1 exactly", b0 == -1.0, b0, -1.0)
-    for eps in (0.1, 0.01):
-        _, tilted = _rem12b_families(eps)
-        hc = check_active_set_hypotheses(base, tilted, [0.0, 0.0])
-        report.add(
-            f"active-set hypothesis violated (eps={eps})",
-            (not hc.ok) and hc.violated_side == "I_g not subset I_f",
-            hc.violated_side, "I_g not subset I_f",
-        )
-        g = materialize_sup(tilted)
-        bg = beta(g, [0.0, 0.0]).beta
-        report.add(f"perturbed solution set is the singleton origin (eps={eps})",
-                   bg > 0.0, bg, "> 0")
-        delta = eps / 2.0
-        z = [0.0, delta]
-        modulus_lb = delta / evaluate(g, z)
-        bound = (1.0 / eps) * (1.0 - 1e-9)
-        report.add(f"modulus lower bound >= 1/eps (eps={eps})",
-                   modulus_lb >= bound, modulus_lb, 1.0 / eps)
+    _tilt_checks(report, _rem12b_families, "I_g not subset I_f")
 
 
 def _polyhedron_distances(pts: np.ndarray, mats: np.ndarray,

@@ -116,8 +116,7 @@ def beta(f: ConvexExpr, x, zero_tol: float = ZERO_TOL) -> BetaCertificate:
     )
 
 
-def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0,
-                 refine_steps: int = 100) -> float:
+def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0) -> float:
     """Independent sampling oracle for beta.
 
     Minimum of f'(x, .) over n low-discrepancy unit directions, then local
@@ -130,8 +129,7 @@ def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0,
     vals = directional_derivatives(f, x, hs)
     best = int(np.argmin(vals))
     _, val = _refine_direction_min(
-        lambda h: directional_derivative(f, x, h), hs[best], float(vals[best]),
-        refine_steps)
+        lambda h: directional_derivative(f, x, h), hs[best], float(vals[best]))
     return val
 
 

@@ -70,7 +70,7 @@ def test_nnls_matches_support_enumeration():
             continue
         target = target / np.linalg.norm(target)
         want = _nnls_by_supports(gens, target)
-        got = float(np.linalg.norm(_nnls_residual(gens, target)))
+        got = float(np.linalg.norm(_nnls_residual(gens, target)[0]))
         assert abs(got - want) <= 1e-10, (gens, target, got, want)
         inside += want <= 1e-12
     assert inside >= 50
@@ -82,7 +82,7 @@ def test_nnls_near_parallel_generators():
     t = np.linspace(0.0, 1.0, 9)
     gens = np.stack([t, 1.0 - t], axis=1)
     target = np.array([1.0, 0.01]) / np.linalg.norm([1.0, 0.01])
-    assert np.linalg.norm(_nnls_residual(gens, target)) <= 1e-12
+    assert np.linalg.norm(_nnls_residual(gens, target)[0]) <= 1e-12
 
 
 def linf_ball_fn():

@@ -1,9 +1,12 @@
 """Polytope-plus-ball geometry: support, min-norm point, signed distance."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebstab.errors import UndeterminedInradius
 from ebstab.geometry import (
@@ -182,3 +185,67 @@ def test_high_dim_outside_still_exact():
     assert res.dist > 0
     sigma = signed_boundary_distance(s)
     assert sigma == pytest.approx(-res.dist, abs=1e-9)
+
+
+# -- scale and the exact oracle ---------------------------------------------
+
+@pytest.mark.parametrize("s", [2.0 ** -20, 1.0, 1e4, 1e8, 2.0 ** 400])
+def test_min_norm_segment_any_scale(s):
+    # the KKT row of ones must not vanish next to ||g||^2: the nearest
+    # point of the segment [(s, 0), (0, s)] is (s/2, s/2) at every scale
+    res = min_norm_point(SubdiffSet(np.array([[s, 0.0], [0.0, s]])))
+    assert res.point == pytest.approx([s / 2, s / 2], rel=1e-15)
+    assert res.dist == pytest.approx(s / math.sqrt(2.0), rel=1e-15)
+
+
+def _random_set(rng, interior):
+    """k <= 7 generators in R^m, m <= 4; with interior, shifted so that a
+    random convex combination of them is the origin."""
+    k, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+    g = rng.normal(size=(k, m)) + rng.normal(size=m)
+    if interior:
+        g -= rng.dirichlet(np.ones(k)) @ g
+    return g
+
+
+@pytest.mark.parametrize("c", [2.0 ** -20, 1e4, 1e6])
+def test_min_norm_scales_with_the_set(c):
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        g = _random_set(rng, interior=trial % 3 == 0)
+        want = c * min_norm_point(SubdiffSet(g)).dist
+        got = min_norm_point(SubdiffSet(c * g)).dist
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * c), (g, c)
+
+
+def _min_norm_by_faces(g):
+    """||nearest point of conv(g)|| by enumeration: the affine minimum-norm
+    point of every subset of at most m + 1 generators (a KKT solve), kept
+    when its weights are nonnegative.  The nearest point lies in the
+    relative interior of a face spanned by such a subset, and every kept
+    point lies in the hull, so the shortest kept point is the nearest."""
+    k, m = g.shape
+    best = math.inf
+    for size in range(1, min(k, m + 1) + 1):
+        for sub in itertools.combinations(range(k), size):
+            p = g[list(sub)]
+            kkt = np.block([[p @ p.T, np.ones((size, 1))],
+                            [np.ones((1, size)), np.zeros((1, 1))]])
+            rhs = np.zeros(size + 1)
+            rhs[-1] = 1.0
+            lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if lam.min() >= -1e-12 and abs(lam.sum() - 1.0) <= 1e-12:
+                best = min(best, float(np.linalg.norm(lam @ p)))
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), interior=st.booleans())
+def test_min_norm_matches_face_enumeration(seed, interior):
+    g = _random_set(np.random.default_rng(seed), interior)
+    got = min_norm_point(SubdiffSet(g)).hull_dist
+    want = _min_norm_by_faces(g)
+    if interior:
+        assert got == 0.0 and want <= 1e-12
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

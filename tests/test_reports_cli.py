@@ -102,6 +102,17 @@ def test_cli_analyze_local_json(exp_file, capsys):
     assert payload["results"]["stability"]["verdict"] == "stable"
 
 
+def test_cli_analyze_local_outside_at_large_scale(tmp_path, capsys):
+    path = tmp_path / "big.eb"
+    path.write_text("dim 2\nexpr (max (affine [1e4, 0] 0) (affine [0, 1e4] 0))\n"
+                    "point [0, 0]\n", encoding="utf-8")
+    assert main(["analyze-local", str(path), "--format", "json",
+                 "--samples", "16", "--levels", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["origin"] == "outside"
+    assert results["beta"]["beta"] == pytest.approx(-1e4 / math.sqrt(2.0), rel=1e-12)
+
+
 def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     # beta = -1e-7 is zero at --tol 1e-6: the verdict must agree with the
     # on-boundary beta certificate in the same report

@@ -42,6 +42,19 @@ def test_beta_cross_polytope():
     assert np.abs(cert.witness) == pytest.approx([2 ** -0.5, 2 ** -0.5], abs=1e-9)
 
 
+def test_beta_outside_at_large_scale():
+    # the subdifferential is the segment [(1e4, 0), (0, 1e4)], whose norms
+    # dwarf the unit constraint row of an affine KKT system
+    f = Max([Affine([1e4, 0.0], 0.0), Affine([0.0, 1e4], 0.0)])
+    cert = beta(f, [0.0, 0.0])
+    assert cert.beta == pytest.approx(-1e4 / math.sqrt(2.0), rel=1e-12)
+    assert cert.origin_location.tag is OriginTag.OUTSIDE
+    g = Max([Exp1D(0, 0.0, 2), Exp1D(1, 0.0, 2)])
+    cert = beta(g, [20.0, 20.0])
+    assert cert.beta == pytest.approx(-math.exp(20.0) / math.sqrt(2.0), rel=1e-12)
+    assert cert.origin_location.tag is OriginTag.OUTSIDE
+
+
 def test_beta_const_zero():
     cert = beta(Const(0.0, 1), [3.0])
     assert cert.beta == 0.0
