@@ -22,7 +22,8 @@ from .errors import (
     ParseError,
     UndeterminedInradius,
 )
-from .moduli import classify_global_stability, classify_local_stability, eta_global, eta_local
+from .moduli import (box_sample, classify_global_stability,
+                     classify_local_stability, eta_global, eta_local)
 from .problems import parse_box, parse_problem
 from .reports import emit_report, make_envelope
 from .scenarios import SCENARIO_NAMES, reproduce
@@ -57,9 +58,21 @@ def _point_for(args, problem) -> np.ndarray:
 
 def _box_for(args, problem):
     """--box, else the problem file's box, else None."""
-    if args.box is not None:
-        return parse_box(args.box)
-    return problem.box
+    if args.box is None:
+        return problem.box
+    return parse_box(args.box, problem.dim)
+
+
+def _check_numbers(args) -> None:
+    """Reject counts below one and a nonpositive --tol or --tau."""
+    for name in ("samples", "levels"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{name} must be at least 1, got {value}")
+    for name in ("tol", "tau"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:
+            raise ParseError(f"--{name} must be positive, got {value:g}")
 
 
 def _cmd_analyze_local(args) -> int:
@@ -88,10 +101,9 @@ def _cmd_analyze_global(args) -> int:
     box = _box_for(args, problem)
     if box is None:
         raise ParseError("no box: pass --box or declare 'box' in the file")
-    modulus = eta_global(f, box, args.samples, seed=args.seed,
-                         slater=problem.slater)
-    verdict = classify_global_stability(f, tau, box, args.samples,
-                                        seed=args.seed)
+    sample = box_sample(f, box, args.samples, args.seed)
+    modulus = eta_global(f, sample, slater=problem.slater)
+    verdict = classify_global_stability(f, tau, sample)
     envelope = make_envelope("analyze-global", problem.name, args.seed, {
         "modulus": modulus,
         "stability": verdict,
@@ -104,7 +116,11 @@ def _cmd_perturb(args) -> int:
     problem = _load_problem(args.file)
     x = _point_for(args, problem)
     direction = _parse_vec(args.dir)
-    eps_list = [float(p) for p in args.eps.replace(",", " ").split()]
+    if direction.shape != (problem.dim,) or not np.linalg.norm(direction) <= 1.0 + 1e-12:
+        raise ParseError(f"--dir must have {problem.dim} entries and ||u|| <= 1")
+    eps_list = _parse_vec(args.eps)
+    if not np.all(eps_list >= 0.0):
+        raise ParseError(f"--eps values must be nonnegative, got '{args.eps}'")
     result = run_perturbation_sweep(
         problem, x, [direction], eps_list, box=_box_for(args, problem),
         seed=args.seed, levels=args.levels, samples_per_level=args.samples,
@@ -206,6 +222,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

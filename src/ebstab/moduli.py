@@ -6,6 +6,10 @@ the liminf near a reference boundary point.  Sampling is box-relative and
 every report says so.  Stability verdicts combine the boundary infimum of
 |beta| with a qualification-condition witness search over strictly
 feasible points.
+
+A global analysis draws its box once (``box_sample``), and every step
+reads that ``BoxSample``: eta_global, the Slater point, the boundary
+sample's pool and the witness search's feasible points.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ BRACKET_RTOL = 1e-9      # a distance bracket closes at ub - lb <= this * ub
 BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
 QC_BLOCK = 32            # feasible samples per nearest-boundary block
 SEARCH_RTOL = 1e-15      # boundary search stops at this * (1 + segment length)
-SLATER_SAMPLES = 1024    # box points scanned for a Slater point
 LOCAL_RADIUS = 1.0       # radius of eta_local's first (largest) ball
 DECISION_MARGIN = 0.05   # relative band around tau with no global verdict
 
@@ -164,26 +167,35 @@ class Condition39Result:
         }
 
 
-def _as_box(box, dim: int):
-    lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(box[1], dtype=float))
-    if lo.shape[0] != dim or hi.shape[0] != dim:
-        raise ValueError(f"box must have {dim} axes")
-    if np.any(hi <= lo):
-        raise ValueError("box upper bounds must exceed lower bounds")
-    return lo, hi
+@dataclass(frozen=True)
+class BoxSample:
+    """Quasi-uniform points of the box [lo, hi], drawn at seed, and f's
+    value at each: the one draw that every step of a global analysis
+    reads."""
+
+    box: tuple                     # (lo, hi)
+    seed: int
+    points: np.ndarray
+    values: np.ndarray
 
 
-def find_slater_point(f: ConvexExpr, box, seed: int = 0) -> np.ndarray:
-    """Scan SLATER_SAMPLES box points for the most strictly feasible one
-    (f < 0)."""
-    lo, hi = _as_box(box, f.dim)
-    pts = box_points(lo, hi, SLATER_SAMPLES, seed)
-    vals = f._value_batch(pts)
-    best = int(np.argmin(vals))
-    if vals[best] >= 0.0:
+def box_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoxSample:
+    """Validate box = (lo, hi) against f, draw n points and evaluate f there."""
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
+    if lo.shape != (f.dim,) or hi.shape != (f.dim,) or np.any(hi <= lo):
+        raise ValueError(f"box must have {f.dim} axes, each with lo < hi")
+    if n < 1:
+        raise ValueError("a box sample needs at least one point")
+    points = box_points(lo, hi, n, seed)
+    return BoxSample((lo, hi), seed, points, f._value_batch(points))
+
+
+def find_slater_point(sample: BoxSample) -> np.ndarray:
+    """The most strictly feasible (f < 0) point of the sample."""
+    best = int(np.argmin(sample.values))
+    if sample.values[best] >= 0.0:
         raise NoSlaterPoint("no point with f < 0 found in the search box")
-    return pts[best]
+    return sample.points[best]
 
 
 def _strictly_feasible(f: ConvexExpr, slater) -> np.ndarray:
@@ -292,8 +304,7 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     return out, steps
 
 
-def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
-                             seed: int = 0) -> float:
+def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
     """d(x, {f <= 0}), exact to BRACKET_RTOL relative where its distance
     bracket closes, and an upper bound where it is left open.
 
@@ -304,20 +315,14 @@ def distance_to_solution_set(f: ConvexExpr, x, slater=None, box=None,
     point and with it an upper bound (``_bounds``).  Kelley's cutting
     planes then bracket the distance from both sides (``_refine``), and
     the upper end of the bracket is returned.  The slater point is
-    validated when given, else found by scanning the box.
+    validated; ``find_slater_point`` finds one in a box sample.
     This is the one-point case of ``_distances``; the answer for a point
     does not depend on the other points of a batch.
     """
     x = as_point(x, f.dim)
     if f._value(x) <= 0.0:
         return 0.0
-    if slater is not None:
-        s = _strictly_feasible(f, slater)
-    else:
-        if box is None:
-            box = (np.full(f.dim, -10.0), np.full(f.dim, 10.0))
-        s = find_slater_point(f, box, seed=seed)
-    return float(_distances(f, x[None], s)[0])
+    return float(_distances(f, x[None], _strictly_feasible(f, slater))[0])
 
 
 def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -561,14 +566,12 @@ def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
         return np.concatenate([_values_or_inf(f, x[None]) for x in X])
 
 
-def boundary_sample(f: ConvexExpr, box, n: int, seed: int = 0) -> BoundarySample:
+def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int) -> BoundarySample:
     """n points on the boundary of the solution set via a boundary search
-    on segments between sampled infeasible and strictly feasible points."""
-    lo, hi = _as_box(box, f.dim)
-    pool = box_points(lo, hi, max(4 * n, 256), seed)
-    vals = f._value_batch(pool)
-    feas = pool[vals < 0.0]
-    infeas = pool[vals > 0.0]
+    on segments between the sample's infeasible and strictly feasible
+    points."""
+    feas = sample.points[sample.values < 0.0]
+    infeas = sample.points[sample.values > 0.0]
     if feas.shape[0] == 0 or infeas.shape[0] == 0:
         raise NoSignChangeInBox(
             "box must contain both a point with f < 0 and one with f > 0"
@@ -676,8 +679,7 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
     )
 
 
-def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
-               slater=None) -> ModulusReport:
+def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     """Box-truncated estimate of inf d(0, subdifferential) over infeasible
     points, with the empirical sup of d(x, S)/f(x) over the same samples.
 
@@ -687,51 +689,41 @@ def eta_global(f: ConvexExpr, box, n: int, seed: int = 0,
     still set the sup refine their distance brackets.  It is the largest
     lower bound over fully refined brackets, so it may tighten eta; the
     notes count the brackets left open that could still have set it.
+    Without a given slater point, the ratio anchors at the sample's
+    ``find_slater_point``.
     """
-    lo, hi = _as_box(box, f.dim)
-    pts = box_points(lo, hi, n, seed)
-    vals = f._value_batch(pts)
+    vals = sample.values
     infeasible = vals > 0.0
-    infeas, infeas_vals = pts[infeasible], vals[infeasible]
+    infeas, infeas_vals = sample.points[infeasible], vals[infeasible]
+    vacuous = not infeasible.any()
+    eta, ratio = math.inf, None
     notes = "estimates are relative to the sampled box"
-    if infeas.shape[0] == 0:
-        return ModulusReport(
-            kind="global",
-            eta_estimate=math.inf,
-            tau_estimate=0.0,
-            sample_count=n,
-            box=(lo, hi),
-            vacuous=True,
-            seed=seed,
-            notes=notes + "; no infeasible samples (vacuous bound)",
-        )
-    eta = float(np.min(_subdiff_dists(f, infeas)))
-
-    if slater is None:
-        feas_vals = vals[vals < 0.0]
-        if feas_vals.shape[0] > 0:
-            slater = pts[vals < 0.0][int(np.argmin(feas_vals))]
-    ratio = None
-    if slater is not None:
-        s = _strictly_feasible(f, slater)
-        ratio, left = _max_ratio(f, infeas, infeas_vals, s)
-        if left:
-            notes += f"; {left} distance brackets left open"
-        if eta > 0.0 and ratio > 1.0001 / eta:
-            # the ratio evidence itself bounds eta from above; reconcile
-            eta = 1.0 / ratio
-            notes += "; eta tightened by the empirical ratio"
+    if vacuous:
+        notes += "; no infeasible samples (vacuous bound)"
     else:
-        notes += "; no feasible sample, empirical ratio unavailable"
-    tau = math.inf if eta == 0.0 else 1.0 / eta
+        eta = float(np.min(_subdiff_dists(f, infeas)))
+        if slater is None and np.any(vals < 0.0):
+            slater = find_slater_point(sample)
+        if slater is None:
+            notes += "; no feasible sample, empirical ratio unavailable"
+        else:
+            s = _strictly_feasible(f, slater)
+            ratio, left = _max_ratio(f, infeas, infeas_vals, s)
+            if left:
+                notes += f"; {left} distance brackets left open"
+            if eta > 0.0 and ratio > 1.0001 / eta:
+                # the ratio evidence itself bounds eta from above; reconcile
+                eta = 1.0 / ratio
+                notes += "; eta tightened by the empirical ratio"
     return ModulusReport(
         kind="global",
         eta_estimate=eta,
-        tau_estimate=tau,
-        sample_count=n,
-        box=(lo, hi),
+        tau_estimate=math.inf if eta == 0.0 else 1.0 / eta,   # 0 when vacuous
+        sample_count=vals.shape[0],
+        box=sample.box,
         empirical_ratio=ratio,
-        seed=seed,
+        vacuous=vacuous,
+        seed=sample.seed,
         notes=notes,
     )
 
@@ -763,25 +755,23 @@ def check_condition_3_9(f: ConvexExpr, tau: float,
 
 
 def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
-                      box, n: int, seed: int = 0,
+                      sample: BoxSample,
                       flag_threshold: float = 0.1) -> list[QCWitness]:
     """Hunt for qualification-condition violations: strictly feasible points
     whose relative slope to the nearest point of the given boundary sample
     vanishes while |beta| stays below tau.
 
-    Of n points drawn from the box, the feasible ones find their nearest
+    The sample's feasible points find their nearest
     boundary point QC_BLOCK rows at a time, so memory grows with the block,
     not with the product of the sample sizes; only those whose slope passes
     the flag_threshold * tau filter compute beta.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    lo, hi = _as_box(box, f.dim)
     B = boundary.points
     boundary_vals = f._value_batch(B)
-    pts = box_points(lo, hi, n, seed)
-    vals = f._value_batch(pts)
-    Z, fz = pts[vals < 0.0], vals[vals < 0.0]
+    feasible = sample.values < 0.0
+    Z, fz = sample.points[feasible], sample.values[feasible]
     near = np.zeros(Z.shape[0], dtype=int)
     for k in range(0, Z.shape[0], QC_BLOCK):
         near[k:k + QC_BLOCK] = np.argmin(
@@ -839,20 +829,20 @@ def classify_local_stability(f: ConvexExpr, xbar,
     )
 
 
-def classify_global_stability(f: ConvexExpr, tau: float, box, n: int,
-                              seed: int = 0) -> StabilityVerdict:
-    """Global stability verdict over a sampling box.
+def classify_global_stability(f: ConvexExpr, tau: float,
+                              sample: BoxSample) -> StabilityVerdict:
+    """Global stability verdict over a box sample of n points.
 
-    One boundary sample of max(16, n // 8) points serves condition (3.9)
-    and the witness search.  Stable requires the boundary infimum of |beta|
+    One boundary sample of max(16, n // 8) points, searched from the box
+    sample, serves condition (3.9) and the witness search over the box
+    sample's feasible points.  Stable requires the boundary infimum of |beta|
     to clear tau by DECISION_MARGIN and the witness search to come back
     empty; a witness or an infimum below tau by that margin is unstable;
     the band in between is undetermined.
     """
-    lo, hi = _as_box(box, f.dim)
-    boundary = boundary_sample(f, box, max(16, n // 8), seed)
+    boundary = boundary_sample(f, sample, max(16, sample.points.shape[0] // 8))
     cond = check_condition_3_9(f, tau, boundary)
-    witnesses = qc_witness_search(f, tau, boundary, box, n, seed)
+    witnesses = qc_witness_search(f, tau, boundary, sample)
     inf_beta, extra = cond.inf_abs_beta, {}
     if witnesses:
         verdict, why = "unstable", "; qualification condition fails at the witnesses"
@@ -868,6 +858,6 @@ def classify_global_stability(f: ConvexExpr, tau: float, box, n: int,
         why = f"; within the {DECISION_MARGIN:.0%} decision margin"
     return StabilityVerdict(
         scope="global", verdict=verdict, beta_inf=inf_beta, tau=tau,
-        box=(lo, hi), notes=(f"verdict is relative to the sampled box; boundary "
+        box=sample.box, notes=(f"verdict is relative to the sampled box; boundary "
                              f"inf |beta| = {inf_beta:.6g} vs tau = {tau:g}{why}"),
         **extra)

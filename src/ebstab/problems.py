@@ -321,7 +321,7 @@ def parse_problem(text: str) -> ProblemFile:
         elif key == "point":
             point = _parse_vector(ts, False)(None)
         elif key == "box":
-            box = parse_box(ts.tokens[ts.pos:], line_no)
+            box = parse_box(ts.tokens[ts.pos:], dim, line_no)
             ts.pos = len(ts.tokens)
         elif key == "tau":
             tau = _scalar_rule(ts.pop(), False)(None)
@@ -345,11 +345,12 @@ def parse_problem(text: str) -> ProblemFile:
     return problem
 
 
-def parse_box(tokens, line_no: int = 0) -> tuple:
-    """The box (lo, hi) from lo..hi ranges, one per axis, separated by
-    spaces or commas.  tokens are the rest of a problem file's box line,
-    or a --box argument as one string; errors carry the line and column of
-    the bad range in a file, and no location for an argument (line 0)."""
+def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
+    """The box (lo, hi) from lo..hi ranges with lo < hi, one per each of
+    dim axes, separated by spaces or commas.  tokens are the rest of a
+    problem file's box line, or a --box argument as one string; errors
+    carry the line and column of the bad range in a file, and no location
+    for an argument (line 0)."""
     if isinstance(tokens, str):
         tokens = _tokenize(tokens, 0)
     los, his = [], []
@@ -361,13 +362,19 @@ def parse_box(tokens, line_no: int = 0) -> tuple:
                              tok.line, tok.col)
         lo_s, hi_s = tok.text.split("..", 1)
         try:
-            los.append(float(lo_s))
-            his.append(float(hi_s))
+            lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise ParseError(f"bad box range '{tok.text}'",
                              tok.line, tok.col) from None
+        if not lo < hi:
+            raise ParseError(f"box range '{tok.text}' needs lo < hi",
+                             tok.line, tok.col)
+        los.append(lo)
+        his.append(hi)
     if not los:
         raise ParseError("empty box argument", line_no, 1)
+    if len(los) != dim:
+        raise ParseError(f"box has {len(los)} axes, dim is {dim}", line_no, 1)
     return np.array(los), np.array(his)
 
 
@@ -421,8 +428,6 @@ def _validate_problem(p: ProblemFile) -> None:
             raise ParseError("declared slater point is not strictly feasible")
     if p.point is not None and p.point.shape[0] != p.dim:
         raise ParseError(f"point has {p.point.shape[0]} entries, dim is {p.dim}")
-    if p.box is not None and p.box[0].shape[0] != p.dim:
-        raise ParseError(f"box has {p.box[0].shape[0]} axes, dim is {p.dim}")
 
 
 # ---------------------------------------------------------------------------

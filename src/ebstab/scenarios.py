@@ -25,10 +25,12 @@ from .expressions import (
 )
 from .moduli import (
     boundary_sample,
+    box_sample,
     classify_local_stability,
     distance_to_solution_set,
     eta_global,
     eta_local,
+    find_slater_point,
     qc_witness_search,
 )
 from .sphere import beta, linear_perturbation
@@ -112,8 +114,8 @@ def _rem8(report: ScenarioReport, seed: int) -> None:
             ratio >= bound, ratio, bound,
         )
     box = (np.array([-50.0]), np.array([2.0]))
-    witnesses = qc_witness_search(f, 0.5, boundary_sample(f, box, 50, seed + 1),
-                                  box, n=400, seed=seed)
+    boundary = boundary_sample(f, box_sample(f, box, 256, seed + 1), 50)
+    witnesses = qc_witness_search(f, 0.5, boundary, box_sample(f, box, 400, seed))
     report.add("qualification-condition witnesses over [-50, 2]",
                len(witnesses) >= 1, len(witnesses), ">= 1")
 
@@ -233,7 +235,7 @@ def _hoffman(report: ScenarioReport, seed: int) -> None:
         xbar = b * a / float(a @ a)
         want = 1.0 / float(np.linalg.norm(a))
         local = eta_local(f, xbar, levels=4, samples_per_level=64, seed=seed)
-        glob = eta_global(f, (xbar - 2.0, xbar + 2.0), 256, seed=seed)
+        glob = eta_global(f, box_sample(f, (xbar - 2.0, xbar + 2.0), 256, seed))
         err = max(abs(local.tau_estimate - want), abs(glob.tau_estimate - want))
         worst_single = max(worst_single, err)
     report.add("20 single affine: tau estimates equal 1/||a||",
@@ -253,7 +255,7 @@ def _hoffman(report: ScenarioReport, seed: int) -> None:
         rhs = rng.uniform(0.1, 1.0, size=k)
         f = Max([Affine(mats[i], -rhs[i]) for i in range(k)])
         box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-        est = eta_global(f, box, 2048, seed=seed, slater=np.zeros(2))
+        est = eta_global(f, box_sample(f, box, 2048, seed), slater=np.zeros(2))
 
         # cell-centered oracle grid at the sampler's mean spacing, so both
         # estimators resolve the box at comparable density
@@ -286,9 +288,9 @@ def _t32_zero_beta(report: ScenarioReport, seed: int) -> None:
     eps = 0.01
     g = linear_perturbation(f, h0, eps, [0.0])
     x_test = 1e-6 * h0
-    dist = distance_to_solution_set(g, x_test,
-                                    box=(np.array([-1.0]), np.array([1.0])),
-                                    seed=seed)
+    slater = find_slater_point(
+        box_sample(g, (np.array([-1.0]), np.array([1.0])), 1024, seed))
+    dist = distance_to_solution_set(g, x_test, slater)
     ratio = dist / evaluate(g, x_test)
     bound = 1.0 / (2.0 * eps)
     report.add("perturbed ratio at 1e-6 >= 1/(2 eps)",

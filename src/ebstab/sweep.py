@@ -16,6 +16,7 @@ from .errors import PreconditionError
 from .expressions import as_point
 from .moduli import (
     BOUNDARY_VALUE_TOL,
+    box_sample,
     classify_local_stability,
     eta_global,
     eta_local,
@@ -91,8 +92,8 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
                               samples_per_level=samples_per_level, seed=seed)
             tau_global = None
             if box is not None:
-                tau_global = eta_global(g, box, global_samples,
-                                        seed=seed).tau_estimate
+                tau_global = eta_global(
+                    g, box_sample(g, box, global_samples, seed)).tau_estimate
             verdict = classify_local_stability(g, xbar, cert=cert).verdict
             result.rows.append(SweepRow(
                 epsilon=eps,

@@ -15,7 +15,8 @@ import numpy as np
 
 from .expressions import ConvexExpr, Max, as_point, directional_derivative
 from .geometry import SubdiffSet, merge_active_subdiffs
-from .moduli import StabilityVerdict, classify_global_stability, classify_local_stability
+from .moduli import (StabilityVerdict, box_sample, classify_global_stability,
+                     classify_local_stability)
 from .sphere import beta, with_linear_term
 
 SYSTEM_ACTIVE_TOL = 1e-8
@@ -30,23 +31,10 @@ class ActiveSet:
     sup_value: float
 
 
-@dataclass(frozen=True)
-class PerturbationInfo:
-    direction: tuple
-    epsilon: float
-    anchor: tuple
-
-    @property
-    def lipschitz(self) -> float:
-        """Lipschitz constant of f_i - g_i, identical across members."""
-        return self.epsilon * float(np.linalg.norm(self.direction))
-
-
 class IndexedFamily:
     """Base interface: a compact index set with a convex member per index."""
 
     dim: int
-    perturbation: PerturbationInfo | None = None
 
     def grid_indices(self):
         raise NotImplementedError
@@ -58,7 +46,7 @@ class IndexedFamily:
 class FiniteFamily(IndexedFamily):
     """Finitely many members with hashable labels (default 1..n)."""
 
-    def __init__(self, members, labels=None, template_text: str | None = None):
+    def __init__(self, members, labels=None):
         members = tuple(members)
         if not members:
             raise ValueError("family needs at least one member")
@@ -75,7 +63,6 @@ class FiniteFamily(IndexedFamily):
         self.labels = labels
         self.dim = members[0].dim
         self._by_label = dict(zip(labels, members))
-        self.template_text = template_text
 
     def grid_indices(self):
         return self.labels
@@ -218,23 +205,18 @@ def perturb_system(family: IndexedFamily, u, eps: float, xbar) -> IndexedFamily:
     xbar = as_point(xbar, family.dim)
     a = eps * u
     b = -eps * float(u @ xbar)
-    info = PerturbationInfo(direction=tuple(map(float, u)), epsilon=float(eps),
-                            anchor=tuple(map(float, xbar)))
     if isinstance(family, FiniteFamily):
-        out = FiniteFamily(
+        return FiniteFamily(
             [with_linear_term(m, a, b) for m in family.members],
             labels=family.labels,
         )
-    elif isinstance(family, IntervalFamily):
+    if isinstance(family, IntervalFamily):
         rule = family.rule
-        out = IntervalFamily(
+        return IntervalFamily(
             family.lo, family.hi, family.grid_count,
             lambda t: with_linear_term(rule(t), a, b),
         )
-    else:
-        raise TypeError(f"unknown family type {type(family)!r}")
-    out.perturbation = info
-    return out
+    raise TypeError(f"unknown family type {type(family)!r}")
 
 
 @dataclass(frozen=True)
@@ -305,7 +287,7 @@ def classify_system_stability(family: IndexedFamily, xbar=None,
         return verdict
     if tau is None or box is None:
         raise ValueError("global scope needs tau and box")
-    verdict = classify_global_stability(sup, tau, box, n, seed)
+    verdict = classify_global_stability(sup, tau, box_sample(sup, box, n, seed))
     probes = []
     for w in verdict.qc_witnesses[:3]:
         probes.append((w.x, active_set(family, w.x).indices))

@@ -24,7 +24,8 @@ from ebstab.expressions import (
     subdifferential,
 )
 from ebstab.geometry import min_norm_point, support
-from ebstab.moduli import classify_local_stability, distance_to_solution_set, eta_local
+from ebstab.moduli import (box_sample, classify_local_stability,
+                           distance_to_solution_set, eta_local, find_slater_point)
 from ebstab.scenarios import reproduce
 from ebstab.sphere import beta, linear_perturbation
 from ebstab.systems import FiniteFamily, dd_max_formula, materialize_sup
@@ -173,9 +174,9 @@ def test_criterion_9_local_dichotomy():
     h0 = v.perturbation_direction
     g = linear_perturbation(PosPartSquare(0, 1), h0, eps, [0.0])
     x_test = 1e-6 * h0
-    ratio = distance_to_solution_set(
-        g, x_test, box=(np.array([-1.0]), np.array([1.0]))
-    ) / evaluate(g, x_test)
+    slater = find_slater_point(
+        box_sample(g, (np.array([-1.0]), np.array([1.0])), 1024))
+    ratio = distance_to_solution_set(g, x_test, slater) / evaluate(g, x_test)
     tau_local = eta_local(g, [0.0], levels=10, samples_per_level=128,
                           seed=0).tau_estimate
     bound = 1.0 / (2.0 * eps)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from ebstab import moduli, scenarios
 from ebstab.errors import EbstabError
 from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
-from ebstab.moduli import _bounds, _max_ratio, _refine, eta_global
-from ebstab.sampling import box_points
+from ebstab.moduli import _bounds, _max_ratio, _refine, box_sample, eta_global
 from ebstab.scenarios import reproduce
 
 from conftest import random_expr
@@ -61,8 +60,9 @@ def test_max_ratio_refines_few_rows_on_sup_norm_ball(monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(moduli, "_project", counted)
-    report = eta_global(f, box, 512, seed=0)
-    infeasible = int(np.sum(f._value_batch(box_points(*box, 512, 0)) > 0.0))
+    sample = box_sample(f, box, 512, 0)
+    report = eta_global(f, sample)
+    infeasible = int(np.sum(sample.values > 0.0))
     assert infeasible > 400
     assert len(calls) < 0.05 * infeasible
     assert math.sqrt(2.0) - 0.05 < report.empirical_ratio <= math.sqrt(2.0) + 1e-9
@@ -74,19 +74,19 @@ def test_hoffman_ratio_matches_exact_polyhedral_distances(seed, monkeypatch):
     # is the largest exact distance ratio over the same infeasible samples
     systems = []
 
-    def recorded(f, box, n, seed=0, slater=None):
-        report = eta_global(f, box, n, seed=seed, slater=slater)
+    def recorded(f, sample, slater=None):
+        report = eta_global(f, sample, slater=slater)
         if isinstance(f, Max):
-            systems.append((f, box, n, seed, report))
+            systems.append((f, sample, report))
         return report
 
     monkeypatch.setattr(scenarios, "eta_global", recorded)
     reproduce("HOFFMAN", seed)
     assert len(systems) == 10
-    for f, box, n, sample_seed, report in systems:
+    for f, sample, report in systems:
         mats = np.array([c.a for c in f.children])
         rhs = -np.array([c.b for c in f.children])
-        pts = box_points(*box, n, sample_seed)
+        pts = sample.points
         vals = f._value_batch(pts)
         infeasible = vals > 0.0
         exact = scenarios._polyhedron_distances(pts[infeasible], mats, rhs)
@@ -103,7 +103,7 @@ def test_poly3_box_tau_below_exact_modulus(seed):
     f = Sum([(1.0, Max([AbsCoord(i, 3) for i in range(3)])),
              (0.5, EuclidNorm(3)), (1.0, Const(-1.0, 3))])
     box = (np.full(3, -2.0), np.full(3, 2.0))
-    report = eta_global(f, box, 512, seed=seed)
+    report = eta_global(f, box_sample(f, box, 512, seed))
     tau_star = 1.0 / (0.5 + 1.0 / math.sqrt(3.0))
     assert report.tau_estimate <= tau_star * (1.0 + 1e-9)
     assert report.empirical_ratio <= tau_star * (1.0 + 1e-9)

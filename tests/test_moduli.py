@@ -31,6 +31,7 @@ from ebstab.moduli import (
     _bisect_to_boundary,
     _distances,
     boundary_sample,
+    box_sample,
     check_condition_3_9,
     classify_global_stability,
     classify_local_stability,
@@ -46,6 +47,8 @@ from ebstab.sphere import beta, linear_perturbation
 from conftest import random_expr
 
 EXP = Exp1D(0, -1.0, 1)
+EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
+BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
 
 def linf_ball_fn():
@@ -80,14 +83,27 @@ def test_distance_linf_ball():
 
 
 def test_distance_feasible_point_is_zero():
-    assert distance_to_solution_set(EXP, [-1.0]) == 0.0
+    assert distance_to_solution_set(EXP, [-1.0], slater=[-1.0]) == 0.0
 
 
 def test_distance_requires_slater():
     # (x+)^2 + 1 > 0 everywhere: no slater point exists in any box
     f = Sum([(1.0, PosPartSquare(0, 1)), (1.0, Const(1.0, 1))])
     with pytest.raises(NoSlaterPoint):
-        distance_to_solution_set(f, [2.0], box=(np.array([-5.0]), np.array([5.0])))
+        find_slater_point(box_sample(f, (np.array([-5.0]), np.array([5.0])), 1024))
+    with pytest.raises(NoSlaterPoint):
+        distance_to_solution_set(f, [2.0], slater=[0.0])
+
+
+@pytest.mark.parametrize("box, n", [
+    ((np.array([-1.0]), np.array([1.0])), 0),
+    ((np.array([-1.0]), np.array([1.0])), -5),
+    ((np.array([1.0]), np.array([1.0])), 8),
+    ((np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 8),
+])
+def test_box_sample_rejects_bad_input(box, n):
+    with pytest.raises(ValueError):
+        box_sample(EXP, box, n)
 
 
 def _scalar_bisect(value, pos_pt, neg_pt, max_iter, rel_width=1e-15):
@@ -216,12 +232,12 @@ def test_distances_match_per_point_distance():
 
 
 def test_find_slater_point_exp():
-    s = find_slater_point(EXP, (np.array([-5.0]), np.array([5.0])))
+    s = find_slater_point(box_sample(EXP, (np.array([-5.0]), np.array([5.0])), 1024))
     assert evaluate(EXP, s) < 0
 
 
 def test_boundary_sample_exp():
-    bs = boundary_sample(EXP, (np.array([-2.0]), np.array([2.0])), 32, seed=0)
+    bs = boundary_sample(EXP, box_sample(EXP, (np.array([-2.0]), np.array([2.0])), 256), 32)
     assert bs.points.shape == (32, 1)
     for p in bs.points:
         assert abs(evaluate(EXP, p)) <= 1e-9
@@ -231,20 +247,21 @@ def test_boundary_sample_exp():
 def test_boundary_sample_halfspace(rng):
     a = np.array([1.0, 2.0])
     f = Affine(a, -1.0)
-    bs = boundary_sample(f, (np.array([-3.0, -3.0]), np.array([3.0, 3.0])), 24, seed=1)
+    bs = boundary_sample(f, box_sample(f, BOX2, 256, 1), 24)
     for p in bs.points:
         assert abs(float(a @ p) - 1.0) <= 1e-9
 
 
 def test_boundary_sample_linf_ball():
-    bs = boundary_sample(linf_ball_fn(), (np.array([-2.0, -2.0]), np.array([2.0, 2.0])), 24, seed=2)
+    f = linf_ball_fn()
+    bs = boundary_sample(f, box_sample(f, (np.full(2, -2.0), np.full(2, 2.0)), 256, 2), 24)
     for p in bs.points:
         assert max(abs(p[0]), abs(p[1])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_boundary_sample_no_sign_change():
     with pytest.raises(NoSignChangeInBox):
-        boundary_sample(EXP, (np.array([1.0]), np.array([2.0])), 8, seed=0)
+        boundary_sample(EXP, box_sample(EXP, (np.array([1.0]), np.array([2.0])), 256), 8)
 
 
 def test_eta_local_exp():
@@ -278,7 +295,7 @@ def test_eta_local_requires_boundary_point():
 
 
 def test_eta_global_exp():
-    rep = eta_global(EXP, (np.array([-10.0]), np.array([10.0])), 256, seed=0)
+    rep = eta_global(EXP, box_sample(EXP, (np.array([-10.0]), np.array([10.0])), 256))
     assert rep.eta_estimate == pytest.approx(1.0, abs=0.05)
     assert rep.tau_estimate == pytest.approx(1.0, abs=0.05)
     assert rep.empirical_ratio is not None
@@ -289,7 +306,7 @@ def test_eta_global_perturbed_exp_tail():
     eps = 0.1
     g = linear_perturbation(EXP, [-1.0], eps, [0.0])
     box = (np.array([-1e4]), np.array([2.0]))
-    rep = eta_global(g, box, 256, seed=0)
+    rep = eta_global(g, box_sample(g, box, 256))
     assert rep.eta_estimate == pytest.approx(eps, abs=1e-3)
     assert rep.empirical_ratio == pytest.approx(1.0 / eps, rel=0.01)
     assert rep.empirical_ratio <= rep.tau_estimate * 1.05
@@ -298,12 +315,12 @@ def test_eta_global_perturbed_exp_tail():
 def test_eta_global_affine_exact(rng):
     a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.3)
-    rep = eta_global(f, (np.array([-2.0, -2.0]), np.array([2.0, 2.0])), 128, seed=5)
+    rep = eta_global(f, box_sample(f, (np.full(2, -2.0), np.full(2, 2.0)), 128, 5))
     assert rep.eta_estimate == pytest.approx(float(np.linalg.norm(a)), abs=1e-12)
 
 
 def test_eta_global_vacuous_when_all_feasible():
-    rep = eta_global(EXP, (np.array([-5.0]), np.array([-1.0])), 64, seed=0)
+    rep = eta_global(EXP, box_sample(EXP, (np.array([-5.0]), np.array([-1.0])), 64))
     assert rep.vacuous
     assert rep.eta_estimate == math.inf
     assert rep.tau_estimate == 0.0
@@ -312,7 +329,7 @@ def test_eta_global_vacuous_when_all_feasible():
 def test_reciprocity_invariant():
     for rep in (
         eta_local(EXP, [0.0], seed=0),
-        eta_global(EXP, (np.array([-10.0]), np.array([10.0])), 128, seed=0),
+        eta_global(EXP, box_sample(EXP, (np.array([-10.0]), np.array([10.0])), 128)),
         eta_local(PosPartSquare(0, 1), [0.0], seed=1),
     ):
         if 0.0 < rep.eta_estimate < math.inf:
@@ -320,7 +337,7 @@ def test_reciprocity_invariant():
 
 
 def test_condition_3_9_exp():
-    bs = boundary_sample(EXP, (np.array([-2.0]), np.array([2.0])), 16, seed=0)
+    bs = boundary_sample(EXP, box_sample(EXP, (np.array([-2.0]), np.array([2.0])), 256), 16)
     res = check_condition_3_9(EXP, 0.5, bs)
     assert res.holds
     assert res.inf_abs_beta == pytest.approx(1.0, abs=1e-9)
@@ -339,14 +356,10 @@ def test_condition_3_9_pospartsquare_fails():
 def test_condition_3_9_affine(rng):
     a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
-    bs = boundary_sample(f, (np.array([-3.0, -3.0]), np.array([3.0, 3.0])), 16, seed=0)
+    bs = boundary_sample(f, box_sample(f, BOX2, 256), 16)
     res = check_condition_3_9(f, float(np.linalg.norm(a)) / 2, bs)
     assert res.holds
     assert res.inf_abs_beta == pytest.approx(float(np.linalg.norm(a)), abs=1e-9)
-
-
-EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
-BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
@@ -358,7 +371,7 @@ def test_condition_3_9_matches_scalar_beta(seed, m):
     f, s, _ = _slater_problem(rng, m, 0)
     box = (s - 4.0, s + 4.0)
     try:
-        bs = boundary_sample(f, box, 24, seed=1)
+        bs = boundary_sample(f, box_sample(f, box, 256, 1), 24)
     except NoSignChangeInBox:
         return
     want = np.array([abs(beta(f, p).beta) for p in bs.points])
@@ -378,8 +391,8 @@ def test_condition_3_9_interior_point_takes_scalar_beta():
 
 
 def test_qc_witness_exp_tail():
-    witnesses = qc_witness_search(EXP, 0.5, boundary_sample(EXP, EXP_TAIL, 50, 1),
-                                  EXP_TAIL, 400, seed=0)
+    boundary = boundary_sample(EXP, box_sample(EXP, EXP_TAIL, 256, 1), 50)
+    witnesses = qc_witness_search(EXP, 0.5, boundary, box_sample(EXP, EXP_TAIL, 400))
     assert len(witnesses) >= 1
     w = witnesses[0]
     assert abs(w.ratio) < 0.05
@@ -391,14 +404,14 @@ def test_qc_witness_affine_none(rng):
     a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
     tau = float(np.linalg.norm(a)) / 2
-    assert qc_witness_search(f, tau, boundary_sample(f, BOX2, 37, 1), BOX2,
-                             300, seed=0) == []
+    boundary = boundary_sample(f, box_sample(f, BOX2, 256, 1), 37)
+    assert qc_witness_search(f, tau, boundary, box_sample(f, BOX2, 300)) == []
 
 
 def test_qc_witness_linf_ball_none():
     f = linf_ball_fn()
-    assert qc_witness_search(f, 0.5, boundary_sample(f, BOX2, 37, 1), BOX2,
-                             300, seed=0) == []
+    boundary = boundary_sample(f, box_sample(f, BOX2, 256, 1), 37)
+    assert qc_witness_search(f, 0.5, boundary, box_sample(f, BOX2, 300)) == []
 
 
 def _qc_reference(f, tau, boundary, box, n, seed, flag_threshold=0.1):
@@ -427,7 +440,8 @@ def _qc_reference(f, tau, boundary, box, n, seed, flag_threshold=0.1):
 
 
 def _same_witnesses(f, tau, boundary, box, n, seed, flag_threshold=0.1):
-    got = qc_witness_search(f, tau, boundary, box, n, seed, flag_threshold)
+    got = qc_witness_search(f, tau, boundary, box_sample(f, box, n, seed),
+                            flag_threshold)
     want = _qc_reference(f, tau, boundary, box, n, seed, flag_threshold)
     assert [w.payload() for w in got] == [w.payload() for w in want]
     return got
@@ -435,9 +449,9 @@ def _same_witnesses(f, tau, boundary, box, n, seed, flag_threshold=0.1):
 
 def test_qc_search_matches_reference_on_exp_tail():
     # over 300 feasible samples, so the nearest-point scan takes many blocks
-    assert (box_points(*EXP_TAIL, 400, 0) < 0.0).sum() > QC_BLOCK
-    witnesses = _same_witnesses(EXP, 0.5, boundary_sample(EXP, EXP_TAIL, 50, 1),
-                                EXP_TAIL, 400, 0)
+    assert (box_sample(EXP, EXP_TAIL, 400).values < 0.0).sum() > QC_BLOCK
+    boundary = boundary_sample(EXP, box_sample(EXP, EXP_TAIL, 256, 1), 50)
+    witnesses = _same_witnesses(EXP, 0.5, boundary, EXP_TAIL, 400, 0)
     assert len(witnesses) >= 1
 
 
@@ -449,7 +463,8 @@ def test_qc_search_matches_reference_on_random_boxes(seed, m, n, tau):
     f, s, _ = _slater_problem(rng, m, 0)
     box = (s - rng.uniform(0.5, 4.0, size=m), s + rng.uniform(0.5, 4.0, size=m))
     try:
-        boundary = boundary_sample(f, box, int(rng.integers(1, 60)), 1)
+        boundary = boundary_sample(f, box_sample(f, box, 256, 1),
+                                   int(rng.integers(1, 60)))
     except NoSignChangeInBox:
         return
     _same_witnesses(f, tau, boundary, box, n, seed % 1000, flag_threshold=0.5)
@@ -465,7 +480,7 @@ def test_global_verdict_draws_one_boundary_sample(monkeypatch):
         return boundary_sample(*args, **kwargs)
 
     monkeypatch.setattr(moduli, "boundary_sample", counted)
-    classify_global_stability(EXP, 0.5, EXP_TAIL, 400, seed=0)
+    classify_global_stability(EXP, 0.5, box_sample(EXP, EXP_TAIL, 400))
     assert len(calls) == 1
 
 
@@ -493,7 +508,7 @@ def test_local_stability_precondition():
 
 
 def test_global_stability_exp_unstable_with_witnesses():
-    v = classify_global_stability(EXP, 0.5, EXP_TAIL, 400, seed=0)
+    v = classify_global_stability(EXP, 0.5, box_sample(EXP, EXP_TAIL, 400))
     assert v.verdict == "unstable"
     assert len(v.qc_witnesses) >= 1
 
@@ -504,15 +519,13 @@ def test_global_stability_affine_stable(rng):
         a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
     v = classify_global_stability(f, float(np.linalg.norm(a)) / 2,
-                                  (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
-                                  300, seed=0)
+                                  box_sample(f, BOX2, 300))
     assert v.verdict == "stable"
 
 
 def test_global_stability_linf_ball_stable():
-    v = classify_global_stability(linf_ball_fn(), 0.5,
-                                  (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
-                                  300, seed=0)
+    f = linf_ball_fn()
+    v = classify_global_stability(f, 0.5, box_sample(f, BOX2, 300))
     assert v.verdict == "stable"
     assert v.beta_inf > 0.5 * 1.05
 
@@ -524,8 +537,8 @@ def test_local_global_consistency_suite():
         (linf_ball_fn(), (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))),
     ]
     for f, box in cases:
-        glob = eta_global(f, box, 256, seed=0)
-        bs = boundary_sample(f, box, 8, seed=1)
+        glob = eta_global(f, box_sample(f, box, 256))
+        bs = boundary_sample(f, box_sample(f, box, 256, 1), 8)
         local_taus = []
         for p in bs.points:
             try:

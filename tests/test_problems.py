@@ -71,6 +71,9 @@ def test_parse_dimension_mismatch_rejected():
     ("box -3..3 oops", 11, "box axis must be lo..hi, got 'oops'"),
     ("box -3..x, -3..3", 5, "bad box range '-3..x'"),
     ("box", 1, "empty box argument"),
+    ("box 1..-1 -1..1", 5, "box range '1..-1' needs lo < hi"),
+    ("box -1..1 2..2", 11, "box range '2..2' needs lo < hi"),
+    ("box -3..3", 1, "box has 1 axes, dim is 2"),
 ])
 def test_parse_malformed_box_has_location(line, col, message):
     with pytest.raises(ParseError) as exc:

@@ -212,6 +212,51 @@ def test_cli_malformed_box_exit_code(ball_file, box, capsys):
         assert err.startswith("parse error: ") and "line" not in err
 
 
+BAD_BOX_PROBLEM = BALL_PROBLEM.replace("box -3.0..3.0 -3.0..3.0", "box 1..-1 -1..1")
+
+
+@pytest.mark.parametrize("text, argv", [
+    (BALL_PROBLEM, ["analyze-global", "--samples", "0"]),
+    (BALL_PROBLEM, ["analyze-global", "--samples", "-5"]),
+    (BALL_PROBLEM, ["analyze-local", "--levels", "0"]),
+    (BALL_PROBLEM, ["analyze-local", "--levels", "-2"]),
+    (BALL_PROBLEM, ["analyze-local", "--samples", "0"]),
+    (BALL_PROBLEM, ["analyze-local", "--tol", "-1"]),
+    (BALL_PROBLEM, ["analyze-global", "--tau", "0"]),
+    (BALL_PROBLEM, ["analyze-global", "--tau", "-1"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "-0.1", "--dir", "0,1"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "0.1", "--dir", "3,0"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "0.1", "--dir", "1"]),
+    (BALL_PROBLEM, ["analyze-global", "--box", "1..0,0..1"]),
+    (BALL_PROBLEM, ["analyze-global", "--box", "0..1"]),
+    (BAD_BOX_PROBLEM, ["analyze-global"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else
+   "bad-box-file" if v is BAD_BOX_PROBLEM else "ball-file")
+def test_cli_bad_number_or_box_exits_3(tmp_path, text, argv, capsys):
+    # a value that would give a vacuous answer or fail deep inside an
+    # analysis is a parse error, not a traceback
+    path = tmp_path / "problem.eb"
+    path.write_text(text, encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):
+    # the modulus, condition (3.9) and the witness search read one sample
+    import ebstab.moduli as moduli
+
+    calls = []
+    draw = moduli.box_points
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(moduli, "box_points", counted)
+    assert main(["analyze-global", ball_file]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_missing_file_exit_code(capsys):
     assert main(["analyze-local", "/nonexistent/x.eb", "--at", "0"]) == 3
 
