@@ -77,7 +77,6 @@ from .systems import (
     ActiveSet,
     FiniteFamily,
     HypothesisCheck,
-    IndexedFamily,
     IntervalFamily,
     active_set,
     check_active_set_hypotheses,

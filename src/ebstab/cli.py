@@ -49,7 +49,11 @@ def _load_problem(path: str):
 
 def _point_for(args, problem) -> np.ndarray:
     if args.at is not None:
-        return _parse_vec(args.at)
+        x = _parse_vec(args.at)
+        if x.shape != (problem.dim,):
+            raise ParseError(f"--at must have {problem.dim} entries, "
+                             f"got {x.shape[0]}")
+        return x
     if problem.point is not None:
         return problem.point
     raise ParseError("no reference point: pass --at or declare 'point' "
@@ -147,11 +151,16 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.infile == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.infile == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read report file: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"report is not valid json: {exc}") from exc
     sys.stdout.write(emit_report(data, args.format))
     return 0
 

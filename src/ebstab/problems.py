@@ -14,7 +14,9 @@ Line-oriented, s-expression based, trivially diffable:
 The function line is either ``expr <sexpr>`` or ``family finite [...]`` /
 ``family interval <lo> <hi> <grid> <sexpr>``.  Interval templates may use
 the parameter ``t`` in scalar slots, restricted to coefficients affine in
-``t`` (written without spaces: ``t``, ``-t``, ``2*t``, ``1-0.5*t``).
+``t`` (written without spaces: ``t``, ``-t``, ``2*t``, ``1-0.5*t``).  An
+interval family's index set is its ``<grid>`` uniform points in
+[lo, hi]; the template is parsed once per point, into one expression each.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .expressions import (
     _fmt,
     _fmt_vec,
 )
-from .systems import FiniteFamily, IndexedFamily, IntervalFamily, materialize_sup
+from .systems import FiniteFamily, IntervalFamily, materialize_sup
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _UNUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -98,23 +100,21 @@ def _tokenize(text: str, line_no: int):
     return tokens
 
 
-def _scalar_rule(tok: _Token, allow_t: bool):
-    """A scalar slot: a number, or (in templates) a+b*t. Returns t -> float."""
+def _scalar(tok: _Token, t: float | None) -> float:
+    """A scalar slot: a number, or inside a template (t not None) a+b*t at
+    the template's grid parameter t."""
     try:
-        value = float(tok.text)
-        return lambda t, v=value: v
+        return float(tok.text)
     except ValueError:
         pass
-    if allow_t:
-        m = _SCALAR_T.fullmatch(tok.text)
-        if m:
-            a = float(m.group("a")) if m.group("a") else 0.0
-            op = -1.0 if m.group("op") == "-" else 1.0
-            bsign = -1.0 if m.group("bsign") == "-" else 1.0
-            b = float(m.group("b")) if m.group("b") else 1.0
-            coef = op * bsign * b
-            return lambda t: a + coef * t
-    raise ParseError(f"expected a number{' or t-rule' if allow_t else ''}, "
+    m = _SCALAR_T.fullmatch(tok.text) if t is not None else None
+    if m:
+        a = float(m.group("a")) if m.group("a") else 0.0
+        op = -1.0 if m.group("op") == "-" else 1.0
+        bsign = -1.0 if m.group("bsign") == "-" else 1.0
+        b = float(m.group("b")) if m.group("b") else 1.0
+        return a + op * bsign * b * t
+    raise ParseError(f"expected a number{'' if t is None else ' or t-rule'}, "
                      f"got '{tok.text}'", tok.line, tok.col)
 
 
@@ -126,131 +126,101 @@ def _int_arg(tok: _Token) -> int:
                          tok.line, tok.col) from None
 
 
-def _parse_vector(ts: _Stream, allow_t: bool):
+def _parse_list(ts: _Stream, read_item, unterminated: str, empty: str,
+                at=None) -> list:
+    """The items of a bracketed, comma-separated list; its errors point at
+    the opening bracket unless ``at`` gives a (line, col)."""
     opener = ts.pop("[")
-    rules = []
-    while True:
-        tok = ts.peek()
+    line, col = at or (opener.line, opener.col)
+    items = []
+    while (tok := ts.peek()) is None or tok.text != "]":
         if tok is None:
-            raise ParseError("unterminated vector", opener.line, opener.col)
-        if tok.text == "]":
-            ts.pop()
-            break
-        if rules:
+            raise ParseError(unterminated, line, col)
+        if items:
             ts.pop(",")
-        rules.append(_scalar_rule(ts.pop(), allow_t))
-    if not rules:
-        raise ParseError("empty vector", opener.line, opener.col)
-    return lambda t: np.array([r(t) for r in rules])
+        items.append(read_item())
+    ts.pop()
+    if not items:
+        raise ParseError(empty, line, col)
+    return items
 
 
-def _parse_matrix(ts: _Stream, allow_t: bool):
-    opener = ts.pop("[")
-    rows = []
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            raise ParseError("unterminated matrix", opener.line, opener.col)
-        if tok.text == "]":
-            ts.pop()
-            break
-        if rows:
-            ts.pop(",")
-        rows.append(_parse_vector(ts, allow_t))
-    if not rows:
-        raise ParseError("empty matrix", opener.line, opener.col)
-    return lambda t: np.array([r(t) for r in rows])
+def _parse_vector(ts: _Stream, t: float | None) -> np.ndarray:
+    return np.array(_parse_list(ts, lambda: _scalar(ts.pop(), t),
+                                "unterminated vector", "empty vector"))
 
 
-def _parse_expr(ts: _Stream, dim: int, allow_t: bool):
+def _parse_matrix(ts: _Stream, t: float | None) -> np.ndarray:
+    return np.array(_parse_list(ts, lambda: _parse_vector(ts, t),
+                                "unterminated matrix", "empty matrix"))
+
+
+def _parse_expr(ts: _Stream, dim: int, t: float | None) -> ConvexExpr:
     """Parse one s-expression (parenthesized, or a bare atom form inside a
-    family list).  Returns a builder t -> ConvexExpr."""
+    family list).  t is the grid parameter of an interval template, None
+    outside one."""
     tok = ts.peek()
     if tok is None:
         raise ParseError("expected an expression", ts.line, 0)
     if tok.text == "(":
         ts.pop()
-        builder = _parse_head(ts, dim, allow_t, bare=False)
+        expr = _parse_head(ts, dim, t, bare=False)
         ts.pop(")")
-        return builder
-    return _parse_head(ts, dim, allow_t, bare=True)
+        return expr
+    return _parse_head(ts, dim, t, bare=True)
 
 
-def _parse_head(ts: _Stream, dim: int, allow_t: bool, bare: bool):
+def _parse_head(ts: _Stream, dim: int, t: float | None, bare: bool) -> ConvexExpr:
     head_tok = ts.pop()
     head = head_tok.text
+    if head in ("max", "sum", "compose") and bare:
+        raise ParseError(f"{head} must be parenthesized",
+                         head_tok.line, head_tok.col)
     if head == "const":
-        c = _scalar_rule(ts.pop(), allow_t)
-        return lambda t: Const(c(t), dim)
+        return Const(_scalar(ts.pop(), t), dim)
     if head == "affine":
-        vec = _parse_vector(ts, allow_t)
-        b = _scalar_rule(ts.pop(), allow_t)
-
-        def build_affine(t):
-            a = vec(t)
-            if a.shape[0] != dim:
-                raise ParseError(
-                    f"affine vector has {a.shape[0]} entries, dim is {dim}",
-                    head_tok.line, head_tok.col)
-            return Affine(a, b(t))
-
-        return build_affine
+        a = _parse_vector(ts, t)
+        b = _scalar(ts.pop(), t)
+        if a.shape[0] != dim:
+            raise ParseError(
+                f"affine vector has {a.shape[0]} entries, dim is {dim}",
+                head_tok.line, head_tok.col)
+        return Affine(a, b)
     if head == "norm":
-        return lambda t: EuclidNorm(dim)
+        return EuclidNorm(dim)
     if head == "abs":
-        i = _int_arg(ts.pop())
-        return lambda t: AbsCoord(i, dim)
+        return AbsCoord(_int_arg(ts.pop()), dim)
     if head == "exp1d":
         i = _int_arg(ts.pop())
-        s = _scalar_rule(ts.pop(), allow_t)
-        return lambda t: Exp1D(i, s(t), dim)
+        return Exp1D(i, _scalar(ts.pop(), t), dim)
     if head == "pospart2":
-        i = _int_arg(ts.pop())
-        return lambda t: PosPartSquare(i, dim)
+        return PosPartSquare(_int_arg(ts.pop()), dim)
     if head == "max":
-        if bare:
-            raise ParseError("max must be parenthesized", head_tok.line, head_tok.col)
         children = []
         while ts.peek() is not None and ts.peek().text != ")":
-            children.append(_parse_expr(ts, dim, allow_t))
+            children.append(_parse_expr(ts, dim, t))
         if not children:
             raise ParseError("max needs at least one child",
                              head_tok.line, head_tok.col)
-        return lambda t: Max([c(t) for c in children])
+        return Max(children)
     if head == "sum":
-        if bare:
-            raise ParseError("sum must be parenthesized", head_tok.line, head_tok.col)
-        pairs = []
+        terms = []
         while ts.peek() is not None and ts.peek().text != ")":
             w_tok = ts.pop()
-            w = _scalar_rule(w_tok, allow_t)
-            child = _parse_expr(ts, dim, allow_t)
-            pairs.append((w, child, w_tok))
-        if not pairs:
+            weight = _scalar(w_tok, t)
+            if weight < 0.0:
+                raise ParseError(
+                    f"convexity rule: sum weight {weight:g} is negative",
+                    w_tok.line, w_tok.col)
+            terms.append((weight, _parse_expr(ts, dim, t)))
+        if not terms:
             raise ParseError("sum needs at least one term",
                              head_tok.line, head_tok.col)
-
-        def build_sum(t):
-            terms = []
-            for w, child, w_tok in pairs:
-                weight = w(t)
-                if weight < 0.0:
-                    raise ParseError(
-                        f"convexity rule: sum weight {weight:g} is negative",
-                        w_tok.line, w_tok.col)
-                terms.append((weight, child(t)))
-            return Sum(terms)
-
-        return build_sum
+        return Sum(terms)
     if head == "compose":
-        if bare:
-            raise ParseError("compose must be parenthesized",
-                             head_tok.line, head_tok.col)
-        mat = _parse_matrix(ts, allow_t)
-        vec = _parse_vector(ts, allow_t)
-        probe = mat(0.0) if allow_t else mat(None)
-        inner = _parse_expr(ts, probe.shape[0], allow_t)
-        return lambda t: ComposeAffine(inner(t), mat(t), vec(t))
+        mat = _parse_matrix(ts, t)
+        vec = _parse_vector(ts, t)
+        return ComposeAffine(_parse_expr(ts, mat.shape[0], t), mat, vec)
     raise ParseError(f"unknown expression head '{head}'",
                      head_tok.line, head_tok.col)
 
@@ -262,7 +232,7 @@ class ProblemFile:
     name: str
     dim: int
     expr: ConvexExpr | None = None
-    family: IndexedFamily | None = None
+    family: FiniteFamily | None = None
     slater: np.ndarray | None = None
     point: np.ndarray | None = None
     box: tuple | None = None
@@ -308,23 +278,24 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         if dim is None:
             raise ParseError(f"'{key}' before 'dim' declaration", line_no, 1)
-        if key == "expr":
-            builder = _parse_expr(ts, dim, allow_t=False)
+        if key in ("expr", "family"):
+            # a node that rejects its arguments fails the whole line
             try:
-                expr = builder(None)
+                if key == "expr":
+                    expr = _parse_expr(ts, dim, None)
+                else:
+                    family = _parse_family(ts, dim, line_no)
             except (ConvexityViolation, DimensionMismatch, ValueError) as exc:
                 raise ParseError(str(exc), line_no, 1) from exc
-        elif key == "family":
-            family = _parse_family(ts, dim, line_no)
         elif key == "slater":
-            slater = _parse_vector(ts, False)(None)
+            slater = _parse_vector(ts, None)
         elif key == "point":
-            point = _parse_vector(ts, False)(None)
+            point = _parse_vector(ts, None)
         elif key == "box":
             box = parse_box(ts.tokens[ts.pos:], dim, line_no)
             ts.pos = len(ts.tokens)
         elif key == "tau":
-            tau = _scalar_rule(ts.pop(), False)(None)
+            tau = _scalar(ts.pop(), None)
             if tau <= 0:
                 raise ParseError("tau must be positive", line_no, 1)
         else:
@@ -378,42 +349,24 @@ def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
     return np.array(los), np.array(his)
 
 
-def _parse_family(ts: _Stream, dim: int, line_no: int) -> IndexedFamily:
+def _parse_family(ts: _Stream, dim: int, line_no: int) -> FiniteFamily:
     kind_tok = ts.pop()
     if kind_tok.text == "finite":
-        ts.pop("[")
-        builders = []
-        while True:
-            tok = ts.peek()
-            if tok is None:
-                raise ParseError("unterminated family list", line_no, 1)
-            if tok.text == "]":
-                ts.pop()
-                break
-            if builders:
-                ts.pop(",")
-            builders.append(_parse_expr(ts, dim, allow_t=False))
-        if not builders:
-            raise ParseError("family needs at least one member", line_no, 1)
-        try:
-            members = [b(None) for b in builders]
-        except (ConvexityViolation, DimensionMismatch, ValueError) as exc:
-            raise ParseError(str(exc), line_no, 1) from exc
-        return FiniteFamily(members)
+        return FiniteFamily(_parse_list(
+            ts, lambda: _parse_expr(ts, dim, None), "unterminated family list",
+            "family needs at least one member", at=(line_no, 1)))
     if kind_tok.text == "interval":
-        lo = _scalar_rule(ts.pop(), False)(None)
-        hi = _scalar_rule(ts.pop(), False)(None)
+        lo = _scalar(ts.pop(), None)
+        hi = _scalar(ts.pop(), None)
         grid = _int_arg(ts.pop())
-        template_start = ts.pos
-        builder = _parse_expr(ts, dim, allow_t=True)
-        template_text = " ".join(
-            t.text for t in ts.tokens[template_start:ts.pos]
-        )
-        try:
-            return IntervalFamily(lo, hi, grid, builder,
-                                  template_text=template_text)
-        except (ConvexityViolation, DimensionMismatch, ValueError) as exc:
-            raise ParseError(str(exc), line_no, 1) from exc
+        # parse the template once to find its tokens, then once per grid t
+        start = ts.pos
+        _parse_expr(ts, dim, lo)
+        template = ts.tokens[start:ts.pos]
+        return IntervalFamily(
+            lo, hi, grid,
+            lambda t: _parse_expr(_Stream(template, line_no), dim, t),
+            template_text=" ".join(tok.text for tok in template))
     raise ParseError(f"family kind must be finite or interval, got "
                      f"'{kind_tok.text}'", kind_tok.line, kind_tok.col)
 
@@ -445,17 +398,8 @@ def serialize_problem(p: ProblemFile) -> str:
     lines.append(f"dim {p.dim}")
     if p.expr is not None:
         lines.append(f"expr {serialize_expr(p.expr)}")
-    elif isinstance(p.family, FiniteFamily):
-        inner = ", ".join(serialize_expr(m) for m in p.family.members)
-        lines.append(f"family finite [{inner}]")
-    elif isinstance(p.family, IntervalFamily):
-        if p.family.template_text is None:
-            raise ValueError("interval family without template text cannot "
-                             "be serialized")
-        lines.append(
-            f"family interval {_fmt(p.family.lo)} {_fmt(p.family.hi)} "
-            f"{p.family.grid_count} {p.family.template_text}"
-        )
+    else:
+        lines.append(p.family._text())
     if p.slater is not None:
         lines.append(f"slater {_fmt_vec(p.slater)}")
     if p.point is not None:

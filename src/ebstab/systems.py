@@ -1,10 +1,12 @@
 """Semi-infinite convex constraint systems {f_i <= 0, i in I}.
 
 A system is analyzed through its sup function f = max_i f_i and the active
-index sets attaining the sup.  Index sets are compact: a finite label list,
-or a closed interval realized as a uniform grid with local refinement of
-the sup in the parameter.  The pointwise-max rule gives the directional
-derivative and subdifferential of the sup function from the active members.
+index sets attaining the sup.  Every index set is finite: a label list, or
+the uniform grid that stands for a closed parameter interval.  The sup is
+the max over those members, the one function ``materialize_sup`` builds;
+a finer sup in the parameter needs a larger grid.  The pointwise-max rule
+gives the directional derivative and subdifferential of the sup function
+from the active members.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ConvexExpr, Max, as_point, directional_derivative
+from .expressions import ConvexExpr, Max, _fmt, as_point, directional_derivative
 from .geometry import SubdiffSet, merge_active_subdiffs
 from .moduli import (StabilityVerdict, box_sample, classify_global_stability,
                      classify_local_stability)
@@ -31,19 +33,7 @@ class ActiveSet:
     sup_value: float
 
 
-class IndexedFamily:
-    """Base interface: a compact index set with a convex member per index."""
-
-    dim: int
-
-    def grid_indices(self):
-        raise NotImplementedError
-
-    def member(self, i) -> ConvexExpr:
-        raise NotImplementedError
-
-
-class FiniteFamily(IndexedFamily):
+class FiniteFamily:
     """Finitely many members with hashable labels (default 1..n)."""
 
     def __init__(self, members, labels=None):
@@ -70,13 +60,17 @@ class FiniteFamily(IndexedFamily):
     def member(self, i) -> ConvexExpr:
         return self._by_label[i]
 
+    def _text(self) -> str:
+        """The family line of a problem file."""
+        return ("family finite ["
+                + ", ".join(m._text() for m in self.members) + "]")
 
-class IntervalFamily(IndexedFamily):
-    """Members indexed by a closed parameter interval, instantiated from a
-    rule continuous in the parameter; sup computations use a uniform grid
-    plus local refinement.  Grid members are cached; the off-grid members
-    the refinement visits are built afresh, so the cache never holds more
-    than grid_count members."""
+
+class IntervalFamily(FiniteFamily):
+    """Members indexed by a closed parameter interval [lo, hi], realized as
+    its uniform grid of grid_count points: the labels are the grid points
+    and the member at each is rule(t), built once.  A parameter off the
+    grid is not an index (``member`` raises KeyError)."""
 
     def __init__(self, lo: float, hi: float, grid_count: int, rule,
                  template_text: str | None = None):
@@ -87,88 +81,40 @@ class IntervalFamily(IndexedFamily):
         self.lo = float(lo)
         self.hi = float(hi)
         self.grid_count = int(grid_count)
-        self.rule = rule
         self.template_text = template_text
-        self._cache: dict = {}
-        self._grid_keys = frozenset(map(float, self.grid_indices()))
-        probe = self.member(self.lo)
-        self.dim = probe.dim
+        grid = tuple(np.linspace(self.lo, self.hi, self.grid_count))
+        super().__init__([rule(float(t)) for t in grid], labels=grid)
 
-    def grid_indices(self):
-        return tuple(np.linspace(self.lo, self.hi, self.grid_count))
-
-    def member(self, i) -> ConvexExpr:
-        key = float(i)
-        member = self._cache.get(key)
-        if member is None:
-            member = self.rule(key)
-            if key in self._grid_keys:
-                self._cache[key] = member
-        return member
+    def _text(self) -> str:
+        if self.template_text is None:
+            raise ValueError("interval family without template text cannot "
+                             "be serialized")
+        return (f"family interval {_fmt(self.lo)} {_fmt(self.hi)} "
+                f"{self.grid_count} {self.template_text}")
 
 
-def _refined_argmax(family: IntervalFamily, x) -> float:
-    """Parameter maximizing f_t(x): grid argmax plus ternary refinement on
-    the neighboring cells."""
-    grid = family.grid_indices()
-    vals = [family.member(t)._value(x) for t in grid]
-    j = int(np.argmax(vals))
-    a = float(grid[max(0, j - 1)])
-    b = float(grid[min(len(grid) - 1, j + 1)])
-    for _ in range(60):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if family.member(m1)._value(x) < family.member(m2)._value(x):
-            a = m1
-        else:
-            b = m2
-    return 0.5 * (a + b)
+def sup_value(family: FiniteFamily, x) -> float:
+    """max over the index set of f_i(x), the value of ``materialize_sup``."""
+    return materialize_sup(family)._value(as_point(x, family.dim))
 
 
-def _sup(family: IndexedFamily, x):
-    """(sup, t_star): max over the index set of f_i(x) and, for interval
-    families, the refined argmax t_star (None for finite families)."""
-    grid_max = max(family.member(i)._value(x) for i in family.grid_indices())
-    if isinstance(family, FiniteFamily):
-        return grid_max, None
-    t_star = _refined_argmax(family, x)
-    return max(grid_max, family.member(t_star)._value(x)), t_star
-
-
-def sup_value(family: IndexedFamily, x) -> float:
-    """max over the index set of f_i(x); interval families refine the grid
-    maximum by a local 1-D search on the parameter."""
-    return _sup(family, as_point(x, family.dim))[0]
-
-
-def active_set(family: IndexedFamily, x, eps_act: float | None = None) -> ActiveSet:
+def active_set(family: FiniteFamily, x, eps_act: float | None = None) -> ActiveSet:
     """Indices whose member value reaches the sup within tolerance.
 
-    The default tolerance 1e-8 * (1 + |f(x)|) is looser than the expression
-    level one because interval grids contribute refinement error.
+    The default tolerance is 1e-8 * (1 + |f(x)|).
     """
     x = as_point(x, family.dim)
-    sup, t_star = _sup(family, x)
+    vals = np.array([m._value(x) for m in family.members])
+    sup = float(vals.max())
     if eps_act is None:
         eps_act = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
     if eps_act <= 0:
         raise ValueError("eps_act must be positive")
-    idx = [
-        i for i in family.grid_indices()
-        if family.member(i)._value(x) >= sup - eps_act
-    ]
-    if t_star is not None:
-        if family.member(t_star)._value(x) >= sup - eps_act and not any(
-            abs(t_star - t) <= 1e-12 for t in idx
-        ):
-            idx.append(t_star)
-    if not idx:
-        idx = [max(family.grid_indices(),
-                   key=lambda i: family.member(i)._value(x))]
-    return ActiveSet(indices=tuple(idx), tolerance=float(eps_act), sup_value=sup)
+    idx = tuple(i for i, v in zip(family.labels, vals) if v >= sup - eps_act)
+    return ActiveSet(indices=idx, tolerance=float(eps_act), sup_value=sup)
 
 
-def dd_max_formula(family: IndexedFamily, x, h) -> float:
+def dd_max_formula(family: FiniteFamily, x, h) -> float:
     """Directional derivative of the sup via the pointwise-max rule:
     max over active members of their directional derivatives."""
     x = as_point(x, family.dim)
@@ -178,7 +124,7 @@ def dd_max_formula(family: IndexedFamily, x, h) -> float:
     )
 
 
-def system_subdifferential(family: IndexedFamily, x) -> SubdiffSet:
+def system_subdifferential(family: FiniteFamily, x) -> SubdiffSet:
     """Subdifferential of the sup: hull of the union of active members'
     subdifferentials (merged under the expression-level exactness rules)."""
     x = as_point(x, family.dim)
@@ -188,15 +134,15 @@ def system_subdifferential(family: IndexedFamily, x) -> SubdiffSet:
     )
 
 
-def materialize_sup(family: IndexedFamily) -> ConvexExpr:
-    """The sup function as a finite max expression (grid members for
-    interval families)."""
-    return Max([family.member(i) for i in family.grid_indices()])
+def materialize_sup(family: FiniteFamily) -> ConvexExpr:
+    """The sup function as a finite max expression over the members."""
+    return Max(family.members)
 
 
-def perturb_system(family: IndexedFamily, u, eps: float, xbar) -> IndexedFamily:
+def perturb_system(family: FiniteFamily, u, eps: float, xbar) -> FiniteFamily:
     """Apply the same linear perturbation eps * <u, . - xbar> to every
-    member; the sup function shifts by exactly that linear term."""
+    member, keeping the labels; the sup function shifts by exactly that
+    linear term."""
     u = np.asarray(u, dtype=float)
     if np.linalg.norm(u) > 1.0 + 1e-12:
         raise ValueError("perturbation direction must satisfy ||u|| <= 1")
@@ -205,18 +151,8 @@ def perturb_system(family: IndexedFamily, u, eps: float, xbar) -> IndexedFamily:
     xbar = as_point(xbar, family.dim)
     a = eps * u
     b = -eps * float(u @ xbar)
-    if isinstance(family, FiniteFamily):
-        return FiniteFamily(
-            [with_linear_term(m, a, b) for m in family.members],
-            labels=family.labels,
-        )
-    if isinstance(family, IntervalFamily):
-        rule = family.rule
-        return IntervalFamily(
-            family.lo, family.hi, family.grid_count,
-            lambda t: with_linear_term(rule(t), a, b),
-        )
-    raise TypeError(f"unknown family type {type(family)!r}")
+    return FiniteFamily([with_linear_term(m, a, b) for m in family.members],
+                        labels=family.labels)
 
 
 @dataclass(frozen=True)
@@ -243,8 +179,8 @@ class HypothesisCheck:
         }
 
 
-def check_active_set_hypotheses(family_f: IndexedFamily,
-                                family_g: IndexedFamily, x) -> HypothesisCheck:
+def check_active_set_hypotheses(family_f: FiniteFamily,
+                                family_g: FiniteFamily, x) -> HypothesisCheck:
     """Check the inclusion between active sets that the stability transfer
     needs: I_g subset of I_f when beta < 0, I_f subset of I_g when beta > 0.
     """
@@ -270,7 +206,7 @@ def check_active_set_hypotheses(family_f: IndexedFamily,
     )
 
 
-def classify_system_stability(family: IndexedFamily, xbar=None,
+def classify_system_stability(family: FiniteFamily, xbar=None,
                               tau: float | None = None, box=None,
                               n: int = 512, seed: int = 0) -> StabilityVerdict:
     """Stability verdict for the system through its materialized sup

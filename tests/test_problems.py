@@ -8,7 +8,7 @@ import pytest
 from ebstab.errors import ParseError
 from ebstab.expressions import Exp1D, Max, evaluate
 from ebstab.problems import parse_problem, serialize_expr, serialize_problem
-from ebstab.systems import FiniteFamily, IntervalFamily, sup_value
+from ebstab.systems import FiniteFamily, IntervalFamily, perturb_system, sup_value
 
 
 def test_parse_remark_tail_problem():
@@ -151,3 +151,33 @@ def test_round_trip_preserves_exact_floats():
     p2 = parse_problem(serialize_problem(p1))
     assert p2.expr.a[0] == value
     assert p2.expr.b == math.pi
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # the weight 1 - 2t is negative from t = 0.75 on the 5-point grid
+    ("dim 1\nfamily interval 0 1 5 (sum 1-2*t (abs 0))\n", 2, 28,
+     "convexity rule: sum weight -0.5 is negative"),
+    ("dim 1\nexpr (const t)\n", 2, 13, "expected a number, got 't'"),
+    ("dim 2\nfamily interval 0 1 5 (abs t)\n", 2, 28,
+     "expected an integer, got 't'"),
+    ("dim 2\nfamily finite []\n", 2, 1, "family needs at least one member"),
+    ("dim 2\nfamily finite [abs 0, abs 1\n", 2, 1, "unterminated family list"),
+], ids=["negative-weight-at-grid-t", "t-outside-template", "t-in-index-slot",
+        "empty-family", "unterminated-family"])
+def test_parse_error_message_and_location(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
+def test_perturbed_interval_family_round_trips_as_finite():
+    p = parse_problem("dim 2\nfamily interval 0.0 1.0 9 (affine [t, 1-1*t] -1.0)\n")
+    p.family = perturb_system(p.family, [0.6, -0.8], 0.25, [1.0, 1.0])
+    text = serialize_problem(p)
+    assert text.startswith("dim 2\nfamily finite [")
+    back = parse_problem(text)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = rng.normal(size=2) * 2.0
+        assert sup_value(back.family, x) == sup_value(p.family, x)

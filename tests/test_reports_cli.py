@@ -230,6 +230,8 @@ BAD_BOX_PROBLEM = BALL_PROBLEM.replace("box -3.0..3.0 -3.0..3.0", "box 1..-1 -1.
     (BALL_PROBLEM, ["analyze-global", "--box", "1..0,0..1"]),
     (BALL_PROBLEM, ["analyze-global", "--box", "0..1"]),
     (BAD_BOX_PROBLEM, ["analyze-global"]),
+    (BALL_PROBLEM, ["analyze-local", "--at", "1"]),
+    (BALL_PROBLEM, ["perturb", "--at", "1,0,0", "--eps", "0.1", "--dir", "0,1"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else
    "bad-box-file" if v is BAD_BOX_PROBLEM else "ball-file")
 def test_cli_bad_number_or_box_exits_3(tmp_path, text, argv, capsys):
@@ -239,6 +241,20 @@ def test_cli_bad_number_or_box_exits_3(tmp_path, text, argv, capsys):
     path.write_text(text, encoding="utf-8")
     assert main([argv[0], str(path), *argv[1:]]) == 3
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_cli_report_missing_file_exits_3(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path / "missing.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: cannot read report file")
+
+
+def test_cli_report_bad_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad", encoding="utf-8")
+    assert main(["report", "--in", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: report is not valid json")
 
 
 def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):

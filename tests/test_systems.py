@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebstab.expressions import (
     AbsCoord,
@@ -14,6 +16,7 @@ from ebstab.expressions import (
     directional_derivative,
 )
 from ebstab.systems import (
+    SYSTEM_ACTIVE_TOL,
     FiniteFamily,
     IntervalFamily,
     active_set,
@@ -240,7 +243,7 @@ def test_interval_active_set_nonempty_and_refined():
     fam = make_interval_family()
     act = active_set(fam, [2.0, 0.5])
     assert act.indices
-    # the sup over t is attained at t = 1 for x1 > x2
+    # the sup over t is attained at the grid point t = 1 for x1 > x2
     assert any(abs(t - 1.0) <= 1e-6 for t in act.indices)
 
 
@@ -270,11 +273,83 @@ def test_interval_member_cache_reused():
 
 
 def test_interval_member_cache_bounded():
-    # the argmax refinement visits fresh off-grid parameters on every call;
-    # only the grid members may stay cached
+    # the family holds one member per grid point, built once; no analysis
+    # adds members
     fam = make_interval_family()
     rng = np.random.default_rng(7)
+    members = [fam.member(t) for t in fam.grid_indices()]
     for _ in range(200):
         active_set(fam, rng.normal(size=2))
-    assert len(fam._cache) <= fam.grid_count
-    assert all(fam.member(t) is fam.member(t) for t in fam.grid_indices())
+    assert len(fam.members) == fam.grid_count
+    assert all(fam.member(t) is m for t, m in zip(fam.grid_indices(), members))
+
+
+def test_interval_off_grid_parameter_is_not_an_index():
+    fam = make_interval_family()
+    with pytest.raises(KeyError):
+        fam.member(0.3)
+
+
+def test_interval_active_set_reads_the_grid():
+    # the active set and the subdifferential come from the grid members,
+    # the ones the Max node of materialize_sup holds, with no parameter
+    # between grid points
+    fam = make_interval_family()
+    assert active_set(fam, [2.0, 0.5]).indices == (1.0,)
+    assert active_set(fam, [0.3, 0.3]).indices == fam.grid_indices()
+    sup = materialize_sup(fam)
+    for x in ([2.0, 0.5], [0.3, 0.3]):
+        got = system_subdifferential(fam, x).generators
+        want = sup._subdiff(np.asarray(x)).generators
+        assert np.array_equal(got, want)
+
+
+def test_perturbed_interval_family_keeps_labels():
+    fam = make_interval_family()
+    out = perturb_system(fam, [0.6, 0.8], 0.2, [1.0, 1.0])
+    assert out.grid_indices() == fam.grid_indices()
+    hc = check_active_set_hypotheses(fam, out, [1.0, 1.0])
+    assert set(hc.active_f) == set(hc.active_g)
+
+
+# interval templates with t in the affine, const, exp1d-shift and sum-weight
+# slots; each is a family on R^2
+TEMPLATES = [
+    "(affine [t, 1-1*t] -1.0)",
+    "(max (abs 0) (const -t))",
+    "(exp1d 1 -0.5*t)",
+    "(sum t (abs 0) 1-0.5*t (abs 1))",
+    "(sum 1 (affine [-t, 0.5] t) 2*t (pospart2 0))",
+]
+
+
+def _template_family(index, grid_count):
+    from ebstab.problems import parse_problem
+
+    text = f"dim 2\nfamily interval 0.0 1.0 {grid_count} {TEMPLATES[index]}\n"
+    return parse_problem(text).family
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       template=st.one_of(st.none(), st.integers(0, len(TEMPLATES) - 1)),
+       grid_count=st.integers(2, 12))
+def test_family_sup_and_active_set_read_the_max_node(seed, template, grid_count):
+    # finite families of random members, or interval families parsed from a
+    # template: the sup is the value of materialize_sup bitwise, and the
+    # active set is exactly the labels within the system tolerance of it
+    rng = np.random.default_rng(seed)
+    if template is None:
+        m = int(rng.integers(1, 4))
+        fam = FiniteFamily([random_expr(rng, m, depth=1, allow_ball=False)
+                            for _ in range(int(rng.integers(1, 5)))])
+    else:
+        fam = _template_family(template, grid_count)
+    x = random_point(rng, fam.dim)
+    sup = materialize_sup(fam)._value(x)
+    assert sup_value(fam, x) == sup
+    tol = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
+    want = tuple(i for i in fam.grid_indices()
+                 if fam.member(i)._value(x) >= sup - tol)
+    act = active_set(fam, x)
+    assert act.indices == want and act.sup_value == sup
