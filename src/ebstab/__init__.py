@@ -11,7 +11,6 @@ from .errors import (
     NumericalOverflow,
     ParseError,
     PreconditionError,
-    UndeterminedInradius,
     UnsupportedSubdifferential,
 )
 from .expressions import (

@@ -15,17 +15,12 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    EbstabError,
-    MinNormNonConvergence,
-    NumericalOverflow,
-    ParseError,
-    UndeterminedInradius,
-)
+from .errors import (EbstabError, MinNormNonConvergence, NumericalOverflow,
+                     ParseError)
 from .moduli import (box_sample, classify_global_stability,
                      classify_local_stability, eta_global, eta_local)
 from .problems import parse_box, parse_problem
-from .reports import emit_report, make_envelope
+from .reports import SCHEMA, emit_report, make_envelope
 from .scenarios import SCENARIO_NAMES, reproduce
 from .sphere import beta
 from .sweep import run_perturbation_sweep
@@ -161,6 +156,8 @@ def _cmd_report(args) -> int:
         raise ParseError(f"cannot read report file: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"report is not valid json: {exc}") from exc
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
+        raise ParseError(f"report is not an {SCHEMA} envelope")
     sys.stdout.write(emit_report(data, args.format))
     return 0
 
@@ -236,7 +233,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3
-    except (MinNormNonConvergence, UndeterminedInradius) as exc:
+    except MinNormNonConvergence as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return 4
     except NumericalOverflow as exc:

@@ -41,20 +41,6 @@ class MinNormNonConvergence(EbstabError):
         )
 
 
-class UndeterminedInradius(EbstabError):
-    """The interior inradius of a full-dimensional hull would need more
-    facet subsets than the enumeration cap allows; carries both counts.
-    No sampled estimate stands in for the exact value."""
-
-    def __init__(self, subsets: int, cap: int):
-        self.subsets = subsets
-        self.cap = cap
-        super().__init__(
-            f"interior inradius needs {subsets} facet subsets, above the "
-            f"enumeration cap {cap}"
-        )
-
-
 class NumericalOverflow(EbstabError):
     """A value left the range of a double (e.g. exp of a large argument)."""
 

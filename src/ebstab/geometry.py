@@ -6,26 +6,26 @@ radius ``r``.  All operations here (support function, minimum-norm point,
 origin classification, signed distance from the origin to the set boundary)
 are exact up to floating point for this representation.  One active-set
 solver, Lawson and Hanson's NNLS, finds every minimum-norm point here and
-the cutting-plane projections of ``moduli``.
+the cutting-plane projections of ``moduli``; when the origin is inside, the
+boundary distance is the inradius, read off the facets that one double
+description pass finds on the polar cone, with no cap on their number.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import MinNormNonConvergence, UndeterminedInradius
+from .errors import MinNormNonConvergence, UnsupportedSubdifferential
 
 _DEDUPE_TOL = 1e-12
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
 MIN_NORM_TOL = 1e-10       # absolute: a shorter min-norm point is the origin
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
-_ENUM_CAP = 200_000        # max facet subsets enumerated; above it, undetermined
 REFINE_STEPS = 100         # pattern-search rounds of _refine_direction_min
 
 
@@ -111,12 +111,7 @@ def dedupe_rows(g: np.ndarray) -> np.ndarray:
     order)."""
     keep = []
     for i in range(g.shape[0]):
-        dup = False
-        for j in keep:
-            if np.max(np.abs(g[i] - g[j])) <= _DEDUPE_TOL:
-                dup = True
-                break
-        if not dup:
+        if all(np.max(np.abs(g[i] - g[j])) > _DEDUPE_TOL for j in keep):
             keep.append(i)
     return g[keep]
 
@@ -225,31 +220,54 @@ def hull_distance(point: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(float(x @ x)) * scale
 
 
-def _hull_facets(g: np.ndarray):
-    """Supporting facets (unit normal n, offset d with <n, gen> <= d) of a
-    full-dimensional conv(g).  Enumerates hyperplanes through m-subsets."""
+def _polar_rays(g: np.ndarray) -> np.ndarray:
+    """Extreme rays, as unit rows (y, t), of the cone {(y, t) : <gen, y> <= t
+    for every row gen of g, t >= 0}, pointed when g has rank m.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996): start from m + 1 independent constraints A, whose
+    cone has the columns of -inv(A) as rays, and add the others one at a
+    time.  Rays strictly outside the new halfspace go; each adjacent pair
+    on opposite sides gives the ray where their segment meets the plane.
+    Rays p and n are adjacent when no third ray lies on every plane both
+    lie on; such a ray shares m - 1 planes with p, so a block of positive
+    rays, as many as there are planes, is tested against those rays only.
+    g is scaled to max |g| = 1, so _FACET_TOL means the same at every scale.
+    """
     k, m = g.shape
-    if m == 1:
-        return [(np.array([1.0]), float(g.max())),
-                (np.array([-1.0]), float(-g.min()))]
-    facets = []
-    for subset in itertools.combinations(range(k), m):
-        p = g[list(subset)]
-        d_mat = p[1:] - p[0]
-        _, sv, vt = np.linalg.svd(d_mat, full_matrices=True)
-        smax = sv[0] if sv.size else 0.0
-        rank = int(np.sum(sv > _RANK_TOL * max(1.0, smax)))
-        if rank != m - 1:
-            continue
-        n = vt[-1]
-        d = float(n @ p[0])
-        vals = g @ n
-        scale = max(1.0, float(np.abs(vals).max()))
-        if np.all(vals <= d + _FACET_TOL * scale):
-            facets.append((n, d))
-        elif np.all(vals >= d - _FACET_TOL * scale):
-            facets.append((-n, -d))
-    return facets
+    a = np.vstack([np.column_stack([g / np.max(np.abs(g)), -np.ones(k)]),
+                   -np.eye(1, m + 1, m)])
+    # the t row, then m rows of g by Gram-Schmidt, each time the row that
+    # sticks out furthest from the span so far
+    basis, q = [k], a[k:]
+    for _ in range(m):
+        r = a - (a @ q.T) @ q
+        basis.append(int(np.argmax(np.linalg.norm(r, axis=1))))
+        q = np.vstack([q, r[basis[-1]] / np.linalg.norm(r[basis[-1]])])
+    rays = -np.linalg.inv(a[basis]).T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    tight = ~np.eye(m + 1, dtype=bool)  # tight[r, j]: ray r on the j-th plane
+    for i in sorted(set(range(k + 1)) - set(basis)):
+        s = rays @ a[i]
+        pos, neg = s > _FACET_TOL, s < -_FACET_TOL
+        zf = tight.astype(float)
+        rows, tights = [rays[~pos]], [tight[~pos]]
+        idx = np.flatnonzero(pos)
+        for blk in np.split(idx, range(zf.shape[1], idx.size, zf.shape[1])):
+            near = zf[blk] @ zf.T >= m - 1
+            b, n = np.nonzero(near & neg)
+            common = tight[blk[b]] & tight[n]
+            cf = common.astype(float)
+            on_face = cf @ zf[near.any(axis=0)].T == cf.sum(axis=1)[:, None]
+            adj = np.sum(on_face, axis=1) == 2
+            p, n = blk[b[adj]], n[adj]
+            rows.append(s[p, None] * rays[n] - s[n, None] * rays[p])
+            tights.append(common[adj])
+        rays = np.vstack(rows)
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+        on_new = np.abs(rays @ a[i]) <= _FACET_TOL
+        tight = np.column_stack([np.vstack(tights), on_new])
+    return rays
 
 
 def _refine_direction_min(fun, h, val):
@@ -279,15 +297,17 @@ def _refine_direction_min(fun, h, val):
 
 
 def _inradius_at_origin(g: np.ndarray):
-    """min over unit h of max_gen <gen, h>, valid when the origin lies on or
-    inside conv(g) (value ~0 also for origin marginally outside).
+    """(value, achieving direction h) of min over unit h of max_gen <gen, h>,
+    valid when the origin lies on or inside conv(g) (value ~0 also for an
+    origin marginally outside).
 
-    Returns (value, achieving direction), exact via facet enumeration.
-    Raises UndeterminedInradius when the full-dimensional hull has more
-    m-subsets of generators than _ENUM_CAP.
+    Each facet of a full-dimensional conv(g) is an extreme ray (y, t), t > 0,
+    of the polar cone of _polar_rays, with normal h = y / |y|; rays with
+    t = 0 give the ~0 value when the origin is on or just outside the hull.
+    The value is the least max_gen <gen, h> over the rays, read on g itself.
     """
     g = dedupe_rows(g)
-    k, m = g.shape
+    m = g.shape[1]
     _, sv, vt = np.linalg.svd(g, full_matrices=True)
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > _RANK_TOL * max(1.0, smax)))
@@ -296,11 +316,10 @@ def _inradius_at_origin(g: np.ndarray):
         # along any orthogonal direction
         h = vt[rank]
         return 0.0, h / np.linalg.norm(h)
-    subsets = math.comb(k, m)
-    if subsets > _ENUM_CAP:
-        raise UndeterminedInradius(subsets, _ENUM_CAP)
-    n, d = min(_hull_facets(g), key=lambda f: f[1])
-    return float(d), n
+    y = _polar_rays(g)[:, :m]
+    hs = y / np.linalg.norm(y, axis=1)[:, None]
+    h = hs[int(np.argmin(np.max(g @ hs.T, axis=0)))]
+    return float(np.max(g @ h)), h
 
 
 def min_support_direction(s: SubdiffSet):
@@ -363,8 +382,6 @@ def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
     A^T A is a multiple of the identity; anything else is refused to keep
     the representation exact.
     """
-    from .errors import UnsupportedSubdifferential
-
     a_mat = np.asarray(a_mat, dtype=float)
     gens = s.generators @ a_mat
     if s.ball_radius == 0.0:
@@ -390,8 +407,6 @@ def merge_active_subdiffs(parts) -> SubdiffSet:
     - otherwise the hull of the union is not of the form conv(G) + r*B and
       an UnsupportedSubdifferential error is raised.
     """
-    from .errors import UnsupportedSubdifferential
-
     parts = list(parts)
     if not parts:
         raise ValueError("merge requires at least one set")

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab.errors import UndeterminedInradius
 from ebstab.geometry import (
-    _ENUM_CAP,
     OriginTag,
     SubdiffSet,
     classify_origin,
@@ -161,20 +159,6 @@ def test_duplicate_and_dependent_generators():
     res = min_norm_point(s)
     assert res.dist == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert signed_boundary_distance(s) == pytest.approx(-math.sqrt(2.0), abs=1e-10)
-
-
-def test_high_dim_interior_inradius_is_undetermined():
-    # a full-dimensional hull with the origin inside and more 6-subsets of
-    # generators than the enumeration cap: no sampled estimate stands in,
-    # the error is typed and carries the subset count and the cap
-    rng = np.random.default_rng(8)
-    gens = rng.uniform(-1, 1, size=(40, 6))
-    gens = np.vstack([gens, -gens])  # symmetric, origin interior
-    s = SubdiffSet(gens)
-    with pytest.raises(UndeterminedInradius) as exc:
-        signed_boundary_distance(s)
-    assert exc.value.subsets == math.comb(80, 6) > _ENUM_CAP
-    assert exc.value.cap == _ENUM_CAP
 
 
 def test_high_dim_outside_still_exact():

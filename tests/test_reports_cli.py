@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ebstab.problems import parse_problem
 from ebstab.reports import SWEEP_CSV_HEADER, emit_report, make_envelope
 from ebstab.sweep import run_perturbation_sweep
 
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 EXP_PROBLEM = "dim 1\nexpr (exp1d 0 -1)\npoint [0.0]\nbox -10.0..2.0\ntau 0.5\n"
 BALL_PROBLEM = (
     "name linf-ball\ndim 2\n"
@@ -128,7 +130,7 @@ def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
 
 def test_cli_analyze_local_computes_beta_once(tmp_path, monkeypatch, capsys):
     # ||x||_1 at the origin of R^4: the verdict reuses the report's beta
-    # certificate, so the interior-beta facet enumeration runs once
+    # certificate, so the interior-beta facet search runs once
     from ebstab import geometry
 
     path = tmp_path / "l1norm4.eb"
@@ -145,9 +147,22 @@ def test_cli_analyze_local_computes_beta_once(tmp_path, monkeypatch, capsys):
     assert main(["analyze-local", str(path), "--format", "json",
                  "--samples", "16", "--levels", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["beta"]["beta"] == pytest.approx(1.0)
+    assert results["beta"]["beta"] == 1.0
     assert results["stability"]["verdict"] == "stable"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", ["0", "1001"])
+def test_cli_analyze_local_l1norm5_is_exact(seed, capsys):
+    # ||x||_1 at the origin of R^5: the cube [-1, 1]^5, whose 32 vertices
+    # have C(32, 5) = 201,376 5-subsets; inradius 1
+    path = BENCH_PROBLEMS / "l1norm5.eb"
+    assert main(["analyze-local", str(path), "--format", "json",
+                 "--seed", seed]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == 1.0
+    assert results["beta"]["origin"] == "interior"
+    assert results["stability"]["verdict"] == "stable"
 
 
 def test_cli_analyze_local_uses_file_point(exp_file, capsys):
@@ -255,6 +270,27 @@ def test_cli_report_bad_json_exits_3(tmp_path, capsys):
     assert main(["report", "--in", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: report is not valid json")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": 1}'])
+def test_cli_report_not_an_envelope_exits_3(tmp_path, text, fmt, capsys):
+    path = tmp_path / "other.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--in", str(path), "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: report is not an eb-report/1")
+
+
+def test_cli_report_json_round_trip(tmp_path, exp_file, capsys):
+    assert main(["analyze-local", exp_file, "--at", "0", "--format", "json",
+                 "--samples", "16", "--levels", "2"]) == 0
+    saved = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    path.write_text(saved, encoding="utf-8")
+    assert main(["report", "--in", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == saved
 
 
 def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):
