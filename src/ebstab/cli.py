@@ -29,9 +29,12 @@ from .sweep import run_perturbation_sweep
 def _parse_vec(text: str) -> np.ndarray:
     body = text.strip().lstrip("[").rstrip("]")
     try:
-        return np.array([float(p) for p in body.replace(",", " ").split()])
+        vec = np.array([float(p) for p in body.replace(",", " ").split()])
+        if np.isfinite(vec).all():
+            return vec
     except ValueError:
-        raise ParseError(f"bad vector '{text}'") from None
+        pass
+    raise ParseError(f"bad vector '{text}': entries must be finite numbers")
 
 
 def _load_problem(path: str):
@@ -63,15 +66,15 @@ def _box_for(args, problem):
 
 
 def _check_numbers(args) -> None:
-    """Reject counts below one and a nonpositive --tol or --tau."""
+    """Reject counts below one and a --tol or --tau outside (0, inf)."""
     for name in ("samples", "levels"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ParseError(f"--{name} must be at least 1, got {value}")
     for name in ("tol", "tau"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise ParseError(f"--{name} must be positive, got {value:g}")
+        if value is not None and not 0 < value < np.inf:
+            raise ParseError(f"--{name} must be in (0, inf), got {value:g}")
 
 
 def _cmd_analyze_local(args) -> int:

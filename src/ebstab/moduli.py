@@ -22,9 +22,9 @@ import numpy as np
 from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
                      PreconditionError)
 from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
-from .geometry import MIN_NORM_TOL, _nnls_residual, dedupe_rows, min_norm_point
+from .geometry import _nnls_residual, dedupe_rows, min_norm_point
 from .sampling import ball_points, box_points
-from .sphere import ZERO_TOL, BetaCertificate, beta
+from .sphere import BetaCertificate, _betas, _gradient_screen, beta
 
 FEAS_TOL = 1e-10
 BOUNDARY_VALUE_TOL = 1e-9
@@ -586,24 +586,6 @@ def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
     return min_norm_point(f._subdiff(x)).dist
 
 
-def _gradient_screen(f: ConvexExpr, P: np.ndarray):
-    """The minimum-norm subgradient at every row of P where f is
-    differentiable, and the rows that need the scalar path.
-
-    There the subdifferential is the gradient alone, its own minimum-norm
-    point (the origin at or below MIN_NORM_TOL, as min_norm_point reports
-    it).  Rows the gradient oracle marks as kinks, rows with a non-finite
-    gradient and rows whose norm sits at that tolerance are returned by
-    index for the scalar subdifferential and min_norm_point, with their
-    exact geometry and their errors.  Each row depends on that row alone.
-    """
-    G, kink = f._grad_batch(P)
-    gg = _row_sq(G)
-    tol2 = MIN_NORM_TOL ** 2
-    scalar = kink | ~np.isfinite(gg) | (np.abs(gg - tol2) <= 1e-12 * tol2)
-    return np.where((gg <= tol2)[:, None], 0.0, G), np.flatnonzero(scalar)
-
-
 def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
     """_subdiff_dist for every row of P, each row independent of the rest:
     the gradient norm where ``_gradient_screen`` can give it."""
@@ -732,19 +714,15 @@ def check_condition_3_9(f: ConvexExpr, tau: float,
                         boundary: BoundarySample) -> Condition39Result:
     """Infimum of |beta| over sampled boundary points against the threshold.
 
-    beta = -d(0, df(p)) wherever 0 is not in df(p), as at every zero of a
-    convex f with a Slater point, so one batched ``_subdiff_dists`` call
-    gives |beta|; only points at distance <= ZERO_TOL, where 0 may lie in
-    df(p) (beta zero, or an interior inradius), take the scalar ``beta``.
-    worst_point is the first point that attains the infimum.
+    |beta| at every point comes from one batched ``_betas`` call: the
+    gradient norm where f is differentiable, the geometric certificate at
+    kinks.  worst_point is the first point that attains the infimum.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if boundary.points.shape[0] == 0:
         raise ValueError("boundary sample must be nonempty")
-    abs_beta = _subdiff_dists(f, boundary.points)
-    for i in np.flatnonzero(abs_beta <= ZERO_TOL):
-        abs_beta[i] = abs(beta(f, boundary.points[i]).beta)
+    abs_beta = np.abs(_betas(f, boundary.points))
     worst = int(np.argmin(abs_beta))
     return Condition39Result(
         holds=bool(abs_beta[worst] > tau),
@@ -763,8 +741,8 @@ def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
 
     The sample's feasible points find their nearest
     boundary point QC_BLOCK rows at a time, so memory grows with the block,
-    not with the product of the sample sizes; only those whose slope passes
-    the flag_threshold * tau filter compute beta.
+    not with the product of the sample sizes; those whose slope passes the
+    flag_threshold * tau filter take beta from one batched ``_betas`` call.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -779,12 +757,11 @@ def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
     dist = np.linalg.norm(Z - B[near], axis=1)
     apart = dist >= 1e-12
     ratio = (fz - boundary_vals[near]) / np.where(apart, dist, 1.0)
-    witnesses = []
-    for i in np.flatnonzero(apart & (np.abs(ratio) < flag_threshold * tau)):
-        bz = beta(f, Z[i]).beta
-        if abs(bz) <= tau:
-            witnesses.append(QCWitness(z=Z[i], x=B[near[i]],
-                                       ratio=float(ratio[i]), beta_z=float(bz)))
+    flagged = np.flatnonzero(apart & (np.abs(ratio) < flag_threshold * tau))
+    witnesses = [QCWitness(z=Z[i], x=B[near[i]], ratio=float(ratio[i]),
+                           beta_z=float(bz))
+                 for i, bz in zip(flagged, _betas(f, Z[flagged]))
+                 if abs(bz) <= tau]
     witnesses.sort(key=lambda w: abs(w.ratio))
     return witnesses
 

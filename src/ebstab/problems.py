@@ -101,10 +101,14 @@ def _tokenize(text: str, line_no: int):
 
 
 def _scalar(tok: _Token, t: float | None) -> float:
-    """A scalar slot: a number, or inside a template (t not None) a+b*t at
-    the template's grid parameter t."""
+    """A scalar slot: a finite number, or inside a template (t not None)
+    a+b*t at the template's grid parameter t."""
     try:
-        return float(tok.text)
+        value = float(tok.text)
+        if not np.isfinite(value):
+            raise ParseError(f"expected a finite number, got '{tok.text}'",
+                             tok.line, tok.col)
+        return value
     except ValueError:
         pass
     m = _SCALAR_T.fullmatch(tok.text) if t is not None else None

@@ -3,9 +3,9 @@
 beta(f, x) = min over unit h of f'(x, h) is the certificate quantity for
 error-bound stability: its sign locates the origin relative to the
 subdifferential (negative: outside, positive: interior, zero: boundary),
-and its magnitude is the signed distance.  The geometric route through the
-subdifferential is exact; sphere sampling provides the independent
-cross-check oracle.
+and its magnitude is the signed distance.  It is -||grad f|| where f is
+differentiable, and exact geometry of the subdifferential at kinks; sphere
+sampling provides the independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from .expressions import (
     Affine,
     ConvexExpr,
     Sum,
+    _row_sq,
     as_point,
     directional_derivative,
     directional_derivatives,
     subdifferential,
 )
 from .geometry import (
+    MIN_NORM_TOL,
     OriginLocation,
     OriginTag,
     _refine_direction_min,
@@ -78,42 +80,71 @@ def linear_perturbation(f: ConvexExpr, u, eps: float, xbar) -> ConvexExpr:
     return with_linear_term(f, eps * u, -eps * float(u @ xbar))
 
 
-def beta(f: ConvexExpr, x, zero_tol: float = ZERO_TOL) -> BetaCertificate:
-    """Exact beta certificate via the subdifferential geometry.
+def _gradient_screen(f: ConvexExpr, P: np.ndarray):
+    """The minimum-norm subgradient at every row of P where f is
+    differentiable, and the rows that need the scalar path.
 
-    The witness comes from the minimizing support direction: the separation
-    direction when the origin is outside, the nearest-facet normal when it
-    is interior, an outward normal when it sits on the boundary.  The
-    residual re-verifies the value through the directional derivative.
+    There the subdifferential is the gradient alone, its own minimum-norm
+    point (the origin at or below MIN_NORM_TOL, as min_norm_point reports
+    it).  Rows the gradient oracle marks as kinks, rows with a non-finite
+    gradient and rows whose norm sits at that tolerance are returned by
+    index for the scalar subdifferential and min_norm_point, with their
+    exact geometry and their errors.  Each row depends on that row alone.
+    """
+    G, kink = f._grad_batch(P)
+    gg = _row_sq(G)
+    tol2 = MIN_NORM_TOL ** 2
+    scalar = kink | ~np.isfinite(gg) | (np.abs(gg - tol2) <= 1e-12 * tol2)
+    return np.where((gg <= tol2)[:, None], 0.0, G), np.flatnonzero(scalar)
+
+
+def _betas(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
+    """beta at every row of P, each row independent of the rest: -||grad f||
+    (0 at or below ZERO_TOL) where ``_gradient_screen`` gives the gradient,
+    the geometric certificate at the rows it returns."""
+    G, scalar = _gradient_screen(f, P)
+    d = np.sqrt(_row_sq(G))
+    out = np.where(d <= ZERO_TOL, 0.0, -d)
+    for i in scalar:
+        out[i] = _geometric_beta(f, P[i], ZERO_TOL).beta
+    return out
+
+
+def beta(f: ConvexExpr, x, zero_tol: float = ZERO_TOL) -> BetaCertificate:
+    """Exact beta certificate; at ZERO_TOL, one row of ``_betas``.
+
+    Where f is differentiable with ||grad f|| > zero_tol, beta = -||grad f||
+    with witness -grad f / ||grad f||.  Elsewhere the witness is the
+    minimizing support direction of the subdifferential (separation
+    direction, nearest-facet normal or outward normal).  The residual
+    re-verifies the value through the directional derivative.
     """
     x = as_point(x, f.dim)
-    s = subdifferential(f, x)
-    sigma, h = min_support_direction(s)
+    G, scalar = _gradient_screen(f, x[None])
+    d = float(np.sqrt(_row_sq(G))[0])
+    if scalar.size or d <= zero_tol:
+        return _geometric_beta(f, x, zero_tol)
+    h = G[0] / -d
+    h.setflags(write=False)
+    return BetaCertificate(-d, h, OriginLocation(OriginTag.OUTSIDE, zero_tol),
+                           abs(directional_derivative(f, x, h) + d))
+
+
+def _geometric_beta(f: ConvexExpr, x, zero_tol: float) -> BetaCertificate:
+    """beta from min_support_direction of the subdifferential at x."""
+    sigma, h = min_support_direction(subdifferential(f, x))
     nrm = float(np.linalg.norm(h))
     if nrm == 0.0:
-        h = np.zeros(f.dim)
-        h[0] = 1.0
-        nrm = 1.0
+        h, nrm = np.eye(f.dim)[0], 1.0
     h = h / nrm
-    dd = directional_derivative(f, x, h)
-    residual = abs(dd - sigma)
     if abs(sigma) <= zero_tol:
-        value = 0.0
-        tag = OriginTag.ON_BOUNDARY
-    elif sigma < 0:
-        value = sigma
-        tag = OriginTag.OUTSIDE
+        value, tag = 0.0, OriginTag.ON_BOUNDARY
     else:
         value = sigma
-        tag = OriginTag.INTERIOR
-    h = h.copy()
+        tag = OriginTag.OUTSIDE if sigma < 0 else OriginTag.INTERIOR
     h.setflags(write=False)
-    return BetaCertificate(
-        beta=value,
-        witness=h,
-        origin_location=OriginLocation(tag, zero_tol),
-        residual=residual,
-    )
+    return BetaCertificate(value, h, OriginLocation(tag, zero_tol),
+                           abs(directional_derivative(f, x, h) - sigma))
 
 
 def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0) -> float:

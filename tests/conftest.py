@@ -88,6 +88,23 @@ def random_expr(rng, dim, depth=2, allow_ball=True):
     return ComposeAffine(inner, mat, offset)
 
 
+def kinked_rows(rng, f, m, k=24):
+    """Generic rows with kinks mixed in: the origin, zeroed coordinates,
+    equal-magnitude pairs, and (for a composed root) pre-images of those
+    under its affine map."""
+    P = rng.normal(size=(k, m)) * 1.5
+    P[1] = 0.0
+    for i in range(2, k, 3):
+        P[i, rng.integers(m)] = 0.0
+    if m > 1:
+        for i in range(3, k, 5):
+            P[i, 1] = P[i, 0] * rng.choice([-1.0, 1.0])
+    if isinstance(f, ComposeAffine):
+        half = P[: k // 2]
+        P[k // 2:] = np.linalg.solve(f.matrix, (half - f.offset).T).T
+    return P
+
+
 def reference_value(f, x) -> float:
     """f(x) by a plain-Python recursion over the nine node types, with
     every sum taken by math.fsum: an evaluator that shares no arithmetic

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebstab import sphere
 from ebstab.errors import (
     NoSignChangeInBox,
     NoSlaterPoint,
@@ -23,7 +24,9 @@ from ebstab.expressions import (
     PosPartSquare,
     Sum,
     evaluate,
+    subdifferential,
 )
+from ebstab.geometry import min_support_direction
 from ebstab.moduli import (
     QC_BLOCK,
     BoundarySample,
@@ -42,7 +45,7 @@ from ebstab.moduli import (
     qc_witness_search,
 )
 from ebstab.sampling import box_points
-from ebstab.sphere import beta, linear_perturbation
+from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
 
 from conftest import random_expr
 
@@ -453,6 +456,33 @@ def test_qc_search_matches_reference_on_exp_tail():
     boundary = boundary_sample(EXP, box_sample(EXP, EXP_TAIL, 256, 1), 50)
     witnesses = _same_witnesses(EXP, 0.5, boundary, EXP_TAIL, 400, 0)
     assert len(witnesses) >= 1
+
+
+def test_qc_search_on_exp_tail_builds_no_subdifferential(monkeypatch):
+    # REM8's box: every flagged point is smooth, so beta is -|f'| (0 in the
+    # tail) from one gradient batch, with no geometric certificate
+    boundary = boundary_sample(EXP, box_sample(EXP, EXP_TAIL, 256, 1), 50)
+    sample = box_sample(EXP, EXP_TAIL, 400)
+    geometric = []
+
+    def counted(f, x, zero_tol):
+        geometric.append(x)
+        return real(f, x, zero_tol)
+
+    real = sphere._geometric_beta
+    monkeypatch.setattr(sphere, "_geometric_beta", counted)
+    got = qc_witness_search(EXP, 0.5, boundary, sample)
+    assert geometric == []
+    monkeypatch.undo()
+    want = _qc_reference(EXP, 0.5, boundary, EXP_TAIL, 400, 0)
+    assert len(got) >= 1
+    assert [w.payload() for w in got] == [w.payload() for w in want]
+    for w in got:
+        sigma = min_support_direction(subdifferential(EXP, w.z))[0]
+        if abs(sigma) <= ZERO_TOL:
+            assert w.beta_z == 0.0
+        else:
+            assert abs(w.beta_z - sigma) <= 1e-12 * (1.0 + abs(sigma))
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),

@@ -162,8 +162,15 @@ def test_round_trip_preserves_exact_floats():
      "expected an integer, got 't'"),
     ("dim 2\nfamily finite []\n", 2, 1, "family needs at least one member"),
     ("dim 2\nfamily finite [abs 0, abs 1\n", 2, 1, "unterminated family list"),
+    ("dim 1\nexpr (norm)\ntau inf\n", 3, 5, "expected a finite number, got 'inf'"),
+    ("dim 1\nexpr (norm)\ntau nan\n", 3, 5, "expected a finite number, got 'nan'"),
+    ("dim 2\nexpr (norm)\npoint [1.0, nan]\n", 3, 13,
+     "expected a finite number, got 'nan'"),
+    ("dim 2\nexpr (norm)\nslater [-inf, 0]\n", 3, 9,
+     "expected a finite number, got '-inf'"),
 ], ids=["negative-weight-at-grid-t", "t-outside-template", "t-in-index-slot",
-        "empty-family", "unterminated-family"])
+        "empty-family", "unterminated-family", "tau-inf", "tau-nan", "point-nan",
+        "slater-inf"])
 def test_parse_error_message_and_location(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)

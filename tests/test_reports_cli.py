@@ -228,6 +228,14 @@ def test_cli_malformed_box_exit_code(ball_file, box, capsys):
 
 
 BAD_BOX_PROBLEM = BALL_PROBLEM.replace("box -3.0..3.0 -3.0..3.0", "box 1..-1 -1..1")
+FILE_IDS = {
+    BALL_PROBLEM: "ball-file",
+    BAD_BOX_PROBLEM: "bad-box-file",
+    BALL_PROBLEM.replace("tau 0.5", "tau nan"): "tau-nan-file",
+    BALL_PROBLEM.replace("tau 0.5", "tau inf"): "tau-inf-file",
+    BALL_PROBLEM.replace("point [1.0, 0.0]", "point [nan, 0.0]"): "point-nan-file",
+}
+NAN_TAU, INF_TAU, NAN_POINT = list(FILE_IDS)[2:]
 
 
 @pytest.mark.parametrize("text, argv", [
@@ -247,8 +255,16 @@ BAD_BOX_PROBLEM = BALL_PROBLEM.replace("box -3.0..3.0 -3.0..3.0", "box 1..-1 -1.
     (BAD_BOX_PROBLEM, ["analyze-global"]),
     (BALL_PROBLEM, ["analyze-local", "--at", "1"]),
     (BALL_PROBLEM, ["perturb", "--at", "1,0,0", "--eps", "0.1", "--dir", "0,1"]),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else
-   "bad-box-file" if v is BAD_BOX_PROBLEM else "ball-file")
+    # a number that is not finite, on the command line or in the file
+    (BALL_PROBLEM, ["analyze-local", "--at", "nan,0"]),
+    (BALL_PROBLEM, ["analyze-local", "--at", "inf,0"]),
+    (BALL_PROBLEM, ["analyze-local", "--tol", "inf"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "inf", "--dir", "0,1"]),
+    (BALL_PROBLEM, ["analyze-global", "--tau", "inf"]),
+    (NAN_TAU, ["analyze-global"]),
+    (INF_TAU, ["analyze-global"]),
+    (NAN_POINT, ["analyze-local"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else FILE_IDS[v])
 def test_cli_bad_number_or_box_exits_3(tmp_path, text, argv, capsys):
     # a value that would give a vacuous answer or fail deep inside an
     # analysis is a parse error, not a traceback

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ebstab.errors import EbstabError
 from ebstab.expressions import (
     AbsCoord,
     Affine,
@@ -15,15 +18,23 @@ from ebstab.expressions import (
     directional_derivative,
     subdifferential,
 )
-from ebstab.geometry import OriginTag, classify_origin, min_norm_point
+from ebstab.geometry import (
+    OriginTag,
+    classify_origin,
+    min_norm_point,
+    min_support_direction,
+)
 from ebstab.sphere import (
+    ZERO_TOL,
+    _betas,
+    _gradient_screen,
     beta,
     beta_of_linear_perturbation,
     beta_sampled,
     linear_perturbation,
 )
 
-from conftest import random_expr, random_point
+from conftest import kinked_rows, random_expr, random_point
 
 
 def test_beta_exp_at_zero():
@@ -206,3 +217,97 @@ def test_linear_perturbation_value_identity(rng):
             from ebstab.expressions import evaluate
 
             assert evaluate(g, x) == pytest.approx(want, abs=1e-12)
+
+
+# --- one beta arithmetic: the batched rows and the scalar certificate -------
+
+
+def exp_tail_case(rng, m, k=12):
+    """A weighted sum or max of exp atoms, one per coordinate, a duplicated
+    child in the max so that it ties everywhere, and rows deep in the tail,
+    where the gradient norm falls through ZERO_TOL and MIN_NORM_TOL."""
+    atoms = [Exp1D(i, float(rng.uniform(-1, 1)), m) for i in range(m)]
+    if rng.random() < 0.5:
+        f = Sum([(float(rng.uniform(0.5, 2.0)), a) for a in atoms])
+    else:
+        f = Max(atoms + atoms[:1])
+    P = rng.uniform(-45.0, -19.0, size=(k, m))
+    P[0] = -40.0
+    return f, P
+
+
+def beta_cases(seed, m):
+    rng = np.random.default_rng(seed)
+    f = random_expr(rng, m)
+    yield f, kinked_rows(rng, f, m, k=12)
+    yield exp_tail_case(rng, m)
+
+
+def scalar_betas(f, P):
+    """beta(f, p).beta at every row, or the error it raises."""
+    out = []
+    for p in P:
+        try:
+            out.append(beta(f, p).beta)
+        except EbstabError as exc:
+            out.append(exc)
+    return out
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+def test_betas_rows_are_scalar_beta_bit_for_bit(seed, m):
+    for f, P in beta_cases(seed, m):
+        want = scalar_betas(f, P)
+        failed = [w for w in want if isinstance(w, Exception)]
+        if failed:
+            with pytest.raises(type(failed[0])):
+                _betas(f, P)
+            continue
+        got = _betas(f, P)
+        for i in range(P.shape[0]):
+            assert got[i] == want[i] == _betas(f, P[i:i + 1])[0]
+
+
+def test_beta_cases_reach_ties_and_the_tail_below_zero_tol():
+    # the property above sees kink rows and smooth rows with a gradient
+    # norm below ZERO_TOL, where beta is exactly 0 without any geometry
+    kinks = tail = 0
+    for seed in range(20):
+        for f, P in beta_cases(seed, 1 + seed % 3):
+            G, kink = f._grad_batch(P)
+            kinks += int(kink.sum())
+            small = ~kink & (np.linalg.norm(G, axis=1) <= ZERO_TOL)
+            tail += int(small.sum())
+            if small.any():
+                assert np.all(_betas(f, P[small]) == 0.0)
+    assert kinks > 0 and tail > 0
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+def test_betas_at_smooth_points_match_the_geometric_route(seed, m):
+    for f, P in beta_cases(seed, m):
+        _, scalar = _gradient_screen(f, P)
+        smooth = np.setdiff1d(np.arange(P.shape[0]), scalar)
+        got = _betas(f, P[smooth])
+        for b, p in zip(got, P[smooth]):
+            sigma = min_support_direction(subdifferential(f, p))[0]
+            if b == 0.0:
+                assert abs(sigma) <= ZERO_TOL
+            else:
+                assert abs(b - sigma) <= 1e-12 * (1.0 + abs(b))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+def test_beta_is_below_the_sampled_oracle(seed, m):
+    # every sampled f'(x, h) at a unit h is at least beta, kinks included
+    rng = np.random.default_rng(seed)
+    f = random_expr(rng, m)
+    for x in kinked_rows(rng, f, m, k=4):
+        try:
+            b = beta(f, x).beta
+        except EbstabError:
+            continue
+        assert b <= beta_sampled(f, x, 200, seed=seed % 1000) + 1e-9
