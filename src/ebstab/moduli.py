@@ -43,9 +43,9 @@ class ModulusReport:
     eta_estimate may be +inf (vacuous: no infeasible sample seen), in which
     case tau_estimate is 0; tau_estimate may be +inf when eta collapses to
     zero.  empirical_ratio is a certified lower bound on the sup of
-    d(x, S) / f(x) over the infeasible samples (global reports only).  sample_count is the number
-    of points behind the reported estimates: after a local resample, that
-    of the second run.
+    d(x, S) / f(x) over the infeasible samples (global reports only).
+    sample_count is the number of points behind the reported estimates:
+    after a local resample, that of the second run.
     """
 
     kind: str                      # "local" or "global"
@@ -70,17 +70,13 @@ class ModulusReport:
             "seed": self.seed,
             "notes": self.notes,
         }
-        if self.reference_point is not None:
-            out["reference_point"] = list(map(float, self.reference_point))
-        if self.box is not None:
-            out["box"] = [list(map(float, self.box[0])),
-                          list(map(float, self.box[1]))]
+        for key in ("reference_point", "box", "empirical_ratio"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.shrink_levels:
             out["shrink_levels"] = [
                 {"radius": r, "min_subdiff_dist": d} for r, d in self.shrink_levels
             ]
-        if self.empirical_ratio is not None:
-            out["empirical_ratio"] = self.empirical_ratio
         return out
 
 
@@ -93,14 +89,6 @@ class QCWitness:
     x: np.ndarray
     ratio: float
     beta_z: float
-
-    def payload(self) -> dict:
-        return {
-            "z": list(map(float, self.z)),
-            "x": list(map(float, self.x)),
-            "ratio": self.ratio,
-            "beta_z": self.beta_z,
-        }
 
 
 @dataclass
@@ -120,18 +108,12 @@ class StabilityVerdict:
             "scope": self.scope,
             "verdict": self.verdict,
             "beta_inf": self.beta_inf,
-            "witnesses": [w.payload() for w in self.qc_witnesses],
+            "witnesses": self.qc_witnesses,
             "notes": self.notes,
         }
-        if self.perturbation_direction is not None:
-            out["perturbation_direction"] = list(map(float, self.perturbation_direction))
-        if self.reference_point is not None:
-            out["reference_point"] = list(map(float, self.reference_point))
-        if self.tau is not None:
-            out["tau"] = self.tau
-        if self.box is not None:
-            out["box"] = [list(map(float, self.box[0])),
-                          list(map(float, self.box[1]))]
+        for key in ("perturbation_direction", "reference_point", "tau", "box"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -143,13 +125,6 @@ class BoundarySample:
     points: np.ndarray
     value_tol: float
 
-    def payload(self) -> dict:
-        return {
-            "count": int(self.points.shape[0]),
-            "value_tol": self.value_tol,
-            "points": [list(map(float, p)) for p in self.points],
-        }
-
 
 @dataclass
 class Condition39Result:
@@ -157,14 +132,6 @@ class Condition39Result:
     inf_abs_beta: float
     worst_point: np.ndarray
     tau: float
-
-    def payload(self) -> dict:
-        return {
-            "holds": self.holds,
-            "inf_abs_beta": self.inf_abs_beta,
-            "worst_point": list(map(float, self.worst_point)),
-            "tau": self.tau,
-        }
 
 
 @dataclass(frozen=True)
@@ -784,24 +751,18 @@ def classify_local_stability(f: ConvexExpr, xbar,
         )
     if cert is None:
         cert = beta(f, xbar)
-    zero_tol = cert.origin_location.tolerance
-    if not cert.is_zero:
-        return StabilityVerdict(
-            scope="local",
-            verdict="stable",
-            beta_inf=abs(cert.beta),
-            reference_point=xbar,
-            notes=f"beta = {cert.beta:.12g} is nonzero at tolerance {zero_tol:g}",
-        )
+    unstable = cert.is_zero
     return StabilityVerdict(
         scope="local",
-        verdict="unstable",
+        verdict="unstable" if unstable else "stable",
         beta_inf=abs(cert.beta),
-        perturbation_direction=np.asarray(cert.witness),
+        perturbation_direction=np.asarray(cert.witness) if unstable else None,
         reference_point=xbar,
         notes=(
             "beta = 0: the linear perturbation along the attached direction "
-            "drives the local modulus to infinity as eps shrinks"
+            "drives the local modulus to infinity as eps shrinks" if unstable
+            else f"beta = {cert.beta:.12g} is nonzero at tolerance "
+                 f"{cert.origin_location.tolerance:g}"
         ),
     )
 

@@ -1,5 +1,7 @@
 """Report envelopes and deterministic serialization (human, json, csv).
 
+A result record encodes as its ``payload()`` when it has one, else (any
+dataclass) as {field name: value}; the encoding recurses into both.
 JSON output is byte-deterministic for a fixed (problem, seed, flags)
 triple: keys are sorted, floats go through repr, infinities become the
 string "inf", and no wall-clock data is included.
@@ -7,6 +9,7 @@ string "inf", and no wall-clock data is included.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -29,9 +32,13 @@ def make_envelope(command: str, problem: str, seed: int, results) -> dict:
 
 
 def _encode(obj):
-    """Recursively convert to json-safe values; infinities become strings."""
+    """Recursively convert to json-safe values; infinities become strings.
+    A record without payload() encodes its dataclass fields in order."""
     if hasattr(obj, "payload"):
         return _encode(obj.payload())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _encode(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

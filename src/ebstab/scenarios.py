@@ -46,14 +46,6 @@ class CheckResult:
     observed: object
     expected: object
 
-    def payload(self) -> dict:
-        return {
-            "label": self.label,
-            "passed": self.passed,
-            "observed": self.observed,
-            "expected": self.expected,
-        }
-
 
 @dataclass
 class ScenarioReport:
@@ -73,7 +65,7 @@ class ScenarioReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.payload() for c in self.checks],
+            "checks": self.checks,
         }
 
 

@@ -60,7 +60,7 @@ class BetaCertificate:
     def payload(self) -> dict:
         return {
             "beta": self.beta,
-            "witness": list(map(float, self.witness)),
+            "witness": self.witness,
             "origin": self.origin_location.tag.value,
             "residual": self.residual,
         }

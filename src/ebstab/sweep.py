@@ -23,7 +23,6 @@ from .moduli import (
 )
 from .problems import ProblemFile
 from .sphere import beta, linear_perturbation
-from .systems import materialize_sup, perturb_system
 
 
 @dataclass
@@ -36,30 +35,12 @@ class SweepRow:
     tau_global: float | None
     verdict: str
 
-    def payload(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "u_star": list(map(float, self.u_star)),
-            "beta_before": self.beta_before,
-            "beta_after": self.beta_after,
-            "tau_local": self.tau_local,
-            "tau_global": self.tau_global,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass
 class SweepResult:
     problem: str
     seed: int
     rows: list = field(default_factory=list)
-
-    def payload(self) -> dict:
-        return {
-            "problem": self.problem,
-            "seed": self.seed,
-            "rows": [r.payload() for r in self.rows],
-        }
 
 
 def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
@@ -82,11 +63,7 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
     result = SweepResult(problem=problem.name, seed=seed)
     for eps in sorted(float(e) for e in eps_list):
         for u in directions:
-            if problem.family is not None:
-                fam_g = perturb_system(problem.family, u, eps, xbar)
-                g = materialize_sup(fam_g)
-            else:
-                g = linear_perturbation(f, u, eps, xbar)
+            g = linear_perturbation(f, u, eps, xbar)
             cert = beta(g, xbar)
             local = eta_local(g, xbar, levels=levels,
                               samples_per_level=samples_per_level, seed=seed)

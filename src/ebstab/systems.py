@@ -168,16 +168,6 @@ class HypothesisCheck:
     active_f: tuple
     active_g: tuple
 
-    def payload(self) -> dict:
-        return {
-            "ok": self.ok,
-            "required": self.required,
-            "violated_side": self.violated_side,
-            "beta": self.beta_value,
-            "active_f": [str(i) for i in self.active_f],
-            "active_g": [str(i) for i in self.active_g],
-        }
-
 
 def check_active_set_hypotheses(family_f: FiniteFamily,
                                 family_g: FiniteFamily, x) -> HypothesisCheck:
@@ -191,17 +181,13 @@ def check_active_set_hypotheses(family_f: FiniteFamily,
     act_f = set(active_set(family_f, x).indices)
     act_g = set(active_set(family_g, x).indices)
     if cert.is_zero:
-        return HypothesisCheck(True, None, None, cert.beta,
-                               tuple(sorted(act_f)), tuple(sorted(act_g)))
-    if cert.beta < 0:
-        ok = act_g <= act_f
-        return HypothesisCheck(
-            ok, "I_g subset I_f", None if ok else "I_g not subset I_f",
-            cert.beta, tuple(sorted(act_f)), tuple(sorted(act_g)),
-        )
-    ok = act_f <= act_g
+        required, ok = None, True
+    elif cert.beta < 0:
+        required, ok = "I_g subset I_f", act_g <= act_f
+    else:
+        required, ok = "I_f subset I_g", act_f <= act_g
     return HypothesisCheck(
-        ok, "I_f subset I_g", None if ok else "I_f not subset I_g",
+        ok, required, None if ok else required.replace("subset", "not subset"),
         cert.beta, tuple(sorted(act_f)), tuple(sorted(act_g)),
     )
 

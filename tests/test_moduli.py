@@ -44,6 +44,7 @@ from ebstab.moduli import (
     find_slater_point,
     qc_witness_search,
 )
+from ebstab.reports import emit_report
 from ebstab.sampling import box_points
 from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
 
@@ -446,7 +447,7 @@ def _same_witnesses(f, tau, boundary, box, n, seed, flag_threshold=0.1):
     got = qc_witness_search(f, tau, boundary, box_sample(f, box, n, seed),
                             flag_threshold)
     want = _qc_reference(f, tau, boundary, box, n, seed, flag_threshold)
-    assert [w.payload() for w in got] == [w.payload() for w in want]
+    assert emit_report(got, "json") == emit_report(want, "json")
     return got
 
 
@@ -476,7 +477,7 @@ def test_qc_search_on_exp_tail_builds_no_subdifferential(monkeypatch):
     monkeypatch.undo()
     want = _qc_reference(EXP, 0.5, boundary, EXP_TAIL, 400, 0)
     assert len(got) >= 1
-    assert [w.payload() for w in got] == [w.payload() for w in want]
+    assert emit_report(got, "json") == emit_report(want, "json")
     for w in got:
         sigma = min_support_direction(subdifferential(EXP, w.z))[0]
         if abs(sigma) <= ZERO_TOL:

@@ -168,9 +168,11 @@ def test_round_trip_preserves_exact_floats():
      "expected a finite number, got 'nan'"),
     ("dim 2\nexpr (norm)\nslater [-inf, 0]\n", 3, 9,
      "expected a finite number, got '-inf'"),
+    ("dim 2\nexpr (norm)\nbox -1..1 -inf..1\n", 3, 11,
+     "box range '-inf..1' needs finite ends"),
 ], ids=["negative-weight-at-grid-t", "t-outside-template", "t-in-index-slot",
         "empty-family", "unterminated-family", "tau-inf", "tau-nan", "point-nan",
-        "slater-inf"])
+        "slater-inf", "box-inf"])
 def test_parse_error_message_and_location(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)

@@ -234,8 +234,9 @@ FILE_IDS = {
     BALL_PROBLEM.replace("tau 0.5", "tau nan"): "tau-nan-file",
     BALL_PROBLEM.replace("tau 0.5", "tau inf"): "tau-inf-file",
     BALL_PROBLEM.replace("point [1.0, 0.0]", "point [nan, 0.0]"): "point-nan-file",
+    BALL_PROBLEM.replace("box -3.0..3.0", "box -inf..1"): "box-inf-file",
 }
-NAN_TAU, INF_TAU, NAN_POINT = list(FILE_IDS)[2:]
+NAN_TAU, INF_TAU, NAN_POINT, INF_BOX = list(FILE_IDS)[2:]
 
 
 @pytest.mark.parametrize("text, argv", [
@@ -261,6 +262,9 @@ NAN_TAU, INF_TAU, NAN_POINT = list(FILE_IDS)[2:]
     (BALL_PROBLEM, ["analyze-local", "--tol", "inf"]),
     (BALL_PROBLEM, ["perturb", "--eps", "inf", "--dir", "0,1"]),
     (BALL_PROBLEM, ["analyze-global", "--tau", "inf"]),
+    (BALL_PROBLEM, ["analyze-global", "--box=-inf..0,0..1"]),
+    (BALL_PROBLEM, ["analyze-global", "--box=0..inf,0..1"]),
+    (INF_BOX, ["analyze-global"]),
     (NAN_TAU, ["analyze-global"]),
     (INF_TAU, ["analyze-global"]),
     (NAN_POINT, ["analyze-local"]),
@@ -299,14 +303,47 @@ def test_cli_report_not_an_envelope_exits_3(tmp_path, text, fmt, capsys):
     assert captured.err.startswith("parse error: report is not an eb-report/1")
 
 
-def test_cli_report_json_round_trip(tmp_path, exp_file, capsys):
-    assert main(["analyze-local", exp_file, "--at", "0", "--format", "json",
-                 "--samples", "16", "--levels", "2"]) == 0
-    saved = capsys.readouterr().out
+ROUND_TRIP_COMMANDS = {
+    "analyze-local": ["analyze-local", "{exp}", "--at", "0",
+                      "--samples", "16", "--levels", "2"],
+    "perturb": ["perturb", "{exp}", "--at", "0", "--eps", "0.1,0.01",
+                "--dir=-1", "--samples", "16", "--levels", "2"],
+    "reproduce": ["reproduce", "REM8"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "human", "csv"])
+@pytest.mark.parametrize("command", list(ROUND_TRIP_COMMANDS))
+def test_cli_report_json_round_trip(tmp_path, exp_file, command, fmt, capsys):
+    # report --in saved.json --format F prints what the command printed
+    # with --format F
+    argv = [a.format(exp=exp_file) for a in ROUND_TRIP_COMMANDS[command]]
+    assert main([*argv, "--format", "json"]) == 0
     path = tmp_path / "report.json"
-    path.write_text(saved, encoding="utf-8")
-    assert main(["report", "--in", str(path), "--format", "json"]) == 0
-    assert capsys.readouterr().out == saved
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main([*argv, "--format", fmt]) == 0
+    direct = capsys.readouterr().out
+    assert main(["report", "--in", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == direct
+
+
+def test_record_json_keys_pinned(exp_file, capsys):
+    # these eb-report/1 keys are the records' field names: renaming a field
+    # must not change the schema silently
+    assert main(["perturb", exp_file, "--at", "0", "--eps", "0.1", "--dir=-1",
+                 "--samples", "16", "--levels", "2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert set(rows[0]) == set(SWEEP_CSV_HEADER.split(","))
+    assert main(["reproduce", "REM8", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+    assert {frozenset(c) for c in checks} == {
+        frozenset({"label", "passed", "observed", "expected"})}
+    w = QCWitness(z=np.array([-20.0]), x=np.array([0.0]), ratio=-0.01,
+                  beta_z=1e-9)
+    v = StabilityVerdict(scope="global", verdict="unstable", beta_inf=1.0,
+                         qc_witnesses=[w], tau=0.5)
+    witness = json.loads(emit_report(v, "json"))["witnesses"][0]
+    assert witness == {"z": [-20.0], "x": [0.0], "ratio": -0.01, "beta_z": 1e-9}
 
 
 def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):
