@@ -24,9 +24,7 @@ from .expressions import (
     Max,
     PosPartSquare,
     Sum,
-    dd_quotient_scan,
     directional_derivative,
-    directional_derivatives,
     evaluate,
     subdifferential,
 )
@@ -35,12 +33,8 @@ from .geometry import (
     OriginLocation,
     OriginTag,
     SubdiffSet,
-    classify_origin,
     min_norm_point,
     min_support_direction,
-    signed_boundary_distance,
-    support,
-    support_batch,
 )
 from .moduli import (
     BoundarySample,
@@ -66,8 +60,6 @@ from .scenarios import SCENARIO_NAMES, ScenarioReport, reproduce
 from .sphere import (
     BetaCertificate,
     beta,
-    beta_of_linear_perturbation,
-    beta_sampled,
     linear_perturbation,
     with_linear_term,
 )
@@ -79,12 +71,7 @@ from .systems import (
     IntervalFamily,
     active_set,
     check_active_set_hypotheses,
-    classify_system_stability,
-    dd_max_formula,
     materialize_sup,
-    perturb_system,
-    sup_value,
-    system_subdifferential,
 )
 
 __version__ = "0.1.0"

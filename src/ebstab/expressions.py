@@ -496,32 +496,6 @@ def directional_derivative(f: ConvexExpr, x, h) -> float:
     return float(f._dd(x, h))
 
 
-def directional_derivatives(f: ConvexExpr, x, hs) -> np.ndarray:
-    """directional_derivative for every row of hs, vectorized."""
-    x = as_point(x, f.dim)
-    hs = np.atleast_2d(np.asarray(hs, dtype=float))
-    if hs.shape[1] != f.dim:
-        raise DimensionMismatch(f.dim, hs.shape[1], "direction")
-    return f._dd_batch(x, hs)
-
-
-def dd_quotient_scan(f: ConvexExpr, x, h, t_grid) -> list[float]:
-    """Difference quotients (f(x + t h) - f(x)) / t along a decreasing grid.
-
-    The quotients are nonincreasing in t and bounded below by f'(x, h);
-    this is the numerical cross-check for the exact oracle.
-    """
-    x = as_point(x, f.dim)
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    ts = [float(t) for t in t_grid]
-    if any(t <= 0 for t in ts):
-        raise ValueError("t_grid must be positive")
-    if any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be strictly decreasing")
-    f0 = f._value(x)
-    return [(f._value(x + t * h) - f0) / t for t in ts]
-
-
 def subdifferential(f: ConvexExpr, x) -> SubdiffSet:
     """Exact subdifferential at x as a polytope-plus-ball set."""
     return f._subdiff(as_point(x, f.dim))

@@ -2,13 +2,14 @@
 
 A subdifferential is represented exactly as ``conv(G) + r * B``: the convex
 hull of finitely many generator vectors, fattened by a Euclidean ball of
-radius ``r``.  All operations here (support function, minimum-norm point,
-origin classification, signed distance from the origin to the set boundary)
-are exact up to floating point for this representation.  One active-set
-solver, Lawson and Hanson's NNLS, finds every minimum-norm point here and
-the cutting-plane projections of ``moduli``; when the origin is inside, the
-boundary distance is the inradius, read off the facets that one double
-description pass finds on the polar cone, with no cap on their number.
+radius ``r``.  The minimum-norm point, the least support over the unit
+sphere (the signed distance from the origin to the set boundary) and the
+set calculus of the subdifferential rules are exact up to floating point
+for this representation.  One active-set solver, Lawson and Hanson's NNLS,
+finds every minimum-norm point here and the cutting-plane projections of
+``moduli``; when the origin is inside, the boundary distance is the
+inradius, read off the facets that one double description pass finds on
+the polar cone, with no cap on their number.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
 MIN_NORM_TOL = 1e-10       # absolute: a shorter min-norm point is the origin
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
-REFINE_STEPS = 100         # pattern-search rounds of _refine_direction_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +91,6 @@ class MinNormResult:
     dist: float
     residual: float
     iterations: int
-
-
-def support(s: SubdiffSet, h: np.ndarray) -> float:
-    """Support function max over the set of <., h>."""
-    h = np.asarray(h, dtype=float)
-    return float(np.max(s.generators @ h) + s.ball_radius * np.linalg.norm(h))
-
-
-def support_batch(s: SubdiffSet, hs: np.ndarray) -> np.ndarray:
-    """support() for every row of hs, vectorized."""
-    hs = np.atleast_2d(np.asarray(hs, dtype=float))
-    vals = np.max(s.generators @ hs.T, axis=0)
-    return vals + s.ball_radius * np.linalg.norm(hs, axis=1)
 
 
 def dedupe_rows(g: np.ndarray) -> np.ndarray:
@@ -270,32 +257,6 @@ def _polar_rays(g: np.ndarray) -> np.ndarray:
     return rays
 
 
-def _refine_direction_min(fun, h, val):
-    """Pattern search on the unit sphere for REFINE_STEPS rounds: try +/-
-    coordinate nudges, halving the step when nothing improves."""
-    m = h.shape[0]
-    delta = 0.1
-    for _ in range(REFINE_STEPS):
-        improved = False
-        for i in range(m):
-            for sign in (1.0, -1.0):
-                cand = h.copy()
-                cand[i] += sign * delta
-                nrm = np.linalg.norm(cand)
-                if nrm == 0.0:
-                    continue
-                cand /= nrm
-                v = fun(cand)
-                if v < val - 1e-15:
-                    h, val = cand, v
-                    improved = True
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-12:
-                break
-    return h, val
-
-
 def _inradius_at_origin(g: np.ndarray):
     """(value, achieving direction h) of min over unit h of max_gen <gen, h>,
     valid when the origin lies on or inside conv(g) (value ~0 also for an
@@ -323,9 +284,11 @@ def _inradius_at_origin(g: np.ndarray):
 
 
 def min_support_direction(s: SubdiffSet):
-    """(sigma, h) with sigma = min over unit h of support(s, h) and h the
-    minimizing direction.  sigma is the signed boundary distance.  Raises
-    MinNormNonConvergence where min_norm_point does."""
+    """(sigma, h) with sigma = min over unit h of the support function
+    max over s of <., h>, and h the minimizing direction.  sigma is the
+    signed distance from the origin to the boundary of s: -d(0, s) outside,
+    +d(0, bdry s) inside, 0 on the boundary.  Raises MinNormNonConvergence
+    where min_norm_point does."""
     mn = min_norm_point(s)
     if mn.hull_dist > _HULL_ZERO:
         h = -mn.point / mn.hull_dist
@@ -335,28 +298,8 @@ def min_support_direction(s: SubdiffSet):
     return sigma_hull + s.ball_radius, h
 
 
-def signed_boundary_distance(s: SubdiffSet) -> float:
-    """Signed distance from the origin to the boundary of the set:
-    -d(0, S) outside, +d(0, bdry S) inside, 0 on the boundary.  Equals the
-    minimum of the support function over the unit sphere."""
-    sigma, _ = min_support_direction(s)
-    return sigma
-
-
-def classify_origin(s: SubdiffSet, tol: float = 1e-9) -> OriginLocation:
-    """Locate the origin relative to the set at the given tolerance."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mn = min_norm_point(s)
-    if mn.dist > tol:
-        return OriginLocation(OriginTag.OUTSIDE, tol)
-    if signed_boundary_distance(s) > tol:
-        return OriginLocation(OriginTag.INTERIOR, tol)
-    return OriginLocation(OriginTag.ON_BOUNDARY, tol)
-
-
 # ---------------------------------------------------------------------------
-# Set calculus used by the expression and system subdifferential rules.
+# Set calculus used by the expression subdifferential rules.
 
 def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
     """w * S for w >= 0."""

@@ -4,8 +4,8 @@ beta(f, x) = min over unit h of f'(x, h) is the certificate quantity for
 error-bound stability: its sign locates the origin relative to the
 subdifferential (negative: outside, positive: interior, zero: boundary),
 and its magnitude is the signed distance.  It is -||grad f|| where f is
-differentiable, and exact geometry of the subdifferential at kinks; sphere
-sampling provides the independent cross-check oracle.
+differentiable, and exact geometry of the subdifferential at kinks.  The
+test suite cross-checks it against sampling over the sphere.
 """
 
 from __future__ import annotations
@@ -21,17 +21,9 @@ from .expressions import (
     _row_sq,
     as_point,
     directional_derivative,
-    directional_derivatives,
     subdifferential,
 )
-from .geometry import (
-    MIN_NORM_TOL,
-    OriginLocation,
-    OriginTag,
-    _refine_direction_min,
-    min_support_direction,
-)
-from .sampling import unit_directions
+from .geometry import MIN_NORM_TOL, OriginLocation, OriginTag, min_support_direction
 
 ZERO_TOL = 1e-9
 
@@ -145,34 +137,3 @@ def _geometric_beta(f: ConvexExpr, x, zero_tol: float) -> BetaCertificate:
     h.setflags(write=False)
     return BetaCertificate(value, h, OriginLocation(tag, zero_tol),
                            abs(directional_derivative(f, x, h) - sigma))
-
-
-def beta_sampled(f: ConvexExpr, x, n: int, seed: int = 0) -> float:
-    """Independent sampling oracle for beta.
-
-    Minimum of f'(x, .) over n low-discrepancy unit directions, then local
-    pattern refinement on the sphere.  Always an upper bound on true beta.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    x = as_point(x, f.dim)
-    hs = unit_directions(f.dim, n, seed)
-    vals = directional_derivatives(f, x, hs)
-    best = int(np.argmin(vals))
-    _, val = _refine_direction_min(
-        lambda h: directional_derivative(f, x, h), hs[best], float(vals[best]))
-    return val
-
-
-def beta_of_linear_perturbation(f: ConvexExpr, x, u, eps: float,
-                                xbar) -> BetaCertificate:
-    """beta certificate of g = f + eps * <u, . - xbar> at x.
-
-    The perturbation translates every subdifferential generator by eps * u,
-    which is exactly what the expression-level sum realizes.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) > 1.0 + 1e-12:
-        raise ValueError("perturbation direction must satisfy ||u|| <= 1")
-    g = linear_perturbation(f, u, eps, xbar)
-    return beta(g, x)

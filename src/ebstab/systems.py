@@ -4,9 +4,10 @@ A system is analyzed through its sup function f = max_i f_i and the active
 index sets attaining the sup.  Every index set is finite: a label list, or
 the uniform grid that stands for a closed parameter interval.  The sup is
 the max over those members, the one function ``materialize_sup`` builds;
-a finer sup in the parameter needs a larger grid.  The pointwise-max rule
-gives the directional derivative and subdifferential of the sup function
-from the active members.
+a finer sup in the parameter needs a larger grid.  Its value, directional
+derivative, subdifferential and stability verdicts are those of that
+``Max`` node; this module adds the active sets and the inclusion between
+the active sets of a system and its perturbation.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ConvexExpr, Max, _fmt, as_point, directional_derivative
-from .geometry import SubdiffSet, merge_active_subdiffs
-from .moduli import (StabilityVerdict, box_sample, classify_global_stability,
-                     classify_local_stability)
-from .sphere import beta, with_linear_term
+from .expressions import ConvexExpr, Max, _fmt, as_point
+from .sphere import beta
 
 SYSTEM_ACTIVE_TOL = 1e-8
 
@@ -53,9 +51,6 @@ class FiniteFamily:
         self.labels = labels
         self.dim = members[0].dim
         self._by_label = dict(zip(labels, members))
-
-    def grid_indices(self):
-        return self.labels
 
     def member(self, i) -> ConvexExpr:
         return self._by_label[i]
@@ -93,11 +88,6 @@ class IntervalFamily(FiniteFamily):
                 f"{self.grid_count} {self.template_text}")
 
 
-def sup_value(family: FiniteFamily, x) -> float:
-    """max over the index set of f_i(x), the value of ``materialize_sup``."""
-    return materialize_sup(family)._value(as_point(x, family.dim))
-
-
 def active_set(family: FiniteFamily, x, eps_act: float | None = None) -> ActiveSet:
     """Indices whose member value reaches the sup within tolerance.
 
@@ -114,45 +104,9 @@ def active_set(family: FiniteFamily, x, eps_act: float | None = None) -> ActiveS
     return ActiveSet(indices=idx, tolerance=float(eps_act), sup_value=sup)
 
 
-def dd_max_formula(family: FiniteFamily, x, h) -> float:
-    """Directional derivative of the sup via the pointwise-max rule:
-    max over active members of their directional derivatives."""
-    x = as_point(x, family.dim)
-    act = active_set(family, x)
-    return max(
-        directional_derivative(family.member(i), x, h) for i in act.indices
-    )
-
-
-def system_subdifferential(family: FiniteFamily, x) -> SubdiffSet:
-    """Subdifferential of the sup: hull of the union of active members'
-    subdifferentials (merged under the expression-level exactness rules)."""
-    x = as_point(x, family.dim)
-    act = active_set(family, x)
-    return merge_active_subdiffs(
-        [family.member(i)._subdiff(x) for i in act.indices]
-    )
-
-
 def materialize_sup(family: FiniteFamily) -> ConvexExpr:
     """The sup function as a finite max expression over the members."""
     return Max(family.members)
-
-
-def perturb_system(family: FiniteFamily, u, eps: float, xbar) -> FiniteFamily:
-    """Apply the same linear perturbation eps * <u, . - xbar> to every
-    member, keeping the labels; the sup function shifts by exactly that
-    linear term."""
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) > 1.0 + 1e-12:
-        raise ValueError("perturbation direction must satisfy ||u|| <= 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    xbar = as_point(xbar, family.dim)
-    a = eps * u
-    b = -eps * float(u @ xbar)
-    return FiniteFamily([with_linear_term(m, a, b) for m in family.members],
-                        labels=family.labels)
 
 
 @dataclass(frozen=True)
@@ -174,7 +128,7 @@ def check_active_set_hypotheses(family_f: FiniteFamily,
     """Check the inclusion between active sets that the stability transfer
     needs: I_g subset of I_f when beta < 0, I_f subset of I_g when beta > 0.
     """
-    if tuple(family_f.grid_indices()) != tuple(family_g.grid_indices()):
+    if family_f.labels != family_g.labels:
         raise ValueError("families must share one index set")
     x = as_point(x, family_f.dim)
     cert = beta(materialize_sup(family_f), x)
@@ -190,33 +144,3 @@ def check_active_set_hypotheses(family_f: FiniteFamily,
         ok, required, None if ok else required.replace("subset", "not subset"),
         cert.beta, tuple(sorted(act_f)), tuple(sorted(act_g)),
     )
-
-
-def classify_system_stability(family: FiniteFamily, xbar=None,
-                              tau: float | None = None, box=None,
-                              n: int = 512, seed: int = 0) -> StabilityVerdict:
-    """Stability verdict for the system through its materialized sup
-    function; the verdict notes record the active set at the reference
-    point (local) or at sampled boundary points (global)."""
-    sup = materialize_sup(family)
-    if xbar is not None:
-        verdict = classify_local_stability(sup, xbar)
-        act = active_set(family, xbar)
-        verdict.notes += (
-            f"; active indices at the reference point: "
-            f"{[str(i) for i in act.indices]}"
-        )
-        return verdict
-    if tau is None or box is None:
-        raise ValueError("global scope needs tau and box")
-    verdict = classify_global_stability(sup, tau, box_sample(sup, box, n, seed))
-    probes = []
-    for w in verdict.qc_witnesses[:3]:
-        probes.append((w.x, active_set(family, w.x).indices))
-    if probes:
-        shown = "; ".join(
-            f"{[round(float(c), 6) for c in p]} -> {[str(i) for i in idx]}"
-            for p, idx in probes
-        )
-        verdict.notes += f"; active indices at witnesses: {shown}"
-    return verdict

@@ -25,8 +25,13 @@ from ebstab.expressions import (
     Max,
     PosPartSquare,
     Sum,
+    directional_derivative,
+    evaluate,
 )
 from ebstab.geometry import SubdiffSet
+from ebstab.sampling import unit_directions
+from ebstab.sphere import with_linear_term
+from ebstab.systems import FiniteFamily, active_set, materialize_sup
 
 # every property runs the same examples on every run and machine, with no
 # example database and no per-example deadline
@@ -153,6 +158,44 @@ def random_subdiff_set(rng, dim, max_gens=6, ball_prob=0.3):
     return SubdiffSet(gens, radius)
 
 
+def support(s, hs):
+    """max over s of <., h> for every row h of hs (a single direction is
+    one row)."""
+    hs = np.atleast_2d(np.asarray(hs, dtype=float))
+    vals = np.max(s.generators @ hs.T, axis=0)
+    return vals + s.ball_radius * np.linalg.norm(hs, axis=1)
+
+
+def dd_quotient_scan(f, x, h, t_grid):
+    """Difference quotients (f(x + t h) - f(x)) / t along a decreasing grid
+    of positive t: nonincreasing in t and bounded below by f'(x, h)."""
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    f0 = f._value(x)
+    return [(f._value(x + t * h) - f0) / t for t in t_grid]
+
+
+def max_rule_dd(fam, x, h):
+    """f'(x, h) of the sup of a family by the pointwise-max rule: the max of
+    the active members' directional derivatives."""
+    return max(directional_derivative(fam.member(i), x, h)
+               for i in active_set(fam, x).indices)
+
+
+def sup_value(fam, x):
+    """The sup of a family at x: the value of its Max node."""
+    return evaluate(materialize_sup(fam), x)
+
+
+def tilted_family(fam, u, eps, xbar):
+    """The family with eps * <u, . - xbar> added to every member, labels
+    kept."""
+    u = np.asarray(u, dtype=float)
+    a, b = eps * u, -eps * float(u @ np.asarray(xbar, dtype=float))
+    return FiniteFamily([with_linear_term(m, a, b) for m in fam.members],
+                        labels=fam.labels)
+
+
 def _tangent_chart(h):
     """Orthonormal basis of the tangent space at unit vector h."""
     m = h.shape[0]
@@ -255,6 +298,18 @@ def refine_sphere_min_multi(value_batch, hs, vals, starts=8, verify_at=None):
         if val < best_val:
             best_h, best_val = h, val
     return best_h, best_val
+
+
+def beta_sampled(f, x, n, seed=0):
+    """Sampling oracle for beta: the least f'(x, h) over n unit_directions,
+    refined on the sphere from the best of them.  Every value it returns is
+    f'(x, .) at a unit direction, so it bounds beta from above."""
+    x = np.asarray(x, dtype=float)
+    hs = unit_directions(f.dim, n, seed)
+    vals = f._dd_batch(x, hs)
+    best = int(np.argmin(vals))
+    return refine_sphere_min(lambda c: f._dd_batch(x, c), hs[best],
+                             vals[best])[1]
 
 
 @pytest.fixture

@@ -19,18 +19,18 @@ from ebstab.expressions import (
     PosPartSquare,
     Sum,
     directional_derivative,
-    dd_quotient_scan,
     evaluate,
     subdifferential,
 )
-from ebstab.geometry import min_norm_point, support
+from ebstab.geometry import min_norm_point
 from ebstab.moduli import (box_sample, classify_local_stability,
                            distance_to_solution_set, eta_local, find_slater_point)
 from ebstab.scenarios import reproduce
 from ebstab.sphere import beta, linear_perturbation
-from ebstab.systems import FiniteFamily, dd_max_formula, materialize_sup
+from ebstab.systems import FiniteFamily, materialize_sup
 
-from conftest import random_expr, random_point, random_unit
+from conftest import (dd_quotient_scan, max_rule_dd, random_expr, random_point,
+                      random_unit, support)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -76,7 +76,7 @@ def test_criterion_2_quotients_and_support():
         for a, b in zip(q, q[1:]):
             worst_mono = max(worst_mono, b - a)
         worst_mono = max(worst_mono, dd - q[-1])
-        sup = support(subdifferential(f, x), h)
+        sup = support(subdifferential(f, x), h)[0]
         worst_support = max(worst_support, abs(dd - sup) / (1.0 + abs(dd)))
     ok = worst_mono <= 1e-9 and worst_support <= 1e-9
     _report("criterion 2: quotient monotonicity + support identity (1e-9)",
@@ -84,8 +84,9 @@ def test_criterion_2_quotients_and_support():
 
 
 def test_criterion_3_max_formula():
-    # directional derivative of the sup equals the materialized max's,
-    # 1e-10, on 200 randomized finite families
+    # the pointwise-max rule over the active members gives the directional
+    # derivative of the materialized max, 1e-10, on 200 randomized finite
+    # families
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(200):
@@ -94,7 +95,7 @@ def test_criterion_3_max_formula():
                    for _ in range(int(rng.integers(2, 5)))]
         fam = FiniteFamily(members)
         x, h = random_point(rng, m), random_point(rng, m)
-        got = dd_max_formula(fam, x, h)
+        got = max_rule_dd(fam, x, h)
         want = directional_derivative(materialize_sup(fam), x, h)
         worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     _report("criterion 3: sup-function max formula (200 families, 1e-10)",

@@ -8,37 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab.geometry import (
-    OriginTag,
-    SubdiffSet,
-    classify_origin,
-    min_norm_point,
-    min_support_direction,
-    signed_boundary_distance,
-    support,
-    support_batch,
-)
+from ebstab.geometry import SubdiffSet, min_norm_point, min_support_direction
 from ebstab.sampling import unit_directions
 
-from conftest import random_subdiff_set, refine_sphere_min_multi
+from conftest import random_subdiff_set, refine_sphere_min_multi, support
 
 CROSS = SubdiffSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
 
 
 def test_support_cross_polytope_diagonal():
     s = 1.0 / math.sqrt(2.0)
-    assert support(CROSS, [s, s]) == pytest.approx(s, abs=1e-15)
+    assert support(CROSS, [s, s])[0] == pytest.approx(s, abs=1e-15)
 
 
 def test_support_unit_ball():
     ball = SubdiffSet(np.zeros((1, 2)), 1.0)
     for h in ([1.0, 0.0], [0.6, 0.8]):
-        assert support(ball, h) == pytest.approx(1.0, abs=1e-12)
+        assert support(ball, h)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_support_singleton_orthogonal():
     s = SubdiffSet(np.array([[2.0, 0.0]]))
-    assert support(s, [0.0, 1.0]) == 0.0
+    assert support(s, [0.0, 1.0])[0] == 0.0
 
 
 def test_min_norm_segment():
@@ -58,29 +49,33 @@ def test_min_norm_origin_inside():
 
 
 def test_classify_origin_cases():
-    assert classify_origin(CROSS).tag is OriginTag.INTERIOR
-    assert classify_origin(SubdiffSet(np.array([[1.0, 0.0]]))).tag is OriginTag.OUTSIDE
+    # interior: on the set and off its boundary; outside: off the set;
+    # on the boundary: on the set, at zero signed distance
+    assert min_norm_point(CROSS).dist <= 1e-9
+    assert min_support_direction(CROSS)[0] > 1e-9
+    assert min_norm_point(SubdiffSet(np.array([[1.0, 0.0]]))).dist > 1e-9
     seg = SubdiffSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert classify_origin(seg).tag is OriginTag.ON_BOUNDARY
+    assert min_norm_point(seg).dist <= 1e-9
+    assert min_support_direction(seg)[0] <= 1e-9
 
 
 def test_signed_distance_cross_polytope():
     want = 1.0 / math.sqrt(2.0)
-    assert signed_boundary_distance(CROSS) == pytest.approx(want, abs=1e-12)
+    assert min_support_direction(CROSS)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_signed_distance_point_1d():
-    assert signed_boundary_distance(SubdiffSet(np.array([[1.0]]))) == -1.0
+    assert min_support_direction(SubdiffSet(np.array([[1.0]])))[0] == -1.0
 
 
 def test_signed_distance_unit_ball():
-    assert signed_boundary_distance(SubdiffSet(np.zeros((1, 2)), 1.0)) == 1.0
+    assert min_support_direction(SubdiffSet(np.zeros((1, 2)), 1.0))[0] == 1.0
 
 
 def test_signed_distance_offset_ball():
     # 0 outside the hull but inside hull + ball: sigma = r - d_hull
     s = SubdiffSet(np.array([[0.5, 0.0]]), 1.0)
-    assert signed_boundary_distance(s) == pytest.approx(0.5, abs=1e-12)
+    assert min_support_direction(s)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_min_support_direction_achieves_support():
@@ -90,7 +85,7 @@ def test_min_support_direction_achieves_support():
         s = random_subdiff_set(rng, m)
         sigma, h = min_support_direction(s)
         assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-9)
-        assert support(s, h) == pytest.approx(sigma, abs=1e-8)
+        assert support(s, h)[0] == pytest.approx(sigma, abs=1e-8)
 
 
 def test_min_norm_certificate_random():
@@ -110,15 +105,15 @@ def test_sphere_identity_random():
     for _ in range(500):
         m = int(rng.integers(1, 5))
         s = random_subdiff_set(rng, m)
-        sigma = signed_boundary_distance(s)
+        sigma = min_support_direction(s)[0]
         hs = unit_directions(m, 10_000, seed=int(rng.integers(1 << 16)))
-        vals = support_batch(s, hs)
+        vals = support(s, hs)
         j = int(np.argmin(vals))
         tol = 1e-6 * (1.0 + abs(sigma))
         if abs(sigma - float(vals[j])) <= tol:
             continue
         _, refined = refine_sphere_min_multi(
-            lambda c: support_batch(s, c), hs, vals,
+            lambda c: support(s, c), hs, vals,
             verify_at=sigma + 0.5 * tol,
         )
         assert abs(sigma - refined) <= tol
@@ -130,14 +125,14 @@ def test_sign_consistency_random():
     for _ in range(200):
         m = int(rng.integers(1, 5))
         s = random_subdiff_set(rng, m)
-        sigma = signed_boundary_distance(s)
-        tag = classify_origin(s, tol).tag
+        sigma = min_support_direction(s)[0]
+        dist = min_norm_point(s).dist
         if sigma > tol:
-            assert tag is OriginTag.INTERIOR
+            assert dist <= tol
         elif sigma < -tol:
-            assert tag is OriginTag.OUTSIDE
+            assert dist > tol
         else:
-            assert tag is OriginTag.ON_BOUNDARY
+            assert dist <= tol
 
 
 def test_translation_lipschitz():
@@ -149,8 +144,8 @@ def test_translation_lipschitz():
         u = rng.normal(size=m)
         u /= np.linalg.norm(u)
         shifted = SubdiffSet(s.generators + t * u, s.ball_radius)
-        d1 = signed_boundary_distance(s)
-        d2 = signed_boundary_distance(shifted)
+        d1 = min_support_direction(s)[0]
+        d2 = min_support_direction(shifted)[0]
         assert abs(d1 - d2) <= abs(t) + 1e-9
 
 
@@ -158,7 +153,7 @@ def test_duplicate_and_dependent_generators():
     s = SubdiffSet(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
     res = min_norm_point(s)
     assert res.dist == pytest.approx(math.sqrt(2.0), abs=1e-10)
-    assert signed_boundary_distance(s) == pytest.approx(-math.sqrt(2.0), abs=1e-10)
+    assert min_support_direction(s)[0] == pytest.approx(-math.sqrt(2.0), abs=1e-10)
 
 
 def test_high_dim_outside_still_exact():
@@ -167,7 +162,7 @@ def test_high_dim_outside_still_exact():
     s = SubdiffSet(gens)
     res = min_norm_point(s)
     assert res.dist > 0
-    sigma = signed_boundary_distance(s)
+    sigma = min_support_direction(s)[0]
     assert sigma == pytest.approx(-res.dist, abs=1e-9)
 
 

@@ -8,7 +8,9 @@ import pytest
 from ebstab.errors import ParseError
 from ebstab.expressions import Exp1D, Max, evaluate
 from ebstab.problems import parse_problem, serialize_expr, serialize_problem
-from ebstab.systems import FiniteFamily, IntervalFamily, perturb_system, sup_value
+from ebstab.systems import FiniteFamily, IntervalFamily
+
+from conftest import sup_value, tilted_family
 
 
 def test_parse_remark_tail_problem():
@@ -182,7 +184,7 @@ def test_parse_error_message_and_location(text, line, col, message):
 
 def test_perturbed_interval_family_round_trips_as_finite():
     p = parse_problem("dim 2\nfamily interval 0.0 1.0 9 (affine [t, 1-1*t] -1.0)\n")
-    p.family = perturb_system(p.family, [0.6, -0.8], 0.25, [1.0, 1.0])
+    p.family = tilted_family(p.family, [0.6, -0.8], 0.25, [1.0, 1.0])
     text = serialize_problem(p)
     assert text.startswith("dim 2\nfamily finite [")
     back = parse_problem(text)

@@ -60,6 +60,13 @@ def test_sweep_zero_eps_row_unchanged():
     assert row.verdict == "stable"
 
 
+def test_sweep_direction_norm_checked():
+    # a direction longer than one is refused before any row is analyzed
+    problem = parse_problem(EXP_PROBLEM)
+    with pytest.raises(ValueError, match=r"\|\|u\|\| <= 1"):
+        run_perturbation_sweep(problem, [0.0], [np.array([1.5])], [0.1])
+
+
 def test_sweep_csv_header_pinned():
     problem = parse_problem(EXP_PROBLEM)
     res = run_perturbation_sweep(problem, [0.0], [np.array([-1.0])], [0.1],

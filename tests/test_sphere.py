@@ -1,4 +1,4 @@
-"""beta certificates and the sphere-sampling cross-check oracle."""
+"""beta certificates, cross-checked against sampling over the sphere."""
 
 import math
 
@@ -18,23 +18,16 @@ from ebstab.expressions import (
     directional_derivative,
     subdifferential,
 )
-from ebstab.geometry import (
-    OriginTag,
-    classify_origin,
-    min_norm_point,
-    min_support_direction,
-)
+from ebstab.geometry import OriginTag, min_norm_point, min_support_direction
 from ebstab.sphere import (
     ZERO_TOL,
     _betas,
     _gradient_screen,
     beta,
-    beta_of_linear_perturbation,
-    beta_sampled,
     linear_perturbation,
 )
 
-from conftest import kinked_rows, random_expr, random_point
+from conftest import beta_sampled, kinked_rows, random_expr, random_point
 
 
 def test_beta_exp_at_zero():
@@ -90,7 +83,7 @@ def test_beta_sampled_const_zero():
 
 
 def test_perturbed_beta_of_constant():
-    cert = beta_of_linear_perturbation(Const(0.0, 1), [0.0], [1.0], 0.1, [0.0])
+    cert = beta(linear_perturbation(Const(0.0, 1), [1.0], 0.1, [0.0]), [0.0])
     assert cert.beta == pytest.approx(-0.1, abs=1e-12)
 
 
@@ -98,7 +91,8 @@ def test_perturbed_beta_exp_sign_convention():
     # g = f + eps <u, . - 0> with u = -1 gives g = e^x - 1 - eps x and
     # subgradient 1 - eps at the origin
     for eps in (0.1, 0.5):
-        cert = beta_of_linear_perturbation(Exp1D(0, -1.0, 1), [0.0], [-1.0], eps, [0.0])
+        g = linear_perturbation(Exp1D(0, -1.0, 1), [-1.0], eps, [0.0])
+        cert = beta(g, [0.0])
         assert cert.beta == pytest.approx(-(1.0 - eps), abs=1e-12)
 
 
@@ -109,13 +103,8 @@ def test_perturbed_beta_cross_polytope_stays_positive():
         u = rng.normal(size=2)
         u /= np.linalg.norm(u)
         eps = float(rng.uniform(0, 0.5))
-        cert = beta_of_linear_perturbation(f, [0.0, 0.0], u, eps, [0.0, 0.0])
+        cert = beta(linear_perturbation(f, u, eps, [0.0, 0.0]), [0.0, 0.0])
         assert cert.beta >= math.sqrt(2.0) / 2.0 - eps - 1e-9
-
-
-def test_perturbation_direction_norm_checked():
-    with pytest.raises(ValueError):
-        beta_of_linear_perturbation(Const(0.0, 2), [0, 0], [3.0, 0.0], 0.1, [0, 0])
 
 
 # --- randomized invariants ---------------------------------------------------
@@ -174,7 +163,7 @@ def test_perturbation_shift_bound():
         u /= max(1.0, np.linalg.norm(u))
         eps = float(rng.uniform(0, 1))
         b0 = beta(f, x).beta
-        b1 = beta_of_linear_perturbation(f, x, u, eps, xbar).beta
+        b1 = beta(linear_perturbation(f, u, eps, xbar), x).beta
         assert abs(b1 - b0) <= eps * np.linalg.norm(u) + 1e-9
 
 
@@ -199,11 +188,10 @@ def test_zero_dichotomy_matches_origin_classification():
         f = random_expr(rng, m)
         x = random_point(rng, m)
         cert = beta(f, x)
-        tag = classify_origin(subdifferential(f, x), tol=1e-9).tag
-        if abs(cert.beta) > 1e-9:
-            assert tag is not OriginTag.ON_BOUNDARY
-        else:
-            assert tag is OriginTag.ON_BOUNDARY
+        s = subdifferential(f, x)
+        on_boundary = (min_norm_point(s).dist <= 1e-9
+                       and min_support_direction(s)[0] <= 1e-9)
+        assert on_boundary == (abs(cert.beta) <= 1e-9)
 
 
 def test_linear_perturbation_value_identity(rng):

@@ -1,4 +1,4 @@
-"""Semi-infinite systems: sup machinery, active sets, perturbations."""
+"""Semi-infinite systems: the sup as a Max node, active sets, perturbations."""
 
 import math
 
@@ -14,22 +14,22 @@ from ebstab.expressions import (
     PosPartSquare,
     Sum,
     directional_derivative,
+    subdifferential,
 )
+from ebstab.geometry import merge_active_subdiffs
+from ebstab.moduli import (box_sample, classify_global_stability,
+                           classify_local_stability)
 from ebstab.systems import (
     SYSTEM_ACTIVE_TOL,
     FiniteFamily,
     IntervalFamily,
     active_set,
     check_active_set_hypotheses,
-    classify_system_stability,
-    dd_max_formula,
     materialize_sup,
-    perturb_system,
-    sup_value,
-    system_subdifferential,
 )
 
-from conftest import random_expr, random_point
+from conftest import (max_rule_dd, random_expr, random_point, sup_value,
+                      tilted_family)
 
 
 def abs_family():
@@ -81,34 +81,34 @@ def test_active_set_shrinking_tolerance_never_grows():
 
 def test_dd_max_formula_abs_family():
     s = 1.0 / math.sqrt(2.0)
-    got = dd_max_formula(abs_family(), [0.0, 0.0], [s, s])
+    got = max_rule_dd(abs_family(), [0.0, 0.0], [s, s])
     assert got == pytest.approx(s, abs=1e-15)
 
 
 def test_dd_max_formula_halfplane_family():
-    got = dd_max_formula(halfplane_family(), [0.0, 0.0], [-1.0, 0.0])
+    got = max_rule_dd(halfplane_family(), [0.0, 0.0], [-1.0, 0.0])
     assert got == -1.0
 
 
 def test_dd_max_formula_singleton():
     fam = FiniteFamily([Affine([2.0, 1.0], 0.0)])
-    assert dd_max_formula(fam, [0.0, 0.0], [1.0, 1.0]) == 3.0
+    assert max_rule_dd(fam, [0.0, 0.0], [1.0, 1.0]) == 3.0
 
 
 def test_system_subdifferential_cross_polytope():
-    s = system_subdifferential(abs_family(), [0.0, 0.0])
+    s = subdifferential(materialize_sup(abs_family()), [0.0, 0.0])
     got = {tuple(g) for g in np.asarray(s.generators).round(12).tolist()}
     assert got == {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
 
 
 def test_system_subdifferential_inactive_member_excluded():
-    s = system_subdifferential(halfplane_family(), [0.0, 0.0])
+    s = subdifferential(materialize_sup(halfplane_family()), [0.0, 0.0])
     assert np.allclose(s.generators, [[1.0, 0.0]])
 
 
 def test_perturb_system_zero_eps_identical():
     fam = abs_family()
-    out = perturb_system(fam, [0.0, 1.0], 0.0, [0.0, 0.0])
+    out = tilted_family(fam, [0.0, 1.0], 0.0, [0.0, 0.0])
     rng = np.random.default_rng(1)
     for _ in range(5):
         x = random_point(rng, 2)
@@ -117,7 +117,7 @@ def test_perturb_system_zero_eps_identical():
 
 def test_perturb_system_matches_shifted_sup():
     fam = abs_family()
-    out = perturb_system(fam, [0.0, 1.0], 0.3, [0.0, 0.0])
+    out = tilted_family(fam, [0.0, 1.0], 0.3, [0.0, 0.0])
     assert sup_value(out, [0.0, 0.5]) == pytest.approx(0.5 + 0.3 * 0.5, abs=1e-15)
 
 
@@ -125,7 +125,7 @@ def test_perturb_system_builds_remark_tail_family():
     from ebstab.expressions import Exp1D
 
     fam = FiniteFamily([Exp1D(0, -1.0, 1)])
-    out = perturb_system(fam, [-1.0], 0.1, [0.0])
+    out = tilted_family(fam, [-1.0], 0.1, [0.0])
     for x in (-3.0, 0.0, 1.5):
         want = math.exp(x) - 1.0 - 0.1 * x
         assert sup_value(out, [x]) == pytest.approx(want, abs=1e-12)
@@ -142,7 +142,7 @@ def test_sup_commutation_random():
         u /= max(1.0, np.linalg.norm(u))
         eps = float(rng.uniform(0, 1))
         xbar = random_point(rng, m)
-        out = perturb_system(fam, u, eps, xbar)
+        out = tilted_family(fam, u, eps, xbar)
         x = random_point(rng, m)
         want = sup_value(fam, x) + eps * float(u @ (x - xbar))
         got = sup_value(out, x)
@@ -175,35 +175,35 @@ def test_hypotheses_rem12b_violation():
 
 def test_hypotheses_shared_linear_perturbation_ok():
     fam = abs_family()
-    out = perturb_system(fam, [0.6, 0.8], 0.2, [0.0, 0.0])
+    out = tilted_family(fam, [0.6, 0.8], 0.2, [0.0, 0.0])
     hc = check_active_set_hypotheses(fam, out, [0.0, 0.0])
     assert hc.ok
     assert set(hc.active_f) == set(hc.active_g)
 
 
 def test_classify_system_local_rem12a_stable():
-    v = classify_system_stability(abs_family(), xbar=[0.0, 0.0])
+    v = classify_local_stability(materialize_sup(abs_family()), [0.0, 0.0])
     assert v.verdict == "stable"
     assert v.beta_inf == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
 
 def test_classify_system_local_rem12b_stable():
-    v = classify_system_stability(halfplane_family(), xbar=[0.0, 0.0])
+    v = classify_local_stability(materialize_sup(halfplane_family()),
+                                 [0.0, 0.0])
     assert v.verdict == "stable"
     assert v.beta_inf == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classify_system_pospartsquare_unstable():
     fam = FiniteFamily([PosPartSquare(0, 1)])
-    v = classify_system_stability(fam, xbar=[0.0])
+    v = classify_local_stability(materialize_sup(fam), [0.0])
     assert v.verdict == "unstable"
 
 
 def test_classify_system_global_delegates():
-    fam = halfplane_family()
-    v = classify_system_stability(
-        fam, tau=0.4, box=(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
-        n=300, seed=0)
+    sup = materialize_sup(halfplane_family())
+    box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    v = classify_global_stability(sup, 0.4, box_sample(sup, box, 300, 0))
     assert v.scope == "global"
     assert v.verdict in ("stable", "unstable", "undetermined")
 
@@ -216,7 +216,7 @@ def test_dd_max_formula_matches_materialized_random():
                    for _ in range(int(rng.integers(2, 5)))]
         fam = FiniteFamily(members)
         x, h = random_point(rng, m), random_point(rng, m)
-        got = dd_max_formula(fam, x, h)
+        got = max_rule_dd(fam, x, h)
         want = directional_derivative(materialize_sup(fam), x, h)
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
@@ -259,7 +259,7 @@ def test_interval_refinement_bound():
 
 def test_interval_system_subdifferential():
     fam = make_interval_family()
-    s = system_subdifferential(fam, [2.0, 0.5])
+    s = subdifferential(materialize_sup(fam), [2.0, 0.5])
     assert s.generators.shape[1] == 2
     # the sup is x1 - 1 near this point, so the subdifferential is {(1, 0)}
     assert np.allclose(s.generators, [[1.0, 0.0]], atol=1e-6)
@@ -277,11 +277,11 @@ def test_interval_member_cache_bounded():
     # adds members
     fam = make_interval_family()
     rng = np.random.default_rng(7)
-    members = [fam.member(t) for t in fam.grid_indices()]
+    members = [fam.member(t) for t in fam.labels]
     for _ in range(200):
         active_set(fam, rng.normal(size=2))
     assert len(fam.members) == fam.grid_count
-    assert all(fam.member(t) is m for t, m in zip(fam.grid_indices(), members))
+    assert all(fam.member(t) is m for t, m in zip(fam.labels, members))
 
 
 def test_interval_off_grid_parameter_is_not_an_index():
@@ -293,21 +293,24 @@ def test_interval_off_grid_parameter_is_not_an_index():
 def test_interval_active_set_reads_the_grid():
     # the active set and the subdifferential come from the grid members,
     # the ones the Max node of materialize_sup holds, with no parameter
-    # between grid points
+    # between grid points: the pointwise-max rule over the active grid
+    # members gives the Max node's subdifferential
     fam = make_interval_family()
     assert active_set(fam, [2.0, 0.5]).indices == (1.0,)
-    assert active_set(fam, [0.3, 0.3]).indices == fam.grid_indices()
+    assert active_set(fam, [0.3, 0.3]).indices == fam.labels
     sup = materialize_sup(fam)
     for x in ([2.0, 0.5], [0.3, 0.3]):
-        got = system_subdifferential(fam, x).generators
+        got = merge_active_subdiffs(
+            [fam.member(i)._subdiff(np.asarray(x))
+             for i in active_set(fam, x).indices]).generators
         want = sup._subdiff(np.asarray(x)).generators
         assert np.array_equal(got, want)
 
 
 def test_perturbed_interval_family_keeps_labels():
     fam = make_interval_family()
-    out = perturb_system(fam, [0.6, 0.8], 0.2, [1.0, 1.0])
-    assert out.grid_indices() == fam.grid_indices()
+    out = tilted_family(fam, [0.6, 0.8], 0.2, [1.0, 1.0])
+    assert out.labels == fam.labels
     hc = check_active_set_hypotheses(fam, out, [1.0, 1.0])
     assert set(hc.active_f) == set(hc.active_g)
 
@@ -347,9 +350,8 @@ def test_family_sup_and_active_set_read_the_max_node(seed, template, grid_count)
         fam = _template_family(template, grid_count)
     x = random_point(rng, fam.dim)
     sup = materialize_sup(fam)._value(x)
-    assert sup_value(fam, x) == sup
     tol = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
-    want = tuple(i for i in fam.grid_indices()
+    want = tuple(i for i in fam.labels
                  if fam.member(i)._value(x) >= sup - tol)
     act = active_set(fam, x)
     assert act.indices == want and act.sup_value == sup
