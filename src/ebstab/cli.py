@@ -121,8 +121,8 @@ def _cmd_perturb(args) -> int:
     if direction.shape != (problem.dim,) or not np.linalg.norm(direction) <= 1.0 + 1e-12:
         raise ParseError(f"--dir must have {problem.dim} entries and ||u|| <= 1")
     eps_list = _parse_vec(args.eps)
-    if not np.all(eps_list >= 0.0):
-        raise ParseError(f"--eps values must be nonnegative, got '{args.eps}'")
+    if not eps_list.size or not np.all(eps_list >= 0.0):
+        raise ParseError(f"--eps must list nonnegative values, got '{args.eps}'")
     result = run_perturbation_sweep(
         problem, x, [direction], eps_list, box=_box_for(args, problem),
         seed=args.seed, levels=args.levels, samples_per_level=args.samples,

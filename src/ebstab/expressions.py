@@ -353,21 +353,25 @@ class Max(ConvexExpr):
         return "(max " + " ".join(c._text() for c in self.children) + ")"
 
     def _active(self, x):
+        """(indices, top): the children within eps of the top value at x,
+        by index, and that value."""
         vals = [c._value(x) for c in self.children]
         top = max(vals)
         eps = _ACTIVE_TOL * (1.0 + abs(top))
-        return [c for c, v in zip(self.children, vals) if v >= top - eps], top
+        return [i for i, v in enumerate(vals) if v >= top - eps], top
 
     def _value_batch(self, X):
         return np.maximum.reduce([c._value_batch(X) for c in self.children])
 
     def _dd_batch(self, x, hs):
         active, _ = self._active(x)
-        return np.max(np.stack([c._dd_batch(x, hs) for c in active]), axis=0)
+        return np.max(np.stack([self.children[i]._dd_batch(x, hs)
+                                for i in active]), axis=0)
 
     def _subdiff(self, x):
         active, _ = self._active(x)
-        return merge_active_subdiffs([c._subdiff(x) for c in active])
+        return merge_active_subdiffs([self.children[i]._subdiff(x)
+                                      for i in active])
 
     def _grad_batch(self, X, err=0.0):
         vals = np.array([c._value_batch(X) for c in self.children])

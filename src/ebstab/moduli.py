@@ -280,51 +280,35 @@ def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
     a convex bracketing search (``_bisect_to_boundary``) from x toward
     that point, or toward a strictly feasible anchor, gives a boundary
     point and with it an upper bound (``_bounds``).  Kelley's cutting
-    planes then bracket the distance from both sides (``_refine``), and
-    the upper end of the bracket is returned.  The slater point is
-    validated; ``find_slater_point`` finds one in a box sample.
-    This is the one-point case of ``_distances``; the answer for a point
-    does not depend on the other points of a batch.
+    planes then bracket the distance from both sides (``_brackets`` on
+    the one row, where nothing is pruned), and the upper end of the
+    bracket is returned.  The slater point is validated;
+    ``find_slater_point`` finds one in a box sample.
     """
     x = as_point(x, f.dim)
-    if f._value(x) <= 0.0:
+    fx = f._value(x)
+    if fx <= 0.0:
         return 0.0
-    return float(_distances(f, x[None], _strictly_feasible(f, slater))[0])
-
-
-def _distances(f: ConvexExpr, X: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """distance_to_solution_set for every row of X, with strictly feasible
-    anchor s: ``_bounds`` on every row, then ``_refine`` on every
-    infeasible row, whose upper bound is returned.  Each row's result
-    depends on that row alone."""
-    out = np.zeros(X.shape[0])
-    rows, x, z, ub = _bounds(f, X, s)
-    if rows.size:
-        out[rows] = _refine(f, x, z, ub, s)[1]
-    return out
+    _, ub, _ = _brackets(f, x[None], np.array([fx]),
+                         _strictly_feasible(f, slater))
+    return float(ub[0])
 
 
 def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
-    """Upper bounds on the distances of the rows of X to the solution set,
-    as stages over all infeasible rows at once:
+    """Upper bounds on the distances of the rows of X, all infeasible, to
+    the solution set, as stages over all rows at once:
 
-    1. value screen: feasible rows have distance 0;
-    2. lock-step pull toward the solution set (``_pull_to_solution_set``);
-    3. rows pulled to 0 < f <= FEAS_TOL search to the boundary from
+    1. lock-step pull toward the solution set (``_pull_to_solution_set``);
+    2. rows pulled to 0 < f <= FEAS_TOL search to the boundary from
        there, which gives them a feasible anchor; rows left outside use s;
-    4. one lock-step boundary search (``_bisect_to_boundary``, a convex
+    3. one lock-step boundary search (``_bisect_to_boundary``, a convex
        bracketing search) from each row to its anchor gives a feasible
        boundary point z.
 
-    Returns (rows, x, z, ub): the infeasible rows of X by index, their
-    points, their boundary points and ub = ||x - z||, the start of
-    ``_refine``'s brackets.
+    Returns (z, ub): the boundary points and ub = ||X - z||, the start of
+    the distance brackets.  Each row's result depends on that row alone.
     """
-    rows = np.flatnonzero(f._value_batch(X) > 0.0)
-    x = X[rows]
-    if not rows.size:
-        return rows, x, x, np.zeros(0)
-    y = _pull_to_solution_set(f, x)
+    y = _pull_to_solution_set(f, X)
     fy = f._value_batch(y)
     near = fy <= FEAS_TOL
     anchor = np.where(near[:, None], y, s)
@@ -332,67 +316,48 @@ def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
     if lift.size:
         anchor[lift], _ = _bisect_to_boundary(
             f, y[lift], np.broadcast_to(s, (lift.size, f.dim)), 100)
-    z, _ = _bisect_to_boundary(f, x, anchor, 100)
-    return rows, x, z, np.sqrt(_row_sq(x - z))
+    z, _ = _bisect_to_boundary(f, X, anchor, 100)
+    return z, np.sqrt(_row_sq(X - z))
 
 
-def _refine(f: ConvexExpr, x: np.ndarray, z: np.ndarray, ub: np.ndarray,
-            s: np.ndarray):
-    """Brackets lb <= d(x, S) <= ub for the rows of x, from their
-    ``_bounds`` output, by Kelley's cutting planes (Kelley 1960) in
-    lock-step over the rows.
+def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
+              s: np.ndarray):
+    """(lb, ub, open): brackets lb <= d(x, S) <= ub for the infeasible
+    rows x of X, with values vals and strictly feasible anchor s, by
+    Kelley's cutting planes (Kelley 1960) in one pruned lock-step loop;
+    open is the number of rows whose bracket was left open while its
+    ratio ub / vals could still exceed the largest lb / vals.
 
     Every subgradient g of f at a point q gives the cut
     f(q) + <g, u - q> <= 0, which holds on all of S = {f <= 0}.  A row
-    starts with the cuts at x and at z, and each round (``_cut_round``)
-    projects x onto the row's cuts, which bounds d(x, S) from below, and
-    searches from an infeasible projection toward s to a feasible point,
-    which bounds it from above.  A row stops once ub - lb <= BRACKET_RTOL
-    * ub (closed), or after BRACKET_ROUNDS rounds (left open).  lb only
-    rises, ub only falls, and each row's bracket depends on that row
-    alone.  Returns (lb, ub).
+    starts from its ``_bounds`` upper bound with the cuts at x and at its
+    boundary point z, and each round (``_cut_round``) tightens its
+    bracket from both sides.  lb only rises and ub only falls.
+
+    With R the largest lb / vals so far, a row leaves once its bracket
+    closes (ub - lb <= BRACKET_RTOL * ub), once its ub / vals <= R, or
+    after BRACKET_ROUNDS rounds.  The row with the largest bound ratio
+    runs first, on its own, so that R is high before the others start.
+    A row that leaves early can never exceed R, so max(lb / vals) equals
+    exactly the largest lb / vals over brackets refined without pruning.
+    A single row is never pruned: it runs until its bracket closes or
+    the rounds run out.
     """
-    lb, ub = np.zeros(ub.size), ub.copy()
-    cuts = [[] for _ in ub]
-    live = np.arange(ub.size)
-    _add_cuts(f, x, cuts, live, np.concatenate([x, z]))
-    for _ in range(BRACKET_ROUNDS):
-        if not live.size:
-            break
-        live = _cut_round(f, x, s, cuts, lb, ub, live)
-    return lb, ub
-
-
-def _max_ratio(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
-               s: np.ndarray):
-    """(ratio, open): the largest lb / vals over the infeasible rows X
-    with values vals, where lb is each row's ``_refine`` lower bound, and
-    the number of rows whose bracket was left open while it could still
-    set that ratio.
-
-    The rows share one pruned cutting-plane loop: with R the largest
-    lb / vals so far, a row leaves once its bracket closes or once its
-    ub / vals <= R.  The row with the largest bound ratio runs first, on
-    its own, so that R is high before the others start.  Because lb only
-    rises and ub only falls, a row that leaves early can never exceed R,
-    and the ratio equals exactly the largest lb / vals of a full
-    ``_refine`` pass over every row.
-    """
-    _, x, z, ub = _bounds(f, X, s)
+    z, ub = _bounds(f, X, s)
     lb = np.zeros(ub.size)
     cuts = [[] for _ in ub]
     top = int(np.argmax(ub / vals))
     left = 0
     for live in (np.array([top]), np.delete(np.arange(ub.size), top)):
         live = live[ub[live] / vals[live] > np.max(lb / vals)]
-        _add_cuts(f, x, cuts, live, np.concatenate([x[live], z[live]]))
+        _add_cuts(f, X, cuts, live, np.concatenate([X[live], z[live]]))
         for _ in range(BRACKET_ROUNDS):
             if not live.size:
                 break
-            live = _cut_round(f, x, s, cuts, lb, ub, live)
+            live = _cut_round(f, X, s, cuts, lb, ub, live)
             live = live[ub[live] / vals[live] > np.max(lb / vals)]
         left += live.size
-    return float(np.max(lb / vals)), left
+    return lb, ub, left
 
 
 def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
@@ -632,12 +597,13 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     """Box-truncated estimate of inf d(0, subdifferential) over infeasible
     points, with the empirical sup of d(x, S)/f(x) over the same samples.
 
-    The empirical ratio is a certified lower bound on that sup
-    (``_max_ratio``): every infeasible sample gets an upper bound on its
-    distance from one batched pass, and only the samples whose bound could
-    still set the sup refine their distance brackets.  It is the largest
-    lower bound over fully refined brackets, so it may tighten eta; the
-    notes count the brackets left open that could still have set it.
+    The empirical ratio is a certified lower bound on that sup, the
+    largest lb / f over the distance brackets of ``_brackets``: every
+    infeasible sample gets an upper bound on its distance from one
+    batched pass, and only the samples whose bound could still set the
+    sup refine their brackets.  It equals the largest lower bound over
+    brackets refined without pruning, so it may tighten eta; the notes
+    count the brackets left open that could still have set it.
     Without a given slater point, the ratio anchors at the sample's
     ``find_slater_point``.
     """
@@ -657,7 +623,8 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
             notes += "; no feasible sample, empirical ratio unavailable"
         else:
             s = _strictly_feasible(f, slater)
-            ratio, left = _max_ratio(f, infeas, infeas_vals, s)
+            lb, _, left = _brackets(f, infeas, infeas_vals, s)
+            ratio = float(np.max(lb / infeas_vals))
             if left:
                 notes += f"; {left} distance brackets left open"
             if eta > 0.0 and ratio > 1.0001 / eta:

@@ -5,9 +5,9 @@ index sets attaining the sup.  Every index set is finite: a label list, or
 the uniform grid that stands for a closed parameter interval.  The sup is
 the max over those members, the one function ``materialize_sup`` builds;
 a finer sup in the parameter needs a larger grid.  Its value, directional
-derivative, subdifferential and stability verdicts are those of that
-``Max`` node; this module adds the active sets and the inclusion between
-the active sets of a system and its perturbation.
+derivative, subdifferential, active set and stability verdicts are those
+of that ``Max`` node; this module labels its active set and checks the
+inclusion between the active sets of a system and its perturbation.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ import numpy as np
 from .expressions import ConvexExpr, Max, _fmt, as_point
 from .sphere import beta
 
-SYSTEM_ACTIVE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Indices attaining the sup at a point, with the tolerance used."""
+    """Labels of the members attaining the sup at a point, and the sup."""
 
     indices: tuple
-    tolerance: float
     sup_value: float
 
 
@@ -88,20 +85,13 @@ class IntervalFamily(FiniteFamily):
                 f"{self.grid_count} {self.template_text}")
 
 
-def active_set(family: FiniteFamily, x, eps_act: float | None = None) -> ActiveSet:
-    """Indices whose member value reaches the sup within tolerance.
-
-    The default tolerance is 1e-8 * (1 + |f(x)|).
-    """
-    x = as_point(x, family.dim)
-    vals = np.array([m._value(x) for m in family.members])
-    sup = float(vals.max())
-    if eps_act is None:
-        eps_act = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
-    if eps_act <= 0:
-        raise ValueError("eps_act must be positive")
-    idx = tuple(i for i, v in zip(family.labels, vals) if v >= sup - eps_act)
-    return ActiveSet(indices=idx, tolerance=float(eps_act), sup_value=sup)
+def active_set(family: FiniteFamily, x) -> ActiveSet:
+    """The labels of the members that ``materialize_sup(family)`` reads as
+    active at x (``Max._active``): the one active set that its directional
+    derivative and subdifferential, and so beta, read."""
+    idx, sup = materialize_sup(family)._active(as_point(x, family.dim))
+    return ActiveSet(indices=tuple(family.labels[i] for i in idx),
+                     sup_value=float(sup))
 
 
 def materialize_sup(family: FiniteFamily) -> ConvexExpr:

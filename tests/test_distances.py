@@ -1,10 +1,11 @@
 """Solution-set distance brackets and the exact NNLS behind them.
 
-``_distances`` runs value screen, lock-step pull, anchor and boundary
-search over all rows at once (``_bounds``), then brackets every distance
-by Kelley's cutting planes, each round projecting every open row onto its
-cuts with one NNLS (``_refine``).  Its rows must not depend on the rest of
-the batch.  Every lower bound must sit below the distance of every
+``_bounds`` runs lock-step pull, anchor and boundary search over all
+infeasible rows at once; its rows must not depend on the rest of the
+batch.  ``_brackets`` then brackets every distance by Kelley's cutting
+planes in one pruned loop, each round projecting every open row onto its
+cuts with one NNLS, and ``distance_to_solution_set`` is its one-row call.
+Every lower bound of a pruned batch must sit below the distance of every
 feasible point a brute-force search finds, and every closed bracket
 must agree to 1e-9 with the boundary points that the one-point-at-a-time
 algorithm of before certified as projections; that algorithm is kept
@@ -27,9 +28,9 @@ from ebstab.moduli import (
     BRACKET_RTOL,
     FEAS_TOL,
     _bounds,
-    _distances,
+    _brackets,
     _nnls_residual,
-    _refine,
+    distance_to_solution_set,
 )
 
 from conftest import random_expr, reference_value
@@ -269,8 +270,8 @@ def test_distances_match_pre_stage_algorithm_where_certified():
     for _ in range(20):
         m = int(rng.integers(1, 4))
         f, s, xs = _slater_problem(rng, m, 10)
-        got = _distances(f, xs, s)
-        for x, d in zip(xs, got):
+        for x in xs:
+            d = distance_to_solution_set(f, x, s)
             want, done = _reference_distance(f, x, s, ops)
             if done:
                 certified += 1
@@ -279,16 +280,23 @@ def test_distances_match_pre_stage_algorithm_where_certified():
 
 
 def test_distances_rows_independent_of_batch():
+    # the boundary points and upper bounds that start every bracket, for
+    # the infeasible rows of a subset, a permutation or a single row
     rng = np.random.default_rng(44)
     for _ in range(15):
         m = int(rng.integers(1, 4))
         f, s, xs = _slater_problem(rng, m, 12)
-        got = _distances(f, xs, s)
-        assert np.array_equal(_distances(f, xs[::2], s), got[::2])
-        perm = rng.permutation(xs.shape[0])
-        assert np.array_equal(_distances(f, xs[perm], s), got[perm])
-        for i in rng.permutation(xs.shape[0])[:3]:
-            assert _distances(f, xs[i:i + 1], s)[0] == got[i]
+        infeasible = f._value_batch(xs) > 0.0
+        z, ub = np.zeros_like(xs), np.zeros(xs.shape[0])
+        z[infeasible], ub[infeasible] = _bounds(f, xs[infeasible], s)
+        subsets = [np.arange(0, xs.shape[0], 2), rng.permutation(xs.shape[0])]
+        subsets += [np.array([i]) for i in rng.permutation(xs.shape[0])[:3]]
+        for rows in subsets:
+            rows = rows[infeasible[rows]]
+            if rows.size:
+                got_z, got_ub = _bounds(f, xs[rows], s)
+                assert np.array_equal(got_z, z[rows])
+                assert np.array_equal(got_ub, ub[rows])
 
 
 def test_distances_lockstep_kink_problem():
@@ -296,7 +304,7 @@ def test_distances_lockstep_kink_problem():
     # d(x, S) / f(x) = sqrt(2) along the diagonal
     f = linf_ball_fn()
     xs = np.array([[2.0, 2.0], [-3.0, 3.0], [2.0, 0.5], [0.0, 0.0]])
-    got = _distances(f, xs, np.zeros(2))
+    got = [distance_to_solution_set(f, x, np.zeros(2)) for x in xs]
     assert got == pytest.approx([math.sqrt(2.0), 2.0 * math.sqrt(2.0), 1.0, 0.0],
                                 abs=1e-9)
 
@@ -312,15 +320,14 @@ def test_distances_exp_overflow_is_typed():
         f, s, xs = _slater_problem(rng, m, 10)
     x = s + 10.0 * (xs[4] - s)
     assert m == 2 and x == pytest.approx([-3.430, 16.203], abs=1e-3)
-    rows, x1, z, ub = _bounds(f, x[None], s)
-    lb, ub = _refine(f, x1, z, ub, s)
-    assert rows.size == 1 and np.all(np.isfinite(ub))
+    lb, ub, _ = _brackets(f, x[None], f._value_batch(x[None]), s)
+    assert np.all(np.isfinite(ub))
     assert ub[0] - lb[0] <= BRACKET_RTOL * ub[0]
     assert ub[0] == pytest.approx(14.69883911, abs=1e-8)
-    assert _distances(f, x[None], s)[0] == ub[0]
+    assert distance_to_solution_set(f, x, s) == ub[0]
     # where f itself overflows, the error stays typed
     with pytest.raises(NumericalOverflow):
-        _distances(f, np.array([[-3.43, 800.0]]), s)
+        distance_to_solution_set(f, [-3.43, 800.0], s)
 
 
 def _brute_force_distance(f, x, radius, rng, n=20000):
@@ -338,18 +345,22 @@ def _brute_force_distance(f, x, radius, rng, n=20000):
 @given(seed=st.integers(0, 2**32 - 1), skip=st.integers(0, 2))
 @example(seed=11, skip=73)   # the tangential polish reported 73.30 here
 def test_brackets_hold_brute_force_distances(seed, skip):
-    # the skip-th problem of a sweep drawn from seed, in 2-D or 3-D: every
-    # lower bound sits below the distance of every feasible point found by
-    # brute force, and every closed bracket's upper end as well
+    # the skip-th problem of a sweep drawn from seed, in 2-D or 3-D, its
+    # infeasible rows in one pruned batch: every lower bound sits below the
+    # distance of every feasible point found by brute force, and every
+    # closed bracket's upper end as well, the pruned rows' included
     rng = np.random.default_rng(seed)
     for _ in range(skip + 1):
         m = int(rng.integers(2, 4))
         f, s, xs = _slater_problem(rng, m, 4)
-    rows, x, z, ub = _bounds(f, xs, s)
-    lb, ub = _refine(f, x, z, ub, s)
+    vals = f._value_batch(xs)
+    x, vals = xs[vals > 0.0], vals[vals > 0.0]
+    if not vals.size:
+        return
+    lb, ub, _ = _brackets(f, x, vals, s)
     assert np.all(lb <= ub)
     closed = ub - lb <= BRACKET_RTOL * ub
-    for i in range(rows.size):
+    for i in range(vals.size):
         nearest = _brute_force_distance(f, x[i], 1.01 * ub[i], rng)
         assert lb[i] <= nearest * (1.0 + 1e-12)
         if closed[i]:

@@ -1,10 +1,11 @@
 """The empirical ratio of ``eta_global``: bound every row, refine only the
 rows that can set the maximum.
 
-``_max_ratio`` must return exactly the largest lower bound lb / vals of a
-full ``_refine`` pass, whatever the order of the rows, and on a problem
-whose ratio is set by a few corner rays it must project only a few rows
-onto their cuts.
+The largest lower bound lb / vals of one pruned ``_brackets`` batch must
+equal exactly the largest over one-row ``_brackets`` calls, where nothing
+is pruned, whatever the order of the rows, and on a problem whose ratio
+is set by a few corner rays it must project only a few rows onto their
+cuts.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from ebstab import moduli, scenarios
 from ebstab.errors import EbstabError
 from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
-from ebstab.moduli import _bounds, _max_ratio, _refine, box_sample, eta_global
+from ebstab.moduli import _brackets, box_sample, eta_global
 from ebstab.scenarios import reproduce
 
 from conftest import random_expr
@@ -35,14 +36,15 @@ def test_max_ratio_is_the_full_maximum(seed, m):
     X, vals = X[vals > 0.0], vals[vals > 0.0]
     assume(X.shape[0] > 0)
     try:
-        _, x, z, ub = _bounds(f, X, s)
-        want = float(np.max(_refine(f, x, z, ub, s)[0] / vals))
+        want = max(float(_brackets(f, X[i:i + 1], vals[i:i + 1], s)[0][0]
+                         / vals[i]) for i in range(X.shape[0]))
     except EbstabError:
-        # the full pass fails on some row; the ratio may skip that row
+        # a one-row call fails on some row; the ratio may skip that row
         assume(False)
-    assert _max_ratio(f, X, vals, s)[0] == want
+    assert float(np.max(_brackets(f, X, vals, s)[0] / vals)) == want
     perm = rng.permutation(X.shape[0])
-    assert _max_ratio(f, X[perm], vals[perm], s)[0] == want
+    lb = _brackets(f, X[perm], vals[perm], s)[0]
+    assert float(np.max(lb / vals[perm])) == want
 
 
 def test_max_ratio_refines_few_rows_on_sup_norm_ball(monkeypatch):

@@ -32,7 +32,6 @@ from ebstab.moduli import (
     BoundarySample,
     QCWitness,
     _bisect_to_boundary,
-    _distances,
     boundary_sample,
     box_sample,
     check_condition_3_9,
@@ -223,16 +222,6 @@ def test_search_overflowing_end_is_typed():
     f = Exp1D(0, -1.0, 1)
     with pytest.raises(NumericalOverflow):
         _bisect_to_boundary(f, [[1000.0]], [[-1.0]], 100)
-
-
-def test_distances_match_per_point_distance():
-    rng = np.random.default_rng(32)
-    for _ in range(12):
-        m = int(rng.integers(1, 4))
-        f, s, xs = _slater_problem(rng, m, 8)
-        xs = np.vstack([xs, s])     # a feasible row has distance 0
-        want = [distance_to_solution_set(f, x, slater=s) for x in xs]
-        assert _distances(f, xs, s).tolist() == want
 
 
 def test_find_slater_point_exp():

@@ -256,6 +256,8 @@ NAN_TAU, INF_TAU, NAN_POINT, INF_BOX = list(FILE_IDS)[2:]
     (BALL_PROBLEM, ["analyze-global", "--tau", "0"]),
     (BALL_PROBLEM, ["analyze-global", "--tau", "-1"]),
     (BALL_PROBLEM, ["perturb", "--eps", "-0.1", "--dir", "0,1"]),
+    (BALL_PROBLEM, ["perturb", "--eps", ",", "--dir", "0,1"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "", "--dir", "0,1"]),
     (BALL_PROBLEM, ["perturb", "--eps", "0.1", "--dir", "3,0"]),
     (BALL_PROBLEM, ["perturb", "--eps", "0.1", "--dir", "1"]),
     (BALL_PROBLEM, ["analyze-global", "--box", "1..0,0..1"]),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebstab.expressions import (
+    _ACTIVE_TOL,
     AbsCoord,
     Affine,
     Const,
@@ -20,7 +21,6 @@ from ebstab.geometry import merge_active_subdiffs
 from ebstab.moduli import (box_sample, classify_global_stability,
                            classify_local_stability)
 from ebstab.systems import (
-    SYSTEM_ACTIVE_TOL,
     FiniteFamily,
     IntervalFamily,
     active_set,
@@ -71,12 +71,16 @@ def test_active_set_strict_maximizer():
     assert set(act.indices) == {1}
 
 
-def test_active_set_shrinking_tolerance_never_grows():
-    fam = abs_family()
-    x = [1.0, 1.0 - 1e-10]
-    sizes = [len(active_set(fam, x, eps_act=e).indices)
-             for e in (1e-6, 1e-9, 1e-12)]
-    assert sizes == sorted(sizes, reverse=True)
+def test_active_set_is_the_one_beta_reads():
+    # the second member sits 1e-9 below the sup at the origin, outside the
+    # Max node's active tolerance: beta reads the first member alone, and
+    # so does the active set, which the tie then does not contain
+    fam = FiniteFamily([Affine([1.0, 0.0], 0.0), Affine([0.0, 1.0], -1e-9)])
+    tie = FiniteFamily([Affine([1.0, 0.0], 0.0), Affine([0.0, 1.0], 0.0)])
+    assert active_set(fam, [0.0, 0.0]).indices == (1,)
+    hc = check_active_set_hypotheses(fam, tie, [0.0, 0.0])
+    assert hc.active_f == (1,) and hc.active_g == (1, 2)
+    assert not hc.ok and hc.violated_side == "I_g not subset I_f"
 
 
 def test_dd_max_formula_abs_family():
@@ -340,7 +344,7 @@ def _template_family(index, grid_count):
 def test_family_sup_and_active_set_read_the_max_node(seed, template, grid_count):
     # finite families of random members, or interval families parsed from a
     # template: the sup is the value of materialize_sup bitwise, and the
-    # active set is exactly the labels within the system tolerance of it
+    # active set is exactly the labels within the Max node's tolerance of it
     rng = np.random.default_rng(seed)
     if template is None:
         m = int(rng.integers(1, 4))
@@ -350,7 +354,7 @@ def test_family_sup_and_active_set_read_the_max_node(seed, template, grid_count)
         fam = _template_family(template, grid_count)
     x = random_point(rng, fam.dim)
     sup = materialize_sup(fam)._value(x)
-    tol = SYSTEM_ACTIVE_TOL * (1.0 + abs(sup))
+    tol = _ACTIVE_TOL * (1.0 + abs(sup))
     want = tuple(i for i in fam.labels
                  if fam.member(i)._value(x) >= sup - tol)
     act = active_set(fam, x)
