@@ -10,6 +10,7 @@ the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,7 +181,10 @@ def _add_common(sub, samples: int | None = None, levels: bool = False,
                      default="human")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each handler reads the module's names when it runs."""
     parser = argparse.ArgumentParser(
         prog="ebstab",
         description="Error-bound moduli and stability certificates for "

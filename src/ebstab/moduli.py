@@ -14,6 +14,7 @@ sample's pool and the witness search's feasible points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
 QC_BLOCK = 32            # feasible samples per nearest-boundary block
 SEARCH_RTOL = 1e-15      # boundary search stops at this * (1 + segment length)
 LOCAL_RADIUS = 1.0       # radius of eta_local's first (largest) ball
+LOCAL_BLOCK = 4096       # ball rows per eta_local batch at most
+LOCAL_RESOLUTION = 1e-12  # eta_local draws no ball below this * (1 + ||xbar||_inf)
 DECISION_MARGIN = 0.05   # relative band around tau with no global verdict
 
 
@@ -534,10 +537,16 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
     approaching xbar, via sampling balls of radius LOCAL_RADIUS halved at
     each level.
 
-    Each level screens its samples with one batched value call and takes
-    all their distances in one batched gradient pass; only samples on a
-    kink of f (where it may not be differentiable) build a subdifferential
-    and take its minimum-norm point.
+    One run draws the balls of all levels at once (level k at seed
+    ``seed_base + k``), screens them with one batched value call and takes
+    the distances of all their infeasible samples in one batched gradient
+    pass; only samples on a kink of f (where it may not be differentiable)
+    build a subdifferential and take its minimum-norm point.  Every oracle
+    is row-independent, so each level's minimum is the one a draw of that
+    level alone gives.  Levels go into a batch together while it holds at
+    most LOCAL_BLOCK rows (a level larger than that is a batch of its own).
+    Levels whose radius is below LOCAL_RESOLUTION * (1 + ||xbar||_inf) are
+    not drawn: there xbar + r * u rounds back to xbar.
     """
     xbar = as_point(xbar, f.dim)
     if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
@@ -545,20 +554,33 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
             f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}, "
             f"got {f._value(xbar):.3g}"
         )
+    floor = LOCAL_RESOLUTION * (1.0 + float(np.max(np.abs(xbar))))
+    radii = list(itertools.takewhile(
+        lambda r: r >= floor, (LOCAL_RADIUS * 2.0 ** (-k) for k in range(levels))))
 
-    def run(sample_count, seed_base):
+    def run(per_level, seed_base):
         recs = []
-        for k in range(levels):
-            radius = LOCAL_RADIUS * 2.0 ** (-k)
-            pts = ball_points(xbar, radius, sample_count, seed_base + k)
-            infeas = pts[f._value_batch(pts) > 0.0]
-            recs.append((radius, float(np.min(_subdiff_dists(f, infeas)))
-                         if infeas.shape[0] else None))
+        step = max(1, LOCAL_BLOCK // per_level)
+        for k in range(0, len(radii), step):
+            block = radii[k:k + step]
+            pts = ball_points(xbar, block, per_level,
+                              range(seed_base + k, seed_base + k + len(block)))
+            infeas = f._value_batch(pts) > 0.0
+            d = np.full(pts.shape[0], np.inf)
+            if infeas.any():
+                d[infeas] = _subdiff_dists(f, pts[infeas])
+            seen = infeas.reshape(len(block), per_level).any(axis=1)
+            least = d.reshape(len(block), per_level).min(axis=1)
+            recs += [(r, float(v) if hit else None)
+                     for r, v, hit in zip(block, least, seen)]
         return recs
 
     per_level = samples_per_level
     recorded = run(per_level, seed)
     notes = "estimates are relative to sampled shrinking balls"
+    if len(radii) < levels:
+        notes += (f"; levels from {len(radii)} on not drawn: their radius is "
+                  f"below the float resolution {floor:.3g} at the reference point")
     # liminf semantics: finer nested levels should not sit above coarser ones
     finite = [(r, d) for r, d in recorded if d is not None]
     if finite:
@@ -584,7 +606,7 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
         kind="local",
         eta_estimate=eta,
         tau_estimate=tau,
-        sample_count=levels * per_level,
+        sample_count=len(radii) * per_level,
         reference_point=xbar,
         shrink_levels=recorded,
         vacuous=vacuous,

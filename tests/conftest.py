@@ -29,7 +29,8 @@ from ebstab.expressions import (
     evaluate,
 )
 from ebstab.geometry import SubdiffSet
-from ebstab.sampling import unit_directions
+from ebstab.moduli import LOCAL_RADIUS, _subdiff_dists
+from ebstab.sampling import ball_points, unit_directions
 from ebstab.sphere import with_linear_term
 from ebstab.systems import FiniteFamily, active_set, materialize_sup
 
@@ -310,6 +311,20 @@ def beta_sampled(f, x, n, seed=0):
     best = int(np.argmin(vals))
     return refine_sphere_min(lambda c: f._dd_batch(x, c), hs[best],
                              vals[best])[1]
+
+
+def eta_local_levels_reference(f, xbar, levels, per_level, seed_base):
+    """eta_local's shrink levels drawn one level at a time: one ball draw,
+    one value screen and one distance pass per level, each level's ball at
+    seed seed_base + k."""
+    recs = []
+    for k in range(levels):
+        radius = LOCAL_RADIUS * 2.0 ** (-k)
+        pts = ball_points(xbar, radius, per_level, seed_base + k)
+        infeas = pts[f._value_batch(pts) > 0.0]
+        recs.append((radius, float(np.min(_subdiff_dists(f, infeas)))
+                     if infeas.shape[0] else None))
+    return recs
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab import sphere
+from ebstab import moduli, sphere
 from ebstab.errors import (
     NoSignChangeInBox,
     NoSlaterPoint,
@@ -47,7 +47,7 @@ from ebstab.reports import emit_report
 from ebstab.sampling import box_points
 from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
 
-from conftest import random_expr
+from conftest import eta_local_levels_reference, random_expr
 
 EXP = Exp1D(0, -1.0, 1)
 EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
@@ -285,6 +285,99 @@ def test_eta_local_pospartsquare_diverges():
 def test_eta_local_requires_boundary_point():
     with pytest.raises(PreconditionError):
         eta_local(EXP, [1.0])
+
+
+def _hex_levels(levels):
+    return [(r.hex(), None if d is None else d.hex()) for r, d in levels]
+
+
+def _matches_level_loop(f, xbar, rep, levels, seed):
+    per_level = rep.sample_count // levels
+    seed_base = seed + 1000 if "resampled" in rep.notes else seed
+    want = eta_local_levels_reference(f, xbar, levels, per_level, seed_base)
+    assert _hex_levels(rep.shrink_levels) == _hex_levels(want)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       n=st.sampled_from([16, 64, 700]))
+def test_eta_local_levels_match_level_loop_bit_for_bit(seed, m, n):
+    # one batch over all levels gives each level the minimum its own draw,
+    # screen and distance pass give
+    rng = np.random.default_rng(seed)
+    g = random_expr(rng, m)
+    xbar = rng.uniform(-1.0, 1.0, size=m)
+    f = Sum([(1.0, g), (1.0, Const(-g._value(xbar), m))])
+    if abs(f._value(xbar)) > moduli.BOUNDARY_VALUE_TOL:
+        return
+    try:
+        rep = eta_local(f, xbar, levels=6, samples_per_level=n, seed=seed % 1000)
+    except NumericalOverflow:
+        return
+    _matches_level_loop(f, xbar, rep, 6, seed % 1000)
+
+
+@pytest.mark.parametrize("seed", [2, 1001])
+def test_eta_local_levels_match_level_loop_with_resample(seed):
+    rep = eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=seed)
+    assert ("resampled" in rep.notes) == (seed == 1001)
+    _matches_level_loop(EXP, np.array([0.0]), rep, 8, seed)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, runs", [(2, 1), (1001, 2)])
+def test_eta_local_draws_and_screens_each_run_once(seed, runs, monkeypatch):
+    # a run draws every level in one call and takes all of its distances in
+    # one gradient screen; a resample is a second run
+    draws = _counting(monkeypatch, moduli, "ball_points")
+    screens = _counting(monkeypatch, moduli, "_gradient_screen")
+    eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=seed)
+    assert len(draws) == runs and len(screens) == runs
+
+
+def test_eta_local_batches_stay_within_the_block(monkeypatch):
+    rows = []
+    value_batch = Exp1D._value_batch
+
+    def counted(self, X):
+        rows.append(X.shape[0])
+        return value_batch(self, X)
+
+    monkeypatch.setattr(Exp1D, "_value_batch", counted)
+    per_level = moduli.LOCAL_BLOCK // 2 - 1
+    rep = eta_local(EXP, [0.0], levels=8, samples_per_level=per_level, seed=2)
+    batches = [r for r in rows if r > 1]
+    assert max(batches) <= moduli.LOCAL_BLOCK
+    assert sum(batches) == rep.sample_count and len(batches) == 4
+
+
+def test_eta_local_draws_no_ball_below_float_resolution():
+    # x + r*u rounds to x once r is below the float spacing at x; such
+    # levels are not drawn, so they cannot make the estimate vacuous
+    f = Max([AbsCoord(0, 2), AbsCoord(1, 2)])
+    g = Sum([(1.0, f), (1.0, Const(-1.0, 2))])
+    rep = eta_local(g, [1.0, 0.0], levels=60, samples_per_level=64, seed=0)
+    drawn = len(rep.shrink_levels)
+    assert drawn == 39 and rep.shrink_levels[-1][0] == 2.0 ** -38
+    assert rep.sample_count == drawn * 64
+    assert "not drawn" in rep.notes
+    assert not rep.vacuous and rep.tau_estimate == 1.0
+    # the levels past the resolution are not even enumerated
+    many = eta_local(g, [1.0, 0.0], levels=10**12, samples_per_level=64, seed=0)
+    assert many.shrink_levels == rep.shrink_levels
+    rep = eta_local(g, [1.0, 0.0], levels=8, seed=0)
+    assert "not drawn" not in rep.notes and len(rep.shrink_levels) == 8
 
 
 def test_eta_global_exp():

@@ -371,6 +371,28 @@ def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_analyze_local_sees_the_liminf_at_many_levels(ball_file, capsys):
+    # levels below float resolution at the point are not drawn, so they no
+    # longer leave the last two levels empty and the estimate vacuous
+    assert main(["analyze-local", ball_file, "--levels", "60",
+                 "--format", "json"]) == 0
+    modulus = json.loads(capsys.readouterr().out)["results"]["modulus"]
+    assert modulus["vacuous"] is False and modulus["tau"] == 1.0
+    assert len(modulus["shrink_levels"]) == 39
+
+
+def test_parser_is_built_once_and_handlers_read_patched_names(
+        monkeypatch, exp_file):
+    parser = build_parser()
+    assert build_parser() is parser
+
+    def boom(*args, **kwargs):
+        raise MinNormNonConvergence(np.zeros(1), 1.0, 500)
+
+    monkeypatch.setattr("ebstab.cli.eta_local", boom)
+    assert main(["analyze-local", exp_file, "--at", "0"]) == 4
+
+
 def test_cli_missing_file_exit_code(capsys):
     assert main(["analyze-local", "/nonexistent/x.eb", "--at", "0"]) == 3
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebstab.sampling import ball_points
+from ebstab.sampling import ball_points, low_discrepancy, unit_directions
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -16,3 +18,28 @@ def test_ball_radius_independent_of_direction(m):
     shell = int(np.sum(half & (r >= 0.24) & (r < 0.38)))
     uniform = np.sum(half) * (0.38 ** m - 0.24 ** m)
     assert abs(shell - uniform) <= 0.1 * uniform
+
+
+@settings(max_examples=40)
+@given(m=st.integers(1, 6), n=st.integers(1, 300), data=st.data())
+def test_seed_sequences_stack_the_one_seed_draws_bit_for_bit(m, n, data):
+    k = data.draw(st.integers(1, 8))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=k,
+                               max_size=k))
+    radii = data.draw(st.lists(st.floats(1e-12, 1e3), min_size=k, max_size=k))
+    center = np.linspace(-1.0, 2.0, m)
+    pairs = 2 * ((m + 1) // 2)
+    for batch, one in [
+        (ball_points(center, radii, n, seeds),
+         [ball_points(center, r, n, s) for r, s in zip(radii, seeds)]),
+        (unit_directions(m, n, seeds),
+         [unit_directions(m, n, s) for s in seeds]),
+        (low_discrepancy(pairs + 1, n, seeds),
+         [low_discrepancy(pairs + 1, n, s) for s in seeds]),
+    ]:
+        assert batch.tobytes() == np.vstack(one).tobytes()
+
+
+def test_ball_points_rejects_unequal_sequences():
+    with pytest.raises(ValueError):
+        ball_points(np.zeros(2), [1.0, 0.5], 4, [0, 1, 2])
