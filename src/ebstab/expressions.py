@@ -25,6 +25,8 @@ stability analysis needs while keeping every oracle exact.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConvexityViolation, DimensionMismatch, NumericalOverflow
@@ -422,10 +424,8 @@ class Sum(ConvexExpr):
         return out
 
     def _subdiff(self, x):
-        acc = SubdiffSet(np.zeros((1, self.dim)), 0.0)
-        for w, e in self.terms:
-            acc = add_sets(acc, scale_set(e._subdiff(x), w))
-        return acc
+        return functools.reduce(add_sets, (scale_set(e._subdiff(x), w)
+                                           for w, e in self.terms))
 
     def _grad_batch(self, X, err=0.0):
         G = np.zeros(X.shape)

@@ -5,11 +5,14 @@ hull of finitely many generator vectors, fattened by a Euclidean ball of
 radius ``r``.  The minimum-norm point, the least support over the unit
 sphere (the signed distance from the origin to the set boundary) and the
 set calculus of the subdifferential rules are exact up to floating point
-for this representation.  One active-set solver, Lawson and Hanson's NNLS,
-finds every minimum-norm point here and the cutting-plane projections of
-``moduli``; when the origin is inside, the boundary distance is the
-inradius, read off the facets that one double description pass finds on
-the polar cone, with no cap on their number.
+for this representation.  A ``SubdiffSet`` is built in one normal form (no
+generator within _DEDUPE_TOL of an earlier one, and above 32 generators
+only the extreme points) that nothing downstream normalises again.  One
+active-set solver, Lawson and Hanson's NNLS, finds every minimum-norm point
+here and the cutting-plane projections of ``moduli``; when the origin is
+inside, the boundary distance is the inradius, read off the facets that
+one double description pass finds on the polar cone, with no cap on their
+number.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in h
 class SubdiffSet:
     """The compact convex set conv(generators) + ball_radius * unit ball.
 
-    generators: array of shape (k, m), k >= 1.
-    ball_radius: nonnegative float.
+    generators: finite (k, m) array, k >= 1, kept in normal form: rows are
+        deduplicated in order (``dedupe_rows``), then, above 32 of them,
+        pruned to the extreme points (``prune_to_extreme``).
+    ball_radius: finite nonnegative float.
     """
 
     generators: np.ndarray
@@ -42,13 +47,13 @@ class SubdiffSet:
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.generators, dtype=float))
-        if g.ndim != 2 or g.shape[0] == 0:
-            raise ValueError("generators must be a nonempty (k, m) array")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generators must be finite")
-        if self.ball_radius < 0:
-            raise ValueError("ball_radius must be nonnegative")
-        g = g.copy()
+        if g.ndim != 2 or g.shape[0] == 0 or not np.all(np.isfinite(g)):
+            raise ValueError("generators must be a nonempty finite (k, m) array")
+        if not 0.0 <= self.ball_radius < math.inf:
+            raise ValueError("ball_radius must be finite and nonnegative")
+        g = dedupe_rows(g)
+        if g.shape[0] > 32:
+            g = prune_to_extreme(g)
         g.setflags(write=False)
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
@@ -94,11 +99,13 @@ class MinNormResult:
 
 
 def dedupe_rows(g: np.ndarray) -> np.ndarray:
-    """Drop rows that coincide with an earlier row up to _DEDUPE_TOL (keeps
-    order)."""
+    """Drop rows within _DEDUPE_TOL (sup norm) of an earlier kept row, keeping
+    order; one vectorised comparison per row, so memory stays O(k m)."""
+    kept = np.empty_like(g)
     keep = []
-    for i in range(g.shape[0]):
-        if all(np.max(np.abs(g[i] - g[j])) > _DEDUPE_TOL for j in keep):
+    for i, row in enumerate(g):
+        if np.all(np.max(np.abs(row - kept[:len(keep)]), axis=1) > _DEDUPE_TOL):
+            kept[len(keep)] = row
             keep.append(i)
     return g[keep]
 
@@ -150,11 +157,11 @@ def _nnls_residual(gens: np.ndarray, target: np.ndarray):
 
 
 def _min_norm(g: np.ndarray):
-    """(x, g, scale, rounds) for the deduplicated rows of g divided by
-    scale, a power of two above every row norm, so that the reduction
-    neither overflows nor rounds: x times scale is the minimum-norm point
-    of conv(rows of g), the origin when it is no longer than MIN_NORM_TOL,
-    and rounds counts NNLS rounds, 0 for a single generator.
+    """(x, g, scale, rounds) for the rows of g divided by scale, a power of
+    two above every row norm, so that the reduction neither overflows nor
+    rounds: x times scale is the minimum-norm point of conv(rows of g), the
+    origin when it is no longer than MIN_NORM_TOL, and rounds counts NNLS
+    rounds, 0 for a single generator.
 
     Two or more generators take one NNLS: minimize
     ||G^T lam||^2 + (sum(lam) - 1)^2 over lam >= 0; the point is
@@ -163,7 +170,6 @@ def _min_norm(g: np.ndarray):
     q t, increasing in q, so mu is the minimum-norm weight.  Rows of norm
     at most 1 keep t >= 1/2, where 1 + r[m] = t is exact.
     """
-    g = dedupe_rows(g)
     k, m = g.shape
     # 2^e > max |g| sqrt(m), without forming a product that may overflow
     mant, e = math.frexp(float(np.max(np.abs(g))))
@@ -267,7 +273,6 @@ def _inradius_at_origin(g: np.ndarray):
     t = 0 give the ~0 value when the origin is on or just outside the hull.
     The value is the least max_gen <gen, h> over the rays, read on g itself.
     """
-    g = dedupe_rows(g)
     m = g.shape[1]
     _, sv, vt = np.linalg.svd(g, full_matrices=True)
     smax = sv[0] if sv.size else 0.0
@@ -309,13 +314,10 @@ def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
 
 
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
-    """Minkowski sum; generator counts multiply, so hulls are pruned when
-    they get large."""
+    """Minkowski sum: every pairwise sum of generators (a's rows outer), which
+    the SubdiffSet normal form prunes when they get many."""
     pair = a.generators[:, None, :] + b.generators[None, :, :]
-    gens = dedupe_rows(pair.reshape(-1, a.dim))
-    if gens.shape[0] > 32:
-        gens = prune_to_extreme(gens)
-    return SubdiffSet(gens, a.ball_radius + b.ball_radius)
+    return SubdiffSet(pair.reshape(-1, a.dim), a.ball_radius + b.ball_radius)
 
 
 def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
@@ -328,7 +330,7 @@ def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
     a_mat = np.asarray(a_mat, dtype=float)
     gens = s.generators @ a_mat
     if s.ball_radius == 0.0:
-        return SubdiffSet(dedupe_rows(gens), 0.0)
+        return SubdiffSet(gens, 0.0)
     m = a_mat.shape[1]
     gram = a_mat.T @ a_mat
     sigma2 = float(np.trace(gram)) / m
@@ -337,7 +339,7 @@ def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
             "affine pre-composition maps the inner ball to a non-ball; "
             "only conformal maps (A^T A = s*I) are supported with r > 0"
         )
-    return SubdiffSet(dedupe_rows(gens), s.ball_radius * math.sqrt(sigma2))
+    return SubdiffSet(gens, s.ball_radius * math.sqrt(sigma2))
 
 
 def merge_active_subdiffs(parts) -> SubdiffSet:
@@ -353,34 +355,30 @@ def merge_active_subdiffs(parts) -> SubdiffSet:
     parts = list(parts)
     if not parts:
         raise ValueError("merge requires at least one set")
-    dim = parts[0].dim
     ball_parts = [p for p in parts if p.ball_radius > 0.0]
     flat_parts = [p for p in parts if p.ball_radius == 0.0]
     if not ball_parts:
-        gens = dedupe_rows(np.vstack([p.generators for p in parts]))
-        if gens.shape[0] > 32:
-            gens = prune_to_extreme(gens)
-        return SubdiffSet(gens, 0.0)
+        return SubdiffSet(np.vstack([p.generators for p in parts]), 0.0)
     radii = np.array([p.ball_radius for p in ball_parts])
     if np.max(radii) - np.min(radii) > _DEDUPE_TOL:
         raise UnsupportedSubdifferential(
             "two distinct positive ball radii in one max node"
         )
-    r = float(radii[0])
-    core = dedupe_rows(np.vstack([p.generators for p in ball_parts]))
+    core = SubdiffSet(np.vstack([p.generators for p in ball_parts]),
+                      float(radii[0]))
     for p in flat_parts:
         for gen in p.generators:
-            if hull_distance(gen, core) > r + 1e-9:
+            if hull_distance(gen, core.generators) > core.ball_radius + 1e-9:
                 raise UnsupportedSubdifferential(
                     "polytope child escapes the ball-carrying child; "
                     "the union's hull is not a polytope plus a ball"
                 )
-    return SubdiffSet(core, r)
+    return core
 
 
 def prune_to_extreme(g: np.ndarray) -> np.ndarray:
-    """Drop generators that are convex combinations of the others."""
-    g = dedupe_rows(g)
+    """Drop, in order, rows within 1e-12 of the hull of the rows kept so far
+    and those after them: what is left are the extreme points."""
     keep = np.ones(g.shape[0], dtype=bool)
     for i in range(g.shape[0]):
         others = g[keep & (np.arange(g.shape[0]) != i)]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
                      PreconditionError)
 from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
-from .geometry import _nnls_residual, dedupe_rows, min_norm_point
+from .geometry import _nnls_residual, min_norm_point
 from .sampling import ball_points, box_points
 from .sphere import BetaCertificate, _betas, _gradient_screen, beta
 
@@ -409,7 +409,7 @@ def _add_cuts(f: ConvexExpr, x: np.ndarray, cuts: list, rows: np.ndarray,
     fq = f._value_batch(Q)
     scalar = kink | ~np.isfinite(_row_sq(G))
     for j, i in enumerate(np.concatenate([rows, rows])):
-        g = dedupe_rows(f._subdiff(Q[j]).generators) if scalar[j] else G[j:j + 1]
+        g = f._subdiff(Q[j]).generators if scalar[j] else G[j:j + 1]
         gn = np.sqrt(_row_sq(g))
         g, gn = g[gn > 0.0], gn[gn > 0.0]
         e = fq[j] + _row_dot(g, np.broadcast_to(x[i] - Q[j], g.shape))
@@ -517,6 +517,16 @@ def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int) -> BoundarySample:
     return BoundarySample(points=points, value_tol=BOUNDARY_VALUE_TOL)
 
 
+def boundary_point(f: ConvexExpr, xbar) -> np.ndarray:
+    """xbar as a point of f's space; PreconditionError unless |f(xbar)| is at
+    most BOUNDARY_VALUE_TOL (xbar lies on the boundary of the solution set)."""
+    xbar = as_point(xbar, f.dim)
+    if abs(value := f._value(xbar)) > BOUNDARY_VALUE_TOL:
+        raise PreconditionError(f"reference point must satisfy f = 0 within "
+                                f"{BOUNDARY_VALUE_TOL:g}, got {value:.3g}")
+    return xbar
+
+
 def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
     return min_norm_point(f._subdiff(x)).dist
 
@@ -548,12 +558,9 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
     Levels whose radius is below LOCAL_RESOLUTION * (1 + ||xbar||_inf) are
     not drawn: there xbar + r * u rounds back to xbar.
     """
-    xbar = as_point(xbar, f.dim)
-    if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
-        raise PreconditionError(
-            f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}, "
-            f"got {f._value(xbar):.3g}"
-        )
+    if levels < 1 or samples_per_level < 1:
+        raise ValueError("eta_local needs at least one level and one sample")
+    xbar = boundary_point(f, xbar)
     floor = LOCAL_RESOLUTION * (1.0 + float(np.max(np.abs(xbar))))
     radii = list(itertools.takewhile(
         lambda r: r >= floor, (LOCAL_RADIUS * 2.0 ** (-k) for k in range(levels))))
@@ -733,11 +740,7 @@ def classify_local_stability(f: ConvexExpr, xbar,
     cert, and the verdict is built from it (at its own tolerance) instead
     of computing beta again at ZERO_TOL.
     """
-    xbar = as_point(xbar, f.dim)
-    if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
-        raise PreconditionError(
-            f"reference point must satisfy f = 0 within {BOUNDARY_VALUE_TOL:g}"
-        )
+    xbar = boundary_point(f, xbar)
     if cert is None:
         cert = beta(f, xbar)
     unstable = cert.is_zero

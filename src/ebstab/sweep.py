@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .expressions import as_point
 from .moduli import (
-    BOUNDARY_VALUE_TOL,
+    boundary_point,
     box_sample,
     classify_local_stability,
     eta_global,
@@ -49,9 +47,7 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
                            global_samples: int = 256) -> SweepResult:
     """Sweep over (direction, eps) pairs, rows ordered by eps."""
     f = problem.function_expr()
-    xbar = as_point(xbar, problem.dim)
-    if abs(f._value(xbar)) > BOUNDARY_VALUE_TOL:
-        raise PreconditionError("sweep reference point must satisfy f = 0")
+    xbar = boundary_point(f, xbar)
     if box is None:
         box = problem.box
     directions = [np.asarray(u, dtype=float) for u in directions]

@@ -28,7 +28,7 @@ from ebstab.expressions import (
     directional_derivative,
     evaluate,
 )
-from ebstab.geometry import SubdiffSet
+from ebstab.geometry import _DEDUPE_TOL, SubdiffSet
 from ebstab.moduli import LOCAL_RADIUS, _subdiff_dists
 from ebstab.sampling import ball_points, unit_directions
 from ebstab.sphere import with_linear_term
@@ -311,6 +311,17 @@ def beta_sampled(f, x, n, seed=0):
     best = int(np.argmin(vals))
     return refine_sphere_min(lambda c: f._dd_batch(x, c), hs[best],
                              vals[best])[1]
+
+
+def dedupe_rows_reference(g):
+    """geometry.dedupe_rows as a loop over the kept rows: a row is kept when
+    its sup-norm distance to every row kept before it exceeds
+    _DEDUPE_TOL."""
+    keep = []
+    for i in range(g.shape[0]):
+        if all(np.max(np.abs(g[i] - g[j])) > _DEDUPE_TOL for j in keep):
+            keep.append(i)
+    return g[keep]
 
 
 def eta_local_levels_reference(f, xbar, levels, per_level, seed_base):

@@ -8,10 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab.geometry import SubdiffSet, min_norm_point, min_support_direction
+from ebstab.geometry import (
+    _DEDUPE_TOL,
+    SubdiffSet,
+    dedupe_rows,
+    min_norm_point,
+    min_support_direction,
+)
 from ebstab.sampling import unit_directions
 
-from conftest import random_subdiff_set, refine_sphere_min_multi, support
+from conftest import (
+    dedupe_rows_reference,
+    random_subdiff_set,
+    refine_sphere_min_multi,
+    support,
+)
 
 CROSS = SubdiffSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
 
@@ -154,6 +165,76 @@ def test_duplicate_and_dependent_generators():
     res = min_norm_point(s)
     assert res.dist == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert min_support_direction(s)[0] == pytest.approx(-math.sqrt(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_non_finite_ball_radius_rejected(radius):
+    with pytest.raises(ValueError, match="ball_radius"):
+        SubdiffSet(np.array([[1.0, 0.0]]), radius)
+
+
+def test_set_keeps_first_occurrences_in_order():
+    g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0 + 1e-13],
+                  [2.0, 2.0], [1.0, 0.0]])
+    s = SubdiffSet(g)
+    assert np.array_equal(s.generators, g[[0, 1, 4]])
+
+
+def test_large_set_keeps_only_extreme_points():
+    # 8 octagon vertices among 32 points of [-0.35, 0.35]^2, which lie
+    # inside the octagon (inradius cos(pi/8) ~ 0.92)
+    rng = np.random.default_rng(5)
+    t = np.arange(8) * np.pi / 4
+    octagon = np.column_stack([np.cos(t), np.sin(t)])
+    inner = rng.uniform(-0.35, 0.35, size=(32, 2))
+    g = np.vstack([inner, octagon])[rng.permutation(40)]
+    s = SubdiffSet(g)
+    is_vertex = np.isin(np.arange(40), np.flatnonzero(
+        np.abs(np.linalg.norm(g, axis=1) - 1.0) < 1e-12))
+    assert is_vertex.sum() == 8
+    assert np.array_equal(s.generators, g[is_vertex])
+
+
+def _dedupe_case(rng, k, m, kind):
+    """k rows in R^m with planted coincidences: near-duplicates of earlier
+    rows, rows exactly _DEDUPE_TOL from one, or chains a, b, c with
+    d(a, b) and d(b, c) within the tolerance but d(a, c) beyond it."""
+    rows = [rng.integers(-2, 3, size=m).astype(float)]
+    while len(rows) < k:
+        a = rows[int(rng.integers(len(rows)))]
+        step = np.zeros(m)
+        step[int(rng.integers(m))] = 1.0
+        if kind == "near":
+            rows.append(a + rng.uniform(-2.0, 2.0, size=m) * _DEDUPE_TOL)
+        elif kind == "exact":
+            # from a zero coordinate the offset is exactly _DEDUPE_TOL,
+            # elsewhere within rounding of it
+            rows.append(a + rng.choice([-1.0, 1.0]) * _DEDUPE_TOL * step)
+        elif kind == "chain":
+            rows += [a + 0.75 * _DEDUPE_TOL * step, a + 1.5 * _DEDUPE_TOL * step]
+        else:
+            rows.append(rng.integers(-2, 3, size=m).astype(float))
+    return np.array(rows[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+       m=st.integers(1, 4), kind=st.sampled_from(["near", "exact", "chain",
+                                                  "grid"]))
+def test_dedupe_rows_equals_the_loop_bit_for_bit(seed, k, m, kind):
+    g = _dedupe_case(np.random.default_rng(seed), k, m, kind)
+    got, want = dedupe_rows(g), dedupe_rows_reference(g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dedupe_rows_tolerance_is_strict_and_not_transitive():
+    a = np.zeros(3)
+    e = np.eye(3)[1]
+    # exactly the tolerance apart: a duplicate; a chain keeps its far end
+    g = np.vstack([a, a + _DEDUPE_TOL * e, a + 0.75 * _DEDUPE_TOL * e,
+                   a + 1.5 * _DEDUPE_TOL * e])
+    assert np.array_equal(dedupe_rows(g), g[[0, 3]])
 
 
 def test_high_dim_outside_still_exact():

@@ -1,13 +1,15 @@
 """Modulus estimation, boundary sampling and stability verdicts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab import moduli, sphere
+from ebstab import geometry, moduli, sphere
+from ebstab.cli import main
 from ebstab.errors import (
     NoSignChangeInBox,
     NoSlaterPoint,
@@ -43,15 +45,18 @@ from ebstab.moduli import (
     find_slater_point,
     qc_witness_search,
 )
+from ebstab.problems import parse_problem
 from ebstab.reports import emit_report
 from ebstab.sampling import box_points
 from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
+from ebstab.sweep import run_perturbation_sweep
 
 from conftest import eta_local_levels_reference, random_expr
 
 EXP = Exp1D(0, -1.0, 1)
 EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 def linf_ball_fn():
@@ -287,6 +292,27 @@ def test_eta_local_requires_boundary_point():
         eta_local(EXP, [1.0])
 
 
+@pytest.mark.parametrize("kw", [{"levels": 0}, {"samples_per_level": 0},
+                                {"levels": -1, "samples_per_level": -3}])
+def test_eta_local_rejects_counts_below_one(kw):
+    with pytest.raises(ValueError, match="at least one"):
+        eta_local(EXP, [0.0], **kw)
+
+
+@pytest.mark.parametrize("check", [
+    lambda x: eta_local(EXP, x),
+    lambda x: classify_local_stability(EXP, x),
+    lambda x: run_perturbation_sweep(
+        parse_problem("dim 1\nexpr (exp1d 0 -1)\n"), x, [[-1.0]], [0.1]),
+])
+def test_boundary_precondition_names_the_value(check):
+    # every analysis at a reference point refuses one off the boundary
+    # with the same message, which names the value of f it saw
+    with pytest.raises(PreconditionError,
+                       match=r"f = 0 within 1e-09, got 1\.72$"):
+        check([1.0])
+
+
 def _hex_levels(levels):
     return [(r.hex(), None if d is None else d.hex()) for r, d in levels]
 
@@ -344,6 +370,16 @@ def test_eta_local_draws_and_screens_each_run_once(seed, runs, monkeypatch):
     screens = _counting(monkeypatch, moduli, "_gradient_screen")
     eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=seed)
     assert len(draws) == runs and len(screens) == runs
+
+
+def test_analyze_local_normalises_the_cube_once(monkeypatch, capsys):
+    # ||x||_1 at the origin of R^5: the 32 cube vertices are deduplicated
+    # when their SubdiffSet is built, and by no later reader
+    rows = _counting(monkeypatch, geometry, "dedupe_rows")
+    assert main(["analyze-local", str(BENCH_PROBLEMS / "l1norm5.eb"),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    assert sum(args[0].shape[0] >= 32 for args in rows) == 1
 
 
 def test_eta_local_batches_stay_within_the_block(monkeypatch):
