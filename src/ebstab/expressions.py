@@ -354,16 +354,20 @@ class Max(ConvexExpr):
     def _text(self):
         return "(max " + " ".join(c._text() for c in self.children) + ")"
 
+    def _child_values(self, X):
+        """The children's values at the rows of X, shape (k, m) -> (p, k)."""
+        return np.array([c._value_batch(X) for c in self.children])
+
     def _active(self, x):
         """(indices, top): the children within eps of the top value at x,
         by index, and that value."""
-        vals = [c._value(x) for c in self.children]
+        vals = self._child_values(x[None])[:, 0].tolist()
         top = max(vals)
         eps = _ACTIVE_TOL * (1.0 + abs(top))
         return [i for i, v in enumerate(vals) if v >= top - eps], top
 
     def _value_batch(self, X):
-        return np.maximum.reduce([c._value_batch(X) for c in self.children])
+        return np.maximum.reduce(self._child_values(X))
 
     def _dd_batch(self, x, hs):
         active, _ = self._active(x)
@@ -376,7 +380,7 @@ class Max(ConvexExpr):
                                       for i in active])
 
     def _grad_batch(self, X, err=0.0):
-        vals = np.array([c._value_batch(X) for c in self.children])
+        vals = self._child_values(X)
         grads, kinks = zip(*(c._grad_batch(X, err) for c in self.children))
         rows = np.arange(X.shape[0])
         top = np.argmax(vals, axis=0)

@@ -100,10 +100,13 @@ class MinNormResult:
 
 def dedupe_rows(g: np.ndarray) -> np.ndarray:
     """Drop rows within _DEDUPE_TOL (sup norm) of an earlier kept row, keeping
-    order; one vectorised comparison per row, so memory stays O(k m)."""
+    order; the first row is kept unread, each later one costs one vectorised
+    comparison, so memory stays O(k m).  The result is a copy, which the
+    caller may freeze."""
     kept = np.empty_like(g)
-    keep = []
-    for i, row in enumerate(g):
+    kept[0] = g[0]
+    keep = [0]
+    for i, row in enumerate(g[1:], 1):
         if np.all(np.max(np.abs(row - kept[:len(keep)]), axis=1) > _DEDUPE_TOL):
             kept[len(keep)] = row
             keep.append(i)

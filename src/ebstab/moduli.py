@@ -188,12 +188,19 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     the feasible side.  The secant through the last two infeasible ends
     lies below phi beyond them, so its root is on the infeasible side.
     Each round evaluates, in one batched value call, five points per row:
-    the chord root, the secant root (the midpoint until the infeasible
-    end has moved once), a closing probe half the goal width inside
-    each of those two, and the midpoint (Dekker and Brent's safeguard).
-    The new bracket is built from each candidate's computed sign, never
-    from what convexity predicts, and the midpoint at least halves it.
-    An affine piece closes in one round.
+    the chord root raised to at least half the goal width above tl, the
+    secant root (the midpoint until the infeasible end has moved once), a
+    closing probe half the goal width inside each of those two, and the
+    midpoint (Dekker and Brent's safeguard).  The raise matters where
+    phi(tl) is rounding noise: the chord root then sits below float
+    resolution, rounds back onto the start and reads the same value,
+    while the raised probe reads feasible and closes the bracket.  A
+    raised probe's closing partner would land back on tl, so it goes half
+    the goal width above it instead, where it closes the bracket if the
+    raised probe reads infeasible.  The new bracket is built from each
+    candidate's computed sign, never from what convexity predicts, and
+    the midpoint at least halves it.  An affine piece closes in one
+    round.
 
     The ends are evaluated once, in one batch.  Row i runs at most
     max_iter[i] rounds (a scalar applies to every row) and stops once
@@ -238,7 +245,12 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
         bent = drop > 0.0
         secant = tl + (tl - t0) * fl / np.where(bent, drop, 1.0)
         secant = np.where(bent & (secant < th), secant, mid)
-        T = np.clip(np.stack([chord, secant, chord - 0.5 * width,
+        # a chord root this close to tl may round back onto the start; a
+        # raised probe pairs with the one above it, as the one below is tl
+        raised = chord < tl + 0.5 * width
+        close = np.where(raised, tl + 0.5 * width, chord)
+        pair = close + np.where(raised, 0.5, -0.5) * width
+        T = np.clip(np.stack([close, secant, pair,
                               secant + 0.5 * width, mid], axis=1),
                     tl[:, None], th[:, None])
         P = a[:, None, :] + T[:, :, None] * d[:, None, :]

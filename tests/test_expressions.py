@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebstab.errors import (
     ConvexityViolation,
@@ -25,6 +27,7 @@ from ebstab.expressions import (
     evaluate,
     subdifferential,
 )
+from ebstab.systems import FiniteFamily, active_set
 
 from conftest import (dd_quotient_scan, random_expr, random_point, random_unit,
                       reference_value, support)
@@ -269,6 +272,52 @@ def test_batch_value_matches_scalar():
             assert f._value_batch(xs[i:i + 1])[0] == batch[i]
             assert f._value(xs[i]) == batch[i]
         assert np.array_equal(f._value_batch(xs[::3]), batch[::3])
+
+
+def _affine_family(rng, m, p):
+    """p affine members on R^m with small integer coefficients, so that
+    members tie exactly at integer points, all of them linear in half the
+    draws (tying at 0.0 and -0.0 at the origin), a later member repeating
+    an earlier one in about a quarter of the draws, and the last member
+    generic in half the draws."""
+    A = rng.integers(-2, 3, size=(p, m)).astype(float)
+    b = rng.integers(-2, 3, size=p) * float(rng.random() < 0.5)
+    b[(b == 0.0) & (rng.random(p) < 0.5)] = -0.0
+    for i in range(1, p):
+        if rng.random() < 0.25:
+            j = int(rng.integers(i))
+            A[i], b[i] = A[j], b[j]
+    A[-1] += rng.uniform(-1, 1, size=m) * (rng.random() < 0.5)
+    return [Affine(a, c) for a, c in zip(A, b)]
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       p=st.integers(1, 12))
+@example(seed=0, m=1, p=9)   # top ties between 0.0 and -0.0
+def test_max_active_set_reads_each_child_value(seed, m, p):
+    # a max takes its children's values at one point from one batched call
+    # per child; its active sets and top values must be those of each
+    # child's point oracle bit for bit, at exact ties (integer points),
+    # between duplicate members and at generic points (the batched value
+    # may pick the other zero where 0.0 and -0.0 tie)
+    rng = np.random.default_rng(seed)
+    children = _affine_family(rng, m, p)
+    f = Max(children)
+    Z = rng.integers(-2, 3, size=(60, m)).astype(float)
+    Z[:10] = 0.0
+    Z[(Z == 0.0) & (rng.random(Z.shape) < 0.5)] = -0.0
+    X = np.vstack([Z, rng.normal(size=(6, m)) * 2.0])
+    fam = FiniteFamily(children, labels=[f"m{i}" for i in range(p)])
+    for x, fx in zip(X, f._value_batch(X)):
+        v = [c._value(x) for c in children]
+        top = max(v)
+        want = [i for i, vi in enumerate(v) if vi >= top - 1e-10 * (1.0 + abs(top))]
+        idx, sup = f._active(x)
+        assert idx == want and repr(sup) == repr(top) and sup == fx
+        act = active_set(fam, x)
+        assert act.indices == tuple(f"m{i}" for i in want)
+        assert repr(act.sup_value) == repr(top)
 
 
 def test_nodes_define_only_the_batched_oracles():

@@ -237,6 +237,17 @@ def test_dedupe_rows_tolerance_is_strict_and_not_transitive():
     assert np.array_equal(dedupe_rows(g), g[[0, 3]])
 
 
+def test_one_row_set_copies_its_generator():
+    # a single row runs none of dedupe_rows' comparisons but still comes
+    # back as a copy: the set freezes what it gets back, never the caller's
+    # array
+    g = np.array([[1.0, -2.0]])
+    s = SubdiffSet(g)
+    assert g.flags.writeable and not s.generators.flags.writeable
+    g[0, 0] = 5.0
+    assert s.generators[0, 0] == 1.0
+
+
 def test_high_dim_outside_still_exact():
     rng = np.random.default_rng(9)
     gens = rng.uniform(1.0, 2.0, size=(50, 6))

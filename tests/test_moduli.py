@@ -210,6 +210,25 @@ def test_convex_search_property(seed, m, max_iter):
         assert rest == 0 and rounds <= min(max_iter, bisected)
 
 
+def test_search_from_rounding_noise_closes():
+    # the tilted family2_box sup reads 1.7e-18, rounding noise, at this row
+    # pulled from near (1, 1): the chord root (t ~ 5e-19) rounds back onto
+    # the start, so the raised closing probe must close the bracket, not
+    # 32 rounds of midpoints
+    problem = parse_problem((BENCH_PROBLEMS / "family2_box.eb").read_text())
+    g = linear_perturbation(problem.function_expr(), [-0.7071067811865476] * 2,
+                            0.01, [1.0, 1.0])
+    a = np.array([1.0, float.fromhex("0x1.ffffffffffffep-1")])
+    s = np.array([float.fromhex("-0x1.6621aadaf1d20p+1"),
+                  float.fromhex("-0x1.680c084903300p+1")])
+    assert 0.0 < g._value(a) < 1e-17 and g._value(s) < 0.0
+    points, steps = _bisect_to_boundary(g, a[None], s[None], 100)
+    assert steps <= 2 + 5 * 2
+    assert g._value(points[0]) <= 0.0
+    goal = moduli.SEARCH_RTOL * (1.0 + np.linalg.norm(s - a))
+    assert np.linalg.norm(points[0] - a) <= goal
+
+
 def test_search_flat_root():
     # (x+)^2 has a root of zero slope: the chord from a zero end makes no
     # progress and the secant closes in linearly, so the midpoint carries
