@@ -52,6 +52,7 @@ from .moduli import (
     eta_global,
     eta_local,
     find_slater_point,
+    local_modulus,
     qc_witness_search,
 )
 from .problems import ProblemFile, parse_problem, serialize_expr, serialize_problem

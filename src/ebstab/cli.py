@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (EbstabError, MinNormNonConvergence, NumericalOverflow,
                      ParseError)
 from .moduli import (box_sample, classify_global_stability,
-                     classify_local_stability, eta_global, eta_local)
+                     classify_local_stability, eta_global, local_modulus)
 from .problems import parse_box, parse_problem
 from .reports import SCHEMA, emit_report, make_envelope
 from .scenarios import SCENARIO_NAMES, reproduce
@@ -84,8 +84,8 @@ def _cmd_analyze_local(args) -> int:
     x = _point_for(args, problem)
     cert = beta(f, x, zero_tol=args.tol)
     verdict = classify_local_stability(f, x, cert=cert)
-    modulus = eta_local(f, x, levels=args.levels,
-                        samples_per_level=args.samples, seed=args.seed)
+    modulus = local_modulus(f, x, cert, levels=args.levels,
+                            samples_per_level=args.samples, seed=args.seed)
     envelope = make_envelope("analyze-local", problem.name, args.seed, {
         "beta": cert,
         "stability": verdict,

@@ -125,6 +125,10 @@ class ConvexExpr:
         """
         raise NotImplementedError
 
+    def _polyhedral_at(self, x: np.ndarray) -> bool:
+        """Whether f is f(x) + the support function of a polytope near x."""
+        raise NotImplementedError
+
     def _text(self) -> str:
         """Canonical text in the problem-file grammar, numbers via repr so
         that parsing it back gives the same node."""
@@ -171,6 +175,9 @@ class Const(ConvexExpr):
     def _grad_batch(self, X, err=0.0):
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
+    def _polyhedral_at(self, x):
+        return True
+
 
 class Affine(ConvexExpr):
     """<a, x> + b."""
@@ -194,6 +201,9 @@ class Affine(ConvexExpr):
 
     def _grad_batch(self, X, err=0.0):
         return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
+
+    def _polyhedral_at(self, x):
+        return True
 
 
 class EuclidNorm(ConvexExpr):
@@ -225,6 +235,9 @@ class EuclidNorm(ConvexExpr):
         sq = _row_sq(X)
         kink = (sq < np.finfo(float).tiny) | np.all(np.abs(X) <= err, axis=1)
         return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
+
+    def _polyhedral_at(self, x):
+        return self.dim == 1
 
 
 class AbsCoord(ConvexExpr):
@@ -266,6 +279,9 @@ class AbsCoord(ConvexExpr):
         G[:, self.index] = np.sign(xi)
         return G, np.abs(xi) <= np.broadcast_to(err, X.shape)[:, self.index]
 
+    def _polyhedral_at(self, x):
+        return True
+
 
 class Exp1D(ConvexExpr):
     """exp(x_i) + shift; the only transcendental atom."""
@@ -304,6 +320,9 @@ class Exp1D(ConvexExpr):
         G[:, self.index] = self._exp_batch(X)
         return G, np.zeros(X.shape[0], dtype=bool)
 
+    def _polyhedral_at(self, x):
+        return False
+
 
 class PosPartSquare(ConvexExpr):
     """(max(x_i, 0))^2: smooth, with vanishing gradient on the kink set."""
@@ -331,6 +350,9 @@ class PosPartSquare(ConvexExpr):
         G = np.zeros(X.shape)
         G[:, self.index] = 2.0 * np.maximum(X[:, self.index], 0.0)
         return G, np.zeros(X.shape[0], dtype=bool)
+
+    def _polyhedral_at(self, x):
+        return bool(x[self.index] < 0.0)
 
 
 class Max(ConvexExpr):
@@ -394,6 +416,9 @@ class Max(ConvexExpr):
             kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
         return G, kink
 
+    def _polyhedral_at(self, x):
+        return all(self.children[i]._polyhedral_at(x) for i in self._active(x)[0])
+
 
 class Sum(ConvexExpr):
     """Nonnegative combination sum_j w_j * f_j (weights >= 0 keep convexity)."""
@@ -440,6 +465,9 @@ class Sum(ConvexExpr):
             kink |= k
         return G, kink
 
+    def _polyhedral_at(self, x):
+        return all(e._polyhedral_at(x) for _, e in self.terms)
+
 
 class ComposeAffine(ConvexExpr):
     """inner(A x + c) for inner convex on R^p, A of shape (p, m)."""
@@ -482,6 +510,9 @@ class ComposeAffine(ConvexExpr):
         err_y = 4.0 * (self.dim + 1) * _EPS * size + _rows_times(err, a_abs)
         G, kink = self.inner._grad_batch(Y, err_y)
         return _rows_times(G, self.matrix.T), kink
+
+    def _polyhedral_at(self, x):
+        return self.inner._polyhedral_at(self._push(x))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,15 @@ def hull_distance(point: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(float(x @ x)) * scale
 
 
+def affine_hull_misses_origin(s: SubdiffSet) -> bool:
+    """Whether aff(s) misses the origin by over 1e-9 * (1 + max |g|)."""
+    g = s.generators
+    d = (g[1:] - g[0]).T
+    gap = g[0] - d @ np.linalg.lstsq(d, g[0], rcond=None)[0]
+    return s.ball_radius == 0.0 and bool(
+        np.linalg.norm(gap) > 1e-9 * (1.0 + np.max(np.abs(g))))
+
+
 def _polar_rays(g: np.ndarray) -> np.ndarray:
     """Extreme rays, as unit rows (y, t), of the cone {(y, t) : <gen, y> <= t
     for every row gen of g, t >= 0}, pointed when g has rank m.

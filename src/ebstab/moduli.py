@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
                      PreconditionError)
 from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
-from .geometry import _nnls_residual, min_norm_point
+from .geometry import _nnls_residual, affine_hull_misses_origin, min_norm_point
 from .sampling import ball_points, box_points
 from .sphere import BetaCertificate, _betas, _gradient_screen, beta
 
@@ -48,7 +48,8 @@ class ModulusReport:
     zero.  empirical_ratio is a certified lower bound on the sup of
     d(x, S) / f(x) over the infeasible samples (global reports only).
     sample_count is the number of points behind the reported estimates:
-    after a local resample, that of the second run.
+    after a local resample, that of the second run.  A ``local_modulus``
+    report names the path that gave it and its certified tau_bound.
     """
 
     kind: str                      # "local" or "global"
@@ -62,6 +63,8 @@ class ModulusReport:
     vacuous: bool = False
     seed: int = 0
     notes: str = ""
+    path: str | None = None        # see local_modulus
+    tau_bound: float | None = None
 
     def payload(self) -> dict:
         out = {
@@ -73,7 +76,7 @@ class ModulusReport:
             "seed": self.seed,
             "notes": self.notes,
         }
-        for key in ("reference_point", "box", "empirical_ratio"):
+        for key in ("reference_point", "box", "empirical_ratio", "path", "tau_bound"):
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
         if self.shrink_levels:
@@ -632,6 +635,42 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
         seed=seed,
         notes=notes,
     )
+
+
+def local_modulus(f: ConvexExpr, xbar, cert: BetaCertificate, levels: int = 8,
+                  samples_per_level: int = 256, seed: int = 0) -> ModulusReport:
+    """The local modulus at a boundary point xbar with beta certificate
+    cert.  Where beta != 0, eta >= |beta| (subgradient limits lie in P, the
+    subdifferential at xbar: Rockafellar, Convex Analysis, Thm 24.5), so
+    tau <= tau_bound = 1/|beta|, with equality on three paths: singleton
+    (f is differentiable at xbar); polyhedral-interior (f is locally
+    polyhedral at xbar and beta > 0, P's nearest proper face is at the
+    inradius beta); polyhedral-outside (f is locally polyhedral and aff P
+    misses the origin, so an ascent direction exposes the face holding P's
+    nearest point).  Elsewhere ``eta_local`` runs with the levels,
+    samples_per_level and seed, and its tau is clipped at tau_bound."""
+    xbar = boundary_point(f, xbar)
+    b = abs(cert.beta)
+    bound = math.inf if b == 0.0 else 1.0 / b
+    path = "sampled"
+    if b > 0.0 and not f._grad_batch(xbar[None])[1][0]:
+        path = "singleton"
+    elif b > 0.0 and f._polyhedral_at(xbar):
+        if cert.beta > 0.0:
+            path = "polyhedral-interior"
+        elif affine_hull_misses_origin(f._subdiff(xbar)):
+            path = "polyhedral-outside"
+    if path == "sampled":
+        rep = eta_local(f, xbar, levels, samples_per_level, seed)
+        if rep.tau_estimate > bound:
+            rep.eta_estimate, rep.tau_estimate = b, bound
+            rep.notes += "; tau clipped at the certified bound 1/|beta|"
+    else:
+        rep = ModulusReport(kind="local", eta_estimate=b, tau_estimate=bound,
+                            sample_count=0, reference_point=xbar, seed=seed,
+                            notes="exact: eta = |beta|")
+    rep.path, rep.tau_bound = path, bound
+    return rep
 
 
 def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:

@@ -1,7 +1,8 @@
 """Perturbation sweeps: re-analyze a problem under eps-linear tilts.
 
 Each row perturbs the function by eps * <u, . - xbar>, recomputes beta
-and the modulus estimates, and records the stability verdict.  The beta
+and the modulus estimates (the local one from that beta, at most
+1/|beta_after|), and records the stability verdict.  The beta
 shift obeys |beta_after - beta_before| <= eps * ||u|| because the
 subdifferential translates by eps * u.
 """
@@ -17,7 +18,7 @@ from .moduli import (
     box_sample,
     classify_local_stability,
     eta_global,
-    eta_local,
+    local_modulus,
 )
 from .problems import ProblemFile
 from .sphere import beta, linear_perturbation
@@ -61,8 +62,8 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
         for u in directions:
             g = linear_perturbation(f, u, eps, xbar)
             cert = beta(g, xbar)
-            local = eta_local(g, xbar, levels=levels,
-                              samples_per_level=samples_per_level, seed=seed)
+            local = local_modulus(g, xbar, cert, levels=levels,
+                                  samples_per_level=samples_per_level, seed=seed)
             tau_global = None
             if box is not None:
                 tau_global = eta_global(

@@ -48,6 +48,8 @@ def test_sweep_rows_ordered_and_bounded(exp_file):
     for row in res.rows:
         shift = row.epsilon * float(np.linalg.norm(row.u_star))
         assert abs(row.beta_after - row.beta_before) <= shift + 1e-9
+        if row.beta_after != 0.0:
+            assert row.tau_local <= 1.0 / abs(row.beta_after)
 
 
 def test_sweep_zero_eps_row_unchanged():
@@ -371,14 +373,16 @@ def test_analyze_global_draws_the_box_once(ball_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_analyze_local_sees_the_liminf_at_many_levels(ball_file, capsys):
+def test_analyze_local_sees_the_liminf_at_many_levels(capsys):
     # levels below float resolution at the point are not drawn, so they no
-    # longer leave the last two levels empty and the estimate vacuous
-    assert main(["analyze-local", ball_file, "--levels", "60",
-                 "--format", "json"]) == 0
+    # longer leave the last two levels empty and the estimate vacuous; the
+    # norm's origin is a point where the local modulus is still sampled
+    assert main(["analyze-local", str(BENCH_PROBLEMS / "norm3.eb"),
+                 "--levels", "60", "--format", "json"]) == 0
     modulus = json.loads(capsys.readouterr().out)["results"]["modulus"]
+    assert modulus["path"] == "sampled"
     assert modulus["vacuous"] is False and modulus["tau"] == 1.0
-    assert len(modulus["shrink_levels"]) == 39
+    assert len(modulus["shrink_levels"]) == 40
 
 
 def test_parser_is_built_once_and_handlers_read_patched_names(
@@ -389,7 +393,7 @@ def test_parser_is_built_once_and_handlers_read_patched_names(
     def boom(*args, **kwargs):
         raise MinNormNonConvergence(np.zeros(1), 1.0, 500)
 
-    monkeypatch.setattr("ebstab.cli.eta_local", boom)
+    monkeypatch.setattr("ebstab.cli.local_modulus", boom)
     assert main(["analyze-local", exp_file, "--at", "0"]) == 4
 
 
@@ -401,7 +405,7 @@ def test_cli_nonconvergence_exit_code(monkeypatch, exp_file, capsys):
     def boom(*args, **kwargs):
         raise MinNormNonConvergence(np.zeros(1), 1.0, 500)
 
-    monkeypatch.setattr("ebstab.cli.eta_local", boom)
+    monkeypatch.setattr("ebstab.cli.local_modulus", boom)
     assert main(["analyze-local", exp_file, "--at", "0"]) == 4
 
 
