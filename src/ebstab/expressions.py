@@ -1,7 +1,7 @@
 """Convex-by-construction expression trees with exact first-order oracles.
 
 Every node represents a finite-valued convex function on R^m and defines
-four oracles, each by structural recursion over its children:
+five oracles, each by structural recursion over its children:
 
 - ``_value_batch``: its exact value at every row of a batch of points;
 - ``_dd_batch``: its exact directional derivative f'(x, h) (one-sided,
@@ -10,7 +10,10 @@ four oracles, each by structural recursion over its children:
 - ``_subdiff``: its exact subdifferential as a ``SubdiffSet`` (polytope
   hull plus ball);
 - ``_grad_batch``: its gradient at every row of a batch, with the rows
-  where it may fail to be differentiable marked as kinks.
+  where it may fail to be differentiable marked as kinks;
+- ``_minorants_batch``: a bundle of affine minorants at every row of a
+  batch, one per affine piece there, whose largest value at the row is
+  the value itself.
 
 The point oracles ``_value`` and ``_dd`` are defined once, on the base
 class, as one-row views of the batched ones, so a value or a derivative
@@ -82,6 +85,14 @@ def _row_sq(X: np.ndarray) -> np.ndarray:
     return _row_dot(X, X)
 
 
+def _on_coord(index: int, cols: np.ndarray, m: int) -> np.ndarray:
+    """Gradients of shape cols.shape + (m,), zero but in coordinate index,
+    where they read cols."""
+    G = np.zeros(cols.shape + (m,))
+    G[..., index] = cols
+    return G
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float).copy()
     a.setflags(write=False)
@@ -122,6 +133,17 @@ class ConvexExpr:
         array shaped like X) bounds how far each entry of X may sit from
         the point ``_subdiff`` sees; rows that close to a kink count
         as kinks.  Each row's result depends on that row alone.
+        """
+        raise NotImplementedError
+
+    def _minorants_batch(self, X: np.ndarray):
+        """Affine minorants at the rows of X, shape (k, m) -> (V, G) with V
+        of shape (r, k) and G of shape (r, k, m).
+
+        Every row is global: f(u) >= V[j, i] + <G[j, i], u - X[i]> for all
+        u, up to rounding.  The bundle is tight: V.max(axis=0) equals
+        ``_value_batch(X)`` bit for bit.  r is fixed by the tree, and each
+        point's rows depend on that point alone.
         """
         raise NotImplementedError
 
@@ -175,6 +197,9 @@ class Const(ConvexExpr):
     def _grad_batch(self, X, err=0.0):
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
+    def _minorants_batch(self, X):
+        return self._value_batch(X)[None], np.zeros((1,) + X.shape)
+
     def _polyhedral_at(self, x):
         return True
 
@@ -201,6 +226,9 @@ class Affine(ConvexExpr):
 
     def _grad_batch(self, X, err=0.0):
         return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
+
+    def _minorants_batch(self, X):
+        return self._value_batch(X)[None], np.tile(self.a, (1, X.shape[0], 1))
 
     def _polyhedral_at(self, x):
         return True
@@ -235,6 +263,10 @@ class EuclidNorm(ConvexExpr):
         sq = _row_sq(X)
         kink = (sq < np.finfo(float).tiny) | np.all(np.abs(X) <= err, axis=1)
         return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
+
+    def _minorants_batch(self, X):
+        # the tangent; at the origin the zero gradient
+        return self._value_batch(X)[None], self._grad_batch(X)[0][None]
 
     def _polyhedral_at(self, x):
         return self.dim == 1
@@ -279,6 +311,12 @@ class AbsCoord(ConvexExpr):
         G[:, self.index] = np.sign(xi)
         return G, np.abs(xi) <= np.broadcast_to(err, X.shape)[:, self.index]
 
+    def _minorants_batch(self, X):
+        # both pieces, x_i and -x_i, wherever x is
+        signs = np.array([[1.0], [-1.0]])
+        V = signs * X[:, self.index]
+        return V, _on_coord(self.index, np.broadcast_to(signs, V.shape), self.dim)
+
     def _polyhedral_at(self, x):
         return True
 
@@ -320,6 +358,10 @@ class Exp1D(ConvexExpr):
         G[:, self.index] = self._exp_batch(X)
         return G, np.zeros(X.shape[0], dtype=bool)
 
+    def _minorants_batch(self, X):
+        e = self._exp_batch(X)[None]
+        return e + self.shift, _on_coord(self.index, e, self.dim)
+
     def _polyhedral_at(self, x):
         return False
 
@@ -350,6 +392,10 @@ class PosPartSquare(ConvexExpr):
         G = np.zeros(X.shape)
         G[:, self.index] = 2.0 * np.maximum(X[:, self.index], 0.0)
         return G, np.zeros(X.shape[0], dtype=bool)
+
+    def _minorants_batch(self, X):
+        p = np.maximum(X[:, self.index], 0.0)[None]
+        return p ** 2, _on_coord(self.index, 2.0 * p, self.dim)
 
     def _polyhedral_at(self, x):
         return bool(x[self.index] < 0.0)
@@ -416,6 +462,10 @@ class Max(ConvexExpr):
             kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
         return G, kink
 
+    def _minorants_batch(self, X):
+        V, G = zip(*(c._minorants_batch(X) for c in self.children))
+        return np.concatenate(V), np.concatenate(G)
+
     def _polyhedral_at(self, x):
         return all(self.children[i]._polyhedral_at(x) for i in self._active(x)[0])
 
@@ -465,6 +515,27 @@ class Sum(ConvexExpr):
             kink |= k
         return G, kink
 
+    def _minorants_batch(self, X):
+        """The sum of each term's best minorant first, then that sum with
+        one other minorant of one term swapped in for the term's best, for
+        each term and each of its other minorants.  Each row is summed in
+        ``_value_batch``'s order, so the first reads f(x) bit for bit and,
+        as w >= 0 and rounding is monotone, no other row reads more."""
+        bundles = [e._minorants_batch(X) for _, e in self.terms]
+        cols = np.arange(X.shape[0])
+        V = np.zeros((1 + sum(b[0].shape[0] - 1 for b in bundles), X.shape[0]))
+        G = np.zeros(V.shape + (self.dim,))
+        start = 1
+        for (w, _), (v, g) in zip(self.terms, bundles):
+            best = np.argmax(v, axis=0)
+            pick = np.tile(best, (V.shape[0], 1))
+            other = np.arange(v.shape[0] - 1)[:, None]
+            pick[start:start + other.shape[0]] = other + (other >= best)
+            start += other.shape[0]
+            V += w * v[pick, cols]
+            G += w * g[pick, cols]
+        return V, G
+
     def _polyhedral_at(self, x):
         return all(e._polyhedral_at(x) for _, e in self.terms)
 
@@ -510,6 +581,12 @@ class ComposeAffine(ConvexExpr):
         err_y = 4.0 * (self.dim + 1) * _EPS * size + _rows_times(err, a_abs)
         G, kink = self.inner._grad_batch(Y, err_y)
         return _rows_times(G, self.matrix.T), kink
+
+    def _minorants_batch(self, X):
+        V, G = self.inner._minorants_batch(
+            _rows_times(X, self.matrix) + self.offset)
+        G = _rows_times(G.reshape(-1, G.shape[2]), self.matrix.T)
+        return V, G.reshape(V.shape + (self.dim,))
 
     def _polyhedral_at(self, x):
         return self.inner._polyhedral_at(self._push(x))

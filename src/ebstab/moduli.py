@@ -346,8 +346,9 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     open is the number of rows whose bracket was left open while its
     ratio ub / vals could still exceed the largest lb / vals.
 
-    Every subgradient g of f at a point q gives the cut
-    f(q) + <g, u - q> <= 0, which holds on all of S = {f <= 0}.  A row
+    Every affine piece at an evaluated point is a cut (``_add_cuts``): an
+    affine minorant v + <g, u - q> of f gives v + <g, u - q> <= 0, which
+    holds on all of S = {f <= 0}.  A row
     starts from its ``_bounds`` upper bound with the cuts at x and at its
     boundary point z, and each round (``_cut_round``) tightens its
     bracket from both sides.  lb only rises and ub only falls.
@@ -412,23 +413,23 @@ def _add_cuts(f: ConvexExpr, x: np.ndarray, cuts: list, rows: np.ndarray,
     """Append to cuts[i], for each i in rows, the cuts at two points: the
     matching rows of the first and the second half of Q.
 
-    A cut at q with subgradient g is stored against x = x[i] as the row
-    (-g, e) / ||g||, e = f(q) + <g, x - q>, so that it reads
-    e + <g, v> <= 0 for the offset v = u - x of a point u of S.  The
-    gradients come from one batched call; where f may not be
-    differentiable at q (a kink, or a non-finite gradient), every
-    generator of the subdifferential there gives a cut.  A zero
-    subgradient gives none.
+    Every affine piece at an evaluated point is a cut: each affine
+    minorant v + <g, u - q> of f at q (one ``_minorants_batch(Q)`` call
+    gives them all) is <= 0 on S.  It is stored against x = x[i] as the
+    row (-g, e) / ||g||, e = v + <g, x - q> with the minorant's own value
+    v, so that it reads e + <g, w> <= 0 for the offset w = u - x of a
+    point u of S.  A zero gradient gives no cut.
     """
-    G, kink = f._grad_batch(Q)
-    fq = f._value_batch(Q)
-    scalar = kink | ~np.isfinite(_row_sq(G))
-    for j, i in enumerate(np.concatenate([rows, rows])):
-        g = f._subdiff(Q[j]).generators if scalar[j] else G[j:j + 1]
-        gn = np.sqrt(_row_sq(g))
-        g, gn = g[gn > 0.0], gn[gn > 0.0]
-        e = fq[j] + _row_dot(g, np.broadcast_to(x[i] - Q[j], g.shape))
-        cuts[i].append(np.column_stack([-g, e]) / gn[:, None])
+    V, G = f._minorants_batch(Q)
+    idx = np.concatenate([rows, rows])
+    g = G.reshape(-1, f.dim)
+    gn = np.sqrt(_row_sq(g)).reshape(V.shape)
+    E = V + _row_dot(g, np.broadcast_to(x[idx] - Q, G.shape).reshape(g.shape)
+                     ).reshape(V.shape)
+    for j, i in enumerate(idx):
+        keep = gn[:, j] > 0.0
+        cuts[i].append(np.column_stack([-G[keep, j], E[keep, j]])
+                       / gn[keep, j, None])
 
 
 def _project(cuts: list, scale: float) -> np.ndarray:
