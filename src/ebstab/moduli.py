@@ -129,7 +129,6 @@ class BoundarySample:
     segment (``_bisect_to_boundary``)."""
 
     points: np.ndarray
-    value_tol: float
 
 
 @dataclass
@@ -295,13 +294,12 @@ def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
 
     Subgradient-projection steps (Polyak, or a two-plane Newton step where
     two pieces zigzag) pull x toward the nearest part of the solution set;
-    a convex bracketing search (``_bisect_to_boundary``) from x toward
-    that point, or toward a strictly feasible anchor, gives a boundary
-    point and with it an upper bound (``_bounds``).  Kelley's cutting
-    planes then bracket the distance from both sides (``_brackets`` on
-    the one row, where nothing is pruned), and the upper end of the
-    bracket is returned.  The slater point is validated;
-    ``find_slater_point`` finds one in a box sample.
+    one convex bracketing search (``_bisect_to_boundary``) from the pulled
+    point toward the slater point gives a boundary point and with it an
+    upper bound.  Kelley's cutting planes then bracket the distance from
+    both sides (``_brackets`` on the one row, where nothing is pruned),
+    and the upper end of the bracket is returned.  The slater point is
+    validated; ``find_slater_point`` finds one in a box sample.
     """
     x = as_point(x, f.dim)
     fx = f._value(x)
@@ -310,32 +308,6 @@ def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
     _, ub, _ = _brackets(f, x[None], np.array([fx]),
                          _strictly_feasible(f, slater))
     return float(ub[0])
-
-
-def _bounds(f: ConvexExpr, X: np.ndarray, s: np.ndarray):
-    """Upper bounds on the distances of the rows of X, all infeasible, to
-    the solution set, as stages over all rows at once:
-
-    1. lock-step pull toward the solution set (``_pull_to_solution_set``);
-    2. rows pulled to 0 < f <= FEAS_TOL search to the boundary from
-       there, which gives them a feasible anchor; rows left outside use s;
-    3. one lock-step boundary search (``_bisect_to_boundary``, a convex
-       bracketing search) from each row to its anchor gives a feasible
-       boundary point z.
-
-    Returns (z, ub): the boundary points and ub = ||X - z||, the start of
-    the distance brackets.  Each row's result depends on that row alone.
-    """
-    y = _pull_to_solution_set(f, X)
-    fy = f._value_batch(y)
-    near = fy <= FEAS_TOL
-    anchor = np.where(near[:, None], y, s)
-    lift = np.flatnonzero(near & (fy > 0.0))
-    if lift.size:
-        anchor[lift], _ = _bisect_to_boundary(
-            f, y[lift], np.broadcast_to(s, (lift.size, f.dim)), 100)
-    z, _ = _bisect_to_boundary(f, X, anchor, 100)
-    return z, np.sqrt(_row_sq(X - z))
 
 
 def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
@@ -348,10 +320,13 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
 
     Every affine piece at an evaluated point is a cut (``_add_cuts``): an
     affine minorant v + <g, u - q> of f gives v + <g, u - q> <= 0, which
-    holds on all of S = {f <= 0}.  A row
-    starts from its ``_bounds`` upper bound with the cuts at x and at its
-    boundary point z, and each round (``_cut_round``) tightens its
-    bracket from both sides.  lb only rises and ub only falls.
+    holds on all of S = {f <= 0}.  All rows are first pulled toward S
+    (``_pull_to_solution_set``), and one lock-step boundary search
+    (``_bisect_to_boundary``) from each pulled point toward s gives a
+    feasible boundary point z (a feasible pulled point is its own z).  A
+    row starts from ub = ||x - z|| with the cuts at x and at z, and each
+    round (``_cut_round``) tightens its bracket from both sides.  lb only
+    rises and ub only falls.  Each row's start depends on that row alone.
 
     With R the largest lb / vals so far, a row leaves once its bracket
     closes (ub - lb <= BRACKET_RTOL * ub), once its ub / vals <= R, or
@@ -362,7 +337,9 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     A single row is never pruned: it runs until its bracket closes or
     the rounds run out.
     """
-    z, ub = _bounds(f, X, s)
+    z, _ = _bisect_to_boundary(f, _pull_to_solution_set(f, X),
+                               np.broadcast_to(s, X.shape), 100)
+    ub = np.sqrt(_row_sq(X - z))
     lb = np.zeros(ub.size)
     cuts = [[] for _ in ub]
     top = int(np.argmax(ub / vals))
@@ -530,7 +507,7 @@ def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int) -> BoundarySample:
     i = np.arange(n)
     points, _ = _bisect_to_boundary(f, infeas[i % infeas.shape[0]],
                                     feas[(3 + 7 * i) % feas.shape[0]], 100)
-    return BoundarySample(points=points, value_tol=BOUNDARY_VALUE_TOL)
+    return BoundarySample(points=points)
 
 
 def boundary_point(f: ConvexExpr, xbar) -> np.ndarray:
@@ -683,8 +660,10 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     infeasible sample gets an upper bound on its distance from one
     batched pass, and only the samples whose bound could still set the
     sup refine their brackets.  It equals the largest lower bound over
-    brackets refined without pruning, so it may tighten eta; the notes
-    count the brackets left open that could still have set it.
+    brackets refined without pruning.  Where it exceeds 1/eta it tightens
+    eta: tau is then the ratio itself and eta its reciprocal, so tau is
+    never below the ratio.  The notes count the brackets left open that
+    could still have set it.
     Without a given slater point, the ratio anchors at the sample's
     ``find_slater_point``.
     """
@@ -692,12 +671,13 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     infeasible = vals > 0.0
     infeas, infeas_vals = sample.points[infeasible], vals[infeasible]
     vacuous = not infeasible.any()
-    eta, ratio = math.inf, None
+    eta, tau, ratio = math.inf, 0.0, None
     notes = "estimates are relative to the sampled box"
     if vacuous:
         notes += "; no infeasible samples (vacuous bound)"
     else:
         eta = float(np.min(_subdiff_dists(f, infeas)))
+        tau = math.inf if eta == 0.0 else 1.0 / eta
         if slater is None and np.any(vals < 0.0):
             slater = find_slater_point(sample)
         if slater is None:
@@ -708,14 +688,15 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
             ratio = float(np.max(lb / infeas_vals))
             if left:
                 notes += f"; {left} distance brackets left open"
-            if eta > 0.0 and ratio > 1.0001 / eta:
-                # the ratio evidence itself bounds eta from above; reconcile
-                eta = 1.0 / ratio
+            if ratio > tau:
+                # the ratio is a certified lower bound on tau; reconcile, so
+                # that tau is the ratio itself, not 1 / (1 / ratio)
+                eta, tau = 1.0 / ratio, ratio
                 notes += "; eta tightened by the empirical ratio"
     return ModulusReport(
         kind="global",
         eta_estimate=eta,
-        tau_estimate=math.inf if eta == 0.0 else 1.0 / eta,   # 0 when vacuous
+        tau_estimate=tau,
         sample_count=vals.shape[0],
         box=sample.box,
         empirical_ratio=ratio,

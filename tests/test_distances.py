@@ -1,10 +1,12 @@
 """Solution-set distance brackets and the exact NNLS behind them.
 
-``_bounds`` runs lock-step pull, anchor and boundary search over all
-infeasible rows at once; its rows must not depend on the rest of the
-batch.  ``_brackets`` then brackets every distance by Kelley's cutting
-planes in one pruned loop, each round projecting every open row onto its
-cuts with one NNLS, and ``distance_to_solution_set`` is its one-row call.
+``_brackets`` starts every infeasible row from a lock-step pull toward
+the solution set and one boundary search from the pulled point toward
+the slater point, over all rows at once; those starts must not depend on
+the rest of the batch.  It then brackets every distance by Kelley's
+cutting planes in one pruned loop, each round projecting every open row
+onto its cuts with one NNLS, and ``distance_to_solution_set`` is its
+one-row call.
 Every lower bound of a pruned batch must sit below the distance of every
 feasible point a brute-force search finds, and every closed bracket
 must agree to 1e-9 with the boundary points that the one-point-at-a-time
@@ -13,27 +15,35 @@ below as a reference.  ``_nnls_residual`` is checked against brute-force
 enumeration of supports.
 """
 
+import contextlib
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ebstab import moduli
+from ebstab.cli import main
 from ebstab.errors import NumericalOverflow
 from ebstab.expressions import AbsCoord, Const, Max, Sum, subdifferential
 from ebstab.geometry import dedupe_rows, min_norm_point
 from ebstab.moduli import (
     BRACKET_RTOL,
     FEAS_TOL,
-    _bounds,
+    _bisect_to_boundary,
     _brackets,
     _nnls_residual,
+    _pull_to_solution_set,
     distance_to_solution_set,
 )
 
 from conftest import random_expr, reference_value
+
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 # -- exact cone test --------------------------------------------------------
@@ -279,24 +289,51 @@ def test_distances_match_pre_stage_algorithm_where_certified():
     assert certified >= 150
 
 
+def _starts(f, X, s):
+    """The pulled points and boundary points that start the brackets of
+    the infeasible rows of X, as ``_brackets`` computes them."""
+    y = _pull_to_solution_set(f, X)
+    z, _ = _bisect_to_boundary(f, y, np.broadcast_to(s, X.shape), 100)
+    return y, z
+
+
 def test_distances_rows_independent_of_batch():
-    # the boundary points and upper bounds that start every bracket, for
+    # the pulled points and boundary points that start every bracket, for
     # the infeasible rows of a subset, a permutation or a single row
     rng = np.random.default_rng(44)
     for _ in range(15):
         m = int(rng.integers(1, 4))
         f, s, xs = _slater_problem(rng, m, 12)
         infeasible = f._value_batch(xs) > 0.0
-        z, ub = np.zeros_like(xs), np.zeros(xs.shape[0])
-        z[infeasible], ub[infeasible] = _bounds(f, xs[infeasible], s)
+        y, z = np.zeros_like(xs), np.zeros_like(xs)
+        y[infeasible], z[infeasible] = _starts(f, xs[infeasible], s)
         subsets = [np.arange(0, xs.shape[0], 2), rng.permutation(xs.shape[0])]
         subsets += [np.array([i]) for i in rng.permutation(xs.shape[0])[:3]]
         for rows in subsets:
             rows = rows[infeasible[rows]]
             if rows.size:
-                got_z, got_ub = _bounds(f, xs[rows], s)
+                got_y, got_z = _starts(f, xs[rows], s)
+                assert np.array_equal(got_y, y[rows])
                 assert np.array_equal(got_z, z[rows])
-                assert np.array_equal(got_ub, ub[rows])
+
+
+@pytest.mark.parametrize("stem", ["exp1_box", "poly3_box"])
+def test_brackets_start_from_one_boundary_search(stem, monkeypatch):
+    # every row's bracket starts from one lock-step boundary search from
+    # its pulled point, before the first cutting-plane round
+    events = []
+    for name in ("_brackets", "_bisect_to_boundary", "_cut_round"):
+        def spy(*args, _real=getattr(moduli, name), _name=name):
+            events.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(moduli, name, spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze-global", str(BENCH_PROBLEMS / f"{stem}.eb"),
+                     "--samples", "512", "--seed", "0"]) == 0
+    assert events.count("_brackets") == 1
+    start = events.index("_brackets")
+    first_round = events.index("_cut_round", start)
+    assert events[start + 1:first_round] == ["_bisect_to_boundary"]
 
 
 def test_distances_lockstep_kink_problem():
@@ -312,8 +349,9 @@ def test_distances_lockstep_kink_problem():
 def test_distances_exp_overflow_is_typed():
     # problem 46 of a seed-7 sweep, 2-D, with row 4 moved ten times farther
     # from s: f is finite there, but a two-plane Newton candidate of the
-    # pull lands where exp overflows; that candidate is rejected, so the
-    # row still gets a closed, finite bracket
+    # pull lands where exp overflows; that candidate is rejected, the pull
+    # ends within FEAS_TOL of the solution set, and the one boundary search
+    # from there toward s starts a bracket that still closes, finite
     rng = np.random.default_rng(7)
     for _ in range(46):
         m = int(rng.integers(1, 4))

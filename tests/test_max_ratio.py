@@ -5,10 +5,14 @@ The largest lower bound lb / vals of one pruned ``_brackets`` batch must
 equal exactly the largest over one-row ``_brackets`` calls, where nothing
 is pruned, whatever the order of the rows, and on a problem whose ratio
 is set by a few corner rays it must project only a few rows onto their
-cuts.
+cuts.  The tau reported beside it must never read below it.
 """
 
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +20,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebstab import moduli, scenarios
+from ebstab.cli import main
 from ebstab.errors import EbstabError
 from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
 from ebstab.moduli import _brackets, box_sample, eta_global
 from ebstab.scenarios import reproduce
 
 from conftest import random_expr
+
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 
 
 @settings(max_examples=60)
@@ -109,3 +116,23 @@ def test_poly3_box_tau_below_exact_modulus(seed):
     tau_star = 1.0 / (0.5 + 1.0 / math.sqrt(3.0))
     assert report.tau_estimate <= tau_star * (1.0 + 1e-9)
     assert report.empirical_ratio <= tau_star * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("stem", ["exp1_box", "linf2_box", "family2_box",
+                                  "poly3_box"])
+def test_global_tau_never_below_the_empirical_ratio(stem):
+    # the ratio is a certified lower bound on tau, so one report never
+    # gives a tau below it; where it tightens eta, tau is the ratio itself
+    # (1 / (1 / ratio) can round one ulp low, as on exp1_box at seed 1000)
+    for samples in ("512", "128"):
+        for seed in [*range(8), 1000, 1001]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["analyze-global", str(BENCH_PROBLEMS / f"{stem}.eb"),
+                             "--samples", samples, "--seed", str(seed),
+                             "--format", "json"]) == 0
+            m = json.loads(out.getvalue())["results"]["modulus"]
+            assert m["empirical_ratio"] <= m["tau"], (samples, seed)
+            if "tightened" in m["notes"]:
+                assert m["tau"] == m["empirical_ratio"]
+                assert m["eta"] == 1.0 / m["empirical_ratio"]
