@@ -28,6 +28,7 @@ from .sampling import ball_points, box_points
 from .sphere import BetaCertificate, _betas, _gradient_screen, beta
 
 FEAS_TOL = 1e-10
+PULL_RTOL = 1e-3         # a pulled row stops at a Polyak step <= this * ||x - y||
 BOUNDARY_VALUE_TOL = 1e-9
 BRACKET_RTOL = 1e-9      # a distance bracket closes at ub - lb <= this * ub
 BRACKET_ROUNDS = 50      # cutting-plane rounds per distance at most
@@ -293,12 +294,13 @@ def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
     bracket closes, and an upper bound where it is left open.
 
     Subgradient-projection steps (Polyak, or a two-plane Newton step where
-    two pieces zigzag) pull x toward the nearest part of the solution set;
-    one convex bracketing search (``_bisect_to_boundary``) from the pulled
-    point toward the slater point gives a boundary point and with it an
-    upper bound.  Kelley's cutting planes then bracket the distance from
-    both sides (``_brackets`` on the one row, where nothing is pruned),
-    and the upper end of the bracket is returned.  The slater point is
+    two pieces zigzag) pull x toward the nearest part of the solution set
+    until they grow short; one convex bracketing search
+    (``_bisect_to_boundary``) from the pulled point toward the slater point
+    gives a boundary point and with it an upper bound.  Kelley's cutting
+    planes then bracket the distance from both sides (``_brackets`` on the
+    one row, where nothing is pruned), and the upper end of the bracket is
+    returned.  The slater point is
     validated; ``find_slater_point`` finds one in a box sample.
     """
     x = as_point(x, f.dim)
@@ -321,9 +323,11 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     Every affine piece at an evaluated point is a cut (``_add_cuts``): an
     affine minorant v + <g, u - q> of f gives v + <g, u - q> <= 0, which
     holds on all of S = {f <= 0}.  All rows are first pulled toward S
-    (``_pull_to_solution_set``), and one lock-step boundary search
-    (``_bisect_to_boundary``) from each pulled point toward s gives a
-    feasible boundary point z (a feasible pulled point is its own z).  A
+    (``_pull_to_solution_set``, which stops a row once its steps grow
+    short, usually before it reaches S), and one lock-step boundary
+    search (``_bisect_to_boundary``) from each pulled point toward s
+    gives a feasible boundary point z (a feasible pulled point is its own
+    z), so ub always comes from an evaluated feasible point.  A
     row starts from ub = ||x - z|| with the cuts at x and at z, and each
     round (``_cut_round``) tightens its bracket from both sides.  lb only
     rises and ub only falls.  Each row's start depends on that row alone.
@@ -431,8 +435,15 @@ def _project(cuts: list, scale: float) -> np.ndarray:
 
 
 def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
-    """Drive f below FEAS_TOL at every row of X by subgradient-projection
-    steps, all rows in lock-step; each row stops on its own.
+    """Pull every row x of X toward the solution set by
+    subgradient-projection steps, all rows in lock-step; each row y stops
+    on its own, once f(y) <= FEAS_TOL or once its next Polyak step is
+    short: f(y) / ||g|| <= PULL_RTOL * ||x - y||, g the minimum-norm
+    subgradient at y.  The second rule is scale-free, and it stops a row
+    where the steps have begun to shrink only geometrically, as they do on
+    one smooth curved piece; the pulled point only starts the boundary
+    search and the cutting planes of ``_brackets``, which do the exact
+    work.
 
     Plain Polyak steps zigzag slowly between two nearly-antipodal active
     pieces, so when a row has two distinct linearizations (this step's and
@@ -442,7 +453,8 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
     too.  Each round takes one batched value call, one batched
     minimum-norm subgradient and one value call on the Newton candidates.
     """
-    Y = np.array(X, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Y = X.copy()
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
     f0 = np.zeros(k)
@@ -459,7 +471,8 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
         for i in scalar:
             g[i] = min_norm_point(f._subdiff(y[i])).point
         gg = _row_sq(g)
-        go = gg >= 1e-28
+        go = (gg >= 1e-28) & (
+            fy > PULL_RTOL * np.sqrt(gg) * np.sqrt(_row_sq(X[rows] - y)))
         rows, fy, y, g, gg = rows[go], fy[go], y[go], g[go], gg[go]
         if not rows.size:
             break
@@ -625,7 +638,8 @@ def local_modulus(f: ConvexExpr, xbar, cert: BetaCertificate, levels: int = 8,
     polyhedral at xbar and beta > 0, P's nearest proper face is at the
     inradius beta); polyhedral-outside (f is locally polyhedral and aff P
     misses the origin, so an ascent direction exposes the face holding P's
-    nearest point).  Elsewhere ``eta_local`` runs with the levels,
+    nearest point; P is the set cert carries, as ``beta`` builds it at a
+    kink).  Elsewhere ``eta_local`` runs with the levels,
     samples_per_level and seed, and its tau is clipped at tau_bound."""
     xbar = boundary_point(f, xbar)
     b = abs(cert.beta)
@@ -636,7 +650,7 @@ def local_modulus(f: ConvexExpr, xbar, cert: BetaCertificate, levels: int = 8,
     elif b > 0.0 and f._polyhedral_at(xbar):
         if cert.beta > 0.0:
             path = "polyhedral-interior"
-        elif affine_hull_misses_origin(f._subdiff(xbar)):
+        elif affine_hull_misses_origin(cert.subdiff):
             path = "polyhedral-outside"
     if path == "sampled":
         rep = eta_local(f, xbar, levels, samples_per_level, seed)
@@ -661,9 +675,9 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     batched pass, and only the samples whose bound could still set the
     sup refine their brackets.  It equals the largest lower bound over
     brackets refined without pruning.  Where it exceeds 1/eta it tightens
-    eta: tau is then the ratio itself and eta its reciprocal, so tau is
-    never below the ratio.  The notes count the brackets left open that
-    could still have set it.
+    eta (``_tightened``): tau is then 1/eta exactly, never below the ratio
+    and at most one ulp above it.  The notes count the brackets left open
+    that could still have set it.
     Without a given slater point, the ratio anchors at the sample's
     ``find_slater_point``.
     """
@@ -689,9 +703,7 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
             if left:
                 notes += f"; {left} distance brackets left open"
             if ratio > tau:
-                # the ratio is a certified lower bound on tau; reconcile, so
-                # that tau is the ratio itself, not 1 / (1 / ratio)
-                eta, tau = 1.0 / ratio, ratio
+                eta, tau = _tightened(ratio)
                 notes += "; eta tightened by the empirical ratio"
     return ModulusReport(
         kind="global",
@@ -704,6 +716,20 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
         seed=sample.seed,
         notes=notes,
     )
+
+
+def _tightened(ratio: float) -> tuple[float, float]:
+    """(eta, tau) from a certified lower bound ratio > 0 on tau, with
+    tau == 1 / eta exactly and ratio <= tau <= nextafter(ratio, inf).
+
+    1 / (1 / ratio) can round one ulp below ratio, and for some ratios no
+    double eta gives 1 / eta == ratio, so eta = 1 / ratio steps one ulp
+    down where its reciprocal falls short.
+    """
+    eta = 1.0 / ratio
+    if 1.0 / eta < ratio:
+        eta = math.nextafter(eta, 0.0)
+    return eta, 1.0 / eta
 
 
 def check_condition_3_9(f: ConvexExpr, tau: float,

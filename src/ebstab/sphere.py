@@ -10,7 +10,7 @@ test suite cross-checks it against sampling over the sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .expressions import (
     directional_derivative,
     subdifferential,
 )
-from .geometry import MIN_NORM_TOL, OriginLocation, OriginTag, min_support_direction
+from .geometry import (MIN_NORM_TOL, OriginLocation, OriginTag, SubdiffSet,
+                       min_support_direction)
 
 ZERO_TOL = 1e-9
 
@@ -38,12 +39,15 @@ class BetaCertificate:
     origin_location: where the origin sits relative to the subdifferential,
         consistent with sign(beta).
     residual: |f'(x, h*) - beta| as verified through the derivative oracle.
+    subdiff: the subdifferential at x where beta comes from its geometry,
+        None where it comes from the gradient; not part of the payload.
     """
 
     beta: float
     witness: np.ndarray
     origin_location: OriginLocation
     residual: float
+    subdiff: SubdiffSet | None = field(default=None, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -124,7 +128,8 @@ def beta(f: ConvexExpr, x, zero_tol: float = ZERO_TOL) -> BetaCertificate:
 
 def _geometric_beta(f: ConvexExpr, x, zero_tol: float) -> BetaCertificate:
     """beta from min_support_direction of the subdifferential at x."""
-    sigma, h = min_support_direction(subdifferential(f, x))
+    subdiff = subdifferential(f, x)
+    sigma, h = min_support_direction(subdiff)
     nrm = float(np.linalg.norm(h))
     if nrm == 0.0:
         h, nrm = np.eye(f.dim)[0], 1.0
@@ -136,4 +141,4 @@ def _geometric_beta(f: ConvexExpr, x, zero_tol: float) -> BetaCertificate:
         tag = OriginTag.OUTSIDE if sigma < 0 else OriginTag.INTERIOR
     h.setflags(write=False)
     return BetaCertificate(value, h, OriginLocation(tag, zero_tol),
-                           abs(directional_derivative(f, x, h) - sigma))
+                           abs(directional_derivative(f, x, h) - sigma), subdiff)

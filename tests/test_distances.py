@@ -38,8 +38,10 @@ from ebstab.moduli import (
     _brackets,
     _nnls_residual,
     _pull_to_solution_set,
+    box_sample,
     distance_to_solution_set,
 )
+from ebstab.problems import parse_problem
 
 from conftest import random_expr, reference_value
 
@@ -336,6 +338,51 @@ def test_brackets_start_from_one_boundary_search(stem, monkeypatch):
     assert events[start + 1:first_round] == ["_bisect_to_boundary"]
 
 
+@pytest.mark.parametrize("samples", ["128", "512"])
+def test_poly3_box_pull_stops_where_the_search_takes_over(samples, monkeypatch):
+    # the slow rows of poly3_box sit on one smooth curved piece, where each
+    # two-plane step cuts f only about fourfold; the pull stops once its
+    # next Polyak step is short, within a few rounds
+    calls = []
+
+    class Counting:
+        def __init__(self, f):
+            self._f = f
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def _value_batch(self, X):
+            calls[-1] += 1
+            return self._f._value_batch(X)
+
+    def spy(f, X, _real=moduli._pull_to_solution_set):
+        return _real(Counting(f), X)
+
+    monkeypatch.setattr(moduli, "_pull_to_solution_set", spy)
+    for seed in range(5):
+        calls.append(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze-global", str(BENCH_PROBLEMS / "poly3_box.eb"),
+                         "--samples", samples, "--seed", str(seed)]) == 0
+    assert 0 < max(calls) <= 12, calls
+
+
+@pytest.mark.parametrize("c", [2.0 ** -10, 2.0 ** 10])
+def test_pull_is_scale_free(c):
+    # scaling f by a power of two scales f and every subgradient exactly,
+    # so a scale-free stop pulls every infeasible sample row of each boxed
+    # fixture problem to the same point, bit for bit
+    for path in sorted(BENCH_PROBLEMS.glob("*_box.eb")):
+        problem = parse_problem(path.read_text())
+        f = problem.function_expr()
+        for seed in range(3):
+            sample = box_sample(f, problem.box, 512, seed)
+            X = sample.points[sample.values > 0.0]
+            assert np.array_equal(_pull_to_solution_set(Sum([(c, f)]), X),
+                                  _pull_to_solution_set(f, X)), (path.name, seed)
+
+
 def test_distances_lockstep_kink_problem():
     # corner rays of the sup-norm ball: every boundary point is a kink and
     # d(x, S) / f(x) = sqrt(2) along the diagonal
@@ -350,7 +397,7 @@ def test_distances_exp_overflow_is_typed():
     # problem 46 of a seed-7 sweep, 2-D, with row 4 moved ten times farther
     # from s: f is finite there, but a two-plane Newton candidate of the
     # pull lands where exp overflows; that candidate is rejected, the pull
-    # ends within FEAS_TOL of the solution set, and the one boundary search
+    # stops once its next Polyak step is short, and the one boundary search
     # from there toward s starts a bracket that still closes, finite
     rng = np.random.default_rng(7)
     for _ in range(46):

@@ -127,3 +127,30 @@ def test_exact_bench_problems_draw_no_ball(monkeypatch, capsys):
     # the norm's origin still samples, through the same patched name
     assert main(["analyze-local", str(BENCH_PROBLEMS / "norm3.eb")]) == 0
     assert calls
+
+
+@pytest.mark.parametrize("stem", ["l1ball5", "family2"])
+def test_polyhedral_outside_builds_the_subdifferential_once(stem, monkeypatch,
+                                                            capsys):
+    # the beta certificate carries the subdifferential at the point, and
+    # the polyhedral-outside test reads it instead of building it again
+    import ebstab.cli as cli
+
+    builds = []
+
+    def spy(f, x, **kw):
+        build = type(f)._subdiff
+
+        def counted(self, y):
+            if self is f:
+                builds.append(y)
+            return build(self, y)
+
+        monkeypatch.setattr(type(f), "_subdiff", counted)
+        return beta(f, x, **kw)
+
+    monkeypatch.setattr(cli, "beta", spy)
+    assert main(["analyze-local", str(BENCH_PROBLEMS / f"{stem}.eb"),
+                 "--format", "json"]) == 0
+    assert '"path": "polyhedral-outside"' in capsys.readouterr().out
+    assert len(builds) == 1

@@ -23,7 +23,7 @@ from ebstab import moduli, scenarios
 from ebstab.cli import main
 from ebstab.errors import EbstabError
 from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
-from ebstab.moduli import _brackets, box_sample, eta_global
+from ebstab.moduli import _brackets, _tightened, box_sample, eta_global
 from ebstab.scenarios import reproduce
 
 from conftest import random_expr
@@ -122,8 +122,9 @@ def test_poly3_box_tau_below_exact_modulus(seed):
                                   "poly3_box"])
 def test_global_tau_never_below_the_empirical_ratio(stem):
     # the ratio is a certified lower bound on tau, so one report never
-    # gives a tau below it; where it tightens eta, tau is the ratio itself
-    # (1 / (1 / ratio) can round one ulp low, as on exp1_box at seed 1000)
+    # gives a tau below it; where it tightens eta, tau is 1 / eta exactly
+    # and at most one ulp above the ratio (no double eta may give
+    # 1 / eta == ratio)
     for samples in ("512", "128"):
         for seed in [*range(8), 1000, 1001]:
             out = io.StringIO()
@@ -134,5 +135,16 @@ def test_global_tau_never_below_the_empirical_ratio(stem):
             m = json.loads(out.getvalue())["results"]["modulus"]
             assert m["empirical_ratio"] <= m["tau"], (samples, seed)
             if "tightened" in m["notes"]:
-                assert m["tau"] == m["empirical_ratio"]
-                assert m["eta"] == 1.0 / m["empirical_ratio"]
+                assert m["tau"] == 1.0 / m["eta"]
+                ratio = m["empirical_ratio"]
+                assert ratio <= m["tau"] <= math.nextafter(ratio, math.inf)
+
+
+@given(ratio=st.floats(min_value=2.0**-1021, max_value=2.0**1021))
+def test_tightened_eta_is_reciprocal_to_tau(ratio):
+    # a ratio that tightens eta gives tau == 1 / eta exactly, never below
+    # the ratio and at most one ulp above it, over the doubles whose
+    # reciprocal is a normal double
+    eta, tau = _tightened(ratio)
+    assert tau == 1.0 / eta
+    assert ratio <= tau <= math.nextafter(ratio, math.inf)
