@@ -67,11 +67,12 @@ def _box_for(args, problem):
 
 
 def _check_numbers(args) -> None:
-    """Reject counts below one and a --tol or --tau outside (0, inf)."""
-    for name in ("samples", "levels"):
+    """Reject counts below one, a negative --seed and a --tol or --tau
+    outside (0, inf)."""
+    for name, least in (("samples", 1), ("levels", 1), ("seed", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ParseError(f"--{name} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ParseError(f"--{name} must be at least {least}, got {value}")
     for name in ("tol", "tau"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:

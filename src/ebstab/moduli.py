@@ -188,12 +188,9 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     On a segment, phi(t) = f(a + t (b - a)) is convex, so its feasible
     part is an interval [r, 1] and the chord through the bracket ends
     (tl, th), phi(tl) > 0 >= phi(th), lies above phi: the chord root is on
-    the feasible side.  The secant through the last two infeasible ends
-    lies below phi beyond them, so its root is on the infeasible side.
-    Each round evaluates, in one batched value call, five points per row:
-    the chord root raised to at least half the goal width above tl, the
-    secant root (the midpoint until the infeasible end has moved once), a
-    closing probe half the goal width inside each of those two, and the
+    the feasible side.  Each round evaluates, in one batched value call,
+    three points per row: the chord root raised to at least half the goal
+    width above tl, a closing probe half the goal width below it, and the
     midpoint (Dekker and Brent's safeguard).  The raise matters where
     phi(tl) is rounding noise: the chord root then sits below float
     resolution, rounds back onto the start and reads the same value,
@@ -202,59 +199,47 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     the goal width above it instead, where it closes the bracket if the
     raised probe reads infeasible.  The new bracket is built from each
     candidate's computed sign, never from what convexity predicts, and
-    the midpoint at least halves it.  An affine piece closes in one
-    round.
+    the midpoint at least halves it.  An affine piece closes in one round
+    when its chord root reads feasible.
 
-    The ends are evaluated once, in one batch.  Row i runs at most
-    max_iter[i] rounds (a scalar applies to every row) and stops once
-    its bracket is no wider than SEARCH_RTOL times one plus its initial
-    length.  Returns (points, steps): each point is the bracket's
-    evaluated feasible end, so its bracket is never wider than that of
-    bisection with as many steps; steps is the total number of point
-    evaluations, the ends included.  A row whose start is feasible returns
-    the start, and a row whose end is infeasible returns the end,
-    unsearched.
+    The ends are evaluated once, in one batch.  Every row runs at most
+    max_iter rounds and stops once its bracket is no wider than
+    SEARCH_RTOL times one plus its initial length.  Returns (points,
+    steps): each point is the bracket's evaluated feasible end, so its
+    bracket is never wider than that of bisection with as many steps;
+    steps is the total number of point evaluations, the ends included.  A
+    row whose start is feasible returns the start, and a row whose end is
+    infeasible returns the end, unsearched.
     """
     a = np.asarray(pos_pts, dtype=float)
     b = np.asarray(neg_pts, dtype=float)
-    left = np.broadcast_to(np.asarray(max_iter, dtype=int), a.shape[:1]).copy()
+    out = b.copy()
+    k = a.shape[0]
+    if max_iter < 1 or not k:
+        return out, 0
     span = np.linalg.norm(b - a, axis=1)
     tol = SEARCH_RTOL * (1.0 + span)
-    out = b.copy()
-    rows = np.flatnonzero(left > 0)
-    if not rows.size:
-        return out, 0
-    a, b, span, tol, left = a[rows], b[rows], span[rows], tol[rows], left[rows]
-    k = rows.size
     ends = f._value_batch(np.concatenate([a, b]))
     fl, fh = ends[:k], ends[k:]
     steps = 2 * k
     start = fl <= 0.0
-    out[rows[start]] = a[start]
-    keep = (fl > 0.0) & (fh <= 0.0) & (span > tol)
-    rows, a, b, span, tol, left, fl, fh = (
-        rows[keep], a[keep], b[keep], span[keep], tol[keep], left[keep],
-        fl[keep], fh[keep])
-    d = b - a
-    width = tol / span                     # the goal width, in units of t
+    out[start] = a[start]
+    rows = np.flatnonzero((fl > 0.0) & (fh <= 0.0) & (span > tol))
+    a, ph, fl, fh = a[rows], b[rows], fl[rows], fh[rows]
+    d = ph - a
+    width = tol[rows] / span[rows]         # the goal width, in units of t
     tl, th = np.zeros(rows.size), np.ones(rows.size)
-    ph = b
-    t0, f0 = tl.copy(), fl.copy()          # the infeasible end before tl
-    while rows.size:
+    for _ in range(max_iter):
+        if not rows.size:
+            break
         n = np.arange(rows.size)
-        mid = 0.5 * (tl + th)
         chord = tl + (th - tl) * (fl / (fl - fh))
-        drop = f0 - fl
-        bent = drop > 0.0
-        secant = tl + (tl - t0) * fl / np.where(bent, drop, 1.0)
-        secant = np.where(bent & (secant < th), secant, mid)
         # a chord root this close to tl may round back onto the start; a
         # raised probe pairs with the one above it, as the one below is tl
         raised = chord < tl + 0.5 * width
         close = np.where(raised, tl + 0.5 * width, chord)
         pair = close + np.where(raised, 0.5, -0.5) * width
-        T = np.clip(np.stack([close, secant, pair,
-                              secant + 0.5 * width, mid], axis=1),
+        T = np.clip(np.stack([close, pair, 0.5 * (tl + th)], axis=1),
                     tl[:, None], th[:, None])
         P = a[:, None, :] + T[:, :, None] * d[:, None, :]
         V = f._value_batch(P.reshape(-1, a.shape[1])).reshape(T.shape)
@@ -266,26 +251,20 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
         th = np.where(up, feas[n, j], th)
         fh = np.where(up, V[n, j], fh)
         ph = np.where(up[:, None], P[n, j], ph)
-        # the infeasible end: the last infeasible candidate below th; the
-        # end it replaces carries the next secant (a candidate between them
-        # may sit too close to the new end for a stable slope)
+        # the infeasible end: the last infeasible candidate below th
         infeas = np.where((V > 0.0) & (T < th[:, None]), T, -np.inf)
         j = np.argmax(infeas, axis=1)
         up = infeas[n, j] > tl
-        t0 = np.where(up, tl, t0)
-        f0 = np.where(up, fl, f0)
         tl = np.where(up, infeas[n, j], tl)
         fl = np.where(up, V[n, j], fl)
-        left -= 1
-        done = (left == 0) | (th - tl <= width)
+        done = th - tl <= width
         if done.any():
             out[rows[done]] = ph[done]
             keep = ~done
-            rows, a, d, width, left = (
-                rows[keep], a[keep], d[keep], width[keep], left[keep])
-            tl, th, fl, fh, ph, t0, f0 = (
-                tl[keep], th[keep], fl[keep], fh[keep], ph[keep],
-                t0[keep], f0[keep])
+            rows, a, d, width = rows[keep], a[keep], d[keep], width[keep]
+            tl, th, fl, fh, ph = (
+                tl[keep], th[keep], fl[keep], fh[keep], ph[keep])
+    out[rows] = ph
     return out, steps
 
 

@@ -321,11 +321,11 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
-    """The box (lo, hi) from lo..hi ranges with finite lo < hi, one per
-    each of dim axes, separated by spaces or commas.  tokens are the rest
-    of a problem file's box line, or a --box argument as one string;
-    errors carry the line and column of the bad range in a file, and no
-    location for an argument (line 0)."""
+    """The box (lo, hi) from lo..hi ranges with finite lo < hi and a finite
+    width hi - lo, one per each of dim axes, separated by spaces or
+    commas.  tokens are the rest of a problem file's box line, or a --box
+    argument as one string; errors carry the line and column of the bad
+    range in a file, and no location for an argument (line 0)."""
     if isinstance(tokens, str):
         tokens = _tokenize(tokens, 0)
     los, his = [], []
@@ -346,6 +346,9 @@ def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
                              tok.line, tok.col)
         if not np.isfinite([lo, hi]).all():
             raise ParseError(f"box range '{tok.text}' needs finite ends",
+                             tok.line, tok.col)
+        if not np.isfinite(hi - lo):
+            raise ParseError(f"box range '{tok.text}' needs a finite width",
                              tok.line, tok.col)
         los.append(lo)
         his.append(hi)

@@ -172,9 +172,11 @@ def test_round_trip_preserves_exact_floats():
      "expected a finite number, got '-inf'"),
     ("dim 2\nexpr (norm)\nbox -1..1 -inf..1\n", 3, 11,
      "box range '-inf..1' needs finite ends"),
+    ("dim 2\nexpr (norm)\nbox -1..1 -1e308..1e308\n", 3, 11,
+     "box range '-1e308..1e308' needs a finite width"),
 ], ids=["negative-weight-at-grid-t", "t-outside-template", "t-in-index-slot",
         "empty-family", "unterminated-family", "tau-inf", "tau-nan", "point-nan",
-        "slater-inf", "box-inf"])
+        "slater-inf", "box-inf", "box-width-inf"])
 def test_parse_error_message_and_location(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)

@@ -275,6 +275,12 @@ NAN_TAU, INF_TAU, NAN_POINT, INF_BOX = list(FILE_IDS)[2:]
     (BALL_PROBLEM, ["analyze-global", "--tau", "inf"]),
     (BALL_PROBLEM, ["analyze-global", "--box=-inf..0,0..1"]),
     (BALL_PROBLEM, ["analyze-global", "--box=0..inf,0..1"]),
+    # a range whose width overflows a double
+    (BALL_PROBLEM, ["analyze-global", "--box=-1e308..1e308,0..1"]),
+    # a negative seed, which the random generator refuses
+    (BALL_PROBLEM, ["analyze-global", "--seed", "-1"]),
+    (BALL_PROBLEM, ["analyze-local", "--seed", "-1"]),
+    (BALL_PROBLEM, ["perturb", "--eps", "0.1", "--dir", "0,1", "--seed", "-1"]),
     (INF_BOX, ["analyze-global"]),
     (NAN_TAU, ["analyze-global"]),
     (INF_TAU, ["analyze-global"]),
