@@ -107,7 +107,7 @@ def _cmd_analyze_global(args) -> int:
         raise ParseError("no box: pass --box or declare 'box' in the file")
     sample = box_sample(f, box, args.samples, args.seed)
     modulus = eta_global(f, sample, slater=problem.slater)
-    verdict = classify_global_stability(f, tau, sample)
+    verdict = classify_global_stability(f, tau, sample, modulus)
     envelope = make_envelope("analyze-global", problem.name, args.seed, {
         "modulus": modulus,
         "stability": verdict,

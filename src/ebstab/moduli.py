@@ -1,11 +1,11 @@
 """Error-bound modulus estimation and stability verdicts.
 
-The global modulus is driven by eta = inf of d(0, subdifferential) over
-infeasible points and its reciprocal tau = 1/eta; the local version uses
-the liminf near a reference boundary point.  Sampling is box-relative and
-every report says so.  Stability verdicts combine the boundary infimum of
-|beta| with a qualification-condition witness search over strictly
-feasible points.
+The global modulus tau is the certified ratio, the largest lower bound on
+d(x, S) / f(x) over infeasible samples, and eta = 1/tau; the local one is
+the liminf of d(0, subdifferential) near a reference boundary point.
+Sampling is box-relative and every report says so.  Global verdicts bound
+inf |beta| over the boundary by a boundary sample and by 1/ratio, with a
+qualification-condition witness search over strictly feasible points.
 
 A global analysis draws its box once (``box_sample``), and every step
 reads that ``BoxSample``: eta_global, the Slater point, the boundary
@@ -45,12 +45,13 @@ class ModulusReport:
     """eta / tau estimates with sampling provenance.
 
     eta_estimate may be +inf (vacuous: no infeasible sample seen), in which
-    case tau_estimate is 0; tau_estimate may be +inf when eta collapses to
-    zero.  empirical_ratio is a certified lower bound on the sup of
-    d(x, S) / f(x) over the infeasible samples (global reports only).
-    sample_count is the number of points behind the reported estimates:
-    after a local resample, that of the second run.  A ``local_modulus``
-    report names the path that gave it and its certified tau_bound.
+    case tau_estimate is 0; a local tau_estimate may be +inf when eta
+    collapses to zero.  A global one is, to one ulp, empirical_ratio, a
+    certified lower bound on the sup of d(x, S) / f(x) over the infeasible
+    samples, set at x with lb <= d(x, S) <= ub: ratio_witness = (x, lb, ub),
+    not in the payload.  sample_count is the number of points behind the
+    estimates: after a local resample, that of the second run.  A
+    ``local_modulus`` report names its path and certified tau_bound.
     """
 
     kind: str                      # "local" or "global"
@@ -66,6 +67,7 @@ class ModulusReport:
     notes: str = ""
     path: str | None = None        # see local_modulus
     tau_bound: float | None = None
+    ratio_witness: tuple | None = field(default=None, repr=False)
 
     def payload(self) -> dict:
         out = {
@@ -645,56 +647,36 @@ def local_modulus(f: ConvexExpr, xbar, cert: BetaCertificate, levels: int = 8,
 
 
 def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
-    """Box-truncated estimate of inf d(0, subdifferential) over infeasible
-    points, with the empirical sup of d(x, S)/f(x) over the same samples.
-
-    The empirical ratio is a certified lower bound on that sup, the
-    largest lb / f over the distance brackets of ``_brackets``: every
-    infeasible sample gets an upper bound on its distance from one
-    batched pass, and only the samples whose bound could still set the
-    sup refine their brackets.  It equals the largest lower bound over
-    brackets refined without pruning.  Where it exceeds 1/eta it tightens
-    eta (``_tightened``): tau is then 1/eta exactly, never below the ratio
-    and at most one ulp above it.  The notes count the brackets left open
-    that could still have set it.
-    Without a given slater point, the ratio anchors at the sample's
-    ``find_slater_point``.
+    """Box-truncated global modulus: tau is the certified ratio, the
+    largest lb / f over the distance brackets lb <= d(x, S) of the
+    sample's infeasible points, and eta = 1/tau (``_tightened``: tau ==
+    1/eta, at most one ulp above the ratio).  ``_brackets`` refines only
+    the brackets that could still set the ratio, and the notes count those
+    it left open.  No sampled d(0, subdifferential) could lower eta:
+    f(x) <= ||g|| d(x, S) for every subgradient g at x (Rockafellar,
+    Convex Analysis, Cor. 23.7.1).  The ratio anchors at the slater point,
+    by default the sample's ``find_slater_point``.
     """
     vals = sample.values
     infeasible = vals > 0.0
     infeas, infeas_vals = sample.points[infeasible], vals[infeasible]
-    vacuous = not infeasible.any()
-    eta, tau, ratio = math.inf, 0.0, None
-    notes = "estimates are relative to the sampled box"
-    if vacuous:
-        notes += "; no infeasible samples (vacuous bound)"
-    else:
-        eta = float(np.min(_subdiff_dists(f, infeas)))
-        tau = math.inf if eta == 0.0 else 1.0 / eta
-        if slater is None and np.any(vals < 0.0):
-            slater = find_slater_point(sample)
-        if slater is None:
-            notes += "; no feasible sample, empirical ratio unavailable"
-        else:
-            s = _strictly_feasible(f, slater)
-            lb, _, left = _brackets(f, infeas, infeas_vals, s)
-            ratio = float(np.max(lb / infeas_vals))
-            if left:
-                notes += f"; {left} distance brackets left open"
-            if ratio > tau:
-                eta, tau = _tightened(ratio)
-                notes += "; eta tightened by the empirical ratio"
-    return ModulusReport(
-        kind="global",
-        eta_estimate=eta,
-        tau_estimate=tau,
-        sample_count=vals.shape[0],
-        box=sample.box,
-        empirical_ratio=ratio,
-        vacuous=vacuous,
-        seed=sample.seed,
-        notes=notes,
-    )
+    rep = ModulusReport(kind="global", eta_estimate=math.inf, tau_estimate=0.0,
+                        sample_count=vals.shape[0], box=sample.box,
+                        vacuous=not infeasible.any(), seed=sample.seed,
+                        notes="estimates are relative to the sampled box")
+    if rep.vacuous:
+        rep.notes += "; no infeasible samples (vacuous bound)"
+        return rep
+    s = _strictly_feasible(f, find_slater_point(sample) if slater is None else slater)
+    lb, ub, left = _brackets(f, infeas, infeas_vals, s)
+    top = int(np.argmax(lb / infeas_vals))
+    rep.empirical_ratio = float(lb[top] / infeas_vals[top])
+    rep.ratio_witness = (infeas[top], float(lb[top]), float(ub[top]))
+    rep.eta_estimate, rep.tau_estimate = _tightened(rep.empirical_ratio)
+    if left:
+        rep.notes += f"; {left} distance brackets left open"
+    rep.notes += "; eta tightened by the empirical ratio"
+    return rep
 
 
 def _tightened(ratio: float) -> tuple[float, float]:
@@ -797,28 +779,42 @@ def classify_local_stability(f: ConvexExpr, xbar,
     )
 
 
-def classify_global_stability(f: ConvexExpr, tau: float,
-                              sample: BoxSample) -> StabilityVerdict:
-    """Global stability verdict over a box sample of n points.
-
-    One boundary sample of max(16, n // 8) points, searched from the box
-    sample, serves condition (3.9) and the witness search over the box
-    sample's feasible points.  Stable requires the boundary infimum of |beta|
-    to clear tau by DECISION_MARGIN and the witness search to come back
-    empty; a witness or an infimum below tau by that margin is unstable;
-    the band in between is undetermined.
+def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
+                              modulus: ModulusReport) -> StabilityVerdict:
+    """Global stability verdict over a box sample of n points and its
+    modulus = ``eta_global(f, sample)``: one boundary sample of
+    max(16, n // 8) points, searched from the box sample, serves condition
+    (3.9) and the witness search over the box sample's feasible points.
+    beta_inf is the least of its |beta| and 1/ratio, a bound over bd S,
+    not bd S in the box: the projection p of the ratio's witness x onto S
+    lies in B(x, ub(x)), and x - p is a multiple of a subgradient g at p
+    (Rockafellar, Convex Analysis, Cor. 23.7.1), so |beta(p)| <= ||g|| <=
+    f(x) / lb(x).  Stable requires beta_inf to clear tau by DECISION_MARGIN
+    and the witness search to come back empty; a witness or a beta_inf
+    below tau by that margin is unstable; the band in between is
+    undetermined.  The notes say what set beta_inf; only a boundary
+    sample's carries a perturbation direction.
     """
     boundary = boundary_sample(f, sample, max(16, sample.points.shape[0] // 8))
     cond = check_condition_3_9(f, tau, boundary)
     witnesses = qc_witness_search(f, tau, boundary, sample)
-    inf_beta, extra = cond.inf_abs_beta, {}
+    x, lb, ub = modulus.ratio_witness
+    inf_beta, extra = min(cond.inf_abs_beta, 1.0 / modulus.empirical_ratio), {}
+    by_ratio = inf_beta < cond.inf_abs_beta
+    source = "the boundary sample"
+    if by_ratio:
+        inside = np.all(x - ub >= sample.box[0]) and np.all(x + ub <= sample.box[1])
+        source = (f"1/ratio at x = {np.array2string(x)}, lb(x) = {lb:.6g}, a bound "
+                  "over bd S; B(x, ub(x)) " + ("lies in the box" if inside else
+                  "leaves the box, so the boundary point may lie outside it"))
     if witnesses:
         verdict, why = "unstable", "; qualification condition fails at the witnesses"
         extra["qc_witnesses"] = witnesses
     elif inf_beta <= tau * (1.0 - DECISION_MARGIN):
         verdict, why = "unstable", "; boundary point with |beta| below tau"
-        extra["perturbation_direction"] = np.asarray(
-            beta(f, cond.worst_point).witness)
+        if not by_ratio:
+            extra["perturbation_direction"] = np.asarray(
+                beta(f, cond.worst_point).witness)
     elif inf_beta > tau * (1.0 + DECISION_MARGIN):
         verdict, why = "stable", ""
     else:
@@ -827,5 +823,6 @@ def classify_global_stability(f: ConvexExpr, tau: float,
     return StabilityVerdict(
         scope="global", verdict=verdict, beta_inf=inf_beta, tau=tau,
         box=sample.box, notes=(f"verdict is relative to the sampled box; boundary "
-                             f"inf |beta| = {inf_beta:.6g} vs tau = {tau:g}{why}"),
+                             f"inf |beta| = {inf_beta:.6g} vs tau = {tau:g}, set by "
+                             f"{source}{why}"),
         **extra)

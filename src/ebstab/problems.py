@@ -322,10 +322,11 @@ def parse_problem(text: str) -> ProblemFile:
 
 def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
     """The box (lo, hi) from lo..hi ranges with finite lo < hi and a finite
-    width hi - lo, one per each of dim axes, separated by spaces or
-    commas.  tokens are the rest of a problem file's box line, or a --box
-    argument as one string; errors carry the line and column of the bad
-    range in a file, and no location for an argument (line 0)."""
+    width hi - lo, one per each of dim axes, separated by spaces or commas,
+    with a finite squared diagonal ||hi - lo||^2.  tokens are the rest of
+    a problem file's box line, or a --box argument as one string; errors
+    carry the line and column of the bad range in a file, and no location
+    for an argument (line 0)."""
     if isinstance(tokens, str):
         tokens = _tokenize(tokens, 0)
     los, his = [], []
@@ -356,6 +357,8 @@ def parse_box(tokens, dim: int, line_no: int = 0) -> tuple:
         raise ParseError("empty box argument", line_no, 1)
     if len(los) != dim:
         raise ParseError(f"box has {len(los)} axes, dim is {dim}", line_no, 1)
+    if not np.isfinite(sum((h - lo) * (h - lo) for lo, h in zip(los, his))):
+        raise ParseError("box needs a finite squared diagonal", line_no, 1)
     return np.array(los), np.array(his)
 
 

@@ -5,7 +5,8 @@ The largest lower bound lb / vals of one pruned ``_brackets`` batch must
 equal exactly the largest over one-row ``_brackets`` calls, where nothing
 is pruned, whatever the order of the rows, and on a problem whose ratio
 is set by a few corner rays it must project only a few rows onto their
-cuts.  The tau reported beside it must never read below it.
+cuts.  The tau reported beside it must never read below it, and no
+sampled subgradient may pull eta below its reciprocal.
 """
 
 import contextlib
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from ebstab import moduli, scenarios
 from ebstab.cli import main
 from ebstab.errors import EbstabError
-from ebstab.expressions import AbsCoord, Const, EuclidNorm, Max, Sum
-from ebstab.moduli import _brackets, _tightened, box_sample, eta_global
+from ebstab.expressions import (AbsCoord, ComposeAffine, Const, EuclidNorm, Max,
+                                PosPartSquare, Sum)
+from ebstab.moduli import (BoxSample, _brackets, _tightened, box_sample,
+                           eta_global)
 from ebstab.scenarios import reproduce
 
 from conftest import random_expr
@@ -122,9 +125,9 @@ def test_poly3_box_tau_below_exact_modulus(seed):
                                   "poly3_box"])
 def test_global_tau_never_below_the_empirical_ratio(stem):
     # the ratio is a certified lower bound on tau, so one report never
-    # gives a tau below it; where it tightens eta, tau is 1 / eta exactly
+    # gives a tau below it; it always sets eta, so tau is 1 / eta exactly
     # and at most one ulp above the ratio (no double eta may give
-    # 1 / eta == ratio)
+    # 1 / eta == ratio), and the verdict's beta_inf is at most 1 / tau
     for samples in ("512", "128"):
         for seed in [*range(8), 1000, 1001]:
             out = io.StringIO()
@@ -132,12 +135,34 @@ def test_global_tau_never_below_the_empirical_ratio(stem):
                 assert main(["analyze-global", str(BENCH_PROBLEMS / f"{stem}.eb"),
                              "--samples", samples, "--seed", str(seed),
                              "--format", "json"]) == 0
-            m = json.loads(out.getvalue())["results"]["modulus"]
-            assert m["empirical_ratio"] <= m["tau"], (samples, seed)
-            if "tightened" in m["notes"]:
-                assert m["tau"] == 1.0 / m["eta"]
-                ratio = m["empirical_ratio"]
-                assert ratio <= m["tau"] <= math.nextafter(ratio, math.inf)
+            results = json.loads(out.getvalue())["results"]
+            m = results["modulus"]
+            assert "tightened" in m["notes"], (samples, seed)
+            assert m["tau"] == 1.0 / m["eta"]
+            ratio = m["empirical_ratio"]
+            assert ratio <= m["tau"] <= math.nextafter(ratio, math.inf)
+            # inf |beta| over the boundary is at most 1/tau (Azé and
+            # Corvellec; Rockafellar, Convex Analysis, Cor. 23.7.1)
+            beta_inf = results["stability"]["beta_inf"]
+            assert m["tau"] * beta_inf <= 1.0 + 1e-12, (samples, seed)
+
+
+def test_eta_global_ignores_subgradients_at_a_tie_band():
+    # max((0.9588 x - 0.5123)_+^2, 0.0382 |x|) - 1e-12: at x = 2.24e-9 the
+    # pieces' values differ by less than Max's tie band, so 0 joins the
+    # subdifferential there; a sampled inf of d(0, subdifferential) read
+    # eta = 0 and tau = inf beside a ratio of 1/0.0382, the exact modulus
+    # on the |x| piece, where d(x, S) / f(x) = 1/0.0382 everywhere
+    f = Sum([(1.0, Max([ComposeAffine(PosPartSquare(0, 1), [[0.9588]], [-0.5123]),
+                        Sum([(0.0382, AbsCoord(0, 1))])])),
+             (1.0, Const(-1e-12, 1))])
+    drawn = box_sample(f, ([-1.0], [1.0]), 64, 0)
+    points = np.concatenate([drawn.points, [[2.24e-9], [0.0]]])
+    sample = BoxSample(drawn.box, drawn.seed, points, f._value_batch(points))
+    report = eta_global(f, sample)
+    assert report.tau_estimate == 1.0 / report.eta_estimate
+    assert report.empirical_ratio <= report.tau_estimate
+    assert report.tau_estimate == pytest.approx(1.0 / 0.0382, rel=1e-12)
 
 
 @given(ratio=st.floats(min_value=2.0**-1021, max_value=2.0**1021))

@@ -475,6 +475,15 @@ def test_eta_global_vacuous_when_all_feasible():
     assert rep.tau_estimate == 0.0
 
 
+def test_eta_global_without_slater_point_raises():
+    # an all-infeasible sample has no point to anchor the ratio at, and no
+    # sampled eta stands in for it
+    sample = box_sample(EXP, (np.array([1.0]), np.array([5.0])), 64)
+    assert np.all(sample.values > 0.0)
+    with pytest.raises(NoSlaterPoint):
+        eta_global(EXP, sample)
+
+
 def test_reciprocity_invariant():
     for rep in (
         eta_local(EXP, [0.0], seed=0),
@@ -656,7 +665,8 @@ def test_global_verdict_draws_one_boundary_sample(monkeypatch):
         return boundary_sample(*args, **kwargs)
 
     monkeypatch.setattr(moduli, "boundary_sample", counted)
-    classify_global_stability(EXP, 0.5, box_sample(EXP, EXP_TAIL, 400))
+    sample = box_sample(EXP, EXP_TAIL, 400)
+    classify_global_stability(EXP, 0.5, sample, eta_global(EXP, sample))
     assert len(calls) == 1
 
 
@@ -684,7 +694,8 @@ def test_local_stability_precondition():
 
 
 def test_global_stability_exp_unstable_with_witnesses():
-    v = classify_global_stability(EXP, 0.5, box_sample(EXP, EXP_TAIL, 400))
+    sample = box_sample(EXP, EXP_TAIL, 400)
+    v = classify_global_stability(EXP, 0.5, sample, eta_global(EXP, sample))
     assert v.verdict == "unstable"
     assert len(v.qc_witnesses) >= 1
 
@@ -694,16 +705,41 @@ def test_global_stability_affine_stable(rng):
     while np.linalg.norm(a) < 0.5:
         a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
-    v = classify_global_stability(f, float(np.linalg.norm(a)) / 2,
-                                  box_sample(f, BOX2, 300))
+    sample = box_sample(f, BOX2, 300)
+    v = classify_global_stability(f, float(np.linalg.norm(a)) / 2, sample,
+                                  eta_global(f, sample))
     assert v.verdict == "stable"
 
 
 def test_global_stability_linf_ball_stable():
     f = linf_ball_fn()
-    v = classify_global_stability(f, 0.5, box_sample(f, BOX2, 300))
+    sample = box_sample(f, BOX2, 300)
+    v = classify_global_stability(f, 0.5, sample, eta_global(f, sample))
     assert v.verdict == "stable"
     assert v.beta_inf > 0.5 * 1.05
+
+
+@pytest.mark.parametrize("box", [BOX2, (np.full(2, -10.0), np.full(2, 10.0))])
+def test_global_beta_inf_set_by_the_ratio_names_its_witness(box):
+    # on the sup-norm ball every sampled boundary point has |beta| = 1 off
+    # the corners, but the corner rays give 1/ratio ~ 1/sqrt(2): beta_inf
+    # is that bound over bd S, certified by the ratio's witness x and its
+    # lower distance bound lb(x), and no boundary direction is attached
+    f = linf_ball_fn()
+    sample = box_sample(f, box, 300)
+    modulus = eta_global(f, sample)
+    v = classify_global_stability(f, 0.9, sample, modulus)
+    x, lb, ub = modulus.ratio_witness
+    assert v.beta_inf == 1.0 / modulus.empirical_ratio < 0.9 * 0.95
+    assert v.verdict == "unstable" and v.perturbation_direction is None
+    assert modulus.tau_estimate * v.beta_inf <= 1.0 + 1e-12
+    assert lb <= ub
+    assert modulus.empirical_ratio == pytest.approx(lb / f._value(x), rel=1e-12)
+    assert f"x = {np.array2string(x)}, lb(x) = {lb:.6g}" in v.notes
+    inside = np.all(x - ub >= box[0]) and np.all(x + ub <= box[1])
+    assert ("lies in the box" in v.notes) == inside
+    assert ("the boundary point may lie outside it" in v.notes) == (not inside)
+    assert "ratio_witness" not in modulus.payload()
 
 
 def test_local_global_consistency_suite():

@@ -174,9 +174,12 @@ def test_round_trip_preserves_exact_floats():
      "box range '-inf..1' needs finite ends"),
     ("dim 2\nexpr (norm)\nbox -1..1 -1e308..1e308\n", 3, 11,
      "box range '-1e308..1e308' needs a finite width"),
+    # each width is finite, but the squared diagonal overflows a double
+    ("dim 2\nexpr (norm)\nbox -1e300..1e300 -1e300..1e300\n", 3, 1,
+     "box needs a finite squared diagonal"),
 ], ids=["negative-weight-at-grid-t", "t-outside-template", "t-in-index-slot",
         "empty-family", "unterminated-family", "tau-inf", "tau-nan", "point-nan",
-        "slater-inf", "box-inf", "box-width-inf"])
+        "slater-inf", "box-inf", "box-width-inf", "box-diagonal-inf"])
 def test_parse_error_message_and_location(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)

@@ -277,6 +277,8 @@ NAN_TAU, INF_TAU, NAN_POINT, INF_BOX = list(FILE_IDS)[2:]
     (BALL_PROBLEM, ["analyze-global", "--box=0..inf,0..1"]),
     # a range whose width overflows a double
     (BALL_PROBLEM, ["analyze-global", "--box=-1e308..1e308,0..1"]),
+    # a box whose squared diagonal overflows a double
+    (BALL_PROBLEM, ["analyze-global", "--box=-1e300..1e300,-1e300..1e300"]),
     # a negative seed, which the random generator refuses
     (BALL_PROBLEM, ["analyze-global", "--seed", "-1"]),
     (BALL_PROBLEM, ["analyze-local", "--seed", "-1"]),

@@ -19,7 +19,7 @@ from ebstab.expressions import (
 )
 from ebstab.geometry import merge_active_subdiffs
 from ebstab.moduli import (box_sample, classify_global_stability,
-                           classify_local_stability)
+                           classify_local_stability, eta_global)
 from ebstab.systems import (
     FiniteFamily,
     IntervalFamily,
@@ -207,7 +207,8 @@ def test_classify_system_pospartsquare_unstable():
 def test_classify_system_global_delegates():
     sup = materialize_sup(halfplane_family())
     box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    v = classify_global_stability(sup, 0.4, box_sample(sup, box, 300, 0))
+    sample = box_sample(sup, box, 300, 0)
+    v = classify_global_stability(sup, 0.4, sample, eta_global(sup, sample))
     assert v.scope == "global"
     assert v.verdict in ("stable", "unstable", "undetermined")
 

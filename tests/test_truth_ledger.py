@@ -92,12 +92,12 @@ for stem, tau, beta_inf, tau_item, beta_item in (
         _row(f"inf |beta| {stem}", beta_of, "==", beta_inf,
              beta_item and _wrong(beta_item, "boundary inf |beta|")),
     ]
-for stem, tau, item in (("linf2_box", "0.9", 4), ("family2_box", "0.9", 4),
-                        ("poly3_box", "1.2", 5)):
+for stem, tau in (("linf2_box", "0.9"), ("family2_box", "0.9"),
+                  ("poly3_box", "1.2")):
     LEDGER.append(_row(
         f"verdict {stem} at tau {tau}",
         lambda stem=stem, tau=tau: _global(stem, "--tau", tau)["stability"]["verdict"],
-        "verdict", "unstable", _wrong(item, "boundary inf |beta|, below tau")))
+        "verdict", "unstable"))
 
 
 @pytest.mark.parametrize("read, relation, exact", LEDGER)
