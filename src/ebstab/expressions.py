@@ -42,7 +42,6 @@ from .geometry import (
 )
 
 _ACTIVE_TOL = 1e-10
-_EPS = np.finfo(float).eps
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -124,15 +123,13 @@ class ConvexExpr:
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
         raise NotImplementedError
 
-    def _grad_batch(self, X: np.ndarray, err=0.0):
+    def _grad_batch(self, X: np.ndarray):
         """Gradients at the rows of X, shape (k, m) -> (G, kink).
 
         G[i] is the unique subgradient at row i; kink[i] marks rows where
-        ``_subdiff`` might return anything other than one generator with a
-        zero ball, and G[i] is meaningless there.  err (a scalar or an
-        array shaped like X) bounds how far each entry of X may sit from
-        the point ``_subdiff`` sees; rows that close to a kink count
-        as kinks.  Each row's result depends on that row alone.
+        ``_subdiff`` at that row might return anything other than one
+        generator with a zero ball, and G[i] is meaningless there.  Each
+        row's result depends on that row alone.
         """
         raise NotImplementedError
 
@@ -194,7 +191,7 @@ class Const(ConvexExpr):
     def _subdiff(self, x):
         return SubdiffSet(np.zeros((1, self.dim)), 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
     def _minorants_batch(self, X):
@@ -224,7 +221,7 @@ class Affine(ConvexExpr):
     def _subdiff(self, x):
         return SubdiffSet(self.a[None, :], 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
 
     def _minorants_batch(self, X):
@@ -258,10 +255,10 @@ class EuclidNorm(ConvexExpr):
             return SubdiffSet(np.zeros((1, self.dim)), 1.0)
         return SubdiffSet((x / nx)[None, :], 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         # _subdiff's norm reads 0 at the origin and where squaring underflows
         sq = _row_sq(X)
-        kink = (sq < np.finfo(float).tiny) | np.all(np.abs(X) <= err, axis=1)
+        kink = sq < np.finfo(float).tiny
         return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
 
     def _minorants_batch(self, X):
@@ -305,11 +302,11 @@ class AbsCoord(ConvexExpr):
             return SubdiffSet(-e[None, :], 0.0)
         return SubdiffSet(np.vstack([-e, e]), 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         xi = X[:, self.index]
         G = np.zeros(X.shape)
         G[:, self.index] = np.sign(xi)
-        return G, np.abs(xi) <= np.broadcast_to(err, X.shape)[:, self.index]
+        return G, xi == 0.0
 
     def _minorants_batch(self, X):
         # both pieces, x_i and -x_i, wherever x is
@@ -353,7 +350,7 @@ class Exp1D(ConvexExpr):
         g = self._exp_batch(x[None])[0] * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         G = np.zeros(X.shape)
         G[:, self.index] = self._exp_batch(X)
         return G, np.zeros(X.shape[0], dtype=bool)
@@ -388,7 +385,7 @@ class PosPartSquare(ConvexExpr):
         g = 2.0 * max(float(x[self.index]), 0.0) * _basis(self.index, self.dim)
         return SubdiffSet(g[None, :], 0.0)
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         G = np.zeros(X.shape)
         G[:, self.index] = 2.0 * np.maximum(X[:, self.index], 0.0)
         return G, np.zeros(X.shape[0], dtype=bool)
@@ -447,16 +444,16 @@ class Max(ConvexExpr):
         return merge_active_subdiffs([self.children[i]._subdiff(x)
                                       for i in active])
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         vals = self._child_values(X)
-        grads, kinks = zip(*(c._grad_batch(X, err) for c in self.children))
+        grads, kinks = zip(*(c._grad_batch(X) for c in self.children))
         rows = np.arange(X.shape[0])
         top = np.argmax(vals, axis=0)
         G, kink = np.array(grads)[top, rows], np.array(kinks)[top, rows]
         if len(self.children) > 1:
-            # twice the active tolerance absorbs the last-bit differences
-            # between these child values and the ones _active reads at the
-            # point _subdiff sees
+            # _active reads these same child values; twice its tolerance
+            # marks every tie it sees with room to spare, and a row marked
+            # needlessly only takes the exact scalar path
             best = vals[top, rows]
             second = np.partition(vals, -2, axis=0)[-2]
             kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
@@ -506,11 +503,11 @@ class Sum(ConvexExpr):
         return functools.reduce(add_sets, (scale_set(e._subdiff(x), w)
                                            for w, e in self.terms))
 
-    def _grad_batch(self, X, err=0.0):
+    def _grad_batch(self, X):
         G = np.zeros(X.shape)
         kink = np.zeros(X.shape[0], dtype=bool)
         for w, e in self.terms:
-            g, k = e._grad_batch(X, err)
+            g, k = e._grad_batch(X)
             G += w * g
             kink |= k
         return G, kink
@@ -558,38 +555,32 @@ class ComposeAffine(ConvexExpr):
         mat = "[" + ", ".join(_fmt_vec(row) for row in self.matrix) + "]"
         return f"(compose {mat} {_fmt_vec(self.offset)} {self.inner._text()})"
 
-    def _push(self, x):
-        return self.matrix @ x + self.offset
+    def _push(self, X):
+        """A x + c at the rows of X, each from its row alone; the point
+        oracles read a one-row view, so all oracles see one inner point."""
+        return _rows_times(X, self.matrix) + self.offset
 
     def _value_batch(self, X):
-        return self.inner._value_batch(_rows_times(X, self.matrix) + self.offset)
+        return self.inner._value_batch(self._push(X))
 
     def _dd_batch(self, x, hs):
-        return self.inner._dd_batch(self._push(x), hs @ self.matrix.T)
+        return self.inner._dd_batch(self._push(x[None])[0], hs @ self.matrix.T)
 
     def _subdiff(self, x):
-        return adjoint_image_set(self.inner._subdiff(self._push(x)), self.matrix)
+        return adjoint_image_set(self.inner._subdiff(self._push(x[None])[0]),
+                                 self.matrix)
 
-    def _grad_batch(self, X, err=0.0):
-        a_abs = np.abs(self.matrix)
-        err = np.broadcast_to(err, X.shape)
-        Y = _rows_times(X, self.matrix) + self.offset
-        # _push rounds a point within err of the row by at most (m + 1)
-        # ulps of sum_j |A_ij x_j| + |c_i|, and so does Y: twice that bound,
-        # doubled again for margin, plus the image of err itself
-        size = _rows_times(np.abs(X) + err, a_abs) + np.abs(self.offset)
-        err_y = 4.0 * (self.dim + 1) * _EPS * size + _rows_times(err, a_abs)
-        G, kink = self.inner._grad_batch(Y, err_y)
+    def _grad_batch(self, X):
+        G, kink = self.inner._grad_batch(self._push(X))
         return _rows_times(G, self.matrix.T), kink
 
     def _minorants_batch(self, X):
-        V, G = self.inner._minorants_batch(
-            _rows_times(X, self.matrix) + self.offset)
+        V, G = self.inner._minorants_batch(self._push(X))
         G = _rows_times(G.reshape(-1, G.shape[2]), self.matrix.T)
         return V, G.reshape(V.shape + (self.dim,))
 
     def _polyhedral_at(self, x):
-        return self.inner._polyhedral_at(self._push(x))
+        return self.inner._polyhedral_at(self._push(x[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,6 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
     f0 = np.zeros(k)
-    has_prev = np.zeros(k, dtype=bool)
     rows = np.arange(k)
     for _ in range(400):
         fy = f._value_batch(Y[rows])
@@ -459,7 +458,7 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
             break
         a0, a00, a01 = g0[rows], _row_sq(g0[rows]), _row_dot(g0[rows], g)
         det = a00 * gg - a01 * a01
-        newton = has_prev[rows] & (det > 1e-12 * np.maximum(1e-30, a00 * gg))
+        newton = det > 1e-12 * np.maximum(1e-30, a00 * gg)
         step = (fy / gg)[:, None] * g
         if newton.any():
             n = np.flatnonzero(newton)
@@ -473,7 +472,6 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
             ok = _values_or_inf(f, y[n] - delta) < 0.5 * fy[n]
             step[n[ok]] = delta[ok]
         g0[rows], y0[rows], f0[rows] = g, y, fy
-        has_prev[rows] = True
         Y[rows] = y - step
     return Y
 
@@ -514,20 +512,6 @@ def boundary_point(f: ConvexExpr, xbar) -> np.ndarray:
     return xbar
 
 
-def _subdiff_dist(f: ConvexExpr, x: np.ndarray) -> float:
-    return min_norm_point(f._subdiff(x)).dist
-
-
-def _subdiff_dists(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
-    """_subdiff_dist for every row of P, each row independent of the rest:
-    the gradient norm where ``_gradient_screen`` can give it."""
-    G, scalar = _gradient_screen(f, P)
-    out = np.sqrt(_row_sq(G))
-    for i in scalar:
-        out[i] = _subdiff_dist(f, P[i])
-    return out
-
-
 def eta_local(f: ConvexExpr, xbar, levels: int = 8,
               samples_per_level: int = 256, seed: int = 0) -> ModulusReport:
     """liminf estimate of d(0, subdifferential) over infeasible points
@@ -535,15 +519,16 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
     each level.
 
     One run draws the balls of all levels at once (level k at seed
-    ``seed_base + k``), screens them with one batched value call and takes
-    the distances of all their infeasible samples in one batched gradient
-    pass; only samples on a kink of f (where it may not be differentiable)
-    build a subdifferential and take its minimum-norm point.  Every oracle
-    is row-independent, so each level's minimum is the one a draw of that
-    level alone gives.  Levels go into a batch together while it holds at
-    most LOCAL_BLOCK rows (a level larger than that is a batch of its own).
-    Levels whose radius is below LOCAL_RESOLUTION * (1 + ||xbar||_inf) are
-    not drawn: there xbar + r * u rounds back to xbar.
+    ``seed_base + k``), screens them with one batched value call and reads
+    the distances of all their infeasible samples off one ``_betas`` call:
+    beta is the signed distance from the origin to the boundary of the
+    subdifferential, so the distance is -beta where beta < 0, else 0 (0
+    at or below ZERO_TOL, as for beta).  Every oracle is row-independent,
+    so each level's minimum is the one a draw of that level alone gives.
+    Levels go into a batch together while it holds at most LOCAL_BLOCK
+    rows (a level larger than that is a batch of its own).  Levels whose
+    radius is below LOCAL_RESOLUTION * (1 + ||xbar||_inf) are not drawn:
+    there xbar + r * u rounds back to xbar.
     """
     if levels < 1 or samples_per_level < 1:
         raise ValueError("eta_local needs at least one level and one sample")
@@ -562,7 +547,8 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
             infeas = f._value_batch(pts) > 0.0
             d = np.full(pts.shape[0], np.inf)
             if infeas.any():
-                d[infeas] = _subdiff_dists(f, pts[infeas])
+                b = _betas(f, pts[infeas])
+                d[infeas] = np.where(b < 0.0, -b, 0.0)
             seen = infeas.reshape(len(block), per_level).any(axis=1)
             least = d.reshape(len(block), per_level).min(axis=1)
             recs += [(r, float(v) if hit else None)

@@ -97,7 +97,8 @@ def _gradient_screen(f: ConvexExpr, P: np.ndarray):
 def _betas(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
     """beta at every row of P, each row independent of the rest: -||grad f||
     (0 at or below ZERO_TOL) where ``_gradient_screen`` gives the gradient,
-    the geometric certificate at the rows it returns."""
+    the geometric certificate at the rows it returns; ``eta_local`` reads
+    d(0, subdifferential) off it at its infeasible samples."""
     G, scalar = _gradient_screen(f, P)
     d = np.sqrt(_row_sq(G))
     out = np.where(d <= ZERO_TOL, 0.0, -d)

@@ -29,9 +29,9 @@ from ebstab.expressions import (
     evaluate,
 )
 from ebstab.geometry import _DEDUPE_TOL, SubdiffSet
-from ebstab.moduli import LOCAL_RADIUS, _subdiff_dists
+from ebstab.moduli import LOCAL_RADIUS
 from ebstab.sampling import ball_points, unit_directions
-from ebstab.sphere import with_linear_term
+from ebstab.sphere import _betas, with_linear_term
 from ebstab.systems import FiniteFamily, active_set, materialize_sup
 
 # every property runs the same examples on every run and machine, with no
@@ -326,15 +326,15 @@ def dedupe_rows_reference(g):
 
 def eta_local_levels_reference(f, xbar, levels, per_level, seed_base):
     """eta_local's shrink levels drawn one level at a time: one ball draw,
-    one value screen and one distance pass per level, each level's ball at
-    seed seed_base + k."""
+    one value screen and one beta pass per level, each level's ball at
+    seed seed_base + k; the distance is -beta where beta < 0, else 0."""
     recs = []
     for k in range(levels):
         radius = LOCAL_RADIUS * 2.0 ** (-k)
         pts = ball_points(xbar, radius, per_level, seed_base + k)
-        infeas = pts[f._value_batch(pts) > 0.0]
-        recs.append((radius, float(np.min(_subdiff_dists(f, infeas)))
-                     if infeas.shape[0] else None))
+        b = _betas(f, pts[f._value_batch(pts) > 0.0])
+        recs.append((radius, float(np.min(np.where(b < 0.0, -b, 0.0)))
+                     if b.shape[0] else None))
     return recs
 
 

@@ -1,10 +1,13 @@
-"""Batched gradient oracle and the batched subgradient-distance screen.
+"""Batched gradient oracle and the batched beta oracle built on it.
 
-``_subdiff_dists`` must agree with the per-point ``_subdiff_dist`` loop on
-every row, including rows placed exactly on kinks (zeroed coordinates, the
-origin, exact max ties, and affine pre-images of those), must raise where
-that loop raises, and must give each row a result independent of the rest
-of the batch.
+``_betas`` must agree with the per-point ``beta`` loop on every row,
+including rows placed exactly on kinks (zeroed coordinates, the origin,
+exact max ties, and affine pre-images of those), must raise where that
+loop raises, and must give each row a result independent of the rest of
+the batch.  beta is the signed distance from the origin to the boundary
+of the subdifferential, which the ``subdiff_dists`` tests name; at
+infeasible points -beta is d(0, subdifferential), the distance
+``eta_local`` reads.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab import moduli
+from ebstab import sphere
 from ebstab.errors import EbstabError, UnsupportedSubdifferential
 from ebstab.expressions import (
     AbsCoord,
@@ -23,8 +26,10 @@ from ebstab.expressions import (
     Max,
     PosPartSquare,
     Sum,
+    subdifferential,
 )
-from ebstab.moduli import _subdiff_dist, _subdiff_dists
+from ebstab.geometry import min_norm_point
+from ebstab.sphere import ZERO_TOL, _betas, _gradient_screen, beta
 
 from conftest import kinked_rows, random_expr
 
@@ -34,27 +39,25 @@ def _rotation(theta, scale=1.0):
     return scale * np.array([[c, -s], [s, c]])
 
 
-def scalar_dists(f, P):
+def scalar_betas(f, P):
     """The per-point loop; an error is returned in place of its row."""
     out = []
     for p in P:
         try:
-            out.append(_subdiff_dist(f, p))
+            out.append(beta(f, p).beta)
         except EbstabError as exc:
             out.append(exc)
     return out
 
 
 def assert_matches_scalar(f, P):
-    want = scalar_dists(f, P)
+    want = scalar_betas(f, P)
     failed = [w for w in want if isinstance(w, Exception)]
     if failed:
         with pytest.raises(type(failed[0])):
-            _subdiff_dists(f, P)
+            _betas(f, P)
         return
-    want = np.array(want)
-    got = _subdiff_dists(f, P)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert np.array_equal(_betas(f, P), np.array(want))
 
 
 def _tie_through_rotation():
@@ -118,32 +121,56 @@ def test_subdiff_dists_match_scalar_at_exact_ties(case):
     assert_matches_scalar(f, P)
 
 
-def test_kink_rows_take_scalar_path(monkeypatch):
-    # (|x1| + ||x||) o rotation, and a pos-part term that is smooth everywhere
-    f = Sum([
+def _kinked_sum(matrix):
+    """(|x1| + ||x||) o matrix, and a pos-part term smooth everywhere."""
+    return Sum([
         (1.0, ComposeAffine(Sum([(1.0, AbsCoord(0, 2)), (0.5, EuclidNorm(2))]),
-                            _rotation(0.3), [0.0, 0.0])),
+                            matrix, [0.0, 0.0])),
         (2.0, PosPartSquare(1, 2)),
     ])
+
+
+def test_kink_rows_take_scalar_path(monkeypatch):
+    # sqrt(2) times a rotation, with integer entries: the rows with x1 = x2
+    # push to x1 = 0 exactly
+    f = _kinked_sum(np.array([[1.0, -1.0], [1.0, 1.0]]))
     rng = np.random.default_rng(33)
     P = rng.normal(size=(40, 2))
     P[5] = 0.0                                        # origin: ball
-    P[11:14] = np.linalg.solve(f.terms[0][1].matrix,  # pushed x1 = 0
-                               np.array([[0.0, 1.0], [0.0, -2.0], [0.0, 0.3]]).T).T
+    P[11:14] = [[0.5, 0.5], [-1.0, -1.0], [0.15, 0.15]]
     _, kink = f._grad_batch(P)
-    assert set(np.flatnonzero(kink)) >= {5, 11, 12, 13}
+    assert set(np.flatnonzero(kink)) == {5, 11, 12, 13}
     seen = []
+    geometric = sphere._geometric_beta
 
-    def scalar(g, x):
+    def scalar(g, x, zero_tol):
         seen.append(x.copy())
-        return _subdiff_dist(g, x)
+        return geometric(g, x, zero_tol)
 
-    monkeypatch.setattr(moduli, "_subdiff_dist", scalar)
-    got = _subdiff_dists(f, P)
+    monkeypatch.setattr(sphere, "_geometric_beta", scalar)
+    got = _betas(f, P)
     assert np.array_equal(np.array(seen), P[kink])
     monkeypatch.undo()
-    want = np.array([_subdiff_dist(f, p) for p in P])
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert np.array_equal(got, [beta(f, p).beta for p in P])
+
+
+def test_rotation_preimages_of_a_kink_are_smooth_rows():
+    # the pre-images of pushed x1 = 0 under a rotation by 0.3 push to an x1
+    # a few ulps from 0, where every oracle sees one smooth gradient
+    f = _kinked_sum(_rotation(0.3))
+    inner = f.terms[0][1]
+    P = np.linalg.solve(inner.matrix,
+                        np.array([[0.0, 1.0], [0.0, -2.0], [0.0, 0.3]]).T).T
+    assert np.all(inner._push(P)[:, 0] != 0.0)
+    G, kink = f._grad_batch(P)
+    assert not kink.any()
+    got = _betas(f, P)
+    for g, b, p in zip(G, got, P):
+        s = subdifferential(f, p)
+        assert s.generators.shape[0] == 1 and s.ball_radius == 0.0
+        assert np.linalg.norm(g - s.generators[0]) <= 1e-14 * np.linalg.norm(g)
+        assert b == beta(f, p).beta
+        assert abs(b + np.linalg.norm(g)) <= 1e-14 * abs(b)
 
 
 UNSUPPORTED = [
@@ -161,18 +188,17 @@ def test_unsupported_raised_where_scalar_raises(case):
     P = rng.normal(size=(12, 2))
     P[4] = 0.0
     P[7] = [-0.5, 1.0]
-    want = scalar_dists(f, P)
+    want = scalar_betas(f, P)
     raises = [isinstance(w, UnsupportedSubdifferential) for w in want]
     assert any(raises) and not all(raises)
     for i, p in enumerate(P):
         if raises[i]:
             with pytest.raises(UnsupportedSubdifferential):
-                _subdiff_dists(f, P[i:i + 1])
+                _betas(f, P[i:i + 1])
         else:
-            assert _subdiff_dists(f, P[i:i + 1])[0] == pytest.approx(
-                want[i], rel=1e-14, abs=0.0)
+            assert _betas(f, P[i:i + 1])[0] == want[i]
     with pytest.raises(UnsupportedSubdifferential):
-        _subdiff_dists(f, P)
+        _betas(f, P)
     smooth = np.array([p for p, r in zip(P, raises) if not r])
     assert_matches_scalar(f, smooth)
 
@@ -184,14 +210,14 @@ def test_rows_independent_of_batch():
         f = random_expr(rng, m, depth=3)
         P = kinked_rows(rng, f, m)
         G, kink = f._grad_batch(P)
-        got = _subdiff_dists(f, P)
+        got = _betas(f, P)
         for i in rng.permutation(P.shape[0])[:4]:
             g1, k1 = f._grad_batch(P[i:i + 1])
             assert np.array_equal(g1[0], G[i]) and k1[0] == kink[i]
-            assert _subdiff_dists(f, P[i:i + 1])[0] == got[i]
+            assert _betas(f, P[i:i + 1])[0] == got[i]
         g3, k3 = f._grad_batch(P[::3])
         assert np.array_equal(g3, G[::3]) and np.array_equal(k3, kink[::3])
-        assert np.array_equal(_subdiff_dists(f, P[::3]), got[::3])
+        assert np.array_equal(_betas(f, P[::3]), got[::3])
 
 
 @settings(max_examples=80)
@@ -201,3 +227,30 @@ def test_subdiff_dists_property(seed, m, depth):
     rng = np.random.default_rng(seed)
     f = random_expr(rng, m, depth=depth)
     assert_matches_scalar(f, kinked_rows(rng, f, m, k=12))
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       depth=st.integers(0, 3))
+def test_minus_beta_is_the_subgradient_distance_where_infeasible(seed, m,
+                                                                 depth):
+    # at an infeasible point the origin is outside the subdifferential, so
+    # -beta is its distance to it, with beta's 0 at or below ZERO_TOL: bit
+    # for bit where beta reads the subdifferential, and up to rounding where
+    # it reads the gradient
+    rng = np.random.default_rng(seed)
+    f = random_expr(rng, m, depth=depth)
+    P = kinked_rows(rng, f, m, k=12)
+    P = P[f._value_batch(P) > 0.0]
+    try:
+        dists = [min_norm_point(f._subdiff(p)).dist for p in P]
+    except EbstabError:
+        return
+    geometric = set(_gradient_screen(f, P)[1])
+    for i, (b, d) in enumerate(zip(_betas(f, P), dists)):
+        if d <= ZERO_TOL:
+            assert b == 0.0
+        elif i in geometric:
+            assert -b == d
+        else:
+            assert abs(b + d) <= 1e-14 * d

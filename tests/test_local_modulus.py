@@ -11,9 +11,9 @@ from ebstab.cli import main
 from ebstab.errors import MinNormNonConvergence, UnsupportedSubdifferential
 from ebstab.expressions import (AbsCoord, Affine, ComposeAffine, Const, EuclidNorm,
                                 Exp1D, Max, PosPartSquare, Sum)
-from ebstab.moduli import _subdiff_dists, local_modulus
+from ebstab.moduli import local_modulus
 from ebstab.sampling import ball_points
-from ebstab.sphere import beta
+from ebstab.sphere import _betas, beta
 
 from conftest import random_expr
 
@@ -74,7 +74,7 @@ def test_exact_paths_agree_with_nearby_subgradients(seed, m, zeroed):
     P = ball_points(xbar, radius, 1024, 0)
     P = P[g._value_batch(P) > 1e-9]
     if P.shape[0]:
-        assert eta <= float(np.min(_subdiff_dists(g, P))) + slack
+        assert eta <= float(np.min(-_betas(g, P))) + slack
 
 
 def test_origin_in_the_affine_hull_takes_the_sampled_path():

@@ -314,6 +314,15 @@ def test_eta_local_pospartsquare_diverges():
     assert rep.tau_estimate >= 100.0
 
 
+def test_eta_local_reads_a_gradient_below_zero_tol_as_plus_zero():
+    # the finest balls see gradients 2x below ZERO_TOL, where beta reads 0:
+    # the distance is +0.0 there, not the -0.0 that negating beta gives
+    rep = eta_local(PosPartSquare(0, 1), [0.0], levels=40, seed=0)
+    assert rep.shrink_levels[-1][1] == 0.0 and rep.eta_estimate == 0.0
+    assert math.copysign(1.0, rep.eta_estimate) == 1.0
+    assert rep.tau_estimate == math.inf
+
+
 def test_eta_local_requires_boundary_point():
     with pytest.raises(PreconditionError):
         eta_local(EXP, [1.0])
@@ -391,10 +400,10 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("seed, runs", [(2, 1), (1001, 2)])
 def test_eta_local_draws_and_screens_each_run_once(seed, runs, monkeypatch):
-    # a run draws every level in one call and takes all of its distances in
-    # one gradient screen; a resample is a second run
+    # a run draws every level in one call and takes all of its distances
+    # from one beta call; a resample is a second run
     draws = _counting(monkeypatch, moduli, "ball_points")
-    screens = _counting(monkeypatch, moduli, "_gradient_screen")
+    screens = _counting(monkeypatch, moduli, "_betas")
     eta_local(EXP, [0.0], levels=8, samples_per_level=256, seed=seed)
     assert len(draws) == runs and len(screens) == runs
 
