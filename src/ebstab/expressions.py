@@ -35,6 +35,8 @@ import numpy as np
 from .errors import ConvexityViolation, DimensionMismatch, NumericalOverflow
 from .geometry import (
     SubdiffSet,
+    _row_norm,
+    _rows_times,
     add_sets,
     adjoint_image_set,
     merge_active_subdiffs,
@@ -58,30 +60,6 @@ def _basis(i: int, m: int) -> np.ndarray:
     e = np.zeros(m)
     e[i] = 1.0
     return e
-
-
-def _rows_times(X: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """X @ mat.T for points as rows and mat of shape (p, m) or (m,).
-
-    Accumulated over coordinates in order, so each row's result depends on
-    that row alone; BLAS kernels block rows and round a row differently
-    depending on the rest of the batch.
-    """
-    cols = X.T if mat.ndim == 1 else X.T[:, :, None]
-    out = cols[0] * mat.T[0]
-    for j in range(1, X.shape[1]):
-        out = out + cols[j] * mat.T[j]
-    return out
-
-
-def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows of X and Y, each from its rows alone."""
-    return _rows_times(X * Y, np.ones(X.shape[1]))
-
-
-def _row_sq(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the rows of X, each from its row alone."""
-    return _row_dot(X, X)
 
 
 def _on_coord(index: int, cols: np.ndarray, m: int) -> np.ndarray:
@@ -126,10 +104,10 @@ class ConvexExpr:
     def _grad_batch(self, X: np.ndarray):
         """Gradients at the rows of X, shape (k, m) -> (G, kink).
 
-        G[i] is the unique subgradient at row i; kink[i] marks rows where
-        ``_subdiff`` at that row might return anything other than one
-        generator with a zero ball, and G[i] is meaningless there.  Each
-        row's result depends on that row alone.
+        kink[i] marks every row where ``_subdiff`` at that row might return
+        anything other than one generator with a zero ball, and G[i] is
+        meaningless there; at every other row ``_subdiff`` returns G[i]
+        itself, bit for bit.  Each row's result depends on that row alone.
         """
         raise NotImplementedError
 
@@ -232,7 +210,8 @@ class Affine(ConvexExpr):
 
 
 class EuclidNorm(ConvexExpr):
-    """||x||, kinked at the origin where the subdifferential is the unit ball."""
+    """||x|| as ``_row_norm``, kinked where that reads 0 (the unit ball is the
+    subdifferential); ``_dd_batch`` and ``_subdiff`` view ``_grad_batch``."""
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -241,25 +220,20 @@ class EuclidNorm(ConvexExpr):
         return "(norm)"
 
     def _value_batch(self, X):
-        return np.linalg.norm(X, axis=1)
+        return _row_norm(X)
 
     def _dd_batch(self, x, hs):
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return np.linalg.norm(hs, axis=1)
-        return hs @ (x / nx)
+        G, kink = self._grad_batch(x[None])
+        return _row_norm(hs) if kink[0] else hs @ G[0]
 
     def _subdiff(self, x):
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return SubdiffSet(np.zeros((1, self.dim)), 1.0)
-        return SubdiffSet((x / nx)[None, :], 0.0)
+        G, kink = self._grad_batch(x[None])
+        return SubdiffSet(np.zeros((1, self.dim)), 1.0) if kink[0] else SubdiffSet(G)
 
     def _grad_batch(self, X):
-        # _subdiff's norm reads 0 at the origin and where squaring underflows
-        sq = _row_sq(X)
-        kink = sq < np.finfo(float).tiny
-        return X / np.sqrt(np.where(kink, 1.0, sq))[:, None], kink
+        n = _row_norm(X)
+        kink = n == 0.0
+        return X / np.where(kink, 1.0, n)[:, None], kink
 
     def _minorants_batch(self, X):
         # the tangent; at the origin the zero gradient
@@ -449,15 +423,12 @@ class Max(ConvexExpr):
         grads, kinks = zip(*(c._grad_batch(X) for c in self.children))
         rows = np.arange(X.shape[0])
         top = np.argmax(vals, axis=0)
-        G, kink = np.array(grads)[top, rows], np.array(kinks)[top, rows]
-        if len(self.children) > 1:
-            # _active reads these same child values; twice its tolerance
-            # marks every tie it sees with room to spare, and a row marked
-            # needlessly only takes the exact scalar path
-            best = vals[top, rows]
-            second = np.partition(vals, -2, axis=0)[-2]
-            kink |= second >= best - 2.0 * _ACTIVE_TOL * (1.0 + np.abs(best))
-        return G, kink
+        best = vals[top, rows]
+        # a tie is where _active's rule, on these same child values, finds
+        # two or more children within its eps of the top
+        eps = _ACTIVE_TOL * (1.0 + np.abs(best))
+        tie = np.sum(vals >= best - eps, axis=0) > 1
+        return np.array(grads)[top, rows], np.array(kinks)[top, rows] | tie
 
     def _minorants_batch(self, X):
         V, G = zip(*(c._minorants_batch(X) for c in self.children))

@@ -17,6 +17,7 @@ number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -98,6 +99,39 @@ class MinNormResult:
     iterations: int
 
 
+def _rows_times(X: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """X @ mat.T for points as rows and mat of shape (p, m) or (m,).
+
+    Accumulated over coordinates in order, so each row's result depends on
+    that row alone; BLAS kernels block rows and round a row differently
+    depending on the rest of the batch.
+    """
+    cols = X.T if mat.ndim == 1 else X.T[:, :, None]
+    out = cols[0] * mat.T[0]
+    for j in range(1, X.shape[1]):
+        out = out + cols[j] * mat.T[j]
+    return out
+
+
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of X and Y, each summed in order."""
+    return functools.reduce(np.add, (X * Y).T)
+
+
+def _row_sq(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of X, each from its row alone."""
+    return _row_dot(X, X)
+
+
+def _row_norm(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X, each from its row alone, summed over
+    a power of two above the row's largest entry, so no finite row overflows
+    or underflows: bit for bit sqrt(_row_sq(X)) wherever that does neither."""
+    big = functools.reduce(np.maximum, np.abs(X).T)
+    s = np.ldexp(1.0, np.minimum(np.frexp(big)[1], 1023))
+    return np.sqrt(_row_sq(X / s[:, None])) * s
+
+
 def dedupe_rows(g: np.ndarray) -> np.ndarray:
     """Drop rows within _DEDUPE_TOL (sup norm) of an earlier kept row, keeping
     order; the first row is kept unread, each later one costs one vectorised
@@ -160,11 +194,11 @@ def _nnls_residual(gens: np.ndarray, target: np.ndarray):
 
 
 def _min_norm(g: np.ndarray):
-    """(x, g, scale, rounds) for the rows of g divided by scale, a power of
-    two above every row norm, so that the reduction neither overflows nor
-    rounds: x times scale is the minimum-norm point of conv(rows of g), the
-    origin when it is no longer than MIN_NORM_TOL, and rounds counts NNLS
-    rounds, 0 for a single generator.
+    """(x, norm, g, scale, rounds) for the rows of g divided by scale, a
+    power of two above every row norm, so that the reduction neither
+    overflows nor rounds: x times scale is the minimum-norm point of
+    conv(rows of g) and norm its ``_row_norm``, both zero at or below
+    MIN_NORM_TOL; rounds counts NNLS rounds, 0 for a single generator.
 
     Two or more generators take one NNLS: minimize
     ||G^T lam||^2 + (sum(lam) - 1)^2 over lam >= 0; the point is
@@ -185,21 +219,21 @@ def _min_norm(g: np.ndarray):
         target[m] = 1.0
         r, rounds = _nnls_residual(np.column_stack([g, np.ones(k)]), target)
         x = r[:m] / (1.0 + r[m])
-    if float(x @ x) * scale * scale <= MIN_NORM_TOL * MIN_NORM_TOL:
-        x = np.zeros(m)
-    return x, g, scale, rounds
+    norm = float(_row_norm(x[None])[0]) * scale
+    if norm <= MIN_NORM_TOL:
+        x, norm = np.zeros(m), 0.0
+    return x, norm, g, scale, rounds
 
 
 def min_norm_point(s: SubdiffSet) -> MinNormResult:
-    """Nearest point of conv(G) to the origin, and distance to the full set.
+    """Nearest point of conv(G) to the origin, and distance to the full set;
+    hull_dist is the point's ``_row_norm``, the norm ``_betas`` reads.
 
     Raises MinNormNonConvergence when the NNLS hits its round cap with the
     certificate residual above tolerance.
     """
-    x, g, scale, rounds = _min_norm(np.asarray(s.generators, dtype=float))
-    xx = float(x @ x)
-    residual = max(0.0, xx - float(np.min(g @ x))) * scale * scale
-    hull_dist = math.sqrt(xx) * scale
+    x, hull_dist, g, scale, rounds = _min_norm(np.asarray(s.generators, float))
+    residual = max(0.0, float(np.max(_row_sq(x[None]) - g @ x))) * scale * scale
     point = x * scale
     if rounds == 3 * g.shape[0] and residual > 100.0 * MIN_NORM_TOL * max(
             1.0, hull_dist * hull_dist):
@@ -211,9 +245,7 @@ def min_norm_point(s: SubdiffSet) -> MinNormResult:
 
 def hull_distance(point: np.ndarray, g: np.ndarray) -> float:
     """Distance from an arbitrary point to conv(rows of g)."""
-    shifted = np.asarray(g, dtype=float) - np.asarray(point, dtype=float)
-    x, _, scale, _ = _min_norm(shifted)
-    return math.sqrt(float(x @ x)) * scale
+    return _min_norm(np.asarray(g, dtype=float) - np.asarray(point, dtype=float))[1]
 
 
 def affine_hull_misses_origin(s: SubdiffSet) -> bool:
@@ -340,7 +372,7 @@ def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
     the representation exact.
     """
     a_mat = np.asarray(a_mat, dtype=float)
-    gens = s.generators @ a_mat
+    gens = _rows_times(s.generators, a_mat.T)
     if s.ball_radius == 0.0:
         return SubdiffSet(gens, 0.0)
     m = a_mat.shape[1]

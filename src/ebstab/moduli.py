@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import (NoSignChangeInBox, NoSlaterPoint, NumericalOverflow,
                      PreconditionError)
-from .expressions import ConvexExpr, _row_dot, _row_sq, as_point
-from .geometry import _nnls_residual, affine_hull_misses_origin, min_norm_point
+from .expressions import ConvexExpr, as_point
+from .geometry import (_nnls_residual, _row_dot, _row_norm, _row_sq,
+                       affine_hull_misses_origin, min_norm_point)
 from .sampling import ball_points, box_points
 from .sphere import BetaCertificate, _betas, _gradient_screen, beta
 
@@ -324,7 +325,7 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     """
     z, _ = _bisect_to_boundary(f, _pull_to_solution_set(f, X),
                                np.broadcast_to(s, X.shape), 100)
-    ub = np.sqrt(_row_sq(X - z))
+    ub = _row_norm(X - z)
     lb = np.zeros(ub.size)
     cuts = [[] for _ in ub]
     top = int(np.argmax(ub / vals))
@@ -354,7 +355,7 @@ def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
     passes ub, so the bracket stays ordered under rounding.
     """
     V = np.array([_project(cuts[i], ub[i]) for i in live])
-    lb[live] = np.maximum(lb[live], np.minimum(np.sqrt(_row_sq(V)), ub[live]))
+    lb[live] = np.maximum(lb[live], np.minimum(_row_norm(V), ub[live]))
     go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
     live = live[go]
     P = x[live] + V[go]
@@ -362,7 +363,7 @@ def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
     ub[live[feasible]] = lb[live[feasible]]
     live, P = live[~feasible], P[~feasible]
     Q, _ = _bisect_to_boundary(f, P, np.broadcast_to(s, P.shape), 100)
-    ub[live] = np.maximum(np.minimum(ub[live], np.sqrt(_row_sq(x[live] - Q))),
+    ub[live] = np.maximum(np.minimum(ub[live], _row_norm(x[live] - Q)),
                           lb[live])
     go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
     live = live[go]
@@ -385,7 +386,7 @@ def _add_cuts(f: ConvexExpr, x: np.ndarray, cuts: list, rows: np.ndarray,
     V, G = f._minorants_batch(Q)
     idx = np.concatenate([rows, rows])
     g = G.reshape(-1, f.dim)
-    gn = np.sqrt(_row_sq(g)).reshape(V.shape)
+    gn = _row_norm(g).reshape(V.shape)
     E = V + _row_dot(g, np.broadcast_to(x[idx] - Q, G.shape).reshape(g.shape)
                      ).reshape(V.shape)
     for j, i in enumerate(idx):
@@ -447,13 +448,13 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
         if not rows.size:
             break
         y = Y[rows]
-        g, scalar = _gradient_screen(f, y)
+        g, n, scalar = _gradient_screen(f, y)
         for i in scalar:
-            g[i] = min_norm_point(f._subdiff(y[i])).point
+            mn = min_norm_point(f._subdiff(y[i]))
+            g[i], n[i] = mn.point, mn.hull_dist
+        go = (n > 0.0) & (fy > PULL_RTOL * n * _row_norm(X[rows] - y))
+        rows, fy, y, g = rows[go], fy[go], y[go], g[go]
         gg = _row_sq(g)
-        go = (gg >= 1e-28) & (
-            fy > PULL_RTOL * np.sqrt(gg) * np.sqrt(_row_sq(X[rows] - y)))
-        rows, fy, y, g, gg = rows[go], fy[go], y[go], g[go], gg[go]
         if not rows.size:
             break
         a0, a00, a01 = g0[rows], _row_sq(g0[rows]), _row_dot(g0[rows], g)
@@ -601,18 +602,18 @@ def local_modulus(f: ConvexExpr, xbar, cert: BetaCertificate, levels: int = 8,
     cert.  Where beta != 0, eta >= |beta| (subgradient limits lie in P, the
     subdifferential at xbar: Rockafellar, Convex Analysis, Thm 24.5), so
     tau <= tau_bound = 1/|beta|, with equality on three paths: singleton
-    (f is differentiable at xbar); polyhedral-interior (f is locally
-    polyhedral at xbar and beta > 0, P's nearest proper face is at the
-    inradius beta); polyhedral-outside (f is locally polyhedral and aff P
-    misses the origin, so an ascent direction exposes the face holding P's
-    nearest point; P is the set cert carries, as ``beta`` builds it at a
-    kink).  Elsewhere ``eta_local`` runs with the levels,
-    samples_per_level and seed, and its tau is clipped at tau_bound."""
+    (f is differentiable at xbar, so cert carries no subdiff);
+    polyhedral-interior (f is locally polyhedral at xbar and beta > 0, P's
+    nearest proper face is at the inradius beta); polyhedral-outside (f is
+    locally polyhedral and aff P misses the origin, so an ascent direction
+    exposes the face holding P's nearest point; P is the set cert carries,
+    as ``beta`` builds it at a kink).  Elsewhere ``eta_local`` runs with the
+    levels, samples_per_level and seed, and its tau is clipped at tau_bound."""
     xbar = boundary_point(f, xbar)
     b = abs(cert.beta)
     bound = math.inf if b == 0.0 else 1.0 / b
     path = "sampled"
-    if b > 0.0 and not f._grad_batch(xbar[None])[1][0]:
+    if b > 0.0 and cert.subdiff is None:
         path = "singleton"
     elif b > 0.0 and f._polyhedral_at(xbar):
         if cert.beta > 0.0:

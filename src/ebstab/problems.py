@@ -48,6 +48,7 @@ _UNUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _SCALAR_T = re.compile(
     rf"(?:(?P<a>{_NUM})(?P<op>[+-]))?(?P<bsign>[+-])?(?:(?P<b>{_UNUM})\*)?t"
 )
+_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
 
 
 @dataclass
@@ -81,23 +82,8 @@ class _Stream:
 
 
 def _tokenize(text: str, line_no: int):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()[],":
-            tokens.append(_Token(ch, line_no, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()[],":
-            j += 1
-        tokens.append(_Token(text[i:j], line_no, i + 1))
-        i = j
-    return tokens
+    return [_Token(m.group(), line_no, m.start() + 1)
+            for m in _TOKEN.finditer(text)]
 
 
 def _scalar(tok: _Token, t: float | None) -> float:

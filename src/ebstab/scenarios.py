@@ -36,9 +36,6 @@ from .moduli import (
 from .sphere import beta, linear_perturbation
 from .systems import FiniteFamily, check_active_set_hypotheses, materialize_sup
 
-SCENARIO_NAMES = ("REM8", "REM10", "REM12A", "REM12B", "HOFFMAN", "T32-ZERO-BETA")
-
-
 @dataclass
 class CheckResult:
     label: str
@@ -75,16 +72,8 @@ def reproduce(scenario: str, seed: int = 0) -> ScenarioReport:
         raise ValueError(
             f"unknown scenario '{scenario}'; choose one of {SCENARIO_NAMES}"
         )
-    runner = {
-        "REM8": _rem8,
-        "REM10": _rem10,
-        "REM12A": _rem12a,
-        "REM12B": _rem12b,
-        "HOFFMAN": _hoffman,
-        "T32-ZERO-BETA": _t32_zero_beta,
-    }[name]
     report = ScenarioReport(scenario=name, seed=seed)
-    runner(report, seed)
+    _RUNNERS[name](report, seed)
     return report
 
 
@@ -290,3 +279,14 @@ def _t32_zero_beta(report: ScenarioReport, seed: int) -> None:
     local = eta_local(g, [0.0], levels=10, samples_per_level=128, seed=seed)
     report.add("perturbed local tau estimate >= 1/(2 eps)",
                local.tau_estimate >= bound, local.tau_estimate, bound)
+
+
+_RUNNERS = {
+    "REM8": _rem8,
+    "REM10": _rem10,
+    "REM12A": _rem12a,
+    "REM12B": _rem12b,
+    "HOFFMAN": _hoffman,
+    "T32-ZERO-BETA": _t32_zero_beta,
+}
+SCENARIO_NAMES = tuple(_RUNNERS)

@@ -18,13 +18,12 @@ from .expressions import (
     Affine,
     ConvexExpr,
     Sum,
-    _row_sq,
     as_point,
     directional_derivative,
     subdifferential,
 )
 from .geometry import (MIN_NORM_TOL, OriginLocation, OriginTag, SubdiffSet,
-                       min_support_direction)
+                       _row_norm, min_support_direction)
 
 ZERO_TOL = 1e-9
 
@@ -77,30 +76,29 @@ def linear_perturbation(f: ConvexExpr, u, eps: float, xbar) -> ConvexExpr:
 
 
 def _gradient_screen(f: ConvexExpr, P: np.ndarray):
-    """The minimum-norm subgradient at every row of P where f is
-    differentiable, and the rows that need the scalar path.
+    """(G, n, scalar): G the minimum-norm subgradient and n its norm at
+    every row of P where f is differentiable, and the rows that are not.
 
-    There the subdifferential is the gradient alone, its own minimum-norm
-    point (the origin at or below MIN_NORM_TOL, as min_norm_point reports
-    it).  Rows the gradient oracle marks as kinks, rows with a non-finite
-    gradient and rows whose norm sits at that tolerance are returned by
-    index for the scalar subdifferential and min_norm_point, with their
-    exact geometry and their errors.  Each row depends on that row alone.
+    There the subdifferential is the gradient alone, bit for bit; where its
+    ``_row_norm`` is at most MIN_NORM_TOL, G and n are zero, as in
+    min_norm_point, so n is that hull_dist.  Kink rows and rows with a
+    non-finite gradient are returned by index for the scalar
+    subdifferential, with its exact geometry and its errors.  Each row
+    depends on that row alone.
     """
     G, kink = f._grad_batch(P)
-    gg = _row_sq(G)
-    tol2 = MIN_NORM_TOL ** 2
-    scalar = kink | ~np.isfinite(gg) | (np.abs(gg - tol2) <= 1e-12 * tol2)
-    return np.where((gg <= tol2)[:, None], 0.0, G), np.flatnonzero(scalar)
+    n = _row_norm(G)
+    origin = n <= MIN_NORM_TOL
+    return (np.where(origin[:, None], 0.0, G), np.where(origin, 0.0, n),
+            np.flatnonzero(kink | ~np.isfinite(n)))
 
 
 def _betas(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
     """beta at every row of P, each row independent of the rest: -||grad f||
-    (0 at or below ZERO_TOL) where ``_gradient_screen`` gives the gradient,
-    the geometric certificate at the rows it returns; ``eta_local`` reads
-    d(0, subdifferential) off it at its infeasible samples."""
-    G, scalar = _gradient_screen(f, P)
-    d = np.sqrt(_row_sq(G))
+    by ``_row_norm`` (0 at or below ZERO_TOL) where ``_gradient_screen``
+    gives the gradient, the geometric certificate at the rows it returns;
+    ``eta_local`` reads d(0, subdifferential) off it where beta < 0."""
+    _, d, scalar = _gradient_screen(f, P)
     out = np.where(d <= ZERO_TOL, 0.0, -d)
     for i in scalar:
         out[i] = _geometric_beta(f, P[i], ZERO_TOL).beta
@@ -117,8 +115,8 @@ def beta(f: ConvexExpr, x, zero_tol: float = ZERO_TOL) -> BetaCertificate:
     re-verifies the value through the directional derivative.
     """
     x = as_point(x, f.dim)
-    G, scalar = _gradient_screen(f, x[None])
-    d = float(np.sqrt(_row_sq(G))[0])
+    G, d, scalar = _gradient_screen(f, x[None])
+    d = float(d[0])
     if scalar.size or d <= zero_tol:
         return _geometric_beta(f, x, zero_tol)
     h = G[0] / -d

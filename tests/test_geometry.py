@@ -260,7 +260,7 @@ def test_high_dim_outside_still_exact():
 
 # -- scale and the exact oracle ---------------------------------------------
 
-@pytest.mark.parametrize("s", [2.0 ** -20, 1.0, 1e4, 1e8, 2.0 ** 400])
+@pytest.mark.parametrize("s", [2.0 ** -20, 1.0, 1e4, 1e8, 2.0 ** 400, 2.0 ** 600])
 def test_min_norm_segment_any_scale(s):
     # the KKT row of ones must not vanish next to ||g||^2: the nearest
     # point of the segment [(s, 0), (0, s)] is (s/2, s/2) at every scale

@@ -29,7 +29,7 @@ from ebstab.expressions import (
     subdifferential,
 )
 from ebstab.geometry import min_norm_point
-from ebstab.sphere import ZERO_TOL, _betas, _gradient_screen, beta
+from ebstab.sphere import ZERO_TOL, _betas, beta
 
 from conftest import kinked_rows, random_expr
 
@@ -99,8 +99,7 @@ def test_grad_batch_is_a_conservative_gradient():
             if s.generators.shape[0] > 1 or s.ball_radius > 0.0:
                 assert kink[i]
             if not kink[i]:
-                want = s.generators[0]
-                assert np.linalg.norm(G[i] - want) <= 1e-14 * np.linalg.norm(want)
+                assert np.array_equal(G[i], s.generators[0])
         marked += int(kink.sum())
     assert marked > 0
 
@@ -168,9 +167,27 @@ def test_rotation_preimages_of_a_kink_are_smooth_rows():
     for g, b, p in zip(G, got, P):
         s = subdifferential(f, p)
         assert s.generators.shape[0] == 1 and s.ball_radius == 0.0
-        assert np.linalg.norm(g - s.generators[0]) <= 1e-14 * np.linalg.norm(g)
+        assert np.array_equal(g, s.generators[0])
         assert b == beta(f, p).beta
-        assert abs(b + np.linalg.norm(g)) <= 1e-14 * abs(b)
+        assert -b == min_norm_point(s).dist
+
+
+def test_max_ties_are_the_active_rule():
+    # _active's eps at value 1 is 2e-10: (1, 1 - 3e-10) has one active
+    # child, so every oracle sees one gradient there; (1, 1 - 1e-10) has two
+    f = Max([Affine([1.0, 0.0], 0.0), Affine([0.0, 1.0], 0.0)])
+    P = np.array([[1.0, 1.0 - 3e-10], [1.0, 1.0 - 1e-10]])
+    G, kink = f._grad_batch(P)
+    assert kink.tolist() == [False, True]
+    s = subdifferential(f, P[0])
+    assert s.generators.shape[0] == 1 and s.ball_radius == 0.0
+    assert np.array_equal(G[0], s.generators[0])
+    cert = beta(f, P[0])
+    assert cert.subdiff is None
+    assert np.array_equal(cert.witness, G[0] / cert.beta)
+    assert _betas(f, P[:1])[0] == cert.beta == -min_norm_point(s).dist
+    assert subdifferential(f, P[1]).generators.shape[0] == 2
+    assert_matches_scalar(f, P)
 
 
 UNSUPPORTED = [
@@ -234,10 +251,10 @@ def test_subdiff_dists_property(seed, m, depth):
        depth=st.integers(0, 3))
 def test_minus_beta_is_the_subgradient_distance_where_infeasible(seed, m,
                                                                  depth):
-    # at an infeasible point the origin is outside the subdifferential, so
-    # -beta is its distance to it, with beta's 0 at or below ZERO_TOL: bit
-    # for bit where beta reads the subdifferential, and up to rounding where
-    # it reads the gradient
+    # at an infeasible point -beta is the distance d from the origin to the
+    # subdifferential, bit for bit, whether beta reads the subdifferential
+    # or the gradient, with beta's 0 at or below ZERO_TOL; beta > 0 only
+    # with the origin inside (a minimizer where f > 0), where d is 0
     rng = np.random.default_rng(seed)
     f = random_expr(rng, m, depth=depth)
     P = kinked_rows(rng, f, m, k=12)
@@ -246,11 +263,8 @@ def test_minus_beta_is_the_subgradient_distance_where_infeasible(seed, m,
         dists = [min_norm_point(f._subdiff(p)).dist for p in P]
     except EbstabError:
         return
-    geometric = set(_gradient_screen(f, P)[1])
-    for i, (b, d) in enumerate(zip(_betas(f, P), dists)):
-        if d <= ZERO_TOL:
-            assert b == 0.0
-        elif i in geometric:
-            assert -b == d
+    for b, d in zip(_betas(f, P), dists):
+        if b > 0.0:
+            assert d == 0.0
         else:
-            assert abs(b + d) <= 1e-14 * d
+            assert b == (0.0 if d <= ZERO_TOL else -d)

@@ -7,7 +7,8 @@ import pytest
 
 from ebstab.errors import ParseError
 from ebstab.expressions import Exp1D, Max, evaluate
-from ebstab.problems import parse_problem, serialize_expr, serialize_problem
+from ebstab.problems import (_tokenize, parse_problem, serialize_expr,
+                             serialize_problem)
 from ebstab.systems import FiniteFamily, IntervalFamily
 
 from conftest import sup_value, tilted_family
@@ -89,6 +90,27 @@ def test_parse_box_commas_optional():
     b = parse_problem("dim 2\nexpr (norm)\nbox -3..3 -2..1\n").box
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert a[1].tolist() == [3.0, 1.0]
+
+
+@pytest.mark.parametrize("line, tokens", [
+    ("", []),
+    (" \t ", []),
+    ("\tdim 2", [("dim", 2), ("2", 6)]),
+    ("expr (max(abs 0)(abs 1))",
+     [("expr", 1), ("(", 6), ("max", 7), ("(", 10), ("abs", 11), ("0", 15),
+      (")", 16), ("(", 17), ("abs", 18), ("1", 22), (")", 23), (")", 24)]),
+    ("[[1, 2],[3,4]]",
+     [("[", 1), ("[", 2), ("1", 3), (",", 4), ("2", 6), ("]", 7), (",", 8),
+      ("[", 9), ("3", 10), (",", 11), ("4", 12), ("]", 13), ("]", 14)]),
+    ("box -1..1\t-2..2", [("box", 1), ("-1..1", 5), ("-2..2", 11)]),
+    # str.isspace() separators that are not ASCII blanks
+    ("a\x1cb\xa0c\x0bd", [("a", 1), ("b", 3), ("c", 5), ("d", 7)]),
+    ("tau 0.5  ", [("tau", 1), ("0.5", 5)]),
+])
+def test_tokenize_edge_lines(line, tokens):
+    got = _tokenize(line, 7)
+    assert [(t.text, t.col) for t in got] == tokens
+    assert all(t.line == 7 for t in got)
 
 
 def test_parse_missing_dim_rejected():

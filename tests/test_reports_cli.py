@@ -124,6 +124,32 @@ def test_cli_analyze_local_outside_at_large_scale(tmp_path, capsys):
     assert results["beta"]["beta"] == pytest.approx(-1e4 / math.sqrt(2.0), rel=1e-12)
 
 
+# ||x|| - 1.3e154 sqrt(2) at (1.3e154, 1.3e154), where the squares sum
+# past the largest double
+FAR_NORM_LOCAL = ("dim 2\nexpr (sum 1 (norm) 1 (const -1.8384776310850236e154))\n"
+                  "point [1.3e154, 1.3e154]\n")
+FAR_NORM_GLOBAL = ("dim 2\nexpr (sum 1 (norm) 1 (const -1.3e154))\n"
+                   "box 1.2e154..1.4e154 -1e152..1e152\ntau 0.5\n")
+
+
+def test_cli_analyze_local_far_from_the_origin(tmp_path, capsys):
+    path = tmp_path / "far.eb"
+    path.write_text(FAR_NORM_LOCAL, encoding="utf-8")
+    assert main(["analyze-local", str(path), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["modulus"]["path"] == "singleton"
+    assert abs(results["beta"]["beta"] + 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_analyze_global_far_from_the_origin(tmp_path, capsys):
+    path = tmp_path / "far.eb"
+    path.write_text(FAR_NORM_GLOBAL, encoding="utf-8")
+    assert main(["analyze-global", str(path), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["modulus"]["tau"] * results["stability"]["beta_inf"] <= 1.0 + 1e-12
+
+
 def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     # beta = -1e-7 is zero at --tol 1e-6: the verdict must agree with the
     # on-boundary beta certificate in the same report

@@ -12,10 +12,12 @@ from ebstab.expressions import (
     AbsCoord,
     Affine,
     Const,
+    EuclidNorm,
     Exp1D,
     Max,
     Sum,
     directional_derivative,
+    evaluate,
     subdifferential,
 )
 from ebstab.geometry import OriginTag, min_norm_point, min_support_direction
@@ -202,8 +204,6 @@ def test_linear_perturbation_value_identity(rng):
         for _ in range(5):
             x = random_point(rng, 2)
             want = max(abs(x[0]), abs(x[1])) + eps * x[1]
-            from ebstab.expressions import evaluate
-
             assert evaluate(g, x) == pytest.approx(want, abs=1e-12)
 
 
@@ -276,7 +276,7 @@ def test_beta_cases_reach_ties_and_the_tail_below_zero_tol():
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
 def test_betas_at_smooth_points_match_the_geometric_route(seed, m):
     for f, P in beta_cases(seed, m):
-        _, scalar = _gradient_screen(f, P)
+        _, _, scalar = _gradient_screen(f, P)
         smooth = np.setdiff1d(np.arange(P.shape[0]), scalar)
         got = _betas(f, P[smooth])
         for b, p in zip(got, P[smooth]):
@@ -299,3 +299,31 @@ def test_beta_is_below_the_sampled_oracle(seed, m):
         except EbstabError:
             continue
         assert b <= beta_sampled(f, x, 200, seed=seed % 1000) + 1e-9
+
+
+# --- one row norm: ||x|| at finite points far from 1 -------------------------
+
+
+def test_norm_far_out_neither_overflows_nor_loses_its_gradient():
+    # the squares of (1.3e154, 1.3e154) sum past the largest double
+    f = EuclidNorm(2)
+    x = np.array([1.3e154, 1.3e154])
+    assert evaluate(f, x) == pytest.approx(1.3e154 * math.sqrt(2.0), rel=1e-15)
+    G, kink = f._grad_batch(x[None])
+    assert not kink[0]
+    assert G[0] == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
+    cert = beta(f, x)
+    assert cert.origin_location.tag is OriginTag.OUTSIDE
+    assert cert.beta == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_norm_near_the_origin_is_not_the_kink():
+    # the squares of (1e-170, 0) sum below the smallest double
+    f = EuclidNorm(2)
+    x = np.array([1e-170, 0.0])
+    assert evaluate(f, x) == 1e-170
+    s = subdifferential(f, x)
+    assert s.ball_radius == 0.0 and s.generators.tolist() == [[1.0, 0.0]]
+    cert = beta(f, x)
+    assert cert.origin_location.tag is OriginTag.OUTSIDE
+    assert cert.beta == -1.0
