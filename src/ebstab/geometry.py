@@ -29,7 +29,9 @@ from .errors import MinNormNonConvergence, UnsupportedSubdifferential
 _DEDUPE_TOL = 1e-12
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
-MIN_NORM_TOL = 1e-10       # absolute: a shorter min-norm point is the origin
+# a min-norm point at most this times max(1, scale) long is the origin, with
+# scale the power of two that _min_norm divides the generators by
+MIN_NORM_TOL = 1e-10
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
 
 
@@ -198,7 +200,9 @@ def _min_norm(g: np.ndarray):
     power of two above every row norm, so that the reduction neither
     overflows nor rounds: x times scale is the minimum-norm point of
     conv(rows of g) and norm its ``_row_norm``, both zero at or below
-    MIN_NORM_TOL; rounds counts NNLS rounds, 0 for a single generator.
+    MIN_NORM_TOL * max(1, scale), so that NNLS rounding at a large scale
+    never reads as a distance; rounds counts NNLS rounds, 0 for a single
+    generator.
 
     Two or more generators take one NNLS: minimize
     ||G^T lam||^2 + (sum(lam) - 1)^2 over lam >= 0; the point is
@@ -220,7 +224,7 @@ def _min_norm(g: np.ndarray):
         r, rounds = _nnls_residual(np.column_stack([g, np.ones(k)]), target)
         x = r[:m] / (1.0 + r[m])
     norm = float(_row_norm(x[None])[0]) * scale
-    if norm <= MIN_NORM_TOL:
+    if norm <= MIN_NORM_TOL * max(1.0, scale):
         x, norm = np.zeros(m), 0.0
     return x, norm, g, scale, rounds
 

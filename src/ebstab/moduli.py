@@ -352,12 +352,15 @@ def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
     projections p are evaluated, in one batch; a feasible p closes the
     bracket, and the rest search toward s in one boundary search to a
     feasible q, which lowers ub, and gain the cuts at p and q.  lb never
-    passes ub, so the bracket stays ordered under rounding.
+    passes ub, so the bracket stays ordered under rounding.  A round whose
+    closing test leaves no row returns before any oracle call.
     """
     V = np.array([_project(cuts[i], ub[i]) for i in live])
     lb[live] = np.maximum(lb[live], np.minimum(_row_norm(V), ub[live]))
     go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
     live = live[go]
+    if not live.size:
+        return live
     P = x[live] + V[go]
     feasible = f._value_batch(P) <= 0.0
     ub[live[feasible]] = lb[live[feasible]]
@@ -381,8 +384,11 @@ def _add_cuts(f: ConvexExpr, x: np.ndarray, cuts: list, rows: np.ndarray,
     gives them all) is <= 0 on S.  It is stored against x = x[i] as the
     row (-g, e) / ||g||, e = v + <g, x - q> with the minorant's own value
     v, so that it reads e + <g, w> <= 0 for the offset w = u - x of a
-    point u of S.  A zero gradient gives no cut.
+    point u of S.  A zero gradient gives no cut.  Empty rows return at
+    once, with no oracle call.
     """
+    if not rows.size:
+        return
     V, G = f._minorants_batch(Q)
     idx = np.concatenate([rows, rows])
     g = G.reshape(-1, f.dim)
@@ -641,8 +647,9 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     the brackets that could still set the ratio, and the notes count those
     it left open.  No sampled d(0, subdifferential) could lower eta:
     f(x) <= ||g|| d(x, S) for every subgradient g at x (Rockafellar,
-    Convex Analysis, Cor. 23.7.1).  The ratio anchors at the slater point,
-    by default the sample's ``find_slater_point``.
+    Convex Analysis, Cor. 23.7.1).  The ratio anchors at the slater point:
+    a given one is validated, and by default it is the sample's
+    ``find_slater_point``, whose value the sample already holds.
     """
     vals = sample.values
     infeasible = vals > 0.0
@@ -654,7 +661,7 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     if rep.vacuous:
         rep.notes += "; no infeasible samples (vacuous bound)"
         return rep
-    s = _strictly_feasible(f, find_slater_point(sample) if slater is None else slater)
+    s = find_slater_point(sample) if slater is None else _strictly_feasible(f, slater)
     lb, ub, left = _brackets(f, infeas, infeas_vals, s)
     top = int(np.argmax(lb / infeas_vals))
     rep.empirical_ratio = float(lb[top] / infeas_vals[top])

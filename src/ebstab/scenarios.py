@@ -33,7 +33,7 @@ from .moduli import (
     find_slater_point,
     qc_witness_search,
 )
-from .sphere import beta, linear_perturbation
+from .sphere import BetaCertificate, beta, linear_perturbation
 from .systems import FiniteFamily, check_active_set_hypotheses, materialize_sup
 
 @dataclass
@@ -111,14 +111,16 @@ def _rem10(report: ScenarioReport, seed: int) -> None:
                    abs(b - want) <= 1e-9, b, want)
 
 
-def _tilt_checks(report: ScenarioReport, families, side: str) -> None:
+def _tilt_checks(report: ScenarioReport, families, cert: BetaCertificate,
+                 side: str) -> None:
     """The per-eps checks of REM12A and REM12B, for base, tilted =
-    families(eps): the tilted family breaks the active-set inclusion on
-    side, its solution set is the singleton origin, and its modulus is at
-    least 1/eps."""
+    families(eps) and cert the base family's beta certificate at the
+    origin: the tilted family breaks the active-set inclusion on side, its
+    solution set is the singleton origin, and its modulus is at least
+    1/eps."""
     for eps in (0.1, 0.01):
         base, tilted = families(eps)
-        hc = check_active_set_hypotheses(base, tilted, [0.0, 0.0])
+        hc = check_active_set_hypotheses(base, tilted, [0.0, 0.0], cert)
         report.add(
             f"active-set hypothesis violated (eps={eps})",
             (not hc.ok) and hc.violated_side == side, hc.violated_side, side,
@@ -148,11 +150,11 @@ def _rem12a(report: ScenarioReport, seed: int) -> None:
     family (not a shared linear tilt) breaks the active-set inclusion and
     its modulus blows up like 1/eps."""
     base, _ = _rem12a_families(0.1)
-    b0 = beta(materialize_sup(base), [0.0, 0.0]).beta
+    cert = beta(materialize_sup(base), [0.0, 0.0])
     want = math.sqrt(2.0) / 2.0
     report.add("beta at origin equals sqrt(2)/2",
-               abs(b0 - want) <= 1e-12, b0, want)
-    _tilt_checks(report, _rem12a_families, "I_f not subset I_g")
+               abs(cert.beta - want) <= 1e-12, cert.beta, want)
+    _tilt_checks(report, _rem12a_families, cert, "I_f not subset I_g")
 
 
 def _rem12b_families(eps: float):
@@ -170,9 +172,10 @@ def _rem12b(report: ScenarioReport, seed: int) -> None:
     and beta = -1; the modified family activates both members and collapses
     the solution set to the singleton origin."""
     base, _ = _rem12b_families(0.1)
-    b0 = beta(materialize_sup(base), [0.0, 0.0]).beta
-    report.add("beta at origin equals -1 exactly", b0 == -1.0, b0, -1.0)
-    _tilt_checks(report, _rem12b_families, "I_g not subset I_f")
+    cert = beta(materialize_sup(base), [0.0, 0.0])
+    report.add("beta at origin equals -1 exactly", cert.beta == -1.0,
+               cert.beta, -1.0)
+    _tilt_checks(report, _rem12b_families, cert, "I_g not subset I_f")
 
 
 def _polyhedron_distances(pts: np.ndarray, mats: np.ndarray,

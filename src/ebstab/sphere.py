@@ -97,7 +97,10 @@ def _betas(f: ConvexExpr, P: np.ndarray) -> np.ndarray:
     """beta at every row of P, each row independent of the rest: -||grad f||
     by ``_row_norm`` (0 at or below ZERO_TOL) where ``_gradient_screen``
     gives the gradient, the geometric certificate at the rows it returns;
-    ``eta_local`` reads d(0, subdifferential) off it where beta < 0."""
+    ``eta_local`` reads d(0, subdifferential) off it where beta < 0.  No
+    rows give an empty array, with no oracle call."""
+    if not P.shape[0]:
+        return np.zeros(0)
     _, d, scalar = _gradient_screen(f, P)
     out = np.where(d <= ZERO_TOL, 0.0, -d)
     for i in scalar:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ConvexExpr, Max, _fmt, as_point
-from .sphere import beta
+from .sphere import BetaCertificate, beta
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,21 @@ class HypothesisCheck:
 
 
 def check_active_set_hypotheses(family_f: FiniteFamily,
-                                family_g: FiniteFamily, x) -> HypothesisCheck:
+                                family_g: FiniteFamily, x,
+                                cert: BetaCertificate | None = None
+                                ) -> HypothesisCheck:
     """Check the inclusion between active sets that the stability transfer
     needs: I_g subset of I_f when beta < 0, I_f subset of I_g when beta > 0.
+
+    beta is that of family_f's sup at x.  A caller that already holds its
+    certificate passes it as cert, and the check reads it (at its own
+    tolerance) instead of computing beta again at ZERO_TOL.
     """
     if family_f.labels != family_g.labels:
         raise ValueError("families must share one index set")
     x = as_point(x, family_f.dim)
-    cert = beta(materialize_sup(family_f), x)
+    if cert is None:
+        cert = beta(materialize_sup(family_f), x)
     act_f = set(active_set(family_f, x).indices)
     act_g = set(active_set(family_g, x).indices)
     if cert.is_zero:

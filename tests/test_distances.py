@@ -26,10 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebstab import moduli
+from ebstab import expressions, moduli
 from ebstab.cli import main
 from ebstab.errors import NumericalOverflow
-from ebstab.expressions import AbsCoord, Const, Max, Sum, subdifferential
+from ebstab.expressions import (AbsCoord, Const, ConvexExpr, Max, Sum,
+                                subdifferential)
 from ebstab.geometry import dedupe_rows, min_norm_point
 from ebstab.moduli import (
     BRACKET_RTOL,
@@ -336,6 +337,41 @@ def test_brackets_start_from_one_boundary_search(stem, monkeypatch):
     start = events.index("_brackets")
     first_round = events.index("_cut_round", start)
     assert events[start + 1:first_round] == ["_bisect_to_boundary"]
+
+
+def _record_rows(monkeypatch) -> list:
+    """The row count of every batched value, minorant and gradient call,
+    at every node, from now on."""
+    rows = []
+    for cls in vars(expressions).values():
+        if not (isinstance(cls, type) and issubclass(cls, ConvexExpr)):
+            continue
+        for name in ("_value_batch", "_minorants_batch", "_grad_batch"):
+            if name in vars(cls):
+                def spy(self, X, _real=vars(cls)[name]):
+                    rows.append(X.shape[0])
+                    return _real(self, X)
+                monkeypatch.setattr(cls, name, spy)
+    return rows
+
+
+@pytest.mark.parametrize("stem", ["linf2_box", "exp1_box"])
+def test_global_analysis_calls_no_oracle_on_zero_rows(stem, monkeypatch):
+    # an empty cutting-plane round or witness set returns before any call
+    rows = _record_rows(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze-global", str(BENCH_PROBLEMS / f"{stem}.eb"),
+                     "--seed", "0"]) == 0
+    assert rows and min(rows) > 0
+
+
+def test_distance_calls_no_oracle_on_zero_rows(monkeypatch):
+    # one row: _brackets' second group of rows is empty
+    f = Sum([(1.0, Max([AbsCoord(0, 2), AbsCoord(1, 2)])), (1.0, Const(-1.0, 2))])
+    rows = _record_rows(monkeypatch)
+    assert moduli.distance_to_solution_set(f, [3.0, 0.5], [0.0, 0.0]) == (
+        pytest.approx(2.0, rel=BRACKET_RTOL))
+    assert rows and min(rows) > 0
 
 
 @pytest.mark.parametrize("samples", ["128", "512"])

@@ -269,6 +269,14 @@ def test_min_norm_segment_any_scale(s):
     assert res.dist == pytest.approx(s / math.sqrt(2.0), rel=1e-15)
 
 
+def test_min_norm_origin_at_a_large_scale():
+    # the origin is interior to [-1e154, 1e154]; NNLS rounding leaves the
+    # point about 4.5e-16 of the scale 2^512 away, which reads as the origin
+    res = min_norm_point(SubdiffSet(np.array([[-1e154], [1e154]])))
+    assert res.hull_dist == 0.0 and res.dist == 0.0
+    assert np.array_equal(res.point, [0.0])
+
+
 def _random_set(rng, interior):
     """k <= 7 generators in R^m, m <= 4; with interior, shifted so that a
     random convex combination of them is the origin."""

@@ -150,6 +150,18 @@ def test_cli_analyze_global_far_from_the_origin(tmp_path, capsys):
     assert results["modulus"]["tau"] * results["stability"]["beta_inf"] <= 1.0 + 1e-12
 
 
+def test_cli_analyze_local_at_a_large_kink_scale(tmp_path, capsys):
+    # 1e154 |x| at 0: the origin is interior to its subdifferential
+    # [-1e154, 1e154], so beta is +1e154 and its residual 0
+    path = tmp_path / "big.eb"
+    path.write_text("dim 1\nexpr (sum 1e154 (abs 0))\npoint [0]\n",
+                    encoding="utf-8")
+    assert main(["analyze-local", str(path), "--format", "json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["results"]["beta"]
+    assert (cert["beta"], cert["origin"], cert["residual"]) == (
+        1e154, "interior", 0.0)
+
+
 def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     # beta = -1e-7 is zero at --tol 1e-6: the verdict must agree with the
     # on-boundary beta certificate in the same report

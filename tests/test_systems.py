@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebstab import scenarios, systems
 from ebstab.expressions import (
     _ACTIVE_TOL,
     AbsCoord,
@@ -20,6 +21,7 @@ from ebstab.expressions import (
 from ebstab.geometry import merge_active_subdiffs
 from ebstab.moduli import (box_sample, classify_global_stability,
                            classify_local_stability, eta_global)
+from ebstab.sphere import beta
 from ebstab.systems import (
     FiniteFamily,
     IntervalFamily,
@@ -163,6 +165,9 @@ def test_hypotheses_rem12a_violation():
     assert not hc.ok
     assert hc.violated_side == "I_f not subset I_g"
     assert hc.beta_value > 0
+    cert = beta(materialize_sup(abs_family()), [0.0, 0.0])
+    assert check_active_set_hypotheses(abs_family(), tilted, [0.0, 0.0],
+                                       cert) == hc
 
 
 def test_hypotheses_rem12b_violation():
@@ -175,6 +180,9 @@ def test_hypotheses_rem12b_violation():
     assert not hc.ok
     assert hc.violated_side == "I_g not subset I_f"
     assert hc.beta_value < 0
+    cert = beta(materialize_sup(halfplane_family()), [0.0, 0.0])
+    assert check_active_set_hypotheses(halfplane_family(), tilted, [0.0, 0.0],
+                                       cert) == hc
 
 
 def test_hypotheses_shared_linear_perturbation_ok():
@@ -183,6 +191,22 @@ def test_hypotheses_shared_linear_perturbation_ok():
     hc = check_active_set_hypotheses(fam, out, [0.0, 0.0])
     assert hc.ok
     assert set(hc.active_f) == set(hc.active_g)
+
+
+@pytest.mark.parametrize("name, family", [("REM12A", abs_family),
+                                          ("REM12B", halfplane_family)])
+def test_rem12_works_out_the_base_beta_once(name, family, monkeypatch):
+    # the base family's beta at the origin serves its own check and both
+    # eps rounds of the active-set hypotheses
+    base, seen = materialize_sup(family()), []
+    for module in (scenarios, systems):
+        def spy(f, x, *args, _real=module.beta):
+            if f == base and not np.any(x):
+                seen.append(f)
+            return _real(f, x, *args)
+        monkeypatch.setattr(module, "beta", spy)
+    assert scenarios.reproduce(name, seed=0).passed
+    assert len(seen) == 1
 
 
 def test_classify_system_local_rem12a_stable():
