@@ -27,6 +27,7 @@ import numpy as np
 from .errors import MinNormNonConvergence, UnsupportedSubdifferential
 
 _DEDUPE_TOL = 1e-12
+_DEDUPE_BLOCK = 1 << 16    # elements of one block of dedupe_rows distances
 _RANK_TOL = 1e-10
 _FACET_TOL = 1e-9
 # a min-norm point at most this times max(1, scale) long is the origin, with
@@ -41,7 +42,8 @@ class SubdiffSet:
 
     generators: finite (k, m) array, k >= 1, kept in normal form: rows are
         deduplicated in order (``dedupe_rows``), then, above 32 of them,
-        pruned to the extreme points (``prune_to_extreme``).
+        pruned to the extreme points (``prune_to_extreme``); read-only, so
+        sets may share it, as ``scale_set`` by 1 does.
     ball_radius: finite nonnegative float.
     """
 
@@ -136,16 +138,22 @@ def _row_norm(X: np.ndarray) -> np.ndarray:
 
 def dedupe_rows(g: np.ndarray) -> np.ndarray:
     """Drop rows within _DEDUPE_TOL (sup norm) of an earlier kept row, keeping
-    order; the first row is kept unread, each later one costs one vectorised
-    comparison, so memory stays O(k m).  The result is a copy, which the
-    caller may freeze."""
-    kept = np.empty_like(g)
-    kept[0] = g[0]
-    keep = [0]
-    for i, row in enumerate(g[1:], 1):
-        if np.all(np.max(np.abs(row - kept[:len(keep)]), axis=1) > _DEDUPE_TOL):
-            kept[len(keep)] = row
-            keep.append(i)
+    order: blocks of _DEDUPE_BLOCK / (k m) rows are compared with all
+    earlier rows at once, so memory stays O(k m), and only rows with a near
+    earlier row are walked, in order, each dropped if a near row was kept.
+    The result is a copy, which the caller may freeze."""
+    k, m = g.shape
+    keep = np.ones(k, dtype=bool)
+    step = max(1, _DEDUPE_BLOCK // (k * m))
+    for lo in range(1, k, step):
+        hi = min(lo + step, k)
+        # a boolean product finds the far coordinates (a reduction over a
+        # short axis is slow); a row is near itself, so its first near row
+        # is earlier exactly when it has a near earlier row
+        near = ~((np.abs(g[lo:hi, None] - g[:hi]) > _DEDUPE_TOL)
+                 @ np.ones(m, dtype=bool))
+        for i in (near.argmax(axis=1) < np.arange(lo, hi)).nonzero()[0]:
+            keep[lo + i] = not np.any(near[i, :lo + i] & keep[:lo + i])
     return g[keep]
 
 
@@ -271,8 +279,9 @@ def _polar_rays(g: np.ndarray) -> np.ndarray:
     time.  Rays strictly outside the new halfspace go; each adjacent pair
     on opposite sides gives the ray where their segment meets the plane.
     Rays p and n are adjacent when no third ray lies on every plane both
-    lie on; such a ray shares m - 1 planes with p, so a block of positive
-    rays, as many as there are planes, is tested against those rays only.
+    lie on; such a ray shares m - 1 planes with p, so the positive rays,
+    sliced in blocks as long as there are planes so far, are tested against
+    those rays only, one block at a time; no positive ray, no block.
     g is scaled to max |g| = 1, so _FACET_TOL means the same at every scale.
     """
     k, m = g.shape
@@ -294,7 +303,8 @@ def _polar_rays(g: np.ndarray) -> np.ndarray:
         zf = tight.astype(float)
         rows, tights = [rays[~pos]], [tight[~pos]]
         idx = np.flatnonzero(pos)
-        for blk in np.split(idx, range(zf.shape[1], idx.size, zf.shape[1])):
+        for lo in range(0, idx.size, zf.shape[1]):
+            blk = idx[lo:lo + zf.shape[1]]
             near = zf[blk] @ zf.T >= m - 1
             b, n = np.nonzero(near & neg)
             common = tight[blk[b]] & tight[n]
@@ -355,10 +365,10 @@ def min_support_direction(s: SubdiffSet):
 # Set calculus used by the expression subdifferential rules.
 
 def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
-    """w * S for w >= 0."""
+    """w * S for w >= 0: S itself for w = 1, as 1 * x is exact."""
     if w < 0:
         raise ValueError("scale weight must be nonnegative")
-    return SubdiffSet(w * s.generators, w * s.ball_radius)
+    return s if w == 1.0 else SubdiffSet(w * s.generators, w * s.ball_radius)
 
 
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:

@@ -130,9 +130,10 @@ class StabilityVerdict:
 @dataclass
 class BoundarySample:
     """Points on the zero level set, each found by a boundary search on a
-    segment (``_bisect_to_boundary``)."""
+    segment (``_bisect_to_boundary``), and f there, as the search read it."""
 
     points: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -174,19 +175,20 @@ def find_slater_point(sample: BoxSample) -> np.ndarray:
     return sample.points[best]
 
 
-def _strictly_feasible(f: ConvexExpr, slater) -> np.ndarray:
+def _strictly_feasible(f: ConvexExpr, slater):
     s = as_point(slater, f.dim)
-    if f._value(s) >= 0.0:
+    if (fs := f._value(s)) >= 0.0:
         raise NoSlaterPoint("declared slater point is not strictly feasible")
-    return s
+    return s, fs
 
 
-def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
+def _bisect_to_boundary(f: ConvexExpr, pos_pts, pos_vals, neg_pts, neg_vals,
+                        max_iter):
     """Zero crossings on k segments, each from an infeasible point a (row
-    of pos_pts) to a feasible one b (row of neg_pts), found in lock-step
-    by a convex bracketing search.  The name is kept from the bisection it
-    replaced, because the contract is the same and the bench tracer times
-    the search under that name.
+    of pos_pts) to a feasible one b (row of neg_pts, or one point for all),
+    found in lock-step by a convex bracketing search.  The name is kept
+    from the bisection it replaced, because the contract is the same and
+    the bench tracer times the search under that name.
 
     On a segment, phi(t) = f(a + t (b - a)) is convex, so its feasible
     part is an interval [r, 1] and the chord through the bracket ends
@@ -205,28 +207,29 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
     the midpoint at least halves it.  An affine piece closes in one round
     when its chord root reads feasible.
 
-    The ends are evaluated once, in one batch.  Every row runs at most
+    The ends are not evaluated: the caller passes f there, as pos_vals
+    and neg_vals (one number stands for all rows).  Every row runs at most
     max_iter rounds and stops once its bracket is no wider than
     SEARCH_RTOL times one plus its initial length.  Returns (points,
-    steps): each point is the bracket's evaluated feasible end, so its
-    bracket is never wider than that of bisection with as many steps;
-    steps is the total number of point evaluations, the ends included.  A
-    row whose start is feasible returns the start, and a row whose end is
+    steps, values): each point is the bracket's evaluated feasible end, so
+    its bracket is never wider than that of bisection with as many steps,
+    values is f there, and steps counts the probes evaluated.  A row whose
+    start is feasible returns the start, and a row whose end is
     infeasible returns the end, unsearched.
     """
     a = np.asarray(pos_pts, dtype=float)
-    b = np.asarray(neg_pts, dtype=float)
+    b = np.broadcast_to(np.asarray(neg_pts, dtype=float), a.shape)
     out = b.copy()
     k = a.shape[0]
+    fl, fh = (np.broadcast_to(v, (k,)) for v in (pos_vals, neg_vals))
+    vals = np.array(fh, dtype=float)
     if max_iter < 1 or not k:
-        return out, 0
+        return out, 0, vals
     span = np.linalg.norm(b - a, axis=1)
     tol = SEARCH_RTOL * (1.0 + span)
-    ends = f._value_batch(np.concatenate([a, b]))
-    fl, fh = ends[:k], ends[k:]
-    steps = 2 * k
+    steps = 0
     start = fl <= 0.0
-    out[start] = a[start]
+    out[start], vals[start] = a[start], fl[start]
     rows = np.flatnonzero((fl > 0.0) & (fh <= 0.0) & (span > tol))
     a, ph, fl, fh = a[rows], b[rows], fl[rows], fh[rows]
     d = ph - a
@@ -262,13 +265,13 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, neg_pts, max_iter):
         fl = np.where(up, V[n, j], fl)
         done = th - tl <= width
         if done.any():
-            out[rows[done]] = ph[done]
+            out[rows[done]], vals[rows[done]] = ph[done], fh[done]
             keep = ~done
             rows, a, d, width = rows[keep], a[keep], d[keep], width[keep]
             tl, th, fl, fh, ph = (
                 tl[keep], th[keep], fl[keep], fh[keep], ph[keep])
-    out[rows] = ph
-    return out, steps
+    out[rows], vals[rows] = ph, fh
+    return out, steps, vals
 
 
 def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
@@ -290,15 +293,15 @@ def distance_to_solution_set(f: ConvexExpr, x, slater) -> float:
     if fx <= 0.0:
         return 0.0
     _, ub, _ = _brackets(f, x[None], np.array([fx]),
-                         _strictly_feasible(f, slater))
+                         *_strictly_feasible(f, slater))
     return float(ub[0])
 
 
 def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
-              s: np.ndarray):
+              s: np.ndarray, fs: float):
     """(lb, ub, open): brackets lb <= d(x, S) <= ub for the infeasible
-    rows x of X, with values vals and strictly feasible anchor s, by
-    Kelley's cutting planes (Kelley 1960) in one pruned lock-step loop;
+    rows x of X, with values vals and strictly feasible anchor s of value
+    fs, by Kelley's cutting planes (Kelley 1960) in one pruned lock-step loop;
     open is the number of rows whose bracket was left open while its
     ratio ub / vals could still exceed the largest lb / vals.
 
@@ -323,8 +326,7 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     A single row is never pruned: it runs until its bracket closes or
     the rounds run out.
     """
-    z, _ = _bisect_to_boundary(f, _pull_to_solution_set(f, X),
-                               np.broadcast_to(s, X.shape), 100)
+    z, _, _ = _bisect_to_boundary(f, *_pull_to_solution_set(f, X), s, fs, 100)
     ub = _row_norm(X - z)
     lb = np.zeros(ub.size)
     cuts = [[] for _ in ub]
@@ -336,24 +338,25 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
         for _ in range(BRACKET_ROUNDS):
             if not live.size:
                 break
-            live = _cut_round(f, X, s, cuts, lb, ub, live)
+            live = _cut_round(f, X, s, fs, cuts, lb, ub, live)
             live = live[ub[live] / vals[live] > np.max(lb / vals)]
         left += live.size
     return lb, ub, left
 
 
-def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
-               lb: np.ndarray, ub: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, fs: float,
+               cuts: list, lb: np.ndarray, ub: np.ndarray,
+               live: np.ndarray) -> np.ndarray:
     """One cutting-plane round for the rows live of x, updating lb, ub and
     cuts in place; returns the rows whose bracket is still open.
 
     Each row projects x onto its cuts (``_project``), so lb rises to the
     projection's distance.  Rows whose bracket closes leave before the
     projections p are evaluated, in one batch; a feasible p closes the
-    bracket, and the rest search toward s in one boundary search to a
-    feasible q, which lowers ub, and gain the cuts at p and q.  lb never
-    passes ub, so the bracket stays ordered under rounding.  A round whose
-    closing test leaves no row returns before any oracle call.
+    bracket, and the rest search toward s (value fs) in one boundary
+    search to a feasible q, which lowers ub, and gain the cuts at p and q.
+    lb never passes ub, so the bracket stays ordered under rounding.  A
+    round whose closing test leaves no row returns before any oracle call.
     """
     V = np.array([_project(cuts[i], ub[i]) for i in live])
     lb[live] = np.maximum(lb[live], np.minimum(_row_norm(V), ub[live]))
@@ -362,10 +365,11 @@ def _cut_round(f: ConvexExpr, x: np.ndarray, s: np.ndarray, cuts: list,
     if not live.size:
         return live
     P = x[live] + V[go]
-    feasible = f._value_batch(P) <= 0.0
+    fp = f._value_batch(P)
+    feasible = fp <= 0.0
     ub[live[feasible]] = lb[live[feasible]]
-    live, P = live[~feasible], P[~feasible]
-    Q, _ = _bisect_to_boundary(f, P, np.broadcast_to(s, P.shape), 100)
+    live, P, fp = live[~feasible], P[~feasible], fp[~feasible]
+    Q, _, _ = _bisect_to_boundary(f, P, fp, s, fs, 100)
     ub[live] = np.maximum(np.minimum(ub[live], _row_norm(x[live] - Q)),
                           lb[live])
     go = ub[live] - lb[live] > BRACKET_RTOL * ub[live]
@@ -422,8 +426,8 @@ def _project(cuts: list, scale: float) -> np.ndarray:
     return -scale * r[:-1] / r[-1]
 
 
-def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
-    """Pull every row x of X toward the solution set by
+def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
+    """(Y, values): every row x of X pulled toward the solution set by
     subgradient-projection steps, all rows in lock-step; each row y stops
     on its own, once f(y) <= FEAS_TOL or once its next Polyak step is
     short: f(y) / ||g|| <= PULL_RTOL * ||x - y||, g the minimum-norm
@@ -437,18 +441,20 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
     pieces, so when a row has two distinct linearizations (this step's and
     the last one's) it solves both cut constraints at once (a two-plane
     Newton step), falling back to the Polyak step unless that halves the
-    violation.  A Newton candidate where f overflows a double is rejected
-    too.  Each round takes one batched value call, one batched
-    minimum-norm subgradient and one value call on the Newton candidates.
+    violation.  A Newton candidate where f overflows a double is rejected too.  Each
+    round takes one batched value call, one batched minimum-norm
+    subgradient and one value call on the Newton candidates.  values is f
+    at Y, each row's from the round it stops in (rows still moving at the
+    400-round cap are evaluated once more).
     """
     X = np.asarray(X, dtype=float)
     Y = X.copy()
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
-    f0 = np.zeros(k)
+    f0, FY = np.zeros(k), np.zeros(k)
     rows = np.arange(k)
     for _ in range(400):
-        fy = f._value_batch(Y[rows])
+        fy = FY[rows] = f._value_batch(Y[rows])
         go = fy > FEAS_TOL
         rows, fy = rows[go], fy[go]
         if not rows.size:
@@ -480,7 +486,9 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
             step[n[ok]] = delta[ok]
         g0[rows], y0[rows], f0[rows] = g, y, fy
         Y[rows] = y - step
-    return Y
+    else:
+        FY[rows] = f._value_batch(Y[rows])
+    return Y, FY
 
 
 def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
@@ -496,17 +504,18 @@ def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
 def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int) -> BoundarySample:
     """n points on the boundary of the solution set via a boundary search
     on segments between the sample's infeasible and strictly feasible
-    points."""
-    feas = sample.points[sample.values < 0.0]
-    infeas = sample.points[sample.values > 0.0]
+    points, whose values the sample holds, so no end is evaluated again."""
+    feas = np.flatnonzero(sample.values < 0.0)
+    infeas = np.flatnonzero(sample.values > 0.0)
     if feas.shape[0] == 0 or infeas.shape[0] == 0:
         raise NoSignChangeInBox(
             "box must contain both a point with f < 0 and one with f > 0"
         )
     i = np.arange(n)
-    points, _ = _bisect_to_boundary(f, infeas[i % infeas.shape[0]],
-                                    feas[(3 + 7 * i) % feas.shape[0]], 100)
-    return BoundarySample(points=points)
+    a, b = infeas[i % infeas.shape[0]], feas[(3 + 7 * i) % feas.shape[0]]
+    P, V = sample.points, sample.values
+    points, _, values = _bisect_to_boundary(f, P[a], V[a], P[b], V[b], 100)
+    return BoundarySample(points=points, values=values)
 
 
 def boundary_point(f: ConvexExpr, xbar) -> np.ndarray:
@@ -661,8 +670,9 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     if rep.vacuous:
         rep.notes += "; no infeasible samples (vacuous bound)"
         return rep
-    s = find_slater_point(sample) if slater is None else _strictly_feasible(f, slater)
-    lb, ub, left = _brackets(f, infeas, infeas_vals, s)
+    s, fs = ((find_slater_point(sample), np.min(vals)) if slater is None
+             else _strictly_feasible(f, slater))
+    lb, ub, left = _brackets(f, infeas, infeas_vals, s, fs)
     top = int(np.argmax(lb / infeas_vals))
     rep.empirical_ratio = float(lb[top] / infeas_vals[top])
     rep.ratio_witness = (infeas[top], float(lb[top]), float(ub[top]))
@@ -720,11 +730,11 @@ def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
     boundary point QC_BLOCK rows at a time, so memory grows with the block,
     not with the product of the sample sizes; those whose slope passes the
     flag_threshold * tau filter take beta from one batched ``_betas`` call.
+    f is evaluated nowhere: both samples carry their values.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    B = boundary.points
-    boundary_vals = f._value_batch(B)
+    B, boundary_vals = boundary.points, boundary.values
     feasible = sample.values < 0.0
     Z, fz = sample.points[feasible], sample.values[feasible]
     near = np.zeros(Z.shape[0], dtype=int)

@@ -28,7 +28,7 @@ from ebstab.expressions import (
     directional_derivative,
     evaluate,
 )
-from ebstab.geometry import _DEDUPE_TOL, SubdiffSet
+from ebstab.geometry import _DEDUPE_TOL, _FACET_TOL, SubdiffSet
 from ebstab.moduli import LOCAL_RADIUS
 from ebstab.sampling import ball_points, unit_directions
 from ebstab.sphere import _betas, with_linear_term
@@ -322,6 +322,44 @@ def dedupe_rows_reference(g):
         if all(np.max(np.abs(g[i] - g[j])) > _DEDUPE_TOL for j in keep):
             keep.append(i)
     return g[keep]
+
+
+def polar_rays_reference(g):
+    """geometry._polar_rays with its positive rays cut into blocks by
+    np.split, as the double description first walked them; an empty set
+    of positive rays still makes one empty block."""
+    k, m = g.shape
+    a = np.vstack([np.column_stack([g / np.max(np.abs(g)), -np.ones(k)]),
+                   -np.eye(1, m + 1, m)])
+    basis, q = [k], a[k:]
+    for _ in range(m):
+        r = a - (a @ q.T) @ q
+        basis.append(int(np.argmax(np.linalg.norm(r, axis=1))))
+        q = np.vstack([q, r[basis[-1]] / np.linalg.norm(r[basis[-1]])])
+    rays = -np.linalg.inv(a[basis]).T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    tight = ~np.eye(m + 1, dtype=bool)
+    for i in sorted(set(range(k + 1)) - set(basis)):
+        s = rays @ a[i]
+        pos, neg = s > _FACET_TOL, s < -_FACET_TOL
+        zf = tight.astype(float)
+        rows, tights = [rays[~pos]], [tight[~pos]]
+        idx = np.flatnonzero(pos)
+        for blk in np.split(idx, range(zf.shape[1], idx.size, zf.shape[1])):
+            near = zf[blk] @ zf.T >= m - 1
+            b, n = np.nonzero(near & neg)
+            common = tight[blk[b]] & tight[n]
+            cf = common.astype(float)
+            on_face = cf @ zf[near.any(axis=0)].T == cf.sum(axis=1)[:, None]
+            adj = np.sum(on_face, axis=1) == 2
+            p, n = blk[b[adj]], n[adj]
+            rows.append(s[p, None] * rays[n] - s[n, None] * rays[p])
+            tights.append(common[adj])
+        rays = np.vstack(rows)
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+        on_new = np.abs(rays @ a[i]) <= _FACET_TOL
+        tight = np.column_stack([np.vstack(tights), on_new])
+    return rays
 
 
 def eta_local_levels_reference(f, xbar, levels, per_level, seed_base):

@@ -295,8 +295,9 @@ def test_distances_match_pre_stage_algorithm_where_certified():
 def _starts(f, X, s):
     """The pulled points and boundary points that start the brackets of
     the infeasible rows of X, as ``_brackets`` computes them."""
-    y = _pull_to_solution_set(f, X)
-    z, _ = _bisect_to_boundary(f, y, np.broadcast_to(s, X.shape), 100)
+    y, fy = _pull_to_solution_set(f, X)
+    z, _, _ = _bisect_to_boundary(f, y, fy, np.broadcast_to(s, X.shape),
+                                  f._value(s), 100)
     return y, z
 
 
@@ -353,6 +354,48 @@ def _record_rows(monkeypatch) -> list:
                     return _real(self, X)
                 monkeypatch.setattr(cls, name, spy)
     return rows
+
+
+@pytest.mark.parametrize("argv", [["exp1_box"], ["poly3_box", "--samples", "128"]])
+def test_global_analysis_evaluates_no_segment_end_again(argv, monkeypatch):
+    # every boundary search gets its end values from its caller, which
+    # evaluated them before, evaluates only its three probes per row and
+    # round, and no later call outside a search evaluates an end or a
+    # returned point (the witness search reads the boundary sample's values)
+    evaluated = []        # (node, row, inside a search) of every value call
+    inside = [False]
+    for cls in vars(expressions).values():
+        if isinstance(cls, type) and issubclass(cls, ConvexExpr) and (
+                "_value_batch" in vars(cls)):
+            def spy(self, X, _real=vars(cls)["_value_batch"]):
+                evaluated.extend((id(self), x.tobytes(), inside[0]) for x in X)
+                return _real(self, X)
+            monkeypatch.setattr(cls, "_value_batch", spy)
+    searches = []
+
+    def search(f, a, fa, b, fb, max_iter, _real=moduli._bisect_to_boundary):
+        start = len(evaluated)
+        inside[0] = True
+        out = _real(f, a, fa, b, fb, max_iter)
+        inside[0] = False
+        a = np.asarray(a, dtype=float)
+        rows = np.concatenate([a, np.broadcast_to(b, a.shape)])
+        searches.append((id(f), rows, out, start, len(evaluated)))
+        return out
+
+    monkeypatch.setattr(moduli, "_bisect_to_boundary", search)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze-global", str(BENCH_PROBLEMS / f"{argv[0]}.eb"),
+                     *argv[1:], "--seed", "0"]) == 0
+    assert len(searches) >= 2
+    for node, ends, (points, steps, _), start, stop in searches:
+        ends = {(node, x.tobytes()) for x in ends}
+        before = {(n, x) for n, x, _ in evaluated[:start] if n == node}
+        assert ends <= before
+        probes = [n for n, _, _ in evaluated[start:stop] if n == node]
+        assert steps % 3 == 0 and len(probes) == steps
+        later = {(n, x) for n, x, probe in evaluated[stop:] if not probe}
+        assert not later & (ends | {(node, x.tobytes()) for x in points})
 
 
 @pytest.mark.parametrize("stem", ["linf2_box", "exp1_box"])
@@ -415,8 +458,8 @@ def test_pull_is_scale_free(c):
         for seed in range(3):
             sample = box_sample(f, problem.box, 512, seed)
             X = sample.points[sample.values > 0.0]
-            assert np.array_equal(_pull_to_solution_set(Sum([(c, f)]), X),
-                                  _pull_to_solution_set(f, X)), (path.name, seed)
+            assert np.array_equal(_pull_to_solution_set(Sum([(c, f)]), X)[0],
+                                  _pull_to_solution_set(f, X)[0]), (path.name, seed)
 
 
 def test_distances_lockstep_kink_problem():
@@ -441,7 +484,7 @@ def test_distances_exp_overflow_is_typed():
         f, s, xs = _slater_problem(rng, m, 10)
     x = s + 10.0 * (xs[4] - s)
     assert m == 2 and x == pytest.approx([-3.430, 16.203], abs=1e-3)
-    lb, ub, _ = _brackets(f, x[None], f._value_batch(x[None]), s)
+    lb, ub, _ = _brackets(f, x[None], f._value_batch(x[None]), s, f._value(s))
     assert np.all(np.isfinite(ub))
     assert ub[0] - lb[0] <= BRACKET_RTOL * ub[0]
     assert ub[0] == pytest.approx(14.69883911, abs=1e-8)
@@ -478,7 +521,7 @@ def test_brackets_hold_brute_force_distances(seed, skip):
     x, vals = xs[vals > 0.0], vals[vals > 0.0]
     if not vals.size:
         return
-    lb, ub, _ = _brackets(f, x, vals, s)
+    lb, ub, _ = _brackets(f, x, vals, s, f._value(s))
     assert np.all(lb <= ub)
     closed = ub - lb <= BRACKET_RTOL * ub
     for i in range(vals.size):

@@ -2,18 +2,21 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebstab import geometry
 from ebstab.geometry import (
     _DEDUPE_TOL,
     SubdiffSet,
     dedupe_rows,
     min_norm_point,
     min_support_direction,
+    scale_set,
 )
 from ebstab.sampling import unit_directions
 
@@ -226,6 +229,62 @@ def test_dedupe_rows_equals_the_loop_bit_for_bit(seed, k, m, kind):
     got, want = dedupe_rows(g), dedupe_rows_reference(g)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [geometry._DEDUPE_BLOCK, 600, 1])
+@pytest.mark.parametrize("kind", ["near", "exact", "chain", "grid"])
+def test_dedupe_rows_blocks_match_the_loop_bit_for_bit(block, kind,
+                                                       monkeypatch):
+    # a few hundred rows split into blocks of the default size, of a few
+    # rows, and of one row each, so that near pairs and chains straddle
+    # the seams between blocks
+    monkeypatch.setattr(geometry, "_DEDUPE_BLOCK", block)
+    rng = np.random.default_rng(["near", "exact", "chain", "grid"].index(kind))
+    for k, m in [(2, 1), (33, 2), (150, 1), (300, 2), (257, 3)]:
+        g = _dedupe_case(rng, k, m, kind)
+        got, want = dedupe_rows(g), dedupe_rows_reference(g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_dedupe_rows_chain_across_a_block_seam():
+    # rows a, b, c with b within the tolerance of a and c of b only: b is
+    # the last row of one block and c the first of the next, so c is kept,
+    # as b was dropped
+    k, m = 300, 2
+    step = geometry._DEDUPE_BLOCK // (k * m)
+    g = np.arange(k * m, dtype=float).reshape(k, m)
+    e = np.array([0.0, 1.0])
+    g[step] = g[step - 1] + 0.75 * _DEDUPE_TOL * e
+    g[step + 1] = g[step - 1] + 1.5 * _DEDUPE_TOL * e
+    keep = np.delete(np.arange(k), step)
+    assert np.array_equal(dedupe_rows(g), g[keep])
+    assert dedupe_rows_reference(g).tobytes() == g[keep].tobytes()
+
+
+def test_dedupe_rows_memory_is_bounded():
+    # 4096 rows in R^8, half of them near copies of earlier ones: the
+    # blocks hold O(k m) numbers, where all pairs at once would take
+    # 4096^2 * 8 doubles (1 GiB)
+    rng = np.random.default_rng(5)
+    g = rng.integers(-3, 4, size=(2048, 8)).astype(float)
+    near = g[rng.integers(0, 2048, size=2048)]
+    g = np.vstack([g, near + rng.uniform(-1, 1, size=near.shape) * _DEDUPE_TOL])
+    tracemalloc.start()
+    try:
+        kept = dedupe_rows(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.shape[0] <= 2048
+    assert peak < 4 * 2 ** 20
+
+
+def test_scale_by_one_is_the_set_itself():
+    s = SubdiffSet(np.array([[1.0, -2.0], [0.5, 3.0]]), 0.25)
+    assert scale_set(s, 1.0) is s
+    t = scale_set(s, 2.0)
+    assert np.array_equal(t.generators, 2.0 * s.generators)
+    assert t.ball_radius == 0.5
 
 
 def test_dedupe_rows_tolerance_is_strict_and_not_transitive():

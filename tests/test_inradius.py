@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ebstab.geometry import SubdiffSet, _inradius_at_origin, min_support_direction
+from ebstab.geometry import (SubdiffSet, _inradius_at_origin, _polar_rays,
+                             min_support_direction)
 from ebstab.sampling import unit_directions
 
-from conftest import refine_sphere_min_multi, support
+from conftest import polar_rays_reference, refine_sphere_min_multi, support
 
 
 def _symmetric(k, m, seed):
@@ -19,6 +20,19 @@ def _symmetric(k, m, seed):
     is interior."""
     gens = np.random.default_rng(seed).uniform(-1, 1, size=(k, m))
     return np.vstack([gens, -gens])
+
+
+@pytest.mark.parametrize("gens", [
+    *(np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
+      for m in range(1, 7)),
+    _symmetric(16, 5, seed=8), _symmetric(20, 6, seed=8),
+    _symmetric(5, 3, seed=1), _symmetric(9, 4, seed=2)])
+def test_polar_rays_match_the_split_blocks_bit_for_bit(gens):
+    # the positive rays walked in slices give the blocks, and so the rays,
+    # that np.split gave, on the l1 cubes (the vertices of the sets
+    # d||x||_1 at the origin) and on symmetric random sets
+    got, want = _polar_rays(gens), polar_rays_reference(gens)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_interior_inradius_above_old_enumeration_cap():

@@ -44,16 +44,17 @@ def test_max_ratio_is_the_full_maximum(seed, m):
     X = s + 3.0 * rng.normal(size=(12, m))
     vals = f._value_batch(X)
     X, vals = X[vals > 0.0], vals[vals > 0.0]
+    fs = f._value(s)
     assume(X.shape[0] > 0)
     try:
-        want = max(float(_brackets(f, X[i:i + 1], vals[i:i + 1], s)[0][0]
+        want = max(float(_brackets(f, X[i:i + 1], vals[i:i + 1], s, fs)[0][0]
                          / vals[i]) for i in range(X.shape[0]))
     except EbstabError:
         # a one-row call fails on some row; the ratio may skip that row
         assume(False)
-    assert float(np.max(_brackets(f, X, vals, s)[0] / vals)) == want
+    assert float(np.max(_brackets(f, X, vals, s, fs)[0] / vals)) == want
     perm = rng.permutation(X.shape[0])
-    lb = _brackets(f, X[perm], vals[perm], s)[0]
+    lb = _brackets(f, X[perm], vals[perm], s, fs)[0]
     assert float(np.max(lb / vals[perm])) == want
 
 

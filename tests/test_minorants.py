@@ -73,7 +73,7 @@ def _stored_cuts(monkeypatch, f, X, s):
         return real(f, x, cuts, rows, Q)
 
     monkeypatch.setattr(moduli, "_add_cuts", spy)
-    _brackets(f, X, f._value_batch(X), s)
+    _brackets(f, X, f._value_batch(X), s, f._value(s))
     assert seen and all(c is seen[0] for c in seen)
     return [np.vstack(c) if c else np.zeros((0, X.shape[1] + 1))
             for c in seen[0]]

@@ -156,12 +156,15 @@ def _search_against_bisection(f, pos, neg, max_iter):
     """Run the lock-step search on the segments pos -> neg and check each
     row against the scalar bisection: the point is feasible, and both
     points lie on the feasible side of one root, each within its bracket,
-    so they differ by at most bisection's final width.  Returns steps and
-    bisection's step count summed over the rows."""
+    so they differ by at most bisection's final width, and the values
+    returned are f there.  Returns steps and bisection's step count summed
+    over the rows."""
     counted = _Counted(f)
-    points, steps = _bisect_to_boundary(counted, pos, neg, max_iter)
+    points, steps, values = _bisect_to_boundary(
+        counted, pos, f._value_batch(pos), neg, f._value_batch(neg), max_iter)
     assert type(steps) is int and steps == counted.evaluated
-    assert np.all(f._value_batch(points) <= 0.0)
+    assert np.array_equal(values, f._value_batch(points))
+    assert np.all(values <= 0.0)
     value = lambda p: f._value_batch(p[None])[0]
     bisected = 0
     for row, a, b in zip(points, pos, neg):
@@ -198,14 +201,14 @@ def test_lockstep_bisection_matches_scalar_reference():
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
        max_iter=st.sampled_from([1, 3, 7, 40, 100]))
 def test_convex_search_property(seed, m, max_iter):
-    # one row at a time, so that steps = 2 end values + 3 per round
+    # one row at a time, so that steps = 3 per round, the ends unevaluated
     rng = np.random.default_rng(seed)
     f, s, pos = _slater_problem(rng, m, 6)
     neg = _segments(rng, f, s, pos)
     for a, b in zip(pos, neg):
         steps, bisected = _search_against_bisection(f, a[None], b[None],
                                                     max_iter)
-        rounds, rest = divmod(steps - 2, 3)
+        rounds, rest = divmod(steps, 3)
         assert rest == 0 and rounds <= min(max_iter, bisected)
 
 
@@ -221,8 +224,9 @@ def test_search_from_rounding_noise_closes():
     s = np.array([float.fromhex("-0x1.6621aadaf1d20p+1"),
                   float.fromhex("-0x1.680c084903300p+1")])
     assert 0.0 < g._value(a) < 1e-17 and g._value(s) < 0.0
-    points, steps = _bisect_to_boundary(g, a[None], s[None], 100)
-    assert steps <= 2 + 3 * 2
+    points, steps, _ = _bisect_to_boundary(g, a[None], g._value(a), s[None],
+                                           g._value(s), 100)
+    assert steps <= 3 * 2
     assert g._value(points[0]) <= 0.0
     goal = moduli.SEARCH_RTOL * (1.0 + np.linalg.norm(s - a))
     assert np.linalg.norm(points[0] - a) <= goal
@@ -233,8 +237,8 @@ def test_search_affine_segment_closes_in_one_round():
     # feasible, and its closing partner half the goal width below reads
     # infeasible, so one round of three probes closes the bracket
     f = Affine([1.0], -0.5)
-    points, steps = _bisect_to_boundary(f, [[1.0]], [[0.0]], 100)
-    assert steps == 2 + 3
+    points, steps, _ = _bisect_to_boundary(f, [[1.0]], 0.5, [[0.0]], -0.5, 100)
+    assert steps == 3
     assert points[0, 0] == 0.5
 
 
@@ -249,11 +253,13 @@ def test_search_flat_root():
 
 
 def test_search_overflowing_end_is_typed():
-    # exp(1000) overflows: the end values raise instead of feeding inf to
-    # the chord, where inf / inf would give a NaN point
+    # exp(1000) overflows: the end values, which the caller evaluates,
+    # raise instead of feeding inf to the chord, where inf / inf would
+    # give a NaN point
     f = Exp1D(0, -1.0, 1)
     with pytest.raises(NumericalOverflow):
-        _bisect_to_boundary(f, [[1000.0]], [[-1.0]], 100)
+        _bisect_to_boundary(f, [[1000.0]], f._value_batch(np.array([[1000.0]])),
+                            [[-1.0]], f._value(np.array([-1.0])), 100)
 
 
 def test_find_slater_point_exp():
@@ -418,6 +424,26 @@ def test_analyze_local_normalises_the_cube_once(monkeypatch, capsys):
     assert sum(args[0].shape[0] >= 32 for args in rows) == 1
 
 
+@pytest.mark.parametrize("stem, sets", [("l1norm5", 9), ("l1norm4", 7),
+                                        ("l1ball5", 11)])
+def test_analyze_local_builds_no_set_for_a_unit_weight(stem, sets,
+                                                       monkeypatch, capsys):
+    # a sum of unit-weight atoms builds one set per atom and one per partial
+    # sum, and none to scale an atom's set by 1
+    built = []
+    post_init = geometry.SubdiffSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(geometry.SubdiffSet, "__post_init__", counted)
+    assert main(["analyze-local", str(BENCH_PROBLEMS / f"{stem}.eb"),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(built) == sets
+
+
 def test_eta_local_batches_stay_within_the_block(monkeypatch):
     rows = []
     value_batch = Exp1D._value_batch
@@ -514,7 +540,7 @@ def test_condition_3_9_pospartsquare_fails():
     # the feasible region of (x+)^2 has empty interior, so the boundary
     # sample {0} is supplied directly
     f = PosPartSquare(0, 1)
-    bs = BoundarySample(points=np.array([[0.0]]))
+    bs = BoundarySample(points=np.array([[0.0]]), values=np.zeros(1))
     res = check_condition_3_9(f, 0.5, bs)
     assert not res.holds
     assert res.inf_abs_beta <= 1e-9
@@ -551,7 +577,7 @@ def test_condition_3_9_matches_scalar_beta(seed, m):
 def test_condition_3_9_interior_point_takes_scalar_beta():
     # ||x|| at the origin: df is the unit ball, whose distance to the
     # origin is 0 while beta is its inradius, +1
-    bs = BoundarySample(points=np.zeros((1, 2)))
+    bs = BoundarySample(points=np.zeros((1, 2)), values=np.zeros(1))
     res = check_condition_3_9(EuclidNorm(2), 0.5, bs)
     assert res.inf_abs_beta == 1.0
     assert res.holds
