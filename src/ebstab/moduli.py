@@ -441,7 +441,9 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
     pieces, so when a row has two distinct linearizations (this step's and
     the last one's) it solves both cut constraints at once (a two-plane
     Newton step), falling back to the Polyak step unless that halves the
-    violation.  A Newton candidate where f overflows a double is rejected too.  Each
+    violation.  Both steps read each plane divided by its subgradient's
+    norm, which ``_gradient_screen`` returns, so no squared norm overflows.
+    A Newton candidate where f overflows a double is rejected too.  Each
     round takes one batched value call, one batched minimum-norm
     subgradient and one value call on the Newton candidates.  values is f
     at Y, each row's from the round it stops in (rows still moving at the
@@ -451,7 +453,7 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
     Y = X.copy()
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
-    f0, FY = np.zeros(k), np.zeros(k)
+    e0, FY = np.zeros(k), np.zeros(k)
     rows = np.arange(k)
     for _ in range(400):
         fy = FY[rows] = f._value_batch(Y[rows])
@@ -465,26 +467,28 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
             mn = min_norm_point(f._subdiff(y[i]))
             g[i], n[i] = mn.point, mn.hull_dist
         go = (n > 0.0) & (fy > PULL_RTOL * n * _row_norm(X[rows] - y))
-        rows, fy, y, g = rows[go], fy[go], y[go], g[go]
-        gg = _row_sq(g)
+        rows, fy, y = rows[go], fy[go], y[go]
         if not rows.size:
             break
+        # the plane f(y) + <g, u - y> <= 0 over ||g||: normal g, offset e
+        g, e = g[go] / n[go, None], fy / n[go]
+        gg = _row_sq(g)
         a0, a00, a01 = g0[rows], _row_sq(g0[rows]), _row_dot(g0[rows], g)
         det = a00 * gg - a01 * a01
-        newton = det > 1e-12 * np.maximum(1e-30, a00 * gg)
-        step = (fy / gg)[:, None] * g
+        newton = det > 1e-12 * a00 * gg
+        step = (e / gg)[:, None] * g
         if newton.any():
             n = np.flatnonzero(newton)
-            # the 2x2 system gram @ c = (f0 + <g0, y - y0>, f(y)) for the
+            # the 2x2 system gram @ c = (e0 + <g0, y - y0>, e) for the
             # coefficients c of the step along (g0, g)
-            r0 = f0[rows[n]] + _row_dot(a0[n], y[n] - y0[rows[n]])
-            r1 = fy[n]
+            r0 = e0[rows[n]] + _row_dot(a0[n], y[n] - y0[rows[n]])
+            r1 = e[n]
             c0 = (gg[n] * r0 - a01[n] * r1) / det[n]
             c1 = (a00[n] * r1 - a01[n] * r0) / det[n]
             delta = c0[:, None] * a0[n] + c1[:, None] * g[n]
             ok = _values_or_inf(f, y[n] - delta) < 0.5 * fy[n]
             step[n[ok]] = delta[ok]
-        g0[rows], y0[rows], f0[rows] = g, y, fy
+        g0[rows], y0[rows], e0[rows] = g, y, e
         Y[rows] = y - step
     else:
         FY[rows] = f._value_batch(Y[rows])

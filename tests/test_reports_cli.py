@@ -150,6 +150,22 @@ def test_cli_analyze_global_far_from_the_origin(tmp_path, capsys):
     assert results["modulus"]["tau"] * results["stability"]["beta_inf"] <= 1.0 + 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_analyze_global_with_a_gradient_norm_past_1e154(tmp_path, capsys):
+    # 1e155 ||x|| - 1e155: every gradient norm is 1e155, whose square
+    # overflows a double, so the pull steps in units of that norm; d(x, S)
+    # / f(x) is 1e-155 at every infeasible point
+    path = tmp_path / "steep.eb"
+    path.write_text("dim 2\nexpr (sum 1e155 (norm) 1 (const -1e155))\n"
+                    "box -3.0..3.0 -3.0..3.0\ntau 0.5\n", encoding="utf-8")
+    assert main(["analyze-global", str(path), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    tau, beta_inf = results["modulus"]["tau"], results["stability"]["beta_inf"]
+    assert tau * beta_inf <= 1.0 + 1e-12
+    assert tau == pytest.approx(1e-155, rel=1e-12)
+    assert beta_inf == pytest.approx(1e155, rel=1e-12)
+
+
 def test_cli_analyze_local_at_a_large_kink_scale(tmp_path, capsys):
     # 1e154 |x| at 0: the origin is interior to its subdifferential
     # [-1e154, 1e154], so beta is +1e154 and its residual 0
