@@ -377,7 +377,10 @@ class Max(ConvexExpr):
 
     The directional derivative and subdifferential are driven by the active
     set at the evaluation point, with tolerance eps = 1e-10 * (1 + |f(x)|)
-    so that exact ties are not float-fragile.
+    so that exact ties are not float-fragile.  A max of ``Affine`` children
+    keeps their gradients as one read-only (p, m) matrix A and offsets as a
+    vector b, which every oracle reads but ``_dd_batch``: one BLAS product
+    over A could round otherwise than each child's own.
     """
 
     def __init__(self, children):
@@ -389,12 +392,18 @@ class Max(ConvexExpr):
             raise DimensionMismatch(children[0].dim, children[-1].dim, "max child")
         self.children = children
         self.dim = children[0].dim
+        affine = all(type(c) is Affine for c in children)
+        self._A = _readonly([c.a for c in children]) if affine else None
+        self._b = _readonly([c.b for c in children]) if affine else None
 
     def _text(self):
         return "(max " + " ".join(c._text() for c in self.children) + ")"
 
     def _child_values(self, X):
-        """The children's values at the rows of X, shape (k, m) -> (p, k)."""
+        """The children's values at the rows of X, shape (k, m) -> (p, k);
+        from A and b, each entry is its child's own in-order sum."""
+        if self._A is not None:
+            return _rows_times(self._A, X) + self._b[:, None]
         return np.array([c._value_batch(X) for c in self.children])
 
     def _active(self, x):
@@ -415,12 +424,13 @@ class Max(ConvexExpr):
 
     def _subdiff(self, x):
         active, _ = self._active(x)
+        if self._A is not None:
+            return SubdiffSet(self._A[active])
         return merge_active_subdiffs([self.children[i]._subdiff(x)
                                       for i in active])
 
     def _grad_batch(self, X):
         vals = self._child_values(X)
-        grads, kinks = zip(*(c._grad_batch(X) for c in self.children))
         rows = np.arange(X.shape[0])
         top = np.argmax(vals, axis=0)
         best = vals[top, rows]
@@ -428,14 +438,20 @@ class Max(ConvexExpr):
         # two or more children within its eps of the top
         eps = _ACTIVE_TOL * (1.0 + np.abs(best))
         tie = np.sum(vals >= best - eps, axis=0) > 1
+        if self._A is not None:
+            return self._A[top], tie
+        grads, kinks = zip(*(c._grad_batch(X) for c in self.children))
         return np.array(grads)[top, rows], np.array(kinks)[top, rows] | tie
 
     def _minorants_batch(self, X):
+        if self._A is not None:
+            return self._child_values(X), self._A[:, None].repeat(len(X), 1)
         V, G = zip(*(c._minorants_batch(X) for c in self.children))
         return np.concatenate(V), np.concatenate(G)
 
     def _polyhedral_at(self, x):
-        return all(self.children[i]._polyhedral_at(x) for i in self._active(x)[0])
+        return self._A is not None or all(
+            self.children[i]._polyhedral_at(x) for i in self._active(x)[0])
 
 
 class Sum(ConvexExpr):

@@ -205,7 +205,8 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, pos_vals, neg_pts, neg_vals,
     raised probe reads infeasible.  The new bracket is built from each
     candidate's computed sign, never from what convexity predicts, and
     the midpoint at least halves it.  An affine piece closes in one round
-    when its chord root reads feasible.
+    when its chord root reads feasible.  A round fills one probe array in
+    place and reads each row's chosen candidates by flat index.
 
     The ends are not evaluated: the caller passes f there, as pos_vals
     and neg_vals (one number stands for all rows).  Every row runs at most
@@ -233,41 +234,43 @@ def _bisect_to_boundary(f: ConvexExpr, pos_pts, pos_vals, neg_pts, neg_vals,
     rows = np.flatnonzero((fl > 0.0) & (fh <= 0.0) & (span > tol))
     a, ph, fl, fh = a[rows], b[rows], fl[rows], fh[rows]
     d = ph - a
-    width = tol[rows] / span[rows]         # the goal width, in units of t
+    half = 0.5 * (tol[rows] / span[rows])  # half the goal width, in units of t
     tl, th = np.zeros(rows.size), np.ones(rows.size)
+    probes = np.empty((rows.size, 3))
     for _ in range(max_iter):
         if not rows.size:
             break
-        n = np.arange(rows.size)
+        T = probes[:rows.size]
         chord = tl + (th - tl) * (fl / (fl - fh))
         # a chord root this close to tl may round back onto the start; a
         # raised probe pairs with the one above it, as the one below is tl
-        raised = chord < tl + 0.5 * width
-        close = np.where(raised, tl + 0.5 * width, chord)
-        pair = close + np.where(raised, 0.5, -0.5) * width
-        T = np.clip(np.stack([close, pair, 0.5 * (tl + th)], axis=1),
-                    tl[:, None], th[:, None])
-        P = a[:, None, :] + T[:, :, None] * d[:, None, :]
-        V = f._value_batch(P.reshape(-1, a.shape[1])).reshape(T.shape)
+        raised = chord < tl + half
+        T[:, 0] = np.where(raised, tl + half, chord)
+        T[:, 1] = T[:, 0] + np.where(raised, half, -half)
+        T[:, 2] = 0.5 * (tl + th)
+        np.minimum(np.maximum(T, tl[:, None], out=T), th[:, None], out=T)
+        P = (a[:, None] + T[:, :, None] * d[:, None]).reshape(-1, a.shape[1])
+        V = f._value_batch(P).reshape(T.shape)
         steps += V.size
+        first = np.arange(0, V.size, 3)
         # the feasible end: the first feasible candidate, if below th
         feas = np.where(V <= 0.0, T, np.inf)
-        j = np.argmin(feas, axis=1)
-        up = feas[n, j] < th
-        th = np.where(up, feas[n, j], th)
-        fh = np.where(up, V[n, j], fh)
-        ph = np.where(up[:, None], P[n, j], ph)
+        c = first + np.argmin(feas, axis=1)
+        up = (t := feas.take(c)) < th
+        th = np.where(up, t, th)
+        fh = np.where(up, V.take(c), fh)
+        ph = np.where(up[:, None], P[c], ph)
         # the infeasible end: the last infeasible candidate below th
         infeas = np.where((V > 0.0) & (T < th[:, None]), T, -np.inf)
-        j = np.argmax(infeas, axis=1)
-        up = infeas[n, j] > tl
-        tl = np.where(up, infeas[n, j], tl)
-        fl = np.where(up, V[n, j], fl)
-        done = th - tl <= width
+        c = first + np.argmax(infeas, axis=1)
+        up = (t := infeas.take(c)) > tl
+        tl = np.where(up, t, tl)
+        fl = np.where(up, V.take(c), fl)
+        done = th - tl <= 2.0 * half
         if done.any():
             out[rows[done]], vals[rows[done]] = ph[done], fh[done]
             keep = ~done
-            rows, a, d, width = rows[keep], a[keep], d[keep], width[keep]
+            rows, a, d, half = rows[keep], a[keep], d[keep], half[keep]
             tl, th, fl, fh, ph = (
                 tl[keep], th[keep], fl[keep], fh[keep], ph[keep])
     out[rows], vals[rows] = ph, fh
@@ -444,22 +447,25 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
     violation.  Both steps read each plane divided by its subgradient's
     norm, which ``_gradient_screen`` returns, so no squared norm overflows.
     A Newton candidate where f overflows a double is rejected too.  Each
-    round takes one batched value call, one batched minimum-norm
-    subgradient and one value call on the Newton candidates.  values is f
-    at Y, each row's from the round it stops in (rows still moving at the
-    400-round cap are evaluated once more).
+    round takes one batched value call on the rows that took a Polyak
+    step, one batched minimum-norm subgradient and one value call on the
+    Newton candidates, whose values an accepted step keeps, so no point is
+    evaluated twice.  values is f at Y, each row's from the round it stops
+    in (rows still moving at the 400-round cap are evaluated once more).
     """
     X = np.asarray(X, dtype=float)
     Y = X.copy()
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
     e0, FY = np.zeros(k), np.zeros(k)
-    rows = np.arange(k)
-    for _ in range(400):
-        fy = FY[rows] = f._value_batch(Y[rows])
+    rows = new = np.arange(k)        # new: the rows f has not read at Y
+    for i in range(401):             # the last pass only evaluates
+        if new.size:
+            FY[new] = f._value_batch(Y[new])
+        fy = FY[rows]
         go = fy > FEAS_TOL
         rows, fy = rows[go], fy[go]
-        if not rows.size:
+        if not rows.size or i == 400:
             break
         y = Y[rows]
         g, n, scalar = _gradient_screen(f, y)
@@ -477,6 +483,7 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
         det = a00 * gg - a01 * a01
         newton = det > 1e-12 * a00 * gg
         step = (e / gg)[:, None] * g
+        new = rows
         if newton.any():
             n = np.flatnonzero(newton)
             # the 2x2 system gram @ c = (e0 + <g0, y - y0>, e) for the
@@ -486,12 +493,12 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
             c0 = (gg[n] * r0 - a01[n] * r1) / det[n]
             c1 = (a00[n] * r1 - a01[n] * r0) / det[n]
             delta = c0[:, None] * a0[n] + c1[:, None] * g[n]
-            ok = _values_or_inf(f, y[n] - delta) < 0.5 * fy[n]
+            fn = _values_or_inf(f, y[n] - delta)
+            ok = fn < 0.5 * fy[n]
             step[n[ok]] = delta[ok]
+            FY[rows[n[ok]]], new = fn[ok], np.delete(rows, n[ok])
         g0[rows], y0[rows], e0[rows] = g, y, e
         Y[rows] = y - step
-    else:
-        FY[rows] = f._value_batch(Y[rows])
     return Y, FY
 
 

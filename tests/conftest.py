@@ -16,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 from ebstab.expressions import (
+    _ACTIVE_TOL,
     AbsCoord,
     Affine,
     ComposeAffine,
@@ -28,8 +29,9 @@ from ebstab.expressions import (
     directional_derivative,
     evaluate,
 )
-from ebstab.geometry import _DEDUPE_TOL, _FACET_TOL, SubdiffSet
-from ebstab.moduli import LOCAL_RADIUS
+from ebstab.geometry import (_DEDUPE_TOL, _FACET_TOL, SubdiffSet,
+                             merge_active_subdiffs)
+from ebstab.moduli import LOCAL_RADIUS, SEARCH_RTOL
 from ebstab.sampling import ball_points, unit_directions
 from ebstab.sphere import _betas, with_linear_term
 from ebstab.systems import FiniteFamily, active_set, materialize_sup
@@ -374,6 +376,119 @@ def eta_local_levels_reference(f, xbar, levels, per_level, seed_base):
         recs.append((radius, float(np.min(np.where(b < 0.0, -b, 0.0)))
                      if b.shape[0] else None))
     return recs
+
+
+class MaxReference:
+    """expressions.Max with every oracle read one child at a time, as a max
+    of affine children was read before it kept them as one matrix: each
+    child's values, gradients, minorants and subdifferential are asked of
+    the child itself and stacked or merged."""
+
+    def __init__(self, children):
+        self.children = tuple(children)
+        self.dim = self.children[0].dim
+
+    def _child_values(self, X):
+        return np.array([c._value_batch(X) for c in self.children])
+
+    def _active(self, x):
+        vals = self._child_values(x[None])[:, 0].tolist()
+        top = max(vals)
+        eps = _ACTIVE_TOL * (1.0 + abs(top))
+        return [i for i, v in enumerate(vals) if v >= top - eps], top
+
+    def _value_batch(self, X):
+        return np.maximum.reduce(self._child_values(X))
+
+    def _dd_batch(self, x, hs):
+        active, _ = self._active(x)
+        return np.max(np.stack([self.children[i]._dd_batch(x, hs)
+                                for i in active]), axis=0)
+
+    def _subdiff(self, x):
+        active, _ = self._active(x)
+        return merge_active_subdiffs([self.children[i]._subdiff(x)
+                                      for i in active])
+
+    def _grad_batch(self, X):
+        vals = self._child_values(X)
+        grads, kinks = zip(*(c._grad_batch(X) for c in self.children))
+        rows = np.arange(X.shape[0])
+        top = np.argmax(vals, axis=0)
+        best = vals[top, rows]
+        eps = _ACTIVE_TOL * (1.0 + np.abs(best))
+        tie = np.sum(vals >= best - eps, axis=0) > 1
+        return np.array(grads)[top, rows], np.array(kinks)[top, rows] | tie
+
+    def _minorants_batch(self, X):
+        V, G = zip(*(c._minorants_batch(X) for c in self.children))
+        return np.concatenate(V), np.concatenate(G)
+
+    def _polyhedral_at(self, x):
+        return all(self.children[i]._polyhedral_at(x) for i in self._active(x)[0])
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or numbers) have the same shape, dtype and bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
+
+
+def bisect_reference(f, pos_pts, pos_vals, neg_pts, neg_vals, max_iter):
+    """moduli._bisect_to_boundary as each round first built its probes: by
+    np.stack and np.clip, each chosen candidate read by (row, column)
+    index, and the goal width kept whole."""
+    a = np.asarray(pos_pts, dtype=float)
+    b = np.broadcast_to(np.asarray(neg_pts, dtype=float), a.shape)
+    out = b.copy()
+    k = a.shape[0]
+    fl, fh = (np.broadcast_to(v, (k,)) for v in (pos_vals, neg_vals))
+    vals = np.array(fh, dtype=float)
+    if max_iter < 1 or not k:
+        return out, 0, vals
+    span = np.linalg.norm(b - a, axis=1)
+    tol = SEARCH_RTOL * (1.0 + span)
+    steps = 0
+    start = fl <= 0.0
+    out[start], vals[start] = a[start], fl[start]
+    rows = np.flatnonzero((fl > 0.0) & (fh <= 0.0) & (span > tol))
+    a, ph, fl, fh = a[rows], b[rows], fl[rows], fh[rows]
+    d = ph - a
+    width = tol[rows] / span[rows]
+    tl, th = np.zeros(rows.size), np.ones(rows.size)
+    for _ in range(max_iter):
+        if not rows.size:
+            break
+        n = np.arange(rows.size)
+        chord = tl + (th - tl) * (fl / (fl - fh))
+        raised = chord < tl + 0.5 * width
+        close = np.where(raised, tl + 0.5 * width, chord)
+        pair = close + np.where(raised, 0.5, -0.5) * width
+        T = np.clip(np.stack([close, pair, 0.5 * (tl + th)], axis=1),
+                    tl[:, None], th[:, None])
+        P = a[:, None, :] + T[:, :, None] * d[:, None, :]
+        V = f._value_batch(P.reshape(-1, a.shape[1])).reshape(T.shape)
+        steps += V.size
+        feas = np.where(V <= 0.0, T, np.inf)
+        j = np.argmin(feas, axis=1)
+        up = feas[n, j] < th
+        th = np.where(up, feas[n, j], th)
+        fh = np.where(up, V[n, j], fh)
+        ph = np.where(up[:, None], P[n, j], ph)
+        infeas = np.where((V > 0.0) & (T < th[:, None]), T, -np.inf)
+        j = np.argmax(infeas, axis=1)
+        up = infeas[n, j] > tl
+        tl = np.where(up, infeas[n, j], tl)
+        fl = np.where(up, V[n, j], fl)
+        done = th - tl <= width
+        if done.any():
+            out[rows[done]], vals[rows[done]] = ph[done], fh[done]
+            keep = ~done
+            rows, a, d, width = rows[keep], a[keep], d[keep], width[keep]
+            tl, th, fl, fh, ph = (
+                tl[keep], th[keep], fl[keep], fh[keep], ph[keep])
+    out[rows], vals[rows] = ph, fh
+    return out, steps, vals
 
 
 @pytest.fixture

@@ -447,6 +447,39 @@ def test_poly3_box_pull_stops_where_the_search_takes_over(samples, monkeypatch):
     assert 0 < max(calls) <= 12, calls
 
 
+def test_pull_evaluates_no_point_twice(monkeypatch):
+    # an accepted two-plane Newton step keeps the value its candidate was
+    # accepted on, so the next round evaluates only the rows that took a
+    # Polyak step, and no value call inside the pull reads a point again
+    # (on poly3_box, whose curved piece keeps two rows from meeting; on a
+    # polyhedral f two rows may be pulled onto one point)
+    pulls = []
+
+    class Recording:
+        def __init__(self, f):
+            self._f = f
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def _value_batch(self, X):
+            pulls[-1].extend(x.tobytes() for x in X)
+            return self._f._value_batch(X)
+
+    def spy(f, X, _real=moduli._pull_to_solution_set):
+        pulls.append([])
+        return _real(Recording(f), X)
+
+    monkeypatch.setattr(moduli, "_pull_to_solution_set", spy)
+    for seed in range(5):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze-global", str(BENCH_PROBLEMS / "poly3_box.eb"),
+                         "--samples", "128", "--seed", str(seed)]) == 0
+    assert len(pulls) == 5 and all(pulls)
+    for rows in pulls:
+        assert len(set(rows)) == len(rows)
+
+
 @pytest.mark.parametrize("c", [2.0 ** -10, 2.0 ** 10])
 def test_pull_is_scale_free(c):
     # scaling f by a power of two scales f and every subgradient exactly,

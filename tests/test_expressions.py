@@ -27,10 +27,12 @@ from ebstab.expressions import (
     evaluate,
     subdifferential,
 )
-from ebstab.systems import FiniteFamily, active_set
+from ebstab.scenarios import _rem12b_families
+from ebstab.systems import FiniteFamily, active_set, materialize_sup
 
-from conftest import (dd_quotient_scan, random_expr, random_point, random_unit,
-                      reference_value, support)
+from conftest import (MaxReference, dd_quotient_scan, random_expr,
+                      random_point, random_unit, reference_value, same_bits,
+                      support)
 
 
 def test_eval_exp_shift_at_zero():
@@ -318,6 +320,59 @@ def test_max_active_set_reads_each_child_value(seed, m, p):
         act = active_set(fam, x)
         assert act.indices == tuple(f"m{i}" for i in want)
         assert repr(act.sup_value) == repr(top)
+
+
+def _max_oracles_agree(f, ref, X, hs):
+    """Every oracle of the max f against the per-child reference, bit for
+    bit: the batched ones at the rows of X, the point ones at each row."""
+    assert same_bits(f._value_batch(X), ref._value_batch(X))
+    for got, want in zip(f._grad_batch(X), ref._grad_batch(X)):
+        assert same_bits(got, want)
+    for got, want in zip(f._minorants_batch(X), ref._minorants_batch(X)):
+        assert same_bits(got, want)
+    for x in X:
+        (idx, top), (want, want_top) = f._active(x), ref._active(x)
+        assert idx == want and repr(top) == repr(want_top)
+        assert f._polyhedral_at(x) == ref._polyhedral_at(x)
+        assert same_bits(f._dd_batch(x, hs), ref._dd_batch(x, hs))
+        got, want = f._subdiff(x), ref._subdiff(x)
+        assert same_bits(got.generators, want.generators)
+        assert got.ball_radius == want.ball_radius
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       p=st.integers(1, 12))
+@example(seed=0, m=1, p=9)   # top ties between 0.0 and -0.0
+def test_affine_max_matrix_matches_the_per_child_oracles(seed, m, p):
+    # a max of affine members reads one (p, m) matrix and one offset
+    # vector; every oracle must give what asking each member gives, bit for
+    # bit, at exact ties (integer points), between duplicate members and
+    # at generic points
+    rng = np.random.default_rng(seed)
+    children = _affine_family(rng, m, p)
+    f = Max(children)
+    assert f._A.shape == (p, m) and not f._A.flags.writeable
+    Z = rng.integers(-2, 3, size=(40, m)).astype(float)
+    Z[:8] = 0.0
+    Z[(Z == 0.0) & (rng.random(Z.shape) < 0.5)] = -0.0
+    X = np.vstack([Z, rng.normal(size=(6, m)) * 2.0])
+    hs = np.vstack([rng.integers(-2, 3, size=(5, m)).astype(float),
+                    rng.normal(size=(3, m))])
+    _max_oracles_agree(f, MaxReference(children), X, hs)
+
+
+def test_mixed_max_reads_each_child():
+    # REM12B's base family has an affine member and a sum member: its max
+    # keeps no matrix and asks each child, as the reference does
+    base, _ = _rem12b_families(0.1)
+    f = materialize_sup(base)
+    assert isinstance(f, Max) and f._A is None
+    assert {type(c) for c in f.children} == {Affine, Sum}
+    rng = np.random.default_rng(12)
+    X = np.vstack([np.zeros((1, 2)), rng.integers(-2, 3, size=(20, 2)),
+                   rng.normal(size=(6, 2))]).astype(float)
+    _max_oracles_agree(f, MaxReference(f.children), X, rng.normal(size=(4, 2)))
 
 
 def test_nodes_define_only_the_batched_oracles():

@@ -51,7 +51,8 @@ from ebstab.sampling import box_points
 from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
 from ebstab.sweep import run_perturbation_sweep
 
-from conftest import eta_local_levels_reference, random_expr
+from conftest import (bisect_reference, eta_local_levels_reference,
+                      random_expr, same_bits)
 
 EXP = Exp1D(0, -1.0, 1)
 EXP_TAIL = (np.array([-50.0]), np.array([2.0]))
@@ -230,6 +231,49 @@ def test_search_from_rounding_noise_closes():
     assert g._value(points[0]) <= 0.0
     goal = moduli.SEARCH_RTOL * (1.0 + np.linalg.norm(s - a))
     assert np.linalg.norm(points[0] - a) <= goal
+
+
+def _search_matches_reference(f, pos, pos_vals, neg, neg_vals, max_iter):
+    got = _bisect_to_boundary(f, pos, pos_vals, neg, neg_vals, max_iter)
+    want = bisect_reference(f, pos, pos_vals, neg, neg_vals, max_iter)
+    assert got[1] == want[1] and type(got[1]) is int
+    assert same_bits(got[0], want[0]) and same_bits(got[2], want[2])
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 7, 40, 100])
+def test_search_matches_the_reference_round_bit_for_bit(max_iter):
+    # the round fills one probe array in place and reads each chosen
+    # candidate by flat index; its points, steps and values must be those
+    # of the np.stack / np.clip round, bit for bit, with one feasible end
+    # per row or one for all, and with feasible starts and infeasible ends
+    # mixed in
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        m = int(rng.integers(1, 4))
+        f, s, pos = _slater_problem(rng, m, 24)
+        neg = _segments(rng, f, s, pos)
+        _search_matches_reference(f, pos, f._value_batch(pos), neg,
+                                  f._value_batch(neg), max_iter)
+        _search_matches_reference(f, pos, f._value_batch(pos), s,
+                                  f._value(s), max_iter)
+        mixed = np.vstack([pos, neg[:3]])
+        ends = np.vstack([neg, pos[:3]])
+        _search_matches_reference(f, mixed, f._value_batch(mixed), ends,
+                                  f._value_batch(ends), max_iter)
+
+
+def test_search_from_rounding_noise_matches_the_reference_round():
+    # the row of test_search_from_rounding_noise_closes, whose chord root
+    # is raised, at every round budget
+    problem = parse_problem((BENCH_PROBLEMS / "family2_box.eb").read_text())
+    g = linear_perturbation(problem.function_expr(), [-0.7071067811865476] * 2,
+                            0.01, [1.0, 1.0])
+    a = np.array([[1.0, float.fromhex("0x1.ffffffffffffep-1")]])
+    s = np.array([[float.fromhex("-0x1.6621aadaf1d20p+1"),
+                   float.fromhex("-0x1.680c084903300p+1")]])
+    for max_iter in (0, 1, 7, 40, 100):
+        _search_matches_reference(g, a, g._value_batch(a), s,
+                                  g._value_batch(s), max_iter)
 
 
 def test_search_affine_segment_closes_in_one_round():
