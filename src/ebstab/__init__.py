@@ -39,13 +39,11 @@ from .geometry import (
 from .moduli import (
     BoundarySample,
     BoxSample,
-    Condition39Result,
     ModulusReport,
     QCWitness,
     StabilityVerdict,
     boundary_sample,
     box_sample,
-    check_condition_3_9,
     classify_global_stability,
     classify_local_stability,
     distance_to_solution_set,

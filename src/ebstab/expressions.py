@@ -118,9 +118,10 @@ class ConvexExpr:
         Every row is global: f(u) >= V[j, i] + <G[j, i], u - X[i]> for all
         u, up to rounding.  The bundle is tight: V.max(axis=0) equals
         ``_value_batch(X)`` bit for bit.  r is fixed by the tree, and each
-        point's rows depend on that point alone.
+        point's rows depend on that point alone.  The default, the tangent
+        (r = 1), needs ``_grad_batch``'s G to be a subgradient at every row.
         """
-        raise NotImplementedError
+        return self._value_batch(X)[None], self._grad_batch(X)[0][None]
 
     def _polyhedral_at(self, x: np.ndarray) -> bool:
         """Whether f is f(x) + the support function of a polytope near x."""
@@ -172,9 +173,6 @@ class Const(ConvexExpr):
     def _grad_batch(self, X):
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
-    def _minorants_batch(self, X):
-        return self._value_batch(X)[None], np.zeros((1,) + X.shape)
-
     def _polyhedral_at(self, x):
         return True
 
@@ -201,9 +199,6 @@ class Affine(ConvexExpr):
 
     def _grad_batch(self, X):
         return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
-
-    def _minorants_batch(self, X):
-        return self._value_batch(X)[None], np.tile(self.a, (1, X.shape[0], 1))
 
     def _polyhedral_at(self, x):
         return True
@@ -234,10 +229,6 @@ class EuclidNorm(ConvexExpr):
         n = _row_norm(X)
         kink = n == 0.0
         return X / np.where(kink, 1.0, n)[:, None], kink
-
-    def _minorants_batch(self, X):
-        # the tangent; at the origin the zero gradient
-        return self._value_batch(X)[None], self._grad_batch(X)[0][None]
 
     def _polyhedral_at(self, x):
         return self.dim == 1

@@ -3,9 +3,11 @@
 The global modulus tau is the certified ratio, the largest lower bound on
 d(x, S) / f(x) over infeasible samples, and eta = 1/tau; the local one is
 the liminf of d(0, subdifferential) near a reference boundary point.
-Sampling is box-relative and every report says so.  Global verdicts bound
-inf |beta| over the boundary by a boundary sample and by 1/ratio, with a
-qualification-condition witness search over strictly feasible points.
+Sampling is box-relative and every report says so.  Condition (3.9),
+inf |beta| over the boundary against tau, is decided in one place, the
+global verdict, which bounds inf |beta| by a boundary sample and by
+1/ratio, with a qualification-condition witness search over strictly
+feasible points.
 
 A global analysis draws its box once (``box_sample``), and every step
 reads that ``BoxSample``: eta_global, the Slater point, the boundary
@@ -134,14 +136,6 @@ class BoundarySample:
 
     points: np.ndarray
     values: np.ndarray
-
-
-@dataclass
-class Condition39Result:
-    holds: bool
-    inf_abs_beta: float
-    worst_point: np.ndarray
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,8 @@ def _brackets(f: ConvexExpr, X: np.ndarray, vals: np.ndarray,
     A single row is never pruned: it runs until its bracket closes or
     the rounds run out.
     """
-    z, _, _ = _bisect_to_boundary(f, *_pull_to_solution_set(f, X), s, fs, 100)
+    pulled = _pull_to_solution_set(f, X, vals)
+    z, _, _ = _bisect_to_boundary(f, *pulled, s, fs, 100)
     ub = _row_norm(X - z)
     lb = np.zeros(ub.size)
     cuts = [[] for _ in ub]
@@ -429,16 +424,16 @@ def _project(cuts: list, scale: float) -> np.ndarray:
     return -scale * r[:-1] / r[-1]
 
 
-def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
-    """(Y, values): every row x of X pulled toward the solution set by
-    subgradient-projection steps, all rows in lock-step; each row y stops
-    on its own, once f(y) <= FEAS_TOL or once its next Polyak step is
-    short: f(y) / ||g|| <= PULL_RTOL * ||x - y||, g the minimum-norm
-    subgradient at y.  The second rule is scale-free, and it stops a row
-    where the steps have begun to shrink only geometrically, as they do on
-    one smooth curved piece; the pulled point only starts the boundary
-    search and the cutting planes of ``_brackets``, which do the exact
-    work.
+def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray, vals: np.ndarray):
+    """(Y, values): every row x of X, of value vals, pulled toward the
+    solution set by subgradient-projection steps, all rows in lock-step;
+    each row y stops on its own, once f(y) <= FEAS_TOL or once its next
+    Polyak step is short: f(y) / ||g|| <= PULL_RTOL * ||x - y||, g the
+    minimum-norm subgradient at y.  The second rule is scale-free, and it
+    stops a row where the steps have begun to shrink only geometrically,
+    as they do on one smooth curved piece; the pulled point only starts
+    the boundary search and the cutting planes of ``_brackets``, which do
+    the exact work.
 
     Plain Polyak steps zigzag slowly between two nearly-antipodal active
     pieces, so when a row has two distinct linearizations (this step's and
@@ -450,15 +445,16 @@ def _pull_to_solution_set(f: ConvexExpr, X: np.ndarray):
     round takes one batched value call on the rows that took a Polyak
     step, one batched minimum-norm subgradient and one value call on the
     Newton candidates, whose values an accepted step keeps, so no point is
-    evaluated twice.  values is f at Y, each row's from the round it stops
-    in (rows still moving at the 400-round cap are evaluated once more).
+    evaluated twice, and the rows of X not at all: the caller holds vals.
+    values is f at Y, each row's from the round it stops in (rows still
+    moving at the 400-round cap are evaluated once more).
     """
     X = np.asarray(X, dtype=float)
     Y = X.copy()
     k = Y.shape[0]
     g0, y0 = np.zeros_like(Y), np.zeros_like(Y)
-    e0, FY = np.zeros(k), np.zeros(k)
-    rows = new = np.arange(k)        # new: the rows f has not read at Y
+    e0, FY = np.zeros(k), np.array(vals, dtype=float)
+    rows, new = np.arange(k), np.arange(0)   # new: the rows f has not read at Y
     for i in range(401):             # the last pass only evaluates
         if new.size:
             FY[new] = f._value_batch(Y[new])
@@ -708,28 +704,6 @@ def _tightened(ratio: float) -> tuple[float, float]:
     return eta, 1.0 / eta
 
 
-def check_condition_3_9(f: ConvexExpr, tau: float,
-                        boundary: BoundarySample) -> Condition39Result:
-    """Infimum of |beta| over sampled boundary points against the threshold.
-
-    |beta| at every point comes from one batched ``_betas`` call: the
-    gradient norm where f is differentiable, the geometric certificate at
-    kinks.  worst_point is the first point that attains the infimum.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if boundary.points.shape[0] == 0:
-        raise ValueError("boundary sample must be nonempty")
-    abs_beta = np.abs(_betas(f, boundary.points))
-    worst = int(np.argmin(abs_beta))
-    return Condition39Result(
-        holds=bool(abs_beta[worst] > tau),
-        inf_abs_beta=float(abs_beta[worst]),
-        worst_point=boundary.points[worst],
-        tau=tau,
-    )
-
-
 def qc_witness_search(f: ConvexExpr, tau: float, boundary: BoundarySample,
                       sample: BoxSample,
                       flag_threshold: float = 0.1) -> list[QCWitness]:
@@ -796,10 +770,11 @@ def classify_local_stability(f: ConvexExpr, xbar,
 
 def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
                               modulus: ModulusReport) -> StabilityVerdict:
-    """Global stability verdict over a box sample of n points and its
+    """Condition (3.9), decided over a box sample of n points and its
     modulus = ``eta_global(f, sample)``: one boundary sample of
-    max(16, n // 8) points, searched from the box sample, serves condition
-    (3.9) and the witness search over the box sample's feasible points.
+    max(16, n // 8) points, searched from the box sample, gives |beta| at
+    its points (one ``_betas`` call; the first least is its worst point)
+    and serves the witness search over the box sample's feasible points.
     beta_inf is the least of its |beta| and 1/ratio, a bound over bd S,
     not bd S in the box: the projection p of the ratio's witness x onto S
     lies in B(x, ub(x)), and x - p is a multiple of a subgradient g at p
@@ -808,14 +783,15 @@ def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
     and the witness search to come back empty; a witness or a beta_inf
     below tau by that margin is unstable; the band in between is
     undetermined.  The notes say what set beta_inf; only a boundary
-    sample's carries a perturbation direction.
+    sample's worst point carries a perturbation direction.
     """
     boundary = boundary_sample(f, sample, max(16, sample.points.shape[0] // 8))
-    cond = check_condition_3_9(f, tau, boundary)
+    abs_beta = np.abs(_betas(f, boundary.points))
+    worst = int(np.argmin(abs_beta))
     witnesses = qc_witness_search(f, tau, boundary, sample)
     x, lb, ub = modulus.ratio_witness
-    inf_beta, extra = min(cond.inf_abs_beta, 1.0 / modulus.empirical_ratio), {}
-    by_ratio = inf_beta < cond.inf_abs_beta
+    inf_beta = min(float(abs_beta[worst]), 1.0 / modulus.empirical_ratio)
+    by_ratio, extra = inf_beta < abs_beta[worst], {}
     source = "the boundary sample"
     if by_ratio:
         inside = np.all(x - ub >= sample.box[0]) and np.all(x + ub <= sample.box[1])
@@ -829,7 +805,7 @@ def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
         verdict, why = "unstable", "; boundary point with |beta| below tau"
         if not by_ratio:
             extra["perturbation_direction"] = np.asarray(
-                beta(f, cond.worst_point).witness)
+                beta(f, boundary.points[worst]).witness)
     elif inf_beta > tau * (1.0 + DECISION_MARGIN):
         verdict, why = "stable", ""
     else:

@@ -295,7 +295,7 @@ def test_distances_match_pre_stage_algorithm_where_certified():
 def _starts(f, X, s):
     """The pulled points and boundary points that start the brackets of
     the infeasible rows of X, as ``_brackets`` computes them."""
-    y, fy = _pull_to_solution_set(f, X)
+    y, fy = _pull_to_solution_set(f, X, f._value_batch(X))
     z, _, _ = _bisect_to_boundary(f, y, fy, np.broadcast_to(s, X.shape),
                                   f._value(s), 100)
     return y, z
@@ -435,8 +435,8 @@ def test_poly3_box_pull_stops_where_the_search_takes_over(samples, monkeypatch):
             calls[-1] += 1
             return self._f._value_batch(X)
 
-    def spy(f, X, _real=moduli._pull_to_solution_set):
-        return _real(Counting(f), X)
+    def spy(f, X, vals, _real=moduli._pull_to_solution_set):
+        return _real(Counting(f), X, vals)
 
     monkeypatch.setattr(moduli, "_pull_to_solution_set", spy)
     for seed in range(5):
@@ -450,9 +450,10 @@ def test_poly3_box_pull_stops_where_the_search_takes_over(samples, monkeypatch):
 def test_pull_evaluates_no_point_twice(monkeypatch):
     # an accepted two-plane Newton step keeps the value its candidate was
     # accepted on, so the next round evaluates only the rows that took a
-    # Polyak step, and no value call inside the pull reads a point again
-    # (on poly3_box, whose curved piece keeps two rows from meeting; on a
-    # polyhedral f two rows may be pulled onto one point)
+    # Polyak step, and no value call inside the pull reads a point again,
+    # nor a starting row, whose value the caller passes in (on poly3_box,
+    # whose curved piece keeps two rows from meeting; on a polyhedral f
+    # two rows may be pulled onto one point)
     pulls = []
 
     class Recording:
@@ -463,21 +464,22 @@ def test_pull_evaluates_no_point_twice(monkeypatch):
             return getattr(self._f, name)
 
         def _value_batch(self, X):
-            pulls[-1].extend(x.tobytes() for x in X)
+            pulls[-1][1].extend(x.tobytes() for x in X)
             return self._f._value_batch(X)
 
-    def spy(f, X, _real=moduli._pull_to_solution_set):
-        pulls.append([])
-        return _real(Recording(f), X)
+    def spy(f, X, vals, _real=moduli._pull_to_solution_set):
+        pulls.append(({x.tobytes() for x in X}, []))
+        return _real(Recording(f), X, vals)
 
     monkeypatch.setattr(moduli, "_pull_to_solution_set", spy)
     for seed in range(5):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["analyze-global", str(BENCH_PROBLEMS / "poly3_box.eb"),
                          "--samples", "128", "--seed", str(seed)]) == 0
-    assert len(pulls) == 5 and all(pulls)
-    for rows in pulls:
+    assert len(pulls) == 5 and all(rows for _, rows in pulls)
+    for starts, rows in pulls:
         assert len(set(rows)) == len(rows)
+        assert starts.isdisjoint(rows)
 
 
 @pytest.mark.parametrize("c", [2.0 ** -10, 2.0 ** 10])
@@ -491,8 +493,10 @@ def test_pull_is_scale_free(c):
         for seed in range(3):
             sample = box_sample(f, problem.box, 512, seed)
             X = sample.points[sample.values > 0.0]
-            assert np.array_equal(_pull_to_solution_set(Sum([(c, f)]), X)[0],
-                                  _pull_to_solution_set(f, X)[0]), (path.name, seed)
+            g = Sum([(c, f)])
+            assert np.array_equal(
+                _pull_to_solution_set(g, X, g._value_batch(X))[0],
+                _pull_to_solution_set(f, X, f._value_batch(X))[0]), (path.name, seed)
 
 
 def test_distances_lockstep_kink_problem():

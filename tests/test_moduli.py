@@ -36,7 +36,6 @@ from ebstab.moduli import (
     _bisect_to_boundary,
     boundary_sample,
     box_sample,
-    check_condition_3_9,
     classify_global_stability,
     classify_local_stability,
     distance_to_solution_set,
@@ -48,7 +47,7 @@ from ebstab.moduli import (
 from ebstab.problems import parse_problem
 from ebstab.reports import emit_report
 from ebstab.sampling import box_points
-from ebstab.sphere import ZERO_TOL, beta, linear_perturbation
+from ebstab.sphere import ZERO_TOL, _betas, beta, linear_perturbation
 from ebstab.sweep import run_perturbation_sweep
 
 from conftest import (bisect_reference, eta_local_levels_reference,
@@ -574,57 +573,74 @@ def test_reciprocity_invariant():
 
 
 def test_condition_3_9_exp():
-    bs = boundary_sample(EXP, box_sample(EXP, (np.array([-2.0]), np.array([2.0])), 256), 16)
-    res = check_condition_3_9(EXP, 0.5, bs)
-    assert res.holds
-    assert res.inf_abs_beta == pytest.approx(1.0, abs=1e-9)
+    # the boundary of e^x - 1 is {0}, where |beta| = 1, and 1/ratio >= 1
+    sample = box_sample(EXP, (np.array([-2.0]), np.array([2.0])), 256)
+    v = classify_global_stability(EXP, 0.5, sample, eta_global(EXP, sample))
+    assert v.verdict == "stable"
+    assert v.beta_inf == pytest.approx(1.0, abs=1e-9)
+    assert "set by the boundary sample" in v.notes
 
 
 def test_condition_3_9_pospartsquare_fails():
     # the feasible region of (x+)^2 has empty interior, so the boundary
     # sample {0} is supplied directly
-    f = PosPartSquare(0, 1)
     bs = BoundarySample(points=np.array([[0.0]]), values=np.zeros(1))
-    res = check_condition_3_9(f, 0.5, bs)
-    assert not res.holds
-    assert res.inf_abs_beta <= 1e-9
+    assert np.abs(_betas(PosPartSquare(0, 1), bs.points))[0] <= 1e-9
 
 
 def test_condition_3_9_affine(rng):
     a = rng.uniform(-2, 2, size=2)
     f = Affine(a, -0.5)
-    bs = boundary_sample(f, box_sample(f, BOX2, 256), 16)
-    res = check_condition_3_9(f, float(np.linalg.norm(a)) / 2, bs)
-    assert res.holds
-    assert res.inf_abs_beta == pytest.approx(float(np.linalg.norm(a)), abs=1e-9)
+    sample = box_sample(f, BOX2, 256)
+    v = classify_global_stability(f, float(np.linalg.norm(a)) / 2, sample,
+                                  eta_global(f, sample))
+    assert v.verdict == "stable"
+    assert v.beta_inf == pytest.approx(float(np.linalg.norm(a)), abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
 @settings(max_examples=30)
 def test_condition_3_9_matches_scalar_beta(seed, m):
     # with a Slater point the origin lies outside df at every zero of f,
-    # so the batched distances give |beta| at every boundary point
+    # so the batched distances give |beta| at every boundary point; the
+    # verdict reads them off the boundary sample of a 256-point box
+    # sample, 32 points, and its first least is the worst point
     rng = np.random.default_rng(seed)
     f, s, _ = _slater_problem(rng, m, 0)
-    box = (s - 4.0, s + 4.0)
+    sample = box_sample(f, (s - 4.0, s + 4.0), 256, 1)
     try:
-        bs = boundary_sample(f, box_sample(f, box, 256, 1), 24)
+        bs = boundary_sample(f, sample, 32)
     except NoSignChangeInBox:
         return
+    modulus = eta_global(f, sample)
+    v = classify_global_stability(f, 0.5, sample, modulus)
     want = np.array([abs(beta(f, p).beta) for p in bs.points])
-    res = check_condition_3_9(f, 0.5, bs)
-    assert res.inf_abs_beta == pytest.approx(want.min(), rel=1e-12, abs=0.0)
-    k = int(np.flatnonzero(np.all(bs.points == res.worst_point, axis=1))[0])
-    assert want[k] == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+    got = np.abs(_betas(f, bs.points))
+    assert got.min() == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+    assert want[np.argmin(got)] == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+    assert v.beta_inf == min(float(got.min()), 1.0 / modulus.empirical_ratio)
+
+
+def test_condition_3_9_direction_is_beta_witness_at_the_worst_point():
+    # max(0.2 x, 3 x) on [-2, 2]: the boundary is the kink {0}, where
+    # |beta| = 0.2 (df is [0.2, 3]), while 1/ratio = 3 and the feasible
+    # slope 0.2 flags no witness, so the boundary sample sets an unstable
+    # verdict, which carries beta's witness at its first least |beta|
+    f = Max([Affine([0.2], 0.0), Affine([3.0], 0.0)])
+    sample = box_sample(f, (np.array([-2.0]), np.array([2.0])), 256)
+    v = classify_global_stability(f, 0.5, sample, eta_global(f, sample))
+    bs = boundary_sample(f, sample, 32)
+    worst = bs.points[np.argmin(np.abs(_betas(f, bs.points)))]
+    assert v.verdict == "unstable" and not v.qc_witnesses
+    assert v.beta_inf == pytest.approx(0.2, rel=1e-12)
+    assert np.array_equal(v.perturbation_direction, beta(f, worst).witness)
 
 
 def test_condition_3_9_interior_point_takes_scalar_beta():
     # ||x|| at the origin: df is the unit ball, whose distance to the
     # origin is 0 while beta is its inradius, +1
     bs = BoundarySample(points=np.zeros((1, 2)), values=np.zeros(1))
-    res = check_condition_3_9(EuclidNorm(2), 0.5, bs)
-    assert res.inf_abs_beta == 1.0
-    assert res.holds
+    assert np.abs(_betas(EuclidNorm(2), bs.points))[0] == 1.0
 
 
 def test_qc_witness_exp_tail():
