@@ -21,6 +21,7 @@ interval family's index set is its ``<grid>`` uniform points in
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ _SCALAR_T = re.compile(
 _TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     text: str
     line: int
@@ -68,9 +69,9 @@ class _Stream:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def pop(self, expect: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= len(self.tokens):
             raise ParseError("unexpected end of line", self.line, 0)
+        tok = self.tokens[self.pos]
         if expect is not None and tok.text != expect:
             raise ParseError(f"expected '{expect}', got '{tok.text}'",
                              tok.line, tok.col)
@@ -91,7 +92,7 @@ def _scalar(tok: _Token, t: float | None) -> float:
     a+b*t at the template's grid parameter t."""
     try:
         value = float(tok.text)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ParseError(f"expected a finite number, got '{tok.text}'",
                              tok.line, tok.col)
         return value

@@ -41,7 +41,10 @@ def low_discrepancy(d: int, n: int, seed=0) -> np.ndarray:
     seed may be a sequence of seeds: then the n points of each, seed-major,
     as one (len(seed) * n, d) array."""
     steps = np.arange(1, n + 1, dtype=float)[:, None] * _kronecker_alphas(d)[None, :]
-    return ((steps[None] + _phases(d, seed)[:, None]) % 1.0).reshape(-1, d)
+    # x - floor(x) is exact for x >= 0 and equals x % 1.0 bit for bit
+    x = steps[None] + _phases(d, seed)[:, None]
+    x -= np.floor(x)
+    return x.reshape(-1, d)
 
 
 def unit_directions(m: int, n: int, seed=0, u=None) -> np.ndarray:

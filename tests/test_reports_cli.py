@@ -2,16 +2,19 @@
 
 import json
 import math
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebstab.cli import build_parser, main
 from ebstab.errors import MinNormNonConvergence
 from ebstab.moduli import ModulusReport, QCWitness, StabilityVerdict
 from ebstab.problems import parse_problem
-from ebstab.reports import SWEEP_CSV_HEADER, emit_report, make_envelope
+from ebstab.reports import SWEEP_CSV_HEADER, _to_json, emit_report, make_envelope
 from ebstab.sweep import run_perturbation_sweep
 
 BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
@@ -85,6 +88,60 @@ def test_json_encodes_infinity_as_string():
     payload = json.loads(emit_report(rep, "json"))
     assert payload["eta"] == "inf"
     assert payload["vacuous"] is True
+
+
+class _Tag(str, Enum):
+    PLAIN = "plain"
+    ODD = 'caf\u00e9 "q" \\ \x07'
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class _Real(float):
+    pass
+
+
+_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                   st.characters())
+_TEXT = st.text(_CHARS, max_size=8)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.sampled_from([0.0, -0.0, math.nan, 5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**64, -(2**64) - 1]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(_Tag)),
+    st.sampled_from(list(_Level)),
+    st.floats().map(_Real),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(_TREES)
+def test_json_writer_matches_json_dumps(tree):
+    # each subclass is written through its base type, NaN bare
+    assert _to_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [object(), np.bool_(True), {1, 2}],
+                         ids=["object", "numpy-bool", "set"])
+def test_json_refuses_what_json_dumps_refuses(obj):
+    for tree in (obj, {"x": obj}, [1.0, obj]):
+        with pytest.raises(TypeError):
+            emit_report(tree, "json")
 
 
 def test_unstable_verdict_json_has_witnesses():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab.sampling import ball_points, low_discrepancy, unit_directions
+from ebstab.sampling import (
+    _kronecker_alphas,
+    _phases,
+    ball_points,
+    low_discrepancy,
+    unit_directions,
+)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -43,3 +49,16 @@ def test_seed_sequences_stack_the_one_seed_draws_bit_for_bit(m, n, data):
 def test_ball_points_rejects_unequal_sequences():
     with pytest.raises(ValueError):
         ball_points(np.zeros(2), [1.0, 0.5], 4, [0, 1, 2])
+
+
+@pytest.mark.parametrize("seed", [0, 3, [0], [1, 2, 3], list(range(8)),
+                                  [2**32 - 1, 12345]])
+def test_low_discrepancy_matches_the_remainder_form_bit_for_bit(seed):
+    # every phase and step is >= 0, where x - floor(x) and x % 1.0 agree
+    # to the last bit
+    for d in (1, 2, 5, 9):
+        for n in (1, 7, 256, 1000):
+            steps = np.arange(1, n + 1, dtype=float)[:, None] * _kronecker_alphas(d)
+            x = steps[None] + _phases(d, seed)[:, None]
+            assert low_discrepancy(d, n, seed).tobytes() == \
+                (x % 1.0).reshape(-1, d).tobytes()
