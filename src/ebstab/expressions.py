@@ -478,8 +478,13 @@ class Sum(ConvexExpr):
         return out
 
     def _subdiff(self, x):
-        return functools.reduce(add_sets, (scale_set(e._subdiff(x), w)
-                                           for w, e in self.terms))
+        parts = tuple(scale_set(e._subdiff(x), w) for w, e in self.terms)
+        s = functools.reduce(add_sets, parts)
+        if len(parts) > 1:
+            # a new set from add_sets; min_support_direction reads its
+            # interior beta off these terms where they are separable
+            object.__setattr__(s, "_terms", parts)
+        return s
 
     def _grad_batch(self, X):
         G = np.zeros(X.shape)

@@ -248,28 +248,63 @@ def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     assert results["stability"]["verdict"] == "unstable"
 
 
+def _count_beta_calls(monkeypatch):
+    """Calls of min_support_direction (as sphere reads it), of the one-pass
+    interior inradius and of its facet pass, each by the set's shape."""
+    from ebstab import geometry, sphere
+
+    calls = {"min_support_direction": [], "_inradius_at_origin": [],
+             "_polar_rays": []}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(arg):
+            calls[name].append(np.shape(getattr(arg, "generators", arg)))
+            return fn(arg)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sphere, "min_support_direction")
+    counted(geometry, "_inradius_at_origin")
+    counted(geometry, "_polar_rays")
+    return calls
+
+
 def test_cli_analyze_local_computes_beta_once(tmp_path, monkeypatch, capsys):
     # ||x||_1 at the origin of R^4: the verdict reuses the report's beta
-    # certificate, so the interior-beta facet search runs once
-    from ebstab import geometry
-
+    # certificate, so beta is computed once; the cube is the product of
+    # the four terms' intervals, read block by block, so no facet pass runs
     path = tmp_path / "l1norm4.eb"
     path.write_text("dim 4\nexpr (sum 1 (abs 0) 1 (abs 1) 1 (abs 2) 1 (abs 3))\n"
                     "point [0.0, 0.0, 0.0, 0.0]\n", encoding="utf-8")
-    calls = []
-    inradius = geometry._inradius_at_origin
-
-    def counted(g):
-        calls.append(g.shape)
-        return inradius(g)
-
-    monkeypatch.setattr(geometry, "_inradius_at_origin", counted)
+    calls = _count_beta_calls(monkeypatch)
     assert main(["analyze-local", str(path), "--format", "json",
                  "--samples", "16", "--levels", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["beta"]["beta"] == 1.0
+    assert results["beta"]["witness"] == [-1.0, 0.0, 0.0, 0.0]
     assert results["stability"]["verdict"] == "stable"
-    assert len(calls) == 1
+    assert calls == {"min_support_direction": [(16, 4)],
+                     "_inradius_at_origin": [], "_polar_rays": []}
+
+
+def test_cli_analyze_local_computes_a_max_beta_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # max(|x1|, |x2|) at the origin: the square's hull is no product, so
+    # the one-pass inradius runs, once, and finds 1/sqrt(2)
+    path = tmp_path / "linf2.eb"
+    path.write_text("dim 2\nexpr (max (abs 0) (abs 1))\npoint [0.0, 0.0]\n",
+                    encoding="utf-8")
+    calls = _count_beta_calls(monkeypatch)
+    assert main(["analyze-local", str(path), "--format", "json",
+                 "--samples", "16", "--levels", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == pytest.approx(1.0 / math.sqrt(2.0),
+                                                    abs=1e-15)
+    assert results["beta"]["origin"] == "interior"
+    assert results["stability"]["verdict"] == "stable"
+    assert calls == {"min_support_direction": [(4, 2)],
+                     "_inradius_at_origin": [(4, 2)], "_polar_rays": [(4, 2)]}
 
 
 @pytest.mark.parametrize("seed", ["0", "1001"])
