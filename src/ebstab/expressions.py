@@ -28,8 +28,6 @@ stability analysis needs while keeping every oracle exact.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ConvexityViolation, DimensionMismatch, NumericalOverflow
@@ -37,10 +35,10 @@ from .geometry import (
     SubdiffSet,
     _row_norm,
     _rows_times,
-    add_sets,
     adjoint_image_set,
     merge_active_subdiffs,
     scale_set,
+    sum_sets,
 )
 
 _ACTIVE_TOL = 1e-10
@@ -478,13 +476,7 @@ class Sum(ConvexExpr):
         return out
 
     def _subdiff(self, x):
-        parts = tuple(scale_set(e._subdiff(x), w) for w, e in self.terms)
-        s = functools.reduce(add_sets, parts)
-        if len(parts) > 1:
-            # a new set from add_sets; min_support_direction reads its
-            # interior beta off these terms where they are separable
-            object.__setattr__(s, "_terms", parts)
-        return s
+        return sum_sets(scale_set(e._subdiff(x), w) for w, e in self.terms)
 
     def _grad_batch(self, X):
         G = np.zeros(X.shape)

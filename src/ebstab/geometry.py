@@ -12,9 +12,10 @@ active-set solver, Lawson and Hanson's NNLS, finds every minimum-norm point
 here and the cutting-plane projections of ``moduli``; when the origin is
 inside, the boundary distance is the inradius, read off the facets that
 one double description pass finds on the polar cone, with no cap on their
-number.  A sum's set remembers the terms it was summed from; where they
-split into blocks on disjoint coordinates, the set is their product and
-its inradius the least block's, read block by block.
+number.  A sum's set remembers the terms it was summed from; where each
+touches one coordinate at most and together they touch every coordinate,
+the set is a product of intervals and its inradius the least interval's,
+read coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class SubdiffSet:
         pruned to the extreme points (``prune_to_extreme``); read-only, so
         sets may share it, as ``scale_set`` by 1 does.
     ball_radius: finite nonnegative float.
-    _terms: the sets a sum's set was summed from, which ``Sum._subdiff``
+    _terms: the sets a sum's set was summed from, which ``sum_sets``
         records after building it; empty for every other set, and dropped
-        by the set calculus, which builds a new set.
+        by the rest of the set calculus, which builds a new set.
     """
 
     generators: np.ndarray
@@ -352,66 +353,56 @@ def _inradius_at_origin(g: np.ndarray):
     return float(np.max(g @ h)), h
 
 
-def _block_inradius(s: SubdiffSet):
-    """``_inradius_at_origin`` of s read block by block, or None.
+def _interval_inradius(s: SubdiffSet):
+    """``_inradius_at_origin`` of s read coordinate by coordinate, or None.
 
-    The terms s was summed from are grouped by the coordinates their
-    generators touch (a term touching none is {0} and drops out).  Two or
-    more groups that cover every coordinate make s their Cartesian product
-    (Rockafellar, Convex Analysis, Thm 23.8), whose support is the sum of
-    the groups' supports, so its inradius is the least group's, at that
-    group's own facet normal.  A group on one coordinate is the interval
-    [lo, hi], inradius min(hi, -lo) at -e_j on a tie; any other group is the
-    Minkowski sum of its terms on its columns.  Ties go to the group with
-    the lowest coordinate.
+    Where each term s was summed from touches at most one coordinate and
+    together they touch all m >= 2 of them, s is the Cartesian product of
+    one interval [lo, hi] per coordinate (Rockafellar, Convex Analysis, Thm
+    23.8), whose support is the sum of the intervals' supports, so its
+    inradius is the least min(hi, -lo), at -e_j on a tie within the interval
+    and at the lowest such j among equal ones.  A term touching no
+    coordinate is {0} and drops out; any term touching two or more gives
+    None.
     """
-    groups = []  # (columns, indices of the terms summed in them)
-    for i, t in enumerate(s._terms):
-        cols = set(np.flatnonzero(np.any(t.generators, axis=0)).tolist())
-        if not cols:
-            continue
-        hit = [g for g in groups if g[0] & cols]
-        groups = [g for g in groups if not g[0] & cols]
-        groups.append((cols.union(*(g[0] for g in hit)),
-                       sorted([i, *(j for g in hit for j in g[1])])))
-    if len(groups) < 2 or sum(len(g[0]) for g in groups) < s.dim:
+    if s.dim < 2 or not s._terms:
         return None
-    best = None
-    for cols, idx in sorted(groups, key=lambda g: min(g[0])):
-        cols = sorted(cols)
-        if len(cols) == 1:
+    lo, hi = np.zeros(s.dim), np.zeros(s.dim)
+    touched = np.zeros(s.dim, dtype=bool)
+    for t in s._terms:
+        cols = np.flatnonzero(np.any(t.generators, axis=0))
+        if cols.size > 1:
+            return None
+        if cols.size:
             # summed in the terms' order, as add_sets sums them, so lo and
             # hi are the column's extremes bit for bit (rounding is monotone)
-            lo = hi = 0.0
-            for i in idx:
-                col = s._terms[i].generators[:, cols[0]]
-                lo, hi = lo + float(col.min()), hi + float(col.max())
-            sigma, hg = (-lo, -1.0) if -lo <= hi else (hi, 1.0)
-        else:
-            block = functools.reduce(add_sets, (
-                SubdiffSet(s._terms[i].generators[:, cols]) for i in idx))
-            sigma, hg = _inradius_at_origin(block.generators)
-        if best is None or sigma < best[0]:
-            h = np.zeros(s.dim)
-            h[cols] = hg
-            best = sigma, h
-    return best
+            j = cols[0]
+            lo[j] += t.generators[:, j].min()
+            hi[j] += t.generators[:, j].max()
+            touched[j] = True
+    if not touched.all():
+        return None
+    sigma = np.minimum(hi, -lo)
+    j = int(np.argmin(sigma))
+    h = np.zeros(s.dim)
+    h[j] = -1.0 if -lo[j] <= hi[j] else 1.0
+    return float(sigma[j]), h
 
 
 def min_support_direction(s: SubdiffSet):
     """(sigma, h) with sigma = min over unit h of the support function
     max over s of <., h>, and h the minimizing direction.  sigma is the
     signed distance from the origin to the boundary of s: -d(0, s) outside,
-    +d(0, bdry s) inside (block by block for a sum's product of blocks,
-    ``_block_inradius``), 0 on the boundary.  Raises MinNormNonConvergence
-    where min_norm_point does."""
+    +d(0, bdry s) inside (coordinate by coordinate for a sum's product of
+    intervals, ``_interval_inradius``), 0 on the boundary.  Raises
+    MinNormNonConvergence where min_norm_point does."""
     mn = min_norm_point(s)
     if mn.hull_dist > _HULL_ZERO:
         h = -mn.point / mn.hull_dist
         sigma_hull = -mn.hull_dist
     else:
-        block = _block_inradius(s) if s.ball_radius == 0.0 else None
-        sigma_hull, h = block or _inradius_at_origin(s.generators)
+        box = _interval_inradius(s) if s.ball_radius == 0.0 else None
+        sigma_hull, h = box or _inradius_at_origin(s.generators)
     return sigma_hull + s.ball_radius, h
 
 
@@ -430,6 +421,18 @@ def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
     the SubdiffSet normal form prunes when they get many."""
     pair = a.generators[:, None, :] + b.generators[None, :, :]
     return SubdiffSet(pair.reshape(-1, a.dim), a.ball_radius + b.ball_radius)
+
+
+def sum_sets(parts) -> SubdiffSet:
+    """The Minkowski sum of parts, by ``add_sets`` in their order; a sum of
+    two or more also records them on the set it builds (``_terms``), for
+    ``min_support_direction`` to read its interior beta off them."""
+    parts = tuple(parts)
+    s = functools.reduce(add_sets, parts)
+    if len(parts) > 1:
+        # s is the new set add_sets built, never one of the parts
+        object.__setattr__(s, "_terms", parts)
+    return s
 
 
 def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:

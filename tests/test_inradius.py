@@ -1,6 +1,6 @@
 """Interior beta: the inradius of conv(G) from the double description of its
-polar cone, exact and unbounded in the number of facets, and read block by
-block where a sum's terms touch disjoint coordinates."""
+polar cone, exact and unbounded in the number of facets, and read
+coordinate by coordinate where a sum's terms each touch one coordinate."""
 
 import itertools
 import math
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from ebstab import geometry
 from ebstab.expressions import (AbsCoord, Affine, Const, EuclidNorm, Max, Sum,
                                 subdifferential)
-from ebstab.geometry import (_HULL_ZERO, SubdiffSet, _block_inradius,
-                             _inradius_at_origin, _polar_rays, add_sets,
-                             min_norm_point, min_support_direction, scale_set)
+from ebstab.geometry import (_HULL_ZERO, SubdiffSet, _inradius_at_origin,
+                             _interval_inradius, _polar_rays, add_sets,
+                             min_norm_point, min_support_direction, scale_set,
+                             sum_sets)
 from ebstab.sampling import unit_directions
 
 from conftest import polar_rays_reference, refine_sphere_min_multi, support
@@ -106,28 +107,20 @@ def test_inradius_memory_is_bounded():
 
 
 def _separable_sum(rng, m):
-    """A sum of weighted terms on disjoint blocks of the coordinates of R^m,
-    shuffled: |x_j| terms, a max of affines with all pieces active at 0,
-    constants, zero weights, and per block one affine on the block, -mu,
-    with mu the mean of the block's other generators at 0, so that the
+    """A sum of weighted terms of R^m, each on one coordinate at most,
+    shuffled: |x_j| terms, a max of affines in x_j with all pieces active at
+    0, constants, zero weights, and per coordinate one affine -mu x_j, with
+    mu the mean of that coordinate's other generators at 0, so that the
     origin lies in the subdifferential there."""
-    cols = rng.permutation(m)
-    cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(1, m)),
-                              replace=False))
     terms = []
-    for block in np.split(cols, cuts):
+    for j in range(m):
         mine = []
-        for j in block:
-            if rng.random() < 0.6:
-                mine.append((rng.choice([0.0, rng.uniform(0.2, 3.0)],
-                                        p=[0.15, 0.85]), AbsCoord(int(j), m)))
-        if (block.size > 1 or not any(w > 0.0 for w, _ in mine)
-                or rng.random() < 0.5):
-            pieces = []
-            for _ in range(block.size + int(rng.integers(1, 4))):
-                a = np.zeros(m)
-                a[block] = rng.uniform(-2.0, 2.0, size=block.size)
-                pieces.append(Affine(a, 0.0))
+        if rng.random() < 0.6:
+            mine.append((rng.choice([0.0, rng.uniform(0.2, 3.0)],
+                                    p=[0.15, 0.85]), AbsCoord(j, m)))
+        if not any(w > 0.0 for w, _ in mine) or rng.random() < 0.5:
+            pieces = [Affine(rng.uniform(-2.0, 2.0) * np.eye(m)[j], 0.0)
+                      for _ in range(int(rng.integers(2, 5)))]
             mine.append((rng.uniform(0.2, 3.0), Max(pieces)))
         if rng.random() < 0.3:
             mine.append((rng.uniform(0.0, 2.0), Const(rng.normal(), m)))
@@ -138,21 +131,39 @@ def _separable_sum(rng, m):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 5))
-def test_block_inradius_matches_the_one_pass_inradius(seed, m):
-    # the origin lies in the product of the blocks' sets; read block by
-    # block, the inradius is the one pass's over every generator
+def test_interval_inradius_matches_the_one_pass_inradius(seed, m):
+    # the origin lies in the product of one interval per coordinate; read
+    # coordinate by coordinate, the inradius is the one pass's over every
+    # generator
     f = _separable_sum(np.random.default_rng(seed), m)
     s = subdifferential(f, np.zeros(m))
     assert min_norm_point(s).hull_dist <= _HULL_ZERO
-    block = _block_inradius(s)
-    assert block is not None
-    sigma, h = block
+    box = _interval_inradius(s)
+    assert box is not None
+    sigma, h = box
     want, _ = _inradius_at_origin(s.generators)
     assert abs(sigma - want) <= 1e-12 * (1.0 + abs(sigma))
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert abs(np.max(s.generators @ h) - sigma) <= 1e-12
     got = min_support_direction(s)
     assert got[0] == sigma and np.array_equal(got[1], h)
+
+
+_STEP = Max([Affine([1.0, 0.0], 0.0), Affine([-2.0, 0.0], 0.0)])
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, _STEP), (1.0, AbsCoord(1, 2))],
+    [(1.0, AbsCoord(1, 2)), (1.0, _STEP)],
+])
+def test_interval_inradius_ties_go_to_the_lowest_coordinate(terms):
+    # max(x0, -2 x0) + |x1| at 0 is [-2, 1] x [-1, 1]: both intervals read
+    # inradius 1, at +e0 and at -e1, and the lower coordinate wins whatever
+    # the order of the terms
+    s = subdifferential(Sum(terms), np.zeros(2))
+    sigma, h = min_support_direction(s)
+    assert sigma == 1.0 == _inradius_at_origin(s.generators)[0]
+    assert h.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("f, want", [
@@ -163,8 +174,14 @@ def test_block_inradius_matches_the_one_pass_inradius(seed, m):
           (1.0, EuclidNorm(2))]), 2.0),
     # a max merges the terms' sets into one cross-polytope
     (Max([AbsCoord(0, 2), AbsCoord(1, 2)]), 1.0 / math.sqrt(2.0)),
+    # the affine term touches both coordinates: [-0.5, 1.5]^2
+    (Sum([(1.0, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2)),
+          (1.0, Affine([0.5, 0.5], 0.0))]), 0.5),
+    # a product, but of a square and an interval, not of intervals only
+    (Sum([(1.0, Max([AbsCoord(0, 3), AbsCoord(1, 3)])),
+          (1.0, AbsCoord(2, 3))]), 1.0 / math.sqrt(2.0)),
 ])
-def test_non_separable_sets_take_the_one_pass(f, want, monkeypatch):
+def test_non_interval_sets_take_the_one_pass(f, want, monkeypatch):
     # the one pass runs once on the whole set; a flat set ends before the
     # facet pass, a full-dimensional one makes exactly one
     passes, rays = [], []
@@ -180,14 +197,18 @@ def test_non_separable_sets_take_the_one_pass(f, want, monkeypatch):
 
 def test_sum_terms_are_provenance_only():
     # the sum's set keeps add_sets' rows and records its scaled terms; the
-    # constructor takes no terms, and the set calculus builds sets without
+    # constructor takes no terms, and the rest of the set calculus builds
+    # sets without
     f = Sum([(2.0, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2))])
     s = subdifferential(f, np.zeros(2))
     parts = [scale_set(t._subdiff(np.zeros(2)), w) for w, t in f.terms]
     assert s.generators.tobytes() == add_sets(*parts).generators.tobytes()
     assert [p.generators.tolist() for p in s._terms] == [
         p.generators.tolist() for p in parts]
+    assert all(p._terms == () for p in parts)
     with pytest.raises(TypeError):
         SubdiffSet(s.generators, 0.0, s._terms)
     assert scale_set(s, 2.0)._terms == () and add_sets(s, s)._terms == ()
     assert scale_set(s, 1.0) is s
+    # one part is its own sum, and nothing is recorded on it
+    assert sum_sets(parts[:1]) is parts[0] and parts[0]._terms == ()

@@ -273,7 +273,7 @@ def _count_beta_calls(monkeypatch):
 def test_cli_analyze_local_computes_beta_once(tmp_path, monkeypatch, capsys):
     # ||x||_1 at the origin of R^4: the verdict reuses the report's beta
     # certificate, so beta is computed once; the cube is the product of
-    # the four terms' intervals, read block by block, so no facet pass runs
+    # the four terms' intervals, read one by one, so no facet pass runs
     path = tmp_path / "l1norm4.eb"
     path.write_text("dim 4\nexpr (sum 1 (abs 0) 1 (abs 1) 1 (abs 2) 1 (abs 3))\n"
                     "point [0.0, 0.0, 0.0, 0.0]\n", encoding="utf-8")
