@@ -12,17 +12,18 @@ active-set solver, Lawson and Hanson's NNLS, finds every minimum-norm point
 here and the cutting-plane projections of ``moduli``; when the origin is
 inside, the boundary distance is the inradius, read off the facets that
 one double description pass finds on the polar cone, with no cap on their
-number.  A sum's set remembers the terms it was summed from; where each
-touches one coordinate at most and together they touch every coordinate,
-the set is a product of intervals and its inradius the least interval's,
-read coordinate by coordinate.
+number.  A box, a product of one interval per coordinate, is kept as its
+ends lo and hi: a sum of terms that each act on their own coordinate is
+one, and its minimum-norm point, inradius and affine hull are read off
+lo and hi, never off its 2^m vertices, which are built only for a reader
+of the generators.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,46 +40,83 @@ MIN_NORM_TOL = 1e-10
 _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in hull
 
 
-@dataclass(frozen=True, eq=False)
 class SubdiffSet:
     """The compact convex set conv(generators) + ball_radius * unit ball.
 
     generators: finite (k, m) array, k >= 1, kept in normal form: rows are
         deduplicated in order (``dedupe_rows``), then, above 32 of them,
         pruned to the extreme points (``prune_to_extreme``); read-only, so
-        sets may share it, as ``scale_set`` by 1 does.
+        sets may share it, as ``scale_set`` by 1 does.  A box that
+        ``add_sets`` summed builds them on first read, from the sets it was
+        summed from, by the pairwise fold that would have built them then.
     ball_radius: finite nonnegative float.
-    _terms: the sets a sum's set was summed from, which ``sum_sets``
-        records after building it; empty for every other set, and dropped
-        by the rest of the set calculus, which builds a new set.
+    lo, hi: for a box, its least and greatest point, so conv(generators)
+        is [lo, hi]; None for every other set.  A set whose rows differ in
+        one coordinate at most is a box (a point or a segment along an
+        axis), and ``add_sets`` keeps a sum of boxes a box.
     """
 
-    generators: np.ndarray
-    ball_radius: float = 0.0
-    _terms: tuple = field(default=(), init=False, repr=False)
+    __slots__ = ("ball_radius", "lo", "hi", "_rows", "_parts")
 
-    def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.generators, dtype=float))
+    def __init__(self, generators, ball_radius: float = 0.0):
+        g = np.atleast_2d(np.asarray(generators, dtype=float))
         if g.ndim != 2 or g.shape[0] == 0 or not np.all(np.isfinite(g)):
             raise ValueError("generators must be a nonempty finite (k, m) array")
-        if not 0.0 <= self.ball_radius < math.inf:
+        if not 0.0 <= ball_radius < math.inf:
             raise ValueError("ball_radius must be finite and nonnegative")
-        g = dedupe_rows(g)
-        if g.shape[0] > 32:
-            g = prune_to_extreme(g)
-        g.setflags(write=False)
-        object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "ball_radius", float(self.ball_radius))
+        g = _normal_form(g)
+        self._rows, self._parts = g, ()
+        self.ball_radius = float(ball_radius)
+        if g.shape[0] == 1:
+            self.lo = self.hi = g[0]
+            return
+        self.lo, self.hi = g.min(axis=0), g.max(axis=0)
+        if np.count_nonzero(self.lo != self.hi) > 1:
+            self.lo = self.hi = None
+
+    @classmethod
+    def _box_sum(cls, a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
+        """a + b for boxes a and b, with no rows built: each coordinate's
+        ends are summed in the fold's order, so they are the extremes of
+        the rows the fold would build, bit for bit (rounding is
+        monotone)."""
+        s = cls.__new__(cls)
+        s.ball_radius = a.ball_radius + b.ball_radius
+        s.lo, s.hi = a.lo + b.lo, a.hi + b.hi
+        s._rows, s._parts = None, (a._parts if a._rows is None else (a,)) + (b,)
+        return s
+
+    @property
+    def generators(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = functools.reduce(
+                lambda g, h: _normal_form(_pair_sums(g, h)),
+                [p.generators for p in self._parts])
+            self._parts = ()
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[1]
+        return self.hi.shape[0] if self._rows is None else self._rows.shape[1]
 
     def __repr__(self):
-        return (
-            f"SubdiffSet(k={self.generators.shape[0]}, m={self.dim}, "
-            f"r={self.ball_radius:g})"
-        )
+        k = "box" if self._rows is None else self._rows.shape[0]
+        return f"SubdiffSet(k={k}, m={self.dim}, r={self.ball_radius:g})"
+
+
+def _normal_form(g: np.ndarray) -> np.ndarray:
+    """g deduplicated, above 32 rows pruned to its extreme points, and
+    frozen; a copy, never the caller's array."""
+    g = dedupe_rows(g)
+    if g.shape[0] > 32:
+        g = prune_to_extreme(g)
+    g.setflags(write=False)
+    return g
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every sum of a row of a and a row of b, a's rows outer."""
+    return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
 
 
 class OriginTag(str, Enum):
@@ -210,6 +248,18 @@ def _nnls_residual(gens: np.ndarray, target: np.ndarray):
     return a @ lam - target, rounds
 
 
+def _scale(big: float, m: int) -> float:
+    """A power of two above big * sqrt(m), found without forming a product
+    that may overflow."""
+    mant, e = math.frexp(big)
+    return 2.0 ** min(e + math.frexp(mant * math.sqrt(m))[1], 1023)
+
+
+def _box_big(s: SubdiffSet) -> float:
+    """max |g| over a box's rows, read off its ends."""
+    return float(max(np.max(np.abs(s.lo)), np.max(np.abs(s.hi))))
+
+
 def _min_norm(g: np.ndarray):
     """(x, norm, g, scale, rounds) for the rows of g divided by scale, a
     power of two above every row norm, so that the reduction neither
@@ -227,9 +277,7 @@ def _min_norm(g: np.ndarray):
     at most 1 keep t >= 1/2, where 1 + r[m] = t is exact.
     """
     k, m = g.shape
-    # 2^e > max |g| sqrt(m), without forming a product that may overflow
-    mant, e = math.frexp(float(np.max(np.abs(g))))
-    scale = 2.0 ** min(e + math.frexp(mant * math.sqrt(m))[1], 1023)
+    scale = _scale(float(np.max(np.abs(g))), m)
     g = g / scale
     if k == 1:
         x, rounds = g[0], 0
@@ -248,9 +296,19 @@ def min_norm_point(s: SubdiffSet) -> MinNormResult:
     """Nearest point of conv(G) to the origin, and distance to the full set;
     hull_dist is the point's ``_row_norm``, the norm ``_betas`` reads.
 
-    Raises MinNormNonConvergence when the NNLS hits its round cap with the
-    certificate residual above tolerance.
+    A box's point is clip(0, lo, hi), under ``_min_norm``'s zero rule, with
+    no NNLS: residual and iterations are 0.  Raises MinNormNonConvergence
+    when the NNLS hits its round cap with the certificate residual above
+    tolerance.
     """
+    if s.lo is not None:
+        point = np.minimum(np.maximum(s.lo, 0.0), s.hi)
+        hull_dist = float(_row_norm(point[None])[0])
+        if hull_dist <= MIN_NORM_TOL * max(1.0, _scale(_box_big(s), s.dim)):
+            point, hull_dist = np.zeros(s.dim), 0.0
+        return MinNormResult(point=point, hull_dist=hull_dist,
+                             dist=max(hull_dist - s.ball_radius, 0.0),
+                             residual=0.0, iterations=0)
     x, hull_dist, g, scale, rounds = _min_norm(np.asarray(s.generators, float))
     residual = max(0.0, float(np.max(_row_sq(x[None]) - g @ x))) * scale * scale
     point = x * scale
@@ -268,12 +326,19 @@ def hull_distance(point: np.ndarray, g: np.ndarray) -> float:
 
 
 def affine_hull_misses_origin(s: SubdiffSet) -> bool:
-    """Whether aff(s) misses the origin by over 1e-9 * (1 + max |g|)."""
-    g = s.generators
-    d = (g[1:] - g[0]).T
-    gap = g[0] - d @ np.linalg.lstsq(d, g[0], rcond=None)[0]
-    return s.ball_radius == 0.0 and bool(
-        np.linalg.norm(gap) > 1e-9 * (1.0 + np.max(np.abs(g))))
+    """Whether aff(s) misses the origin by over 1e-9 * (1 + max |g|); a
+    box's affine hull fixes its flat coordinates (lo_j = hi_j), so the gap
+    is their values' norm."""
+    if s.ball_radius != 0.0:
+        return False
+    if s.lo is not None:
+        gap, big = s.lo[s.lo == s.hi], _box_big(s)
+    else:
+        g = s.generators
+        d = (g[1:] - g[0]).T
+        gap = g[0] - d @ np.linalg.lstsq(d, g[0], rcond=None)[0]
+        big = np.max(np.abs(g))
+    return bool(np.linalg.norm(gap) > 1e-9 * (1.0 + big))
 
 
 def _polar_rays(g: np.ndarray) -> np.ndarray:
@@ -353,56 +418,28 @@ def _inradius_at_origin(g: np.ndarray):
     return float(np.max(g @ h)), h
 
 
-def _interval_inradius(s: SubdiffSet):
-    """``_inradius_at_origin`` of s read coordinate by coordinate, or None.
-
-    Where each term s was summed from touches at most one coordinate and
-    together they touch all m >= 2 of them, s is the Cartesian product of
-    one interval [lo, hi] per coordinate (Rockafellar, Convex Analysis, Thm
-    23.8), whose support is the sum of the intervals' supports, so its
-    inradius is the least min(hi, -lo), at -e_j on a tie within the interval
-    and at the lowest such j among equal ones.  A term touching no
-    coordinate is {0} and drops out; any term touching two or more gives
-    None.
-    """
-    if s.dim < 2 or not s._terms:
-        return None
-    lo, hi = np.zeros(s.dim), np.zeros(s.dim)
-    touched = np.zeros(s.dim, dtype=bool)
-    for t in s._terms:
-        cols = np.flatnonzero(np.any(t.generators, axis=0))
-        if cols.size > 1:
-            return None
-        if cols.size:
-            # summed in the terms' order, as add_sets sums them, so lo and
-            # hi are the column's extremes bit for bit (rounding is monotone)
-            j = cols[0]
-            lo[j] += t.generators[:, j].min()
-            hi[j] += t.generators[:, j].max()
-            touched[j] = True
-    if not touched.all():
-        return None
-    sigma = np.minimum(hi, -lo)
-    j = int(np.argmin(sigma))
-    h = np.zeros(s.dim)
-    h[j] = -1.0 if -lo[j] <= hi[j] else 1.0
-    return float(sigma[j]), h
-
-
 def min_support_direction(s: SubdiffSet):
     """(sigma, h) with sigma = min over unit h of the support function
     max over s of <., h>, and h the minimizing direction.  sigma is the
     signed distance from the origin to the boundary of s: -d(0, s) outside,
-    +d(0, bdry s) inside (coordinate by coordinate for a sum's product of
-    intervals, ``_interval_inradius``), 0 on the boundary.  Raises
-    MinNormNonConvergence where min_norm_point does."""
+    +d(0, bdry s) inside, 0 on the boundary.  Inside a box with an interval
+    it is min_j min(hi_j, -lo_j) + r, the box's support at -e_j or +e_j,
+    with ties at the lowest j and at -e_j where -lo_j <= hi_j (a flat
+    coordinate reads 0); a single point keeps ``_inradius_at_origin``'s
+    SVD null vector.  Raises MinNormNonConvergence where min_norm_point
+    does."""
     mn = min_norm_point(s)
     if mn.hull_dist > _HULL_ZERO:
         h = -mn.point / mn.hull_dist
         sigma_hull = -mn.hull_dist
+    elif s.lo is not None and np.any(s.lo != s.hi):
+        sides = np.minimum(s.hi, -s.lo)
+        j = int(np.argmin(sides))
+        h = np.zeros(s.dim)
+        h[j] = -1.0 if -s.lo[j] <= s.hi[j] else 1.0
+        sigma_hull = float(sides[j])
     else:
-        box = _interval_inradius(s) if s.ball_radius == 0.0 else None
-        sigma_hull, h = box or _inradius_at_origin(s.generators)
+        sigma_hull, h = _inradius_at_origin(s.generators)
     return sigma_hull + s.ball_radius, h
 
 
@@ -417,22 +454,20 @@ def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
 
 
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
-    """Minkowski sum: every pairwise sum of generators (a's rows outer), which
-    the SubdiffSet normal form prunes when they get many."""
-    pair = a.generators[:, None, :] + b.generators[None, :, :]
-    return SubdiffSet(pair.reshape(-1, a.dim), a.ball_radius + b.ball_radius)
+    """Minkowski sum.  Two boxes add to the box [lo + lo', hi + hi'], with
+    no rows built: terms acting on their own coordinates have a product of
+    intervals as their sum's set (Rockafellar, Convex Analysis, Thm 23.8).
+    Any other pair gives every pairwise sum of generators (a's rows
+    outer), which the SubdiffSet normal form prunes when they get many."""
+    if a.lo is not None and b.lo is not None:
+        return SubdiffSet._box_sum(a, b)
+    return SubdiffSet(_pair_sums(a.generators, b.generators),
+                      a.ball_radius + b.ball_radius)
 
 
 def sum_sets(parts) -> SubdiffSet:
-    """The Minkowski sum of parts, by ``add_sets`` in their order; a sum of
-    two or more also records them on the set it builds (``_terms``), for
-    ``min_support_direction`` to read its interior beta off them."""
-    parts = tuple(parts)
-    s = functools.reduce(add_sets, parts)
-    if len(parts) > 1:
-        # s is the new set add_sets built, never one of the parts
-        object.__setattr__(s, "_terms", parts)
-    return s
+    """The Minkowski sum of parts, by ``add_sets`` in their order."""
+    return functools.reduce(add_sets, parts)
 
 
 def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:

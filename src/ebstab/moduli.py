@@ -71,6 +71,7 @@ class ModulusReport:
     path: str | None = None        # see local_modulus
     tau_bound: float | None = None
     ratio_witness: tuple | None = field(default=None, repr=False)
+    anchor: tuple | None = field(default=None, repr=False)  # (s, f(s))
 
     def payload(self) -> dict:
         out = {
@@ -508,20 +509,28 @@ def _values_or_inf(f: ConvexExpr, X: np.ndarray) -> np.ndarray:
         return np.concatenate([_values_or_inf(f, x[None]) for x in X])
 
 
-def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int) -> BoundarySample:
+def boundary_sample(f: ConvexExpr, sample: BoxSample, n: int,
+                    anchor=None) -> BoundarySample:
     """n points on the boundary of the solution set via a boundary search
     on segments between the sample's infeasible and strictly feasible
-    points, whose values the sample holds, so no end is evaluated again."""
+    points, whose values the sample holds, so no end is evaluated again.
+    Where the sample has no strictly feasible point, every segment ends at
+    anchor = (s, f(s)), the strictly feasible point ``eta_global`` anchored
+    at, if one is given."""
     feas = np.flatnonzero(sample.values < 0.0)
     infeas = np.flatnonzero(sample.values > 0.0)
-    if feas.shape[0] == 0 or infeas.shape[0] == 0:
+    if infeas.shape[0] == 0 or (feas.shape[0] == 0 and anchor is None):
         raise NoSignChangeInBox(
             "box must contain both a point with f < 0 and one with f > 0"
         )
     i = np.arange(n)
-    a, b = infeas[i % infeas.shape[0]], feas[(3 + 7 * i) % feas.shape[0]]
+    a = infeas[i % infeas.shape[0]]
     P, V = sample.points, sample.values
-    points, _, values = _bisect_to_boundary(f, P[a], V[a], P[b], V[b], 100)
+    ends = anchor
+    if feas.shape[0]:
+        b = feas[(3 + 7 * i) % feas.shape[0]]
+        ends = P[b], V[b]
+    points, _, values = _bisect_to_boundary(f, P[a], V[a], *ends, 100)
     return BoundarySample(points=points, values=values)
 
 
@@ -677,8 +686,8 @@ def eta_global(f: ConvexExpr, sample: BoxSample, slater=None) -> ModulusReport:
     if rep.vacuous:
         rep.notes += "; no infeasible samples (vacuous bound)"
         return rep
-    s, fs = ((find_slater_point(sample), np.min(vals)) if slater is None
-             else _strictly_feasible(f, slater))
+    s, fs = rep.anchor = ((find_slater_point(sample), np.min(vals))
+                          if slater is None else _strictly_feasible(f, slater))
     lb, ub, left = _brackets(f, infeas, infeas_vals, s, fs)
     top = int(np.argmax(lb / infeas_vals))
     rep.empirical_ratio = float(lb[top] / infeas_vals[top])
@@ -772,7 +781,8 @@ def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
                               modulus: ModulusReport) -> StabilityVerdict:
     """Condition (3.9), decided over a box sample of n points and its
     modulus = ``eta_global(f, sample)``: one boundary sample of
-    max(16, n // 8) points, searched from the box sample, gives |beta| at
+    max(16, n // 8) points, searched from the box sample (toward the
+    modulus's anchor where the sample has no feasible point), gives |beta| at
     its points (one ``_betas`` call; the first least is its worst point)
     and serves the witness search over the box sample's feasible points.
     beta_inf is the least of its |beta| and 1/ratio, a bound over bd S,
@@ -785,7 +795,8 @@ def classify_global_stability(f: ConvexExpr, tau: float, sample: BoxSample,
     undetermined.  The notes say what set beta_inf; only a boundary
     sample's worst point carries a perturbation direction.
     """
-    boundary = boundary_sample(f, sample, max(16, sample.points.shape[0] // 8))
+    boundary = boundary_sample(f, sample, max(16, sample.points.shape[0] // 8),
+                               modulus.anchor)
     abs_beta = np.abs(_betas(f, boundary.points))
     worst = int(np.argmin(abs_beta))
     witnesses = qc_witness_search(f, tau, boundary, sample)

@@ -1,8 +1,10 @@
 """Interior beta: the inradius of conv(G) from the double description of its
-polar cone, exact and unbounded in the number of facets, and read
-coordinate by coordinate where a sum's terms each touch one coordinate."""
+polar cone, exact and unbounded in the number of facets, and read off the
+ends of a box, where a sum's terms each act on their own coordinate."""
 
+import functools
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -12,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebstab import geometry
+from ebstab.cli import main
 from ebstab.expressions import (AbsCoord, Affine, Const, EuclidNorm, Max, Sum,
                                 subdifferential)
 from ebstab.geometry import (_HULL_ZERO, SubdiffSet, _inradius_at_origin,
-                             _interval_inradius, _polar_rays, add_sets,
+                             _polar_rays, add_sets, affine_hull_misses_origin,
                              min_norm_point, min_support_direction, scale_set,
                              sum_sets)
 from ebstab.sampling import unit_directions
+from ebstab.sphere import ZERO_TOL
 
 from conftest import polar_rays_reference, refine_sphere_min_multi, support
 
@@ -129,24 +133,85 @@ def _separable_sum(rng, m):
     return Sum([terms[i] for i in rng.permutation(len(terms))])
 
 
+def _as_rows(s):
+    """s as a set that is no box, so every reader takes its generators:
+    the NNLS, the one facet pass and the least-squares affine hull."""
+    t = SubdiffSet(s.generators, s.ball_radius)
+    t.lo = t.hi = None
+    return t
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 5))
 def test_interval_inradius_matches_the_one_pass_inradius(seed, m):
     # the origin lies in the product of one interval per coordinate; read
-    # coordinate by coordinate, the inradius is the one pass's over every
+    # off the box's ends, the inradius is the one pass's over every
     # generator
     f = _separable_sum(np.random.default_rng(seed), m)
     s = subdifferential(f, np.zeros(m))
+    assert s.lo is not None
     assert min_norm_point(s).hull_dist <= _HULL_ZERO
-    box = _interval_inradius(s)
-    assert box is not None
-    sigma, h = box
+    sigma, h = min_support_direction(s)
     want, _ = _inradius_at_origin(s.generators)
     assert abs(sigma - want) <= 1e-12 * (1.0 + abs(sigma))
     assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
     assert abs(np.max(s.generators @ h) - sigma) <= 1e-12
-    got = min_support_direction(s)
-    assert got[0] == sigma and np.array_equal(got[1], h)
+
+
+def _old_sum(parts):
+    """A sum's set as every pairwise sum of its parts' generators, folded
+    in order, each partial sum put in normal form."""
+    return functools.reduce(lambda a, b: SubdiffSet(
+        (a.generators[:, None] + b.generators[None]).reshape(-1, a.dim),
+        a.ball_radius + b.ball_radius), parts)
+
+
+def _origin(sigma):
+    return 0 if abs(sigma) <= ZERO_TOL else int(np.sign(sigma))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6))
+def test_box_reads_match_the_materialised_set(seed, m):
+    # a weighted sum of |x_j|, constants and affine maps at a point with
+    # zeroed coordinates (its kinks), the origin inside or outside its set:
+    # the box's reads agree with the NNLS, the one pass and the
+    # least-squares affine hull on its generators, and those generators
+    # are the pairwise fold's, bit for bit
+    rng = np.random.default_rng(seed)
+    terms = [(rng.choice([1.0, rng.uniform(0.2, 3.0)]), AbsCoord(j, m))
+             for j in rng.choice(m, size=int(rng.integers(1, 2 * m)))]
+    for _ in range(int(rng.integers(0, 3))):
+        terms.append((rng.uniform(0.0, 2.0), Const(rng.normal(), m)))
+    for _ in range(int(rng.integers(0, 3))):
+        a = rng.normal(size=m) * rng.choice([0.0, 0.3, 3.0])
+        terms.append((1.0, Affine(np.where(rng.random(m) < 0.4, 0.0, a),
+                                  rng.normal())))
+    f = Sum([terms[i] for i in rng.permutation(len(terms))])
+    x = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
+    s = subdifferential(f, x)
+    parts = [scale_set(t._subdiff(x), w) for w, t in f.terms]
+    assert s.lo is not None
+    assert s.generators.tobytes() == _old_sum(parts).generators.tobytes()
+    rows = _as_rows(s)
+    got, want = min_norm_point(s), min_norm_point(rows)
+    assert abs(got.hull_dist - want.hull_dist) <= 1e-12
+    assert affine_hull_misses_origin(s) == affine_hull_misses_origin(rows)
+    (sigma, h), (sigma_rows, h_rows) = (min_support_direction(s),
+                                        min_support_direction(rows))
+    assert abs(sigma - sigma_rows) <= 1e-12 * (1.0 + abs(sigma))
+    assert _origin(sigma) == _origin(sigma_rows)
+    # the box's witness attains its sigma; where one side of the box alone
+    # does, the two witnesses are one direction, up to the sign of zeros
+    # and, outside, the NNLS point's rounding over the hull distance
+    assert abs(np.max(s.generators @ h) - sigma) <= 1e-12 * (1.0 + abs(sigma))
+    sides = np.concatenate([s.hi, -s.lo])
+    if got.hull_dist > _HULL_ZERO:
+        big = np.max(np.abs(s.generators))
+        tol = 1e-12 * (1.0 + big / got.hull_dist)
+    else:
+        tol = 1e-12 if np.sum(sides <= sigma + 1e-9) == 1 else math.inf
+    assert np.max(np.abs(h - h_rows)) <= tol
 
 
 _STEP = Max([Affine([1.0, 0.0], 0.0), Affine([-2.0, 0.0], 0.0)])
@@ -167,14 +232,14 @@ def test_interval_inradius_ties_go_to_the_lowest_coordinate(terms):
 
 
 @pytest.mark.parametrize("f, want", [
-    # the third coordinate is touched by no term, so the set is flat
+    # the third coordinate is touched by no term, so the box is flat there
     (Sum([(1.0, AbsCoord(0, 3)), (1.0, AbsCoord(1, 3))]), 0.0),
-    # the norm's ball (radius 1) couples every coordinate
+    # the norm's ball (radius 1) is added to the square [-1, 1]^2
     (Sum([(1.0, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2)),
           (1.0, EuclidNorm(2))]), 2.0),
     # a max merges the terms' sets into one cross-polytope
     (Max([AbsCoord(0, 2), AbsCoord(1, 2)]), 1.0 / math.sqrt(2.0)),
-    # the affine term touches both coordinates: [-0.5, 1.5]^2
+    # the affine term shifts the square to [-0.5, 1.5]^2
     (Sum([(1.0, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2)),
           (1.0, Affine([0.5, 0.5], 0.0))]), 0.5),
     # a product, but of a square and an interval, not of intervals only
@@ -182,33 +247,71 @@ def test_interval_inradius_ties_go_to_the_lowest_coordinate(terms):
           (1.0, AbsCoord(2, 3))]), 1.0 / math.sqrt(2.0)),
 ])
 def test_non_interval_sets_take_the_one_pass(f, want, monkeypatch):
-    # the one pass runs once on the whole set; a flat set ends before the
-    # facet pass, a full-dimensional one makes exactly one
+    # a box (the first, second and fourth set) is read off its ends, with
+    # no pass and no generators built; any other set runs the one pass
+    # once on the whole set, and a full-dimensional one makes exactly one
+    # facet pass
     passes, rays = [], []
     monkeypatch.setattr(geometry, "_inradius_at_origin",
                         lambda g: passes.append(g) or _inradius_at_origin(g))
     monkeypatch.setattr(geometry, "_polar_rays",
                         lambda g: rays.append(g.shape) or _polar_rays(g))
     s = subdifferential(f, np.zeros(f.dim))
+    # only the max of |x0| and |x1| is no box
+    box = "(max" not in f._text()
+    assert (s.lo is not None) == box
     assert min_support_direction(s)[0] == pytest.approx(want, abs=1e-15)
-    assert len(passes) == 1 and passes[0] is s.generators
-    assert len(rays) == (want > 0.0)
+    if box:
+        assert passes == [] and rays == [] and s._rows is None
+    else:
+        assert len(passes) == 1 and passes[0] is s.generators
+        assert len(rays) == (want > 0.0)
 
 
 def test_sum_terms_are_provenance_only():
-    # the sum's set keeps add_sets' rows and records its scaled terms; the
-    # constructor takes no terms, and the rest of the set calculus builds
-    # sets without
+    # the sum's box builds add_sets' pairwise rows only when they are read;
+    # the constructor takes no terms, and no reader of lo and hi builds them
     f = Sum([(2.0, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2))])
     s = subdifferential(f, np.zeros(2))
     parts = [scale_set(t._subdiff(np.zeros(2)), w) for w, t in f.terms]
-    assert s.generators.tobytes() == add_sets(*parts).generators.tobytes()
-    assert [p.generators.tolist() for p in s._terms] == [
-        p.generators.tolist() for p in parts]
-    assert all(p._terms == () for p in parts)
+    assert s.lo.tolist() == [-2.0, -1.0] and s.hi.tolist() == [2.0, 1.0]
+    min_support_direction(s), affine_hull_misses_origin(s)
+    assert s._rows is None
+    assert s.generators.tobytes() == _old_sum(parts).generators.tobytes()
     with pytest.raises(TypeError):
-        SubdiffSet(s.generators, 0.0, s._terms)
-    assert scale_set(s, 2.0)._terms == () and add_sets(s, s)._terms == ()
+        SubdiffSet(s.generators, 0.0, parts)
+    # a scaled box is built from its rows; a box added to itself is a box,
+    # with the pairwise fold's rows, the 3 x 3 grid of the square's sums
+    assert scale_set(s, 2.0)._rows is not None
+    twice = add_sets(s, s)
+    assert twice.lo.tolist() == [-4.0, -2.0] and twice._rows is None
+    assert twice.generators.tobytes() == _old_sum([s, s]).generators.tobytes()
+    assert twice.generators.shape == (9, 2)
     assert scale_set(s, 1.0) is s
-    # one part is its own sum, and nothing is recorded on it
-    assert sum_sets(parts[:1]) is parts[0] and parts[0]._terms == ()
+    # one part is its own sum
+    assert sum_sets(parts[:1]) is parts[0]
+
+
+@pytest.mark.parametrize("point, beta, path", [
+    (0.0, 1.0, "polyhedral-interior"), (1.0, -1.0, "polyhedral-outside")])
+def test_l1_sum_in_r24_builds_no_vertex_list(point, beta, path, tmp_path,
+                                             monkeypatch, capsys):
+    # ||x||_1 at the origin and ||x||_1 - 1 at e_1 in R^24, 2^24 vertices:
+    # beta is read off the box's ends, and no set of more than 2 rows is
+    # put in normal form
+    m = 24
+    terms = " ".join(f"1 (abs {j})" for j in range(m))
+    x = [point] + [0.0] * (m - 1)
+    path_eb = tmp_path / "l1.eb"
+    path_eb.write_text(f"dim {m}\nexpr (sum {terms} 1 (const {-point}))\n"
+                       f"point {x}\n", encoding="utf-8")
+    rows = []
+    dedupe = geometry.dedupe_rows
+    monkeypatch.setattr(geometry, "dedupe_rows",
+                        lambda g: rows.append(g.shape[0]) or dedupe(g))
+    assert main(["analyze-local", str(path_eb), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == beta
+    assert results["beta"]["origin"] == ("interior" if beta > 0 else "outside")
+    assert results["modulus"]["path"] == path
+    assert rows and max(rows) <= 2

@@ -1,5 +1,6 @@
 """Modulus estimation, boundary sampling and stability verdicts."""
 
+import json
 import math
 from pathlib import Path
 
@@ -338,6 +339,43 @@ def test_boundary_sample_no_sign_change():
         boundary_sample(EXP, box_sample(EXP, (np.array([1.0]), np.array([2.0])), 256), 8)
 
 
+def _l1_ball(m):
+    return Sum([(1.0, AbsCoord(j, m)) for j in range(m)]
+               + [(1.0, Const(-1.0, m))])
+
+
+def test_boundary_sample_ends_at_the_anchor_without_a_feasible_sample():
+    # ||x||_1 - 1 over [-2, 2]^6: the box sample holds no point with f < 0,
+    # so every segment ends at the given anchor, the origin
+    f, box = _l1_ball(6), (np.full(6, -2.0), np.full(6, 2.0))
+    sample = box_sample(f, box, 256)
+    assert not np.any(sample.values < 0.0)
+    with pytest.raises(NoSignChangeInBox):
+        boundary_sample(f, sample, 24)
+    bs = boundary_sample(f, sample, 24, (np.zeros(6), -1.0))
+    assert bs.points.shape == (24, 6)
+    assert np.all(np.abs(np.abs(bs.points).sum(axis=1) - 1.0) <= 1e-9)
+    assert np.array_equal(bs.values, f._value_batch(bs.points))
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_analyze_global_searches_toward_a_declared_slater_point(m, tmp_path,
+                                                                capsys):
+    # the box sample of [-2, 2]^m misses the l1 ball, so the boundary
+    # search anchors at the declared slater point, as eta_global does; tau
+    # reads low (the exact tau and beta_inf are 1), so only the bound
+    # tau * beta_inf <= 1 is checked
+    terms = " ".join(f"1 (abs {j})" for j in range(m))
+    path = tmp_path / "l1ball.eb"
+    path.write_text(f"dim {m}\nexpr (sum {terms} 1 (const -1.0))\n"
+                    f"slater {[0.0] * m}\nbox {' '.join(['-2.0..2.0'] * m)}\n"
+                    "tau 0.5\n", encoding="utf-8")
+    assert main(["analyze-global", str(path), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    tau, beta_inf = results["modulus"]["tau"], results["stability"]["beta_inf"]
+    assert 0.0 < tau and tau * beta_inf <= 1.0 + 1e-12
+
+
 def test_eta_local_exp():
     rep = eta_local(EXP, [0.0], seed=0)
     assert rep.kind == "local"
@@ -457,30 +495,33 @@ def test_eta_local_draws_and_screens_each_run_once(seed, runs, monkeypatch):
     assert len(draws) == runs and len(screens) == runs
 
 
-def test_analyze_local_normalises_the_cube_once(monkeypatch, capsys):
-    # ||x||_1 at the origin of R^5: the 32 cube vertices are deduplicated
-    # when their SubdiffSet is built, and by no later reader
+def test_analyze_local_never_builds_the_cube(monkeypatch, capsys):
+    # ||x||_1 at the origin of R^5: the 32 cube vertices are never built,
+    # as beta reads the box's ends; only the atoms' two-row sets are put in
+    # normal form
     rows = _counting(monkeypatch, geometry, "dedupe_rows")
     assert main(["analyze-local", str(BENCH_PROBLEMS / "l1norm5.eb"),
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert sum(args[0].shape[0] >= 32 for args in rows) == 1
+    assert rows and max(args[0].shape[0] for args in rows) == 2
 
 
 @pytest.mark.parametrize("stem, sets", [("l1norm5", 9), ("l1norm4", 7),
                                         ("l1ball5", 11)])
 def test_analyze_local_builds_no_set_for_a_unit_weight(stem, sets,
                                                        monkeypatch, capsys):
-    # a sum of unit-weight atoms builds one set per atom and one per partial
-    # sum, and none to scale an atom's set by 1
+    # a sum of unit-weight atoms builds one set per atom and one box per
+    # partial sum, and none to scale an atom's set by 1
     built = []
-    post_init = geometry.SubdiffSet.__post_init__
+    init, box_sum = geometry.SubdiffSet.__init__, geometry.SubdiffSet._box_sum
 
-    def counted(self):
+    def counted(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(geometry.SubdiffSet, "__post_init__", counted)
+    monkeypatch.setattr(geometry.SubdiffSet, "__init__", counted)
+    monkeypatch.setattr(geometry.SubdiffSet, "_box_sum", classmethod(
+        lambda cls, a, b: built.append(b) or box_sum(a, b)))
     assert main(["analyze-local", str(BENCH_PROBLEMS / f"{stem}.eb"),
                  "--format", "json"]) == 0
     capsys.readouterr()
