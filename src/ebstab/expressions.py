@@ -1,6 +1,6 @@
 """Convex-by-construction expression trees with exact first-order oracles.
 
-Every node represents a finite-valued convex function on R^m and defines
+Every node represents a finite-valued convex function on R^m and has
 five oracles, each by structural recursion over its children:
 
 - ``_value_batch``: its exact value at every row of a batch of points;
@@ -17,7 +17,10 @@ five oracles, each by structural recursion over its children:
 
 The point oracles ``_value`` and ``_dd`` are defined once, on the base
 class, as one-row views of the batched ones, so a value or a derivative
-has a single arithmetic whichever way it is asked for.
+has a single arithmetic whichever way it is asked for.  The atoms that
+never kink (``Const``, ``Affine``, ``Exp1D``, ``PosPartSquare``) take
+``_dd_batch`` and ``_subdiff`` from the base class too, which reads them
+off ``_grad_batch``; the other nodes define their own.
 
 The grammar is deliberately small: affine pieces, coordinate absolute
 values, the Euclidean norm, a single exponential atom, a squared positive
@@ -54,12 +57,6 @@ def as_point(x, dim: int) -> np.ndarray:
     return arr
 
 
-def _basis(i: int, m: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
-
-
 def _on_coord(index: int, cols: np.ndarray, m: int) -> np.ndarray:
     """Gradients of shape cols.shape + (m,), zero but in coordinate index,
     where they read cols."""
@@ -89,15 +86,19 @@ class ConvexExpr:
         return float(self._value_batch(x[None])[0])
 
     def _dd_batch(self, x: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        """f'(x, h) for the rows h of hs, shape (k, m) -> (k,)."""
-        raise NotImplementedError
+        """f'(x, h) for the rows h of hs, shape (k, m) -> (k,).  This default,
+        <grad f(x), h>, holds wherever f is differentiable at x (Rockafellar,
+        Convex Analysis, Thm 25.1); a node that may kink defines its own."""
+        return hs @ self._grad_batch(x[None])[0][0]
 
     def _dd(self, x: np.ndarray, h: np.ndarray) -> float:
         """f'(x, h) for one direction: a one-row view of ``_dd_batch``."""
         return float(self._dd_batch(x, h[None])[0])
 
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
-        raise NotImplementedError
+        """The subdifferential at x.  This default, {grad f(x)}, holds where
+        ``_dd_batch``'s does; a node that may kink defines its own."""
+        return SubdiffSet(self._grad_batch(x[None])[0])
 
     def _grad_batch(self, X: np.ndarray):
         """Gradients at the rows of X, shape (k, m) -> (G, kink).
@@ -162,12 +163,6 @@ class Const(ConvexExpr):
     def _value_batch(self, X):
         return np.full(X.shape[0], self.value)
 
-    def _dd_batch(self, x, hs):
-        return np.zeros(hs.shape[0])
-
-    def _subdiff(self, x):
-        return SubdiffSet(np.zeros((1, self.dim)), 0.0)
-
     def _grad_batch(self, X):
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
@@ -188,12 +183,6 @@ class Affine(ConvexExpr):
 
     def _value_batch(self, X):
         return _rows_times(X, self.a) + self.b
-
-    def _dd_batch(self, x, hs):
-        return hs @ self.a
-
-    def _subdiff(self, x):
-        return SubdiffSet(self.a[None, :], 0.0)
 
     def _grad_batch(self, X):
         return np.tile(self.a, (X.shape[0], 1)), np.zeros(X.shape[0], dtype=bool)
@@ -257,12 +246,9 @@ class AbsCoord(ConvexExpr):
         return np.abs(col)
 
     def _subdiff(self, x):
-        e = _basis(self.index, self.dim)
-        xi = x[self.index]
-        if xi > 0.0:
-            return SubdiffSet(e[None, :], 0.0)
-        if xi < 0.0:
-            return SubdiffSet(-e[None, :], 0.0)
+        if x[self.index] != 0.0:
+            return super()._subdiff(x)
+        e = np.eye(1, self.dim, self.index)[0]
         return SubdiffSet(np.vstack([-e, e]), 0.0)
 
     def _grad_batch(self, X):
@@ -306,13 +292,6 @@ class Exp1D(ConvexExpr):
     def _value_batch(self, X):
         return self._exp_batch(X) + self.shift
 
-    def _dd_batch(self, x, hs):
-        return self._exp_batch(x[None])[0] * hs[:, self.index]
-
-    def _subdiff(self, x):
-        g = self._exp_batch(x[None])[0] * _basis(self.index, self.dim)
-        return SubdiffSet(g[None, :], 0.0)
-
     def _grad_batch(self, X):
         G = np.zeros(X.shape)
         G[:, self.index] = self._exp_batch(X)
@@ -340,13 +319,6 @@ class PosPartSquare(ConvexExpr):
 
     def _value_batch(self, X):
         return np.maximum(X[:, self.index], 0.0) ** 2
-
-    def _dd_batch(self, x, hs):
-        return 2.0 * max(float(x[self.index]), 0.0) * hs[:, self.index]
-
-    def _subdiff(self, x):
-        g = 2.0 * max(float(x[self.index]), 0.0) * _basis(self.index, self.dim)
-        return SubdiffSet(g[None, :], 0.0)
 
     def _grad_batch(self, X):
         G = np.zeros(X.shape)

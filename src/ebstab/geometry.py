@@ -14,9 +14,9 @@ inside, the boundary distance is the inradius, read off the facets that
 one double description pass finds on the polar cone, with no cap on their
 number.  A box, a product of one interval per coordinate, is kept as its
 ends lo and hi: a sum of terms that each act on their own coordinate is
-one, and its minimum-norm point, inradius and affine hull are read off
-lo and hi, never off its 2^m vertices, which are built only for a reader
-of the generators.
+one, and so is a positive multiple of one, and its minimum-norm point,
+inradius and affine hull are read off lo and hi, never off its 2^m
+vertices, which are built only for a reader of the generators.
 """
 
 from __future__ import annotations
@@ -47,16 +47,16 @@ class SubdiffSet:
         deduplicated in order (``dedupe_rows``), then, above 32 of them,
         pruned to the extreme points (``prune_to_extreme``); read-only, so
         sets may share it, as ``scale_set`` by 1 does.  A box that
-        ``add_sets`` summed builds them on first read, from the sets it was
-        summed from, by the pairwise fold that would have built them then.
+        ``add_sets`` or ``scale_set`` made builds them on first read, by
+        its rule: a function of the rows of the sets it was made from.
     ball_radius: finite nonnegative float.
     lo, hi: for a box, its least and greatest point, so conv(generators)
         is [lo, hi]; None for every other set.  A set whose rows differ in
         one coordinate at most is a box (a point or a segment along an
-        axis), and ``add_sets`` keeps a sum of boxes a box.
+        axis), and ``add_sets`` and ``scale_set`` keep boxes boxes.
     """
 
-    __slots__ = ("ball_radius", "lo", "hi", "_rows", "_parts")
+    __slots__ = ("ball_radius", "lo", "hi", "_rows", "_rule")
 
     def __init__(self, generators, ball_radius: float = 0.0):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -65,7 +65,7 @@ class SubdiffSet:
         if not 0.0 <= ball_radius < math.inf:
             raise ValueError("ball_radius must be finite and nonnegative")
         g = _normal_form(g)
-        self._rows, self._parts = g, ()
+        self._rows, self._rule = g, None
         self.ball_radius = float(ball_radius)
         if g.shape[0] == 1:
             self.lo = self.hi = g[0]
@@ -75,24 +75,36 @@ class SubdiffSet:
             self.lo = self.hi = None
 
     @classmethod
+    def _box(cls, lo, hi, ball_radius: float, rule, *sets) -> SubdiffSet:
+        """The box [lo, hi] + ball_radius * B, whose rows are rule applied
+        to the rows of sets, built on first read."""
+        s = cls.__new__(cls)
+        s.lo, s.hi, s.ball_radius = lo, hi, ball_radius
+        s._rows, s._rule = None, (rule, sets)
+        return s
+
+    @classmethod
     def _box_sum(cls, a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
         """a + b for boxes a and b, with no rows built: each coordinate's
-        ends are summed in the fold's order, so they are the extremes of
-        the rows the fold would build, bit for bit (rounding is
-        monotone)."""
-        s = cls.__new__(cls)
-        s.ball_radius = a.ball_radius + b.ball_radius
-        s.lo, s.hi = a.lo + b.lo, a.hi + b.hi
-        s._rows, s._parts = None, (a._parts if a._rows is None else (a,)) + (b,)
-        return s
+        ends are summed, so they are the extremes of the pairwise sums of
+        the rows, bit for bit (rounding is monotone)."""
+        return cls._box(a.lo + b.lo, a.hi + b.hi, a.ball_radius + b.ball_radius,
+                        lambda g, h: _normal_form(_pair_sums(g, h)), a, b)
 
     @property
     def generators(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = functools.reduce(
-                lambda g, h: _normal_form(_pair_sums(g, h)),
-                [p.generators for p in self._parts])
-            self._parts = ()
+        # the sets a rule reads are built first, from an explicit stack, so
+        # that a sum of many terms needs no deep recursion
+        stack = [self]
+        while stack:
+            s = stack.pop()
+            if s._rows is None:
+                rule, sets = s._rule
+                todo = [p for p in sets if p._rows is None]
+                if todo:
+                    stack += [s, *todo]
+                else:
+                    s._rows, s._rule = rule(*(p._rows for p in sets)), None
         return self._rows
 
     @property
@@ -447,10 +459,17 @@ def min_support_direction(s: SubdiffSet):
 # Set calculus used by the expression subdifferential rules.
 
 def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
-    """w * S for w >= 0: S itself for w = 1, as 1 * x is exact."""
+    """w * S for w >= 0: S itself for w = 1, as 1 * x is exact, and for
+    w > 0 a box stays a box, [w lo, w hi] (rounding is monotone), whose
+    rows w times S's are built only when read."""
     if w < 0:
         raise ValueError("scale weight must be nonnegative")
-    return s if w == 1.0 else SubdiffSet(w * s.generators, w * s.ball_radius)
+    if w == 1.0:
+        return s
+    if w > 0.0 and s.lo is not None:
+        return SubdiffSet._box(w * s.lo, w * s.hi, w * s.ball_radius,
+                               lambda g: _normal_form(w * g), s)
+    return SubdiffSet(w * s.generators, w * s.ball_radius)
 
 
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:

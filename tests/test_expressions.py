@@ -22,6 +22,7 @@ from ebstab.expressions import (
     EuclidNorm,
     Exp1D,
     Max,
+    PosPartSquare,
     Sum,
     directional_derivative,
     evaluate,
@@ -377,21 +378,56 @@ def test_mixed_max_reads_each_child():
 
 def test_nodes_define_only_the_batched_oracles():
     # every node type computes a value or a derivative one way only: the
-    # point oracles _value and _dd are the base class's one-row views
+    # point oracles _value and _dd are the base class's one-row views, and
+    # the atoms that never kink take _dd_batch and _subdiff from their
+    # gradient, by the base class's defaults
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    nodes = list(subclasses(ConvexExpr))
-    assert len(nodes) >= 9
-    for cls in nodes:
-        for name in ("_value", "_dd"):
-            assert name not in vars(cls), f"{cls.__name__} defines {name}"
-        for name in ("_value_batch", "_dd_batch", "_subdiff", "_grad_batch",
-                     "_text"):
-            assert name in vars(cls), f"{cls.__name__} lacks {name}"
+    nodes = {cls.__name__: cls for cls in subclasses(ConvexExpr)}
+    smooth = {"Const", "Affine", "Exp1D", "PosPartSquare"}
+    kinked = {"AbsCoord", "EuclidNorm", "Max", "Sum", "ComposeAffine"}
+    assert smooth | kinked <= set(nodes)
+    for name, cls in nodes.items():
+        for oracle in ("_value", "_dd"):
+            assert oracle not in vars(cls), f"{name} defines {oracle}"
+        for oracle in ("_value_batch", "_grad_batch", "_text"):
+            assert oracle in vars(cls), f"{name} lacks {oracle}"
+        for oracle in ("_dd_batch", "_subdiff"):
+            if name in smooth:
+                assert oracle not in vars(cls), f"{name} defines {oracle}"
+            elif name in kinked:
+                assert oracle in vars(cls), f"{name} lacks {oracle}"
     assert not hasattr(Exp1D, "_exp")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_smooth_atoms_derive_their_closed_forms(seed):
+    # the atoms that never kink read f'(x, h) and the subdifferential off
+    # their gradient; those equal the closed forms the atoms once wrote
+    # out, exp(x_i) h_i, 2 max(x_i, 0) h_i, <a, h> and 0, up to the sign
+    # of a zero (a row dot adds only zero terms to the one that counts)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    i = int(rng.integers(m))
+    x = rng.normal(size=m) * rng.choice([0.1, 1.0, 5.0])
+    x[rng.random(m) < 0.3] = 0.0
+    hs = rng.normal(size=(int(rng.integers(1, 8)), m))
+    a = rng.normal(size=m)
+    e = np.eye(m)[i]
+    atoms = [(Exp1D(i, rng.normal(), m), np.exp(x[None, i])[0] * e),
+             (PosPartSquare(i, m), 2.0 * max(float(x[i]), 0.0) * e),
+             (Affine(a, rng.normal()), a),
+             (Const(rng.normal(), m), np.zeros(m))]
+    for f, g in atoms:
+        want = hs[:, i] * g[i] if type(f) in (Exp1D, PosPartSquare) else (
+            hs @ g)
+        assert f._dd_batch(x, hs).tolist() == want.tolist()
+        s = f._subdiff(x)
+        assert s.generators.tolist() == [g.tolist()]
+        assert s.ball_radius == 0.0 and s.lo is not None
 
 
 def test_immutability_and_equality():

@@ -166,6 +166,29 @@ def _old_sum(parts):
         a.ball_radius + b.ball_radius), parts)
 
 
+def _old_set(f, x):
+    """f's set at x by the rules that build every set's rows: a sum's as
+    ``_old_sum`` of its terms' sets, a term's under a weight other than 1
+    as that weight times its rows."""
+    if not isinstance(f, Sum):
+        return f._subdiff(x)
+    sets = [(w, _old_set(t, x)) for w, t in f.terms]
+    return _old_sum([s if w == 1.0 else SubdiffSet(w * s.generators,
+                                                   w * s.ball_radius)
+                     for w, s in sets])
+
+
+def _nest(rng, terms):
+    """terms with random runs of them wrapped in sums under weights other
+    than 1, twice over, so that boxes are scaled and summed again."""
+    for _ in range(2):
+        if len(terms) > 1 and rng.random() < 0.7:
+            i, j = sorted(rng.choice(len(terms) + 1, size=2, replace=False))
+            terms = terms[:i] + [(rng.uniform(0.2, 3.0), Sum(terms[i:j]))] + (
+                terms[j:])
+    return terms
+
+
 def _origin(sigma):
     return 0 if abs(sigma) <= ZERO_TOL else int(np.sign(sigma))
 
@@ -173,11 +196,12 @@ def _origin(sigma):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6))
 def test_box_reads_match_the_materialised_set(seed, m):
-    # a weighted sum of |x_j|, constants and affine maps at a point with
-    # zeroed coordinates (its kinks), the origin inside or outside its set:
-    # the box's reads agree with the NNLS, the one pass and the
-    # least-squares affine hull on its generators, and those generators
-    # are the pairwise fold's, bit for bit
+    # a weighted sum of |x_j|, constants and affine maps, runs of them
+    # nested in sums under weights other than 1, at a point with zeroed
+    # coordinates (its kinks), the origin inside or outside its set: the
+    # box's reads agree with the NNLS, the one pass and the least-squares
+    # affine hull on its generators, and those generators are the ones
+    # the pairwise fold and the scaling of every row build, bit for bit
     rng = np.random.default_rng(seed)
     terms = [(rng.choice([1.0, rng.uniform(0.2, 3.0)]), AbsCoord(j, m))
              for j in rng.choice(m, size=int(rng.integers(1, 2 * m)))]
@@ -187,12 +211,11 @@ def test_box_reads_match_the_materialised_set(seed, m):
         a = rng.normal(size=m) * rng.choice([0.0, 0.3, 3.0])
         terms.append((1.0, Affine(np.where(rng.random(m) < 0.4, 0.0, a),
                                   rng.normal())))
-    f = Sum([terms[i] for i in rng.permutation(len(terms))])
+    f = Sum(_nest(rng, [terms[i] for i in rng.permutation(len(terms))]))
     x = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
     s = subdifferential(f, x)
-    parts = [scale_set(t._subdiff(x), w) for w, t in f.terms]
     assert s.lo is not None
-    assert s.generators.tobytes() == _old_sum(parts).generators.tobytes()
+    assert s.generators.tobytes() == _old_set(f, x).generators.tobytes()
     rows = _as_rows(s)
     got, want = min_norm_point(s), min_norm_point(rows)
     assert abs(got.hull_dist - want.hull_dist) <= 1e-12
@@ -280,9 +303,13 @@ def test_sum_terms_are_provenance_only():
     assert s.generators.tobytes() == _old_sum(parts).generators.tobytes()
     with pytest.raises(TypeError):
         SubdiffSet(s.generators, 0.0, parts)
-    # a scaled box is built from its rows; a box added to itself is a box,
-    # with the pairwise fold's rows, the 3 x 3 grid of the square's sums
-    assert scale_set(s, 2.0)._rows is not None
+    # a scaled box is a box, with w times its rows in normal form; a box
+    # added to itself is a box, with the pairwise fold's rows, the 3 x 3
+    # grid of the square's sums
+    scaled = scale_set(s, 2.0)
+    assert scaled.lo.tolist() == [-4.0, -2.0] and scaled._rows is None
+    assert scaled.generators.tobytes() == SubdiffSet(
+        2.0 * s.generators).generators.tobytes()
     twice = add_sets(s, s)
     assert twice.lo.tolist() == [-4.0, -2.0] and twice._rows is None
     assert twice.generators.tobytes() == _old_sum([s, s]).generators.tobytes()
@@ -315,3 +342,37 @@ def test_l1_sum_in_r24_builds_no_vertex_list(point, beta, path, tmp_path,
     assert results["beta"]["origin"] == ("interior" if beta > 0 else "outside")
     assert results["modulus"]["path"] == path
     assert rows and max(rows) <= 2
+
+
+def test_weighted_l1_sum_in_r24_builds_no_vertex_list(tmp_path, monkeypatch,
+                                                      capsys):
+    # 2 ||x||_1 at the origin of R^24: the weighted box is [-2, 2]^24, so
+    # beta is 2 at -e_0, read off its ends, and no set of more than 2 rows
+    # is put in normal form
+    m = 24
+    terms = " ".join(f"1 (abs {j})" for j in range(m))
+    path_eb = tmp_path / "l1w.eb"
+    path_eb.write_text(f"dim {m}\nexpr (sum 2 (sum {terms}))\n"
+                       f"point {[0.0] * m}\n", encoding="utf-8")
+    rows = []
+    dedupe = geometry.dedupe_rows
+    monkeypatch.setattr(geometry, "dedupe_rows",
+                        lambda g: rows.append(g.shape[0]) or dedupe(g))
+    assert main(["analyze-local", str(path_eb), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == 2.0
+    assert results["beta"]["origin"] == "interior"
+    assert results["beta"]["witness"] == [-1.0] + [0.0] * (m - 1)
+    assert results["modulus"]["path"] == "polyhedral-interior"
+    assert rows and max(rows) <= 2
+
+
+def test_a_long_sum_builds_its_rows_without_deep_recursion():
+    # a sum of 3000 affine terms is a box (one point) summed 2999 times;
+    # reading its rows builds every partial sum in turn, the fold's rows
+    x = np.zeros(2)
+    f = Sum([(1.0, Affine([1.0, -2.0], 0.0))] * 3000)
+    s = subdifferential(f, x)
+    assert s._rows is None
+    want = _old_sum([t._subdiff(x) for _, t in f.terms])
+    assert s.generators.tobytes() == want.generators.tobytes()
