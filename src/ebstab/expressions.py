@@ -8,7 +8,8 @@ five oracles, each by structural recursion over its children:
   positively homogeneous in h) at one point, for every row h of a batch
   of directions;
 - ``_subdiff``: its exact subdifferential as a ``SubdiffSet`` (polytope
-  hull plus ball);
+  hull plus ball), which every atom makes as a box from its ends, with no
+  normal-form pass;
 - ``_grad_batch``: its gradient at every row of a batch, with the rows
   where it may fail to be differentiable marked as kinks;
 - ``_minorants_batch``: a bundle of affine minorants at every row of a
@@ -71,6 +72,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _point_set(g: np.ndarray, ball_radius: float = 0.0) -> SubdiffSet:
+    """{g} + ball_radius * B as a box, its one row built on first read; a
+    non-finite g is refused, as by ``SubdiffSet``."""
+    if not np.all(np.isfinite(g)):
+        raise ValueError("generators must be a nonempty finite (k, m) array")
+    return SubdiffSet._box(g, g, ball_radius, lambda: g[None])
+
+
 class ConvexExpr:
     """Base class; subclasses are immutable and safe to share."""
 
@@ -98,7 +107,7 @@ class ConvexExpr:
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
         """The subdifferential at x.  This default, {grad f(x)}, holds where
         ``_dd_batch``'s does; a node that may kink defines its own."""
-        return SubdiffSet(self._grad_batch(x[None])[0])
+        return _point_set(self._grad_batch(x[None])[0][0])
 
     def _grad_batch(self, X: np.ndarray):
         """Gradients at the rows of X, shape (k, m) -> (G, kink).
@@ -210,7 +219,7 @@ class EuclidNorm(ConvexExpr):
 
     def _subdiff(self, x):
         G, kink = self._grad_batch(x[None])
-        return SubdiffSet(np.zeros((1, self.dim)), 1.0) if kink[0] else SubdiffSet(G)
+        return _point_set(np.zeros(self.dim), 1.0) if kink[0] else _point_set(G[0])
 
     def _grad_batch(self, X):
         n = _row_norm(X)
@@ -249,7 +258,7 @@ class AbsCoord(ConvexExpr):
         if x[self.index] != 0.0:
             return super()._subdiff(x)
         e = np.eye(1, self.dim, self.index)[0]
-        return SubdiffSet(np.vstack([-e, e]), 0.0)
+        return SubdiffSet._box(-e, e, 0.0, lambda: np.vstack([-e, e]))
 
     def _grad_batch(self, X):
         xi = X[:, self.index]

@@ -13,10 +13,13 @@ here and the cutting-plane projections of ``moduli``; when the origin is
 inside, the boundary distance is the inradius, read off the facets that
 one double description pass finds on the polar cone, with no cap on their
 number.  A box, a product of one interval per coordinate, is kept as its
-ends lo and hi: a sum of terms that each act on their own coordinate is
-one, and so is a positive multiple of one, and its minimum-norm point,
-inradius and affine hull are read off lo and hi, never off its 2^m
-vertices, which are built only for a reader of the generators.
+ends lo and hi: every atom's set is one (a gradient, a kink's segment
+[-e_i, e_i], the norm's ball about 0), and so are a sum of boxes, a
+positive multiple of one, a max's set where one child is active, which is
+that child's, and a set whose rows hold every vertex of their bounding
+box.  Its minimum-norm point, inradius and affine hull are read off lo
+and hi, never off its 2^m vertices, which are built only for a reader of
+the generators.
 """
 
 from __future__ import annotations
@@ -46,14 +49,17 @@ class SubdiffSet:
     generators: finite (k, m) array, k >= 1, kept in normal form: rows are
         deduplicated in order (``dedupe_rows``), then, above 32 of them,
         pruned to the extreme points (``prune_to_extreme``); read-only, so
-        sets may share it, as ``scale_set`` by 1 does.  A box that
-        ``add_sets`` or ``scale_set`` made builds them on first read, by
-        its rule: a function of the rows of the sets it was made from.
+        sets may share it, as ``scale_set`` by 1 does.  A box made from
+        its ends (an atom's set, or one that ``add_sets`` or ``scale_set``
+        made) builds them on first read, by its rule: a function of the
+        rows of the sets it was made from, or of none.
     ball_radius: finite nonnegative float.
     lo, hi: for a box, its least and greatest point, so conv(generators)
-        is [lo, hi]; None for every other set.  A set whose rows differ in
-        one coordinate at most is a box (a point or a segment along an
-        axis), and ``add_sets`` and ``scale_set`` keep boxes boxes.
+        is [lo, hi]; None for every other set.  A set whose rows hold all
+        2^d vertices of their bounding box, d the number of coordinates in
+        which they differ, is a box (rows that differ in one coordinate at
+        most always do), and ``add_sets``, ``scale_set`` and
+        ``merge_active_subdiffs`` of one set keep boxes boxes.
     """
 
     __slots__ = ("ball_radius", "lo", "hi", "_rows", "_rule")
@@ -71,15 +77,19 @@ class SubdiffSet:
             self.lo = self.hi = g[0]
             return
         self.lo, self.hi = g.min(axis=0), g.max(axis=0)
-        if np.count_nonzero(self.lo != self.hi) > 1:
+        if not _holds_vertices(g, self.lo, self.hi):
             self.lo = self.hi = None
 
     @classmethod
     def _box(cls, lo, hi, ball_radius: float, rule, *sets) -> SubdiffSet:
         """The box [lo, hi] + ball_radius * B, whose rows are rule applied
-        to the rows of sets, built on first read."""
+        to the rows of sets, built on first read and frozen.  A coordinate
+        no wider than _DEDUPE_TOL is made flat at lo, the end that
+        ``dedupe_rows`` keeps where the rows list it first, as an atom's
+        interval [-e_i, e_i] does."""
         s = cls.__new__(cls)
-        s.lo, s.hi, s.ball_radius = lo, hi, ball_radius
+        s.lo, s.ball_radius = lo, ball_radius
+        s.hi = np.where(hi - lo <= _DEDUPE_TOL, lo, hi)
         s._rows, s._rule = None, (rule, sets)
         return s
 
@@ -105,6 +115,7 @@ class SubdiffSet:
                     stack += [s, *todo]
                 else:
                     s._rows, s._rule = rule(*(p._rows for p in sets)), None
+                    s._rows.setflags(write=False)
         return self._rows
 
     @property
@@ -124,6 +135,23 @@ def _normal_form(g: np.ndarray) -> np.ndarray:
         g = prune_to_extreme(g)
     g.setflags(write=False)
     return g
+
+
+def _holds_vertices(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the rows of g, whose columns range over [lo, hi], hold all
+    2^d vertices of that box, d the number of coordinates with lo < hi, so
+    that conv(g) is the box; a row is a vertex when each such coordinate
+    reads lo or hi exactly.  Rows that differ in one coordinate at most
+    (d <= 1) always do."""
+    wide = lo != hi
+    d = int(np.count_nonzero(wide))
+    if d <= 1:
+        return True
+    if g.shape[0] < 1 << d:
+        return False
+    g, at_hi = g[:, wide], g[:, wide] == hi[wide]
+    on = np.all(at_hi | (g == lo[wide]), axis=1)
+    return len(set((at_hi[on] @ (1 << np.arange(d))).tolist())) == 1 << d
 
 
 def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -515,6 +543,7 @@ def merge_active_subdiffs(parts) -> SubdiffSet:
     """conv of the union of the active children's sets (the pointwise-max
     rule).  Exact cases only:
 
+    - one set: that set itself, so a box stays a box;
     - all ball radii zero: union of generators;
     - every positive radius equal: union of those children's generators with
       the shared radius, provided each radius-zero child's hull lies inside;
@@ -524,6 +553,8 @@ def merge_active_subdiffs(parts) -> SubdiffSet:
     parts = list(parts)
     if not parts:
         raise ValueError("merge requires at least one set")
+    if len(parts) == 1:
+        return parts[0]
     ball_parts = [p for p in parts if p.ball_radius > 0.0]
     flat_parts = [p for p in parts if p.ball_radius == 0.0]
     if not ball_parts:

@@ -9,7 +9,7 @@ subdifferential translates by eps * u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,9 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
                            box=None, seed: int = 0, levels: int = 4,
                            samples_per_level: int = 128,
                            global_samples: int = 256) -> SweepResult:
-    """Sweep over (direction, eps) pairs, rows ordered by eps."""
+    """Sweep over (direction, eps) pairs, rows ordered by eps.  The box is
+    drawn once, and each row's tilted function is evaluated on those
+    points."""
     f = problem.function_expr()
     xbar = boundary_point(f, xbar)
     if box is None:
@@ -56,6 +58,7 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
         if np.linalg.norm(u) > 1.0 + 1e-12:
             raise ValueError("perturbation directions must satisfy ||u|| <= 1")
 
+    sample = None if box is None else box_sample(f, box, global_samples, seed)
     beta_before = beta(f, xbar).beta
     result = SweepResult(problem=problem.name, seed=seed)
     for eps in sorted(float(e) for e in eps_list):
@@ -65,9 +68,9 @@ def run_perturbation_sweep(problem: ProblemFile, xbar, directions, eps_list,
             local = local_modulus(g, xbar, cert, levels=levels,
                                   samples_per_level=samples_per_level, seed=seed)
             tau_global = None
-            if box is not None:
-                tau_global = eta_global(
-                    g, box_sample(g, box, global_samples, seed)).tau_estimate
+            if sample is not None:
+                tau_global = eta_global(g, replace(
+                    sample, values=g._value_batch(sample.points))).tau_estimate
             verdict = classify_local_stability(g, xbar, cert=cert).verdict
             result.rows.append(SweepRow(
                 epsilon=eps,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab import geometry
+from ebstab import geometry, sphere
 from ebstab.cli import main
 from ebstab.expressions import (AbsCoord, Affine, Const, EuclidNorm, Max, Sum,
                                 subdifferential)
@@ -22,7 +22,7 @@ from ebstab.geometry import (_HULL_ZERO, SubdiffSet, _inradius_at_origin,
                              min_norm_point, min_support_direction, scale_set,
                              sum_sets)
 from ebstab.sampling import unit_directions
-from ebstab.sphere import ZERO_TOL
+from ebstab.sphere import ZERO_TOL, beta
 
 from conftest import polar_rays_reference, refine_sphere_min_multi, support
 
@@ -237,6 +237,91 @@ def test_box_reads_match_the_materialised_set(seed, m):
     assert np.max(np.abs(h - h_rows)) <= tol
 
 
+def _kink_tree(rng, m, x, depth):
+    """A random max/sum tree over abs, affine and const on R^m: sum weights
+    1, 0, 1e-13 or in [0.2, 3], max children shifted by a constant to tie
+    at x or to lie below it, and maxes of affine maps whose gradients are
+    the vertices of a box, one of them dropped at times."""
+    kind = (rng.choice(6, p=[0.25, 0.12, 0.05, 0.18, 0.22, 0.18]) if depth
+            else rng.choice(3, p=[0.6, 0.3, 0.1]))
+    if kind == 0:
+        return AbsCoord(int(rng.integers(m)), m)
+    if kind == 1:
+        a = rng.normal(size=m) * rng.choice([0.0, 0.3, 3.0])
+        return Affine(np.where(rng.random(m) < 0.4, 0.0, a), rng.normal())
+    if kind == 2:
+        return Const(rng.normal(), m)
+    if kind == 3:
+        ends = rng.uniform(-2.0, 2.0, size=(2, m)) * (rng.random(m) < 0.6)
+        grads = [np.choose(bits, ends) for bits in
+                 itertools.product([0, 1], repeat=m)]
+        if rng.random() < 0.3:
+            grads.pop(int(rng.integers(len(grads))))
+        return Max([Affine(g, -float(g @ x)) for g in grads])
+    kids = [_kink_tree(rng, m, x, depth - 1)
+            for _ in range(int(rng.integers(1, 4)))]
+    if kind == 4:
+        weights = rng.choice([1.0, 0.0, 1e-13, rng.uniform(0.2, 3.0)],
+                             size=len(kids), p=[0.4, 0.05, 0.2, 0.35])
+        return Sum(zip(weights, kids))
+    return Max([Sum([(1.0, k), (1.0, Const(
+        -k._value(x) - rng.choice([0.0, 1.0], p=[0.7, 0.3]), m))])
+                for k in kids])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4))
+def test_box_reads_through_max_nodes_match_the_rows(seed, m):
+    # wherever a max/sum tree's set at a kink is a box (a lone active
+    # child's, a union holding every vertex of its bounding box, a tiny
+    # multiple of one), its reads off the ends agree, to 1e-12 of the
+    # set's size, with the NNLS, the one facet pass and the least-squares
+    # affine hull on its generators, and the witnesses agree but where two
+    # sides of the box tie; a coordinate no wider than the dedupe
+    # tolerance is flat in the box, while its rows may keep either end
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
+    s = subdifferential(_kink_tree(rng, m, x, 3), x)
+    if s.lo is None:
+        return
+    rows = _as_rows(s)
+    got, want = min_norm_point(s), min_norm_point(rows)
+    tol = 1e-12 * (1.0 + np.max(np.abs(s.generators)))
+    assert np.max(np.abs(got.point - want.point)) <= tol
+    assert abs(got.hull_dist - want.hull_dist) <= tol
+    assert affine_hull_misses_origin(s) == affine_hull_misses_origin(rows)
+    (sigma, h), (sigma_rows, h_rows) = (min_support_direction(s),
+                                        min_support_direction(rows))
+    assert abs(sigma - sigma_rows) <= tol
+    assert _origin(sigma) == _origin(sigma_rows)
+    sides = np.concatenate([s.hi, -s.lo])
+    if got.hull_dist > _HULL_ZERO:
+        # h is -point / hull_dist on both sides
+        tol = 2.0 * tol / got.hull_dist
+    else:
+        tol = 1e-12 if np.sum(sides <= sigma + 1e-9) == 1 else math.inf
+    assert np.max(np.abs(h - h_rows)) <= tol
+
+
+def test_a_box_narrower_than_the_dedupe_tolerance_is_flat(monkeypatch):
+    # 1e-13 |x0| + |x1| at the origin: the scaled interval [-1e-13, 1e-13]
+    # is no wider than the dedupe tolerance, so the box is flat at -1e-13,
+    # the end its deduplicated rows keep, and its ends and its rows give
+    # one beta, witness and residual
+    f = Sum([(1e-13, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2))])
+    x = np.zeros(2)
+    s = subdifferential(f, x)
+    assert s.lo.tolist() == [-1e-13, -1.0] and s.hi.tolist() == [-1e-13, 1.0]
+    ends = beta(f, x)
+    assert ends.subdiff._rows is None
+    monkeypatch.setattr(sphere, "subdifferential",
+                        lambda f, x: SubdiffSet(s.generators))
+    rows = beta(f, x)
+    assert rows.subdiff.generators.tolist() == [[-1e-13, -1.0], [-1e-13, 1.0]]
+    assert (rows.beta, rows.witness.tolist(), rows.residual) == (
+        ends.beta, ends.witness.tolist(), ends.residual)
+
+
 _STEP = Max([Affine([1.0, 0.0], 0.0), Affine([-2.0, 0.0], 0.0)])
 
 
@@ -324,8 +409,8 @@ def test_sum_terms_are_provenance_only():
 def test_l1_sum_in_r24_builds_no_vertex_list(point, beta, path, tmp_path,
                                              monkeypatch, capsys):
     # ||x||_1 at the origin and ||x||_1 - 1 at e_1 in R^24, 2^24 vertices:
-    # beta is read off the box's ends, and no set of more than 2 rows is
-    # put in normal form
+    # beta is read off the box's ends, and no set is put in normal form,
+    # as every atom's set is a box
     m = 24
     terms = " ".join(f"1 (abs {j})" for j in range(m))
     x = [point] + [0.0] * (m - 1)
@@ -341,14 +426,14 @@ def test_l1_sum_in_r24_builds_no_vertex_list(point, beta, path, tmp_path,
     assert results["beta"]["beta"] == beta
     assert results["beta"]["origin"] == ("interior" if beta > 0 else "outside")
     assert results["modulus"]["path"] == path
-    assert rows and max(rows) <= 2
+    assert rows == []
 
 
 def test_weighted_l1_sum_in_r24_builds_no_vertex_list(tmp_path, monkeypatch,
                                                       capsys):
     # 2 ||x||_1 at the origin of R^24: the weighted box is [-2, 2]^24, so
-    # beta is 2 at -e_0, read off its ends, and no set of more than 2 rows
-    # is put in normal form
+    # beta is 2 at -e_0, read off its ends, and no set is put in normal
+    # form
     m = 24
     terms = " ".join(f"1 (abs {j})" for j in range(m))
     path_eb = tmp_path / "l1w.eb"
@@ -364,7 +449,7 @@ def test_weighted_l1_sum_in_r24_builds_no_vertex_list(tmp_path, monkeypatch,
     assert results["beta"]["origin"] == "interior"
     assert results["beta"]["witness"] == [-1.0] + [0.0] * (m - 1)
     assert results["modulus"]["path"] == "polyhedral-interior"
-    assert rows and max(rows) <= 2
+    assert rows == []
 
 
 def test_a_long_sum_builds_its_rows_without_deep_recursion():

@@ -497,21 +497,22 @@ def test_eta_local_draws_and_screens_each_run_once(seed, runs, monkeypatch):
 
 def test_analyze_local_never_builds_the_cube(monkeypatch, capsys):
     # ||x||_1 at the origin of R^5: the 32 cube vertices are never built,
-    # as beta reads the box's ends; only the atoms' two-row sets are put in
-    # normal form
+    # as beta reads the box's ends, and no set is put in normal form, as
+    # the atoms' sets are boxes too
     rows = _counting(monkeypatch, geometry, "dedupe_rows")
     assert main(["analyze-local", str(BENCH_PROBLEMS / "l1norm5.eb"),
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert rows and max(args[0].shape[0] for args in rows) == 2
+    assert rows == []
 
 
-@pytest.mark.parametrize("stem, sets", [("l1norm5", 9), ("l1norm4", 7),
-                                        ("l1ball5", 11)])
+@pytest.mark.parametrize("stem, sets", [("l1norm5", 4), ("l1norm4", 3),
+                                        ("l1ball5", 5)])
 def test_analyze_local_builds_no_set_for_a_unit_weight(stem, sets,
                                                        monkeypatch, capsys):
-    # a sum of unit-weight atoms builds one set per atom and one box per
-    # partial sum, and none to scale an atom's set by 1
+    # a sum of unit-weight atoms builds one box per partial sum, none to
+    # scale an atom's set by 1, and no set from rows: the atoms' sets are
+    # boxes made with no normal-form pass
     built = []
     init, box_sum = geometry.SubdiffSet.__init__, geometry.SubdiffSet._box_sum
 

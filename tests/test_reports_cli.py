@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebstab import moduli
 from ebstab.cli import build_parser, main
 from ebstab.errors import MinNormNonConvergence
-from ebstab.moduli import ModulusReport, QCWitness, StabilityVerdict
+from ebstab.moduli import (ModulusReport, QCWitness, StabilityVerdict,
+                           box_sample, eta_global)
 from ebstab.problems import parse_problem
 from ebstab.reports import SWEEP_CSV_HEADER, _to_json, emit_report, make_envelope
+from ebstab.sphere import linear_perturbation
 from ebstab.sweep import run_perturbation_sweep
 
 BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
@@ -63,6 +66,28 @@ def test_sweep_zero_eps_row_unchanged():
     row = res.rows[0]
     assert row.beta_after == row.beta_before
     assert row.verdict == "stable"
+
+
+def test_boxed_sweep_draws_its_box_once(monkeypatch):
+    # four rows read one draw of the box, each evaluating its own tilted
+    # function there, and each row's tau_global is, bit for bit, the one a
+    # draw of its own gives
+    problem = parse_problem(BALL_PROBLEM)
+    xbar = [1.0, 0.0]
+    draws = []
+    real = moduli.box_points
+    monkeypatch.setattr(moduli, "box_points",
+                        lambda *args: draws.append(args) or real(*args))
+    res = run_perturbation_sweep(
+        problem, xbar, [np.array([0.0, 1.0]), np.array([-0.6, 0.8])],
+        [0.1, 0.01], box=problem.box, seed=3, levels=2, samples_per_level=16,
+        global_samples=64)
+    assert len(draws) == 1 and len(res.rows) == 4
+    f = problem.function_expr()
+    for row in res.rows:
+        g = linear_perturbation(f, row.u_star, row.epsilon, xbar)
+        want = eta_global(g, box_sample(g, problem.box, 64, 3)).tau_estimate
+        assert row.tau_global == want
 
 
 def test_sweep_direction_norm_checked():

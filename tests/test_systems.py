@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebstab import scenarios, systems
+from ebstab import geometry, scenarios, systems
 from ebstab.expressions import (
     _ACTIVE_TOL,
     AbsCoord,
@@ -207,6 +207,28 @@ def test_rem12_works_out_the_base_beta_once(name, family, monkeypatch):
         monkeypatch.setattr(module, "beta", spy)
     assert scenarios.reproduce(name, seed=0).passed
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+@pytest.mark.parametrize("families", [scenarios._rem12a_families,
+                                      scenarios._rem12b_families])
+def test_rem12_tilted_beta_reads_a_box(families, eps, monkeypatch):
+    # the tilted sup's set at the origin is [-1, 1] x [-eps, eps]: in
+    # REM12A the lone active member's box, passed through the max, in
+    # REM12B the union of the two members' segments, whose four rows are
+    # the box's vertices; beta is eps at -e_1, read off the ends, with no
+    # facet pass and no NNLS
+    calls = []
+    for name in ("_inradius_at_origin", "_nnls_residual"):
+        real = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    cert = beta(materialize_sup(families(eps)[1]), [0.0, 0.0])
+    assert calls == []
+    assert cert.beta == eps and cert.witness.tolist() == [0.0, -1.0]
+    assert cert.origin_location.tag.value == "interior"
+    assert cert.subdiff.lo.tolist() == [-1.0, -eps]
+    assert cert.subdiff.hi.tolist() == [1.0, eps]
 
 
 def test_classify_system_local_rem12a_stable():
