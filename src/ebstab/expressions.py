@@ -72,14 +72,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _point_set(g: np.ndarray, ball_radius: float = 0.0) -> SubdiffSet:
-    """{g} + ball_radius * B as a box, its one row built on first read; a
-    non-finite g is refused, as by ``SubdiffSet``."""
-    if not np.all(np.isfinite(g)):
-        raise ValueError("generators must be a nonempty finite (k, m) array")
-    return SubdiffSet._box(g, g, ball_radius, lambda: g[None])
-
-
 class ConvexExpr:
     """Base class; subclasses are immutable and safe to share."""
 
@@ -107,7 +99,8 @@ class ConvexExpr:
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
         """The subdifferential at x.  This default, {grad f(x)}, holds where
         ``_dd_batch``'s does; a node that may kink defines its own."""
-        return _point_set(self._grad_batch(x[None])[0][0])
+        g = self._grad_batch(x[None])[0][0]
+        return SubdiffSet._box(g, g, 0.0)
 
     def _grad_batch(self, X: np.ndarray):
         """Gradients at the rows of X, shape (k, m) -> (G, kink).
@@ -219,7 +212,8 @@ class EuclidNorm(ConvexExpr):
 
     def _subdiff(self, x):
         G, kink = self._grad_batch(x[None])
-        return _point_set(np.zeros(self.dim), 1.0) if kink[0] else _point_set(G[0])
+        g = np.zeros(self.dim) if kink[0] else G[0]
+        return SubdiffSet._box(g, g, 1.0 if kink[0] else 0.0)
 
     def _grad_batch(self, X):
         n = _row_norm(X)
@@ -258,7 +252,7 @@ class AbsCoord(ConvexExpr):
         if x[self.index] != 0.0:
             return super()._subdiff(x)
         e = np.eye(1, self.dim, self.index)[0]
-        return SubdiffSet._box(-e, e, 0.0, lambda: np.vstack([-e, e]))
+        return SubdiffSet._box(-e, e, 0.0)
 
     def _grad_batch(self, X):
         xi = X[:, self.index]

@@ -17,9 +17,9 @@ ends lo and hi: every atom's set is one (a gradient, a kink's segment
 [-e_i, e_i], the norm's ball about 0), and so are a sum of boxes, a
 positive multiple of one, a max's set where one child is active, which is
 that child's, and a set whose rows hold every vertex of their bounding
-box.  Its minimum-norm point, inradius and affine hull are read off lo
-and hi, never off its 2^m vertices, which are built only for a reader of
-the generators.
+box.  Its ends are its one description: its minimum-norm point, inradius
+and affine hull are read off lo and hi, and its rows, built only for a
+reader of the generators, are its 2^d vertices, in normal form as built.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MinNormNonConvergence, UnsupportedSubdifferential
+from .errors import (MinNormNonConvergence, NumericalOverflow,
+                     UnsupportedSubdifferential)
 
 _DEDUPE_TOL = 1e-12
 _DEDUPE_BLOCK = 1 << 16    # elements of one block of dedupe_rows distances
@@ -46,33 +47,40 @@ _HULL_ZERO = 1e-9          # hull distance below this -> treat origin as on/in h
 class SubdiffSet:
     """The compact convex set conv(generators) + ball_radius * unit ball.
 
-    generators: finite (k, m) array, k >= 1, kept in normal form: rows are
-        deduplicated in order (``dedupe_rows``), then, above 32 of them,
-        pruned to the extreme points (``prune_to_extreme``); read-only, so
-        sets may share it, as ``scale_set`` by 1 does.  A box made from
-        its ends (an atom's set, or one that ``add_sets`` or ``scale_set``
-        made) builds them on first read, by its rule: a function of the
-        rows of the sets it was made from, or of none.
+    generators: finite (k, m) array, k >= 1, read-only, so sets may share
+        it, as ``scale_set`` by 1 does; rows that are not finite, which
+        only an overflow makes, raise NumericalOverflow.  Rows given to
+        the constructor are kept in normal form: deduplicated in order
+        (``dedupe_rows``), then, above 32 of them, pruned to the extreme
+        points (``prune_to_extreme``).  A box made from its ends
+        (``_box``) builds its rows on first read as its 2^d vertices, d
+        the number of coordinates with lo < hi, the lowest such
+        coordinate the most significant and lo before hi; they are in
+        normal form already.
     ball_radius: finite nonnegative float.
     lo, hi: for a box, its least and greatest point, so conv(generators)
         is [lo, hi]; None for every other set.  A set whose rows hold all
-        2^d vertices of their bounding box, d the number of coordinates in
-        which they differ, is a box (rows that differ in one coordinate at
-        most always do), and ``add_sets``, ``scale_set`` and
-        ``merge_active_subdiffs`` of one set keep boxes boxes.
+        2^d vertices of their bounding box is a box (rows that differ in
+        one coordinate at most always do), and ``add_sets``, ``scale_set``
+        and ``merge_active_subdiffs`` of one set keep boxes boxes.
     """
 
-    __slots__ = ("ball_radius", "lo", "hi", "_rows", "_rule")
+    __slots__ = ("ball_radius", "lo", "hi", "_rows")
 
     def __init__(self, generators, ball_radius: float = 0.0):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
-        if g.ndim != 2 or g.shape[0] == 0 or not np.all(np.isfinite(g)):
-            raise ValueError("generators must be a nonempty finite (k, m) array")
+        if g.ndim != 2 or g.shape[0] == 0:
+            raise ValueError("generators must be a nonempty (k, m) array")
+        if not np.all(np.isfinite(g)):
+            raise NumericalOverflow("a subdifferential's generators "
+                                    "overflow a double")
         if not 0.0 <= ball_radius < math.inf:
             raise ValueError("ball_radius must be finite and nonnegative")
-        g = _normal_form(g)
-        self._rows, self._rule = g, None
-        self.ball_radius = float(ball_radius)
+        g = dedupe_rows(g)
+        if g.shape[0] > 32:
+            g = prune_to_extreme(g)
+        g.setflags(write=False)
+        self._rows, self.ball_radius = g, float(ball_radius)
         if g.shape[0] == 1:
             self.lo = self.hi = g[0]
             return
@@ -81,41 +89,32 @@ class SubdiffSet:
             self.lo = self.hi = None
 
     @classmethod
-    def _box(cls, lo, hi, ball_radius: float, rule, *sets) -> SubdiffSet:
-        """The box [lo, hi] + ball_radius * B, whose rows are rule applied
-        to the rows of sets, built on first read and frozen.  A coordinate
-        no wider than _DEDUPE_TOL is made flat at lo, the end that
-        ``dedupe_rows`` keeps where the rows list it first, as an atom's
-        interval [-e_i, e_i] does."""
+    def _box(cls, lo, hi, ball_radius: float) -> SubdiffSet:
+        """The box [lo, hi] + ball_radius * B, its rows built on first
+        read.  A coordinate no wider than _DEDUPE_TOL is made flat at lo,
+        so no two vertices are within that of each other.  Ends or a
+        radius that are not finite raise NumericalOverflow."""
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()
+                and math.isfinite(ball_radius)):
+            raise NumericalOverflow("a subdifferential's ends overflow a "
+                                    "double")
         s = cls.__new__(cls)
-        s.lo, s.ball_radius = lo, ball_radius
+        s.lo, s.ball_radius, s._rows = lo, ball_radius, None
         s.hi = np.where(hi - lo <= _DEDUPE_TOL, lo, hi)
-        s._rows, s._rule = None, (rule, sets)
         return s
-
-    @classmethod
-    def _box_sum(cls, a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
-        """a + b for boxes a and b, with no rows built: each coordinate's
-        ends are summed, so they are the extremes of the pairwise sums of
-        the rows, bit for bit (rounding is monotone)."""
-        return cls._box(a.lo + b.lo, a.hi + b.hi, a.ball_radius + b.ball_radius,
-                        lambda g, h: _normal_form(_pair_sums(g, h)), a, b)
 
     @property
     def generators(self) -> np.ndarray:
-        # the sets a rule reads are built first, from an explicit stack, so
-        # that a sum of many terms needs no deep recursion
-        stack = [self]
-        while stack:
-            s = stack.pop()
-            if s._rows is None:
-                rule, sets = s._rule
-                todo = [p for p in sets if p._rows is None]
-                if todo:
-                    stack += [s, *todo]
-                else:
-                    s._rows, s._rule = rule(*(p._rows for p in sets)), None
-                    s._rows.setflags(write=False)
+        if self._rows is None:
+            # vertex i reads hi in the wide coordinates whose bits of i are
+            # set, the lowest coordinate the most significant bit
+            wide = np.flatnonzero(self.lo != self.hi)
+            at_hi = (np.arange(1 << wide.size)[:, None] >> np.arange(
+                wide.size)[::-1]) & 1
+            g = np.tile(self.lo, (at_hi.shape[0], 1))
+            g[:, wide] = np.where(at_hi, self.hi[wide], self.lo[wide])
+            g.setflags(write=False)
+            self._rows = g
         return self._rows
 
     @property
@@ -125,16 +124,6 @@ class SubdiffSet:
     def __repr__(self):
         k = "box" if self._rows is None else self._rows.shape[0]
         return f"SubdiffSet(k={k}, m={self.dim}, r={self.ball_radius:g})"
-
-
-def _normal_form(g: np.ndarray) -> np.ndarray:
-    """g deduplicated, above 32 rows pruned to its extreme points, and
-    frozen; a copy, never the caller's array."""
-    g = dedupe_rows(g)
-    if g.shape[0] > 32:
-        g = prune_to_extreme(g)
-    g.setflags(write=False)
-    return g
 
 
 def _holds_vertices(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -486,20 +475,20 @@ def min_support_direction(s: SubdiffSet):
 # ---------------------------------------------------------------------------
 # Set calculus used by the expression subdifferential rules.
 
+@np.errstate(over="ignore")     # SubdiffSet and _box refuse an overflow
 def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
     """w * S for w >= 0: S itself for w = 1, as 1 * x is exact, and for
-    w > 0 a box stays a box, [w lo, w hi] (rounding is monotone), whose
-    rows w times S's are built only when read."""
+    w > 0 a box stays a box, [w lo, w hi] (rounding is monotone)."""
     if w < 0:
         raise ValueError("scale weight must be nonnegative")
     if w == 1.0:
         return s
     if w > 0.0 and s.lo is not None:
-        return SubdiffSet._box(w * s.lo, w * s.hi, w * s.ball_radius,
-                               lambda g: _normal_form(w * g), s)
+        return SubdiffSet._box(w * s.lo, w * s.hi, w * s.ball_radius)
     return SubdiffSet(w * s.generators, w * s.ball_radius)
 
 
+@np.errstate(over="ignore")     # SubdiffSet and _box refuse an overflow
 def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
     """Minkowski sum.  Two boxes add to the box [lo + lo', hi + hi'], with
     no rows built: terms acting on their own coordinates have a product of
@@ -507,7 +496,8 @@ def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
     Any other pair gives every pairwise sum of generators (a's rows
     outer), which the SubdiffSet normal form prunes when they get many."""
     if a.lo is not None and b.lo is not None:
-        return SubdiffSet._box_sum(a, b)
+        return SubdiffSet._box(a.lo + b.lo, a.hi + b.hi,
+                               a.ball_radius + b.ball_radius)
     return SubdiffSet(_pair_sums(a.generators, b.generators),
                       a.ball_radius + b.ball_radius)
 

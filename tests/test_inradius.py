@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from ebstab import geometry, sphere
 from ebstab.cli import main
-from ebstab.expressions import (AbsCoord, Affine, Const, EuclidNorm, Max, Sum,
-                                subdifferential)
-from ebstab.geometry import (_HULL_ZERO, SubdiffSet, _inradius_at_origin,
-                             _polar_rays, add_sets, affine_hull_misses_origin,
-                             min_norm_point, min_support_direction, scale_set,
-                             sum_sets)
+from ebstab.expressions import (AbsCoord, Affine, ComposeAffine, Const,
+                                EuclidNorm, Max, Sum, subdifferential)
+from ebstab.geometry import (_DEDUPE_TOL, _HULL_ZERO, SubdiffSet,
+                             _inradius_at_origin, _polar_rays, add_sets,
+                             affine_hull_misses_origin, min_norm_point,
+                             min_support_direction, scale_set, sum_sets)
 from ebstab.sampling import unit_directions
 from ebstab.sphere import ZERO_TOL, beta
 
@@ -178,6 +178,13 @@ def _old_set(f, x):
                      for w, s in sets])
 
 
+def _vertices(lo, hi):
+    """The vertices of [lo, hi]: the lowest coordinate with lo < hi the
+    most significant, lo before hi."""
+    return np.array(list(itertools.product(
+        *[(a, b) if a < b else (a,) for a, b in zip(lo, hi)])), dtype=float)
+
+
 def _nest(rng, terms):
     """terms with random runs of them wrapped in sums under weights other
     than 1, twice over, so that boxes are scaled and summed again."""
@@ -200,8 +207,10 @@ def test_box_reads_match_the_materialised_set(seed, m):
     # nested in sums under weights other than 1, at a point with zeroed
     # coordinates (its kinks), the origin inside or outside its set: the
     # box's reads agree with the NNLS, the one pass and the least-squares
-    # affine hull on its generators, and those generators are the ones
-    # the pairwise fold and the scaling of every row build, bit for bit
+    # affine hull on its generators; those generators are the vertices of
+    # [lo, hi] in order, each within the dedupe tolerance of a row that the
+    # pairwise fold and the scaling of every row build, and every such row
+    # lies in the box, up to that tolerance
     rng = np.random.default_rng(seed)
     terms = [(rng.choice([1.0, rng.uniform(0.2, 3.0)]), AbsCoord(j, m))
              for j in rng.choice(m, size=int(rng.integers(1, 2 * m)))]
@@ -215,7 +224,11 @@ def test_box_reads_match_the_materialised_set(seed, m):
     x = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
     s = subdifferential(f, x)
     assert s.lo is not None
-    assert s.generators.tobytes() == _old_set(f, x).generators.tobytes()
+    assert s.generators.tobytes() == _vertices(s.lo, s.hi).tobytes()
+    old, tol = _old_set(f, x).generators, _DEDUPE_TOL
+    near = np.max(np.abs(s.generators[:, None] - old[None]), axis=2)
+    assert np.all(np.min(near, axis=1) <= tol)
+    assert np.all((old >= s.lo - tol) & (old <= s.hi + tol))
     rows = _as_rows(s)
     got, want = min_norm_point(s), min_norm_point(rows)
     assert abs(got.hull_dist - want.hull_dist) <= 1e-12
@@ -278,7 +291,7 @@ def test_box_reads_through_max_nodes_match_the_rows(seed, m):
     # set's size, with the NNLS, the one facet pass and the least-squares
     # affine hull on its generators, and the witnesses agree but where two
     # sides of the box tie; a coordinate no wider than the dedupe
-    # tolerance is flat in the box, while its rows may keep either end
+    # tolerance is flat in a box made from its ends, and in its rows
     rng = np.random.default_rng(seed)
     x = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
     s = subdifferential(_kink_tree(rng, m, x, 3), x)
@@ -305,9 +318,9 @@ def test_box_reads_through_max_nodes_match_the_rows(seed, m):
 
 def test_a_box_narrower_than_the_dedupe_tolerance_is_flat(monkeypatch):
     # 1e-13 |x0| + |x1| at the origin: the scaled interval [-1e-13, 1e-13]
-    # is no wider than the dedupe tolerance, so the box is flat at -1e-13,
-    # the end its deduplicated rows keep, and its ends and its rows give
-    # one beta, witness and residual
+    # is no wider than the dedupe tolerance, so the box is flat at lo,
+    # -1e-13, as are the rows built from its ends, and its ends and its
+    # rows give one beta, witness and residual
     f = Sum([(1e-13, AbsCoord(0, 2)), (1.0, AbsCoord(1, 2))])
     x = np.zeros(2)
     s = subdifferential(f, x)
@@ -320,6 +333,22 @@ def test_a_box_narrower_than_the_dedupe_tolerance_is_flat(monkeypatch):
     assert rows.subdiff.generators.tolist() == [[-1e-13, -1.0], [-1e-13, 1.0]]
     assert (rows.beta, rows.witness.tolist(), rows.residual) == (
         ends.beta, ends.witness.tolist(), ends.residual)
+
+
+def test_a_tiny_multiple_of_a_max_box_reads_as_its_rows():
+    # 1e-13 max of four affine maps, whose gradients are the vertices of
+    # [-1, 1] x [-0.5, 2.1] listed hi first, plus 0.3 x0 + 0.4 x1, at the
+    # origin: the scaled box is flat at lo, and its one row is that point,
+    # not the first row of the max's, so its ends and its rows give one
+    # sigma and one witness, bit for bit
+    grads = [[1.0, 2.1], [-1.0, 2.1], [1.0, -0.5], [-1.0, -0.5]]
+    f = Sum([(1e-13, Max([Affine(g, 0.0) for g in grads])),
+             (1.0, Affine([0.3, 0.4], 0.0))])
+    s = subdifferential(f, np.zeros(2))
+    assert s.lo is not None and s.lo.tolist() == s.hi.tolist()
+    sigma, h = min_support_direction(s)
+    sigma_rows, h_rows = min_support_direction(SubdiffSet(s.generators))
+    assert sigma == sigma_rows and h.tobytes() == h_rows.tobytes()
 
 
 _STEP = Max([Affine([1.0, 0.0], 0.0), Affine([-2.0, 0.0], 0.0)])
@@ -389,16 +418,16 @@ def test_sum_terms_are_provenance_only():
     with pytest.raises(TypeError):
         SubdiffSet(s.generators, 0.0, parts)
     # a scaled box is a box, with w times its rows in normal form; a box
-    # added to itself is a box, with the pairwise fold's rows, the 3 x 3
-    # grid of the square's sums
+    # added to itself is a box, whose rows are the doubled square's 4
+    # vertices, not the pairwise fold's 3 x 3 grid
     scaled = scale_set(s, 2.0)
     assert scaled.lo.tolist() == [-4.0, -2.0] and scaled._rows is None
     assert scaled.generators.tobytes() == SubdiffSet(
         2.0 * s.generators).generators.tobytes()
     twice = add_sets(s, s)
     assert twice.lo.tolist() == [-4.0, -2.0] and twice._rows is None
-    assert twice.generators.tobytes() == _old_sum([s, s]).generators.tobytes()
-    assert twice.generators.shape == (9, 2)
+    assert twice.generators.tolist() == [[-4.0, -2.0], [-4.0, 2.0],
+                                         [4.0, -2.0], [4.0, 2.0]]
     assert scale_set(s, 1.0) is s
     # one part is its own sum
     assert sum_sets(parts[:1]) is parts[0]
@@ -452,9 +481,29 @@ def test_weighted_l1_sum_in_r24_builds_no_vertex_list(tmp_path, monkeypatch,
     assert rows == []
 
 
-def test_a_long_sum_builds_its_rows_without_deep_recursion():
+def test_composed_l1_norm_puts_its_vertices_in_normal_form_once(
+        monkeypatch):
+    # ||2x||_1 at the origin of R^8: the inner box's 256 vertices are
+    # built once, and the mapped rows are deduplicated and pruned once,
+    # with no normal form of a partial sum; beta is 2, read off the ends of
+    # the mapped set, which holds every vertex of [-2, 2]^8
+    m = 8
+    f = ComposeAffine(Sum([(1.0, AbsCoord(j, m)) for j in range(m)]),
+                      2.0 * np.eye(m), np.zeros(m))
+    dedupe, prune, calls = geometry.dedupe_rows, geometry.prune_to_extreme, []
+    monkeypatch.setattr(geometry, "dedupe_rows",
+                        lambda g: calls.append("dedupe") or dedupe(g))
+    monkeypatch.setattr(geometry, "prune_to_extreme",
+                        lambda g: calls.append("prune") or prune(g))
+    cert = beta(f, np.zeros(m))
+    assert sorted(calls) == ["dedupe", "prune"]
+    assert cert.beta == 2.0 and cert.subdiff.lo is not None
+
+
+def test_a_long_sum_reads_its_row_off_its_ends():
     # a sum of 3000 affine terms is a box (one point) summed 2999 times;
-    # reading its rows builds every partial sum in turn, the fold's rows
+    # its one row is built from its ends on first read, and is the row of
+    # the pairwise fold over the terms' sets
     x = np.zeros(2)
     f = Sum([(1.0, Affine([1.0, -2.0], 0.0))] * 3000)
     s = subdifferential(f, x)

@@ -514,15 +514,15 @@ def test_analyze_local_builds_no_set_for_a_unit_weight(stem, sets,
     # scale an atom's set by 1, and no set from rows: the atoms' sets are
     # boxes made with no normal-form pass
     built = []
-    init, box_sum = geometry.SubdiffSet.__init__, geometry.SubdiffSet._box_sum
+    init, add_sets = geometry.SubdiffSet.__init__, geometry.add_sets
 
     def counted(self, *args):
         built.append(self)
         init(self, *args)
 
     monkeypatch.setattr(geometry.SubdiffSet, "__init__", counted)
-    monkeypatch.setattr(geometry.SubdiffSet, "_box_sum", classmethod(
-        lambda cls, a, b: built.append(b) or box_sum(a, b)))
+    monkeypatch.setattr(geometry, "add_sets",
+                        lambda a, b: built.append(b) or add_sets(a, b))
     assert main(["analyze-local", str(BENCH_PROBLEMS / f"{stem}.eb"),
                  "--format", "json"]) == 0
     capsys.readouterr()

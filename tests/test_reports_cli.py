@@ -260,6 +260,21 @@ def test_cli_analyze_local_at_a_large_kink_scale(tmp_path, capsys):
         1e154, "interior", 0.0)
 
 
+@pytest.mark.parametrize("expr", [
+    # 1e600 |x0| + |x1|: the weighted box's ends overflow
+    "(sum 1e300 (sum 1e300 (abs 0)) 1 (abs 1))",
+    # 1e600 max(|x0|, |x1|): the scaled cross-polytope's rows overflow
+    "(sum 1e300 (sum 1e300 (max (abs 0) (abs 1))))"], ids=["box", "rows"])
+def test_cli_subdifferential_past_a_double_is_an_overflow(expr, tmp_path,
+                                                           capsys):
+    # at the origin each subdifferential is wider than a double holds: the
+    # set calculus raises NumericalOverflow, exit 5, with no numpy warning
+    path = tmp_path / "huge.eb"
+    path.write_text(f"dim 2\nexpr {expr}\npoint [0, 0]\n", encoding="utf-8")
+    assert main(["analyze-local", str(path), "--format", "json"]) == 5
+    assert capsys.readouterr().err.startswith("numerical overflow:")
+
+
 def test_cli_analyze_local_tol_reaches_verdict(tmp_path, capsys):
     # beta = -1e-7 is zero at --tol 1e-6: the verdict must agree with the
     # on-boundary beta certificate in the same report
