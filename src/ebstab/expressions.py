@@ -16,12 +16,13 @@ five oracles, each by structural recursion over its children:
   batch, one per affine piece there, whose largest value at the row is
   the value itself.
 
-The point oracles ``_value`` and ``_dd`` are defined once, on the base
-class, as one-row views of the batched ones, so a value or a derivative
-has a single arithmetic whichever way it is asked for.  The atoms that
-never kink (``Const``, ``Affine``, ``Exp1D``, ``PosPartSquare``) take
-``_dd_batch`` and ``_subdiff`` from the base class too, which reads them
-off ``_grad_batch``; the other nodes define their own.
+The point oracle ``_value``, defined once on the base class, is a one-row
+view of ``_value_batch``, and ``directional_derivative`` reads one row of
+``_dd_batch``, so a value or a derivative has a single arithmetic.  The
+atoms that never kink (``Const``, ``Affine``, ``Exp1D``, ``PosPartSquare``)
+take ``_dd_batch`` and ``_subdiff`` from the base class, which reads them
+off ``_grad_batch``; ``AbsCoord`` keeps only its kink in both, and the
+other nodes define their own.
 
 The grammar is deliberately small: affine pieces, coordinate absolute
 values, the Euclidean norm, a single exponential atom, a squared positive
@@ -58,6 +59,13 @@ def as_point(x, dim: int) -> np.ndarray:
     return arr
 
 
+def _coord(index: int, dim: int) -> tuple[int, int]:
+    """(index, dim) as ints for an atom on coordinate index of R^dim."""
+    if not 0 <= index < dim:
+        raise ValueError(f"coordinate {index} out of range for dim {dim}")
+    return int(index), int(dim)
+
+
 def _on_coord(index: int, cols: np.ndarray, m: int) -> np.ndarray:
     """Gradients of shape cols.shape + (m,), zero but in coordinate index,
     where they read cols."""
@@ -91,10 +99,6 @@ class ConvexExpr:
         <grad f(x), h>, holds wherever f is differentiable at x (Rockafellar,
         Convex Analysis, Thm 25.1); a node that may kink defines its own."""
         return hs @ self._grad_batch(x[None])[0][0]
-
-    def _dd(self, x: np.ndarray, h: np.ndarray) -> float:
-        """f'(x, h) for one direction: a one-row view of ``_dd_batch``."""
-        return float(self._dd_batch(x, h[None])[0])
 
     def _subdiff(self, x: np.ndarray) -> SubdiffSet:
         """The subdifferential at x.  This default, {grad f(x)}, holds where
@@ -228,10 +232,7 @@ class AbsCoord(ConvexExpr):
     """|x_i|."""
 
     def __init__(self, index: int, dim: int):
-        if not 0 <= index < dim:
-            raise ValueError(f"coordinate {index} out of range for dim {dim}")
-        self.index = int(index)
-        self.dim = int(dim)
+        self.index, self.dim = _coord(index, dim)
 
     def _text(self):
         return f"(abs {self.index})"
@@ -240,13 +241,9 @@ class AbsCoord(ConvexExpr):
         return np.abs(X[:, self.index])
 
     def _dd_batch(self, x, hs):
-        xi = x[self.index]
-        col = hs[:, self.index]
-        if xi > 0.0:
-            return col.copy()
-        if xi < 0.0:
-            return -col
-        return np.abs(col)
+        if x[self.index] != 0.0:
+            return super()._dd_batch(x, hs)
+        return np.abs(hs[:, self.index])
 
     def _subdiff(self, x):
         if x[self.index] != 0.0:
@@ -256,9 +253,7 @@ class AbsCoord(ConvexExpr):
 
     def _grad_batch(self, X):
         xi = X[:, self.index]
-        G = np.zeros(X.shape)
-        G[:, self.index] = np.sign(xi)
-        return G, xi == 0.0
+        return _on_coord(self.index, np.sign(xi), self.dim), xi == 0.0
 
     def _minorants_batch(self, X):
         # both pieces, x_i and -x_i, wherever x is
@@ -274,11 +269,8 @@ class Exp1D(ConvexExpr):
     """exp(x_i) + shift; the only transcendental atom."""
 
     def __init__(self, index: int, shift: float, dim: int = 1):
-        if not 0 <= index < dim:
-            raise ValueError(f"coordinate {index} out of range for dim {dim}")
-        self.index = int(index)
+        self.index, self.dim = _coord(index, dim)
         self.shift = float(shift)
-        self.dim = int(dim)
 
     def _text(self):
         return f"(exp1d {self.index} {_fmt(self.shift)})"
@@ -296,9 +288,8 @@ class Exp1D(ConvexExpr):
         return self._exp_batch(X) + self.shift
 
     def _grad_batch(self, X):
-        G = np.zeros(X.shape)
-        G[:, self.index] = self._exp_batch(X)
-        return G, np.zeros(X.shape[0], dtype=bool)
+        return (_on_coord(self.index, self._exp_batch(X), self.dim),
+                np.zeros(X.shape[0], dtype=bool))
 
     def _minorants_batch(self, X):
         e = self._exp_batch(X)[None]
@@ -312,10 +303,7 @@ class PosPartSquare(ConvexExpr):
     """(max(x_i, 0))^2: smooth, with vanishing gradient on the kink set."""
 
     def __init__(self, index: int, dim: int = 1):
-        if not 0 <= index < dim:
-            raise ValueError(f"coordinate {index} out of range for dim {dim}")
-        self.index = int(index)
-        self.dim = int(dim)
+        self.index, self.dim = _coord(index, dim)
 
     def _text(self):
         return f"(pospart2 {self.index})"
@@ -324,9 +312,8 @@ class PosPartSquare(ConvexExpr):
         return np.maximum(X[:, self.index], 0.0) ** 2
 
     def _grad_batch(self, X):
-        G = np.zeros(X.shape)
-        G[:, self.index] = 2.0 * np.maximum(X[:, self.index], 0.0)
-        return G, np.zeros(X.shape[0], dtype=bool)
+        return (_on_coord(self.index, 2.0 * np.maximum(X[:, self.index], 0.0),
+                          self.dim), np.zeros(X.shape[0], dtype=bool))
 
     def _minorants_batch(self, X):
         p = np.maximum(X[:, self.index], 0.0)[None]
@@ -550,7 +537,7 @@ def directional_derivative(f: ConvexExpr, x, h) -> float:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape[0] != f.dim:
         raise DimensionMismatch(f.dim, h.shape[0], "direction")
-    return float(f._dd(x, h))
+    return float(f._dd_batch(x, h[None])[0])
 
 
 def subdifferential(f: ConvexExpr, x) -> SubdiffSet:

@@ -14,12 +14,14 @@ inside, the boundary distance is the inradius, read off the facets that
 one double description pass finds on the polar cone, with no cap on their
 number.  A box, a product of one interval per coordinate, is kept as its
 ends lo and hi: every atom's set is one (a gradient, a kink's segment
-[-e_i, e_i], the norm's ball about 0), and so are a sum of boxes, a
-positive multiple of one, a max's set where one child is active, which is
-that child's, and a set whose rows hold every vertex of their bounding
+[-e_i, e_i], the norm's ball about 0), and so are a sum of boxes, any
+nonnegative multiple of one, a max's set where one child is active, which
+is that child's, and a set whose rows hold every vertex of their bounding
 box.  Its ends are its one description: its minimum-norm point, inradius
 and affine hull are read off lo and hi, and its rows, built only for a
 reader of the generators, are its 2^d vertices, in normal form as built.
+The set calculus computes with numpy's overflow warning off and refuses
+ends, rows or a radius that overflow a double with NumericalOverflow.
 """
 
 from __future__ import annotations
@@ -475,17 +477,25 @@ def min_support_direction(s: SubdiffSet):
 # ---------------------------------------------------------------------------
 # Set calculus used by the expression subdifferential rules.
 
+def _computed_set(g, ball_radius: float) -> SubdiffSet:
+    """SubdiffSet(g, ball_radius) for a radius computed from finite ones."""
+    if not math.isfinite(ball_radius):
+        raise NumericalOverflow("a subdifferential's radius overflows a double")
+    return SubdiffSet(g, ball_radius)
+
+
 @np.errstate(over="ignore")     # SubdiffSet and _box refuse an overflow
 def scale_set(s: SubdiffSet, w: float) -> SubdiffSet:
-    """w * S for w >= 0: S itself for w = 1, as 1 * x is exact, and for
-    w > 0 a box stays a box, [w lo, w hi] (rounding is monotone)."""
+    """w * S for w >= 0: S itself for w = 1, as 1 * x is exact, and at
+    every weight a box stays a box, [w lo, w hi] (rounding is monotone),
+    the point box 0 * lo at w = 0."""
     if w < 0:
         raise ValueError("scale weight must be nonnegative")
     if w == 1.0:
         return s
-    if w > 0.0 and s.lo is not None:
+    if s.lo is not None:
         return SubdiffSet._box(w * s.lo, w * s.hi, w * s.ball_radius)
-    return SubdiffSet(w * s.generators, w * s.ball_radius)
+    return _computed_set(w * s.generators, w * s.ball_radius)
 
 
 @np.errstate(over="ignore")     # SubdiffSet and _box refuse an overflow
@@ -498,8 +508,8 @@ def add_sets(a: SubdiffSet, b: SubdiffSet) -> SubdiffSet:
     if a.lo is not None and b.lo is not None:
         return SubdiffSet._box(a.lo + b.lo, a.hi + b.hi,
                                a.ball_radius + b.ball_radius)
-    return SubdiffSet(_pair_sums(a.generators, b.generators),
-                      a.ball_radius + b.ball_radius)
+    return _computed_set(_pair_sums(a.generators, b.generators),
+                         a.ball_radius + b.ball_radius)
 
 
 def sum_sets(parts) -> SubdiffSet:
@@ -507,13 +517,14 @@ def sum_sets(parts) -> SubdiffSet:
     return functools.reduce(add_sets, parts)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
     """{A^T u : u in S} for S in the inner space, A of shape (p, m).
 
     A positive inner ball radius maps to a Euclidean ball only when
     A^T A is a multiple of the identity; anything else is refused to keep
-    the representation exact.
-    """
+    the representation exact.  Where A^T A overflows, its nans pass that
+    check, but the radius is then inf, which is refused as an overflow."""
     a_mat = np.asarray(a_mat, dtype=float)
     gens = _rows_times(s.generators, a_mat.T)
     if s.ball_radius == 0.0:
@@ -526,7 +537,7 @@ def adjoint_image_set(s: SubdiffSet, a_mat: np.ndarray) -> SubdiffSet:
             "affine pre-composition maps the inner ball to a non-ball; "
             "only conformal maps (A^T A = s*I) are supported with r > 0"
         )
-    return SubdiffSet(gens, s.ball_radius * math.sqrt(sigma2))
+    return _computed_set(gens, s.ball_radius * math.sqrt(sigma2))
 
 
 def merge_active_subdiffs(parts) -> SubdiffSet:

@@ -578,9 +578,8 @@ def eta_local(f: ConvexExpr, xbar, levels: int = 8,
                               range(seed_base + k, seed_base + k + len(block)))
             infeas = f._value_batch(pts) > 0.0
             d = np.full(pts.shape[0], np.inf)
-            if infeas.any():
-                b = _betas(f, pts[infeas])
-                d[infeas] = np.where(b < 0.0, -b, 0.0)
+            b = _betas(f, pts[infeas])
+            d[infeas] = np.where(b < 0.0, -b, 0.0)
             seen = infeas.reshape(len(block), per_level).any(axis=1)
             least = d.reshape(len(block), per_level).min(axis=1)
             recs += [(r, float(v) if hit else None)

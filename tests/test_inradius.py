@@ -481,6 +481,43 @@ def test_weighted_l1_sum_in_r24_builds_no_vertex_list(tmp_path, monkeypatch,
     assert rows == []
 
 
+def test_zero_weighted_l1_sum_in_r16_builds_no_vertex_list(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # 0 ||x||_1 + x_0 at the origin of R^16: 0 [-1, 1]^16 is the point box
+    # 0, so beta is -1, read off the ends, and none of the 2^16 vertices
+    # is built and deduplicated
+    m = 16
+    terms = " ".join(f"1 (abs {j})" for j in range(m))
+    path_eb = tmp_path / "l1zero.eb"
+    path_eb.write_text(f"dim {m}\nexpr (sum 0 (sum {terms}) 1 (affine "
+                       f"{[1.0] + [0.0] * (m - 1)} 0.0))\n"
+                       f"point {[0.0] * m}\n", encoding="utf-8")
+
+    def refused(g):
+        raise AssertionError(f"dedupe_rows called on {g.shape[0]} rows")
+
+    monkeypatch.setattr(geometry, "dedupe_rows", refused)
+    assert main(["analyze-local", str(path_eb), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["beta"]["beta"] == -1.0
+    assert results["beta"]["origin"] == "outside"
+    assert results["modulus"]["path"] == "polyhedral-outside"
+
+
+def test_a_zero_multiple_of_a_box_is_the_row_its_rows_keep():
+    # 0 [lo, hi] is the point box 0 lo: bit for bit the one row that the
+    # box's rows times 0 keep in normal form, signed zeros included
+    f = Sum([(1.0, AbsCoord(0, 2)), (1.0, Affine([0.5, -2.0], 0.0))])
+    s = subdifferential(f, np.zeros(2))
+    assert s.lo.tolist() == [-0.5, -2.0] and s.hi.tolist() == [1.5, -2.0]
+    zero = scale_set(s, 0.0)
+    rows = SubdiffSet(0.0 * s.generators, 0.0).generators
+    assert zero._rows is None and zero.ball_radius == 0.0
+    assert rows.shape[0] == 1
+    assert zero.lo.tobytes() == zero.hi.tobytes() == rows[0].tobytes()
+
+
 def test_composed_l1_norm_puts_its_vertices_in_normal_form_once(
         monkeypatch):
     # ||2x||_1 at the origin of R^8: the inner box's 256 vertices are

@@ -264,7 +264,16 @@ def test_cli_analyze_local_at_a_large_kink_scale(tmp_path, capsys):
     # 1e600 |x0| + |x1|: the weighted box's ends overflow
     "(sum 1e300 (sum 1e300 (abs 0)) 1 (abs 1))",
     # 1e600 max(|x0|, |x1|): the scaled cross-polytope's rows overflow
-    "(sum 1e300 (sum 1e300 (max (abs 0) (abs 1))))"], ids=["box", "rows"])
+    "(sum 1e300 (sum 1e300 (max (abs 0) (abs 1))))",
+    # 1e300 |x0| mapped by 1e300: the mapped rows overflow
+    "(compose [[1e300, 0.0]] [0.0] (sum 1e300 (abs 0)))",
+    # 1e300 times a max whose two rows carry the ball of radius 1e10: the
+    # scaled radius overflows
+    "(sum 1e300 (max (sum 1e10 (norm)) (sum 1e10 (norm) 1 (affine "
+    "[0.5, 0.5] 0.0))))",
+    # ||x|| mapped by 1e300 I: the Gram matrix, and so the radius, overflow
+    "(compose [[1e300, 0.0], [0.0, 1e300]] [0.0, 0.0] (norm))"],
+    ids=["box", "rows", "mapped-rows", "radius", "mapped-radius"])
 def test_cli_subdifferential_past_a_double_is_an_overflow(expr, tmp_path,
                                                            capsys):
     # at the origin each subdifferential is wider than a double holds: the
